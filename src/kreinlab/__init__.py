@@ -82,8 +82,10 @@ from .sequence_model import (
 )
 from .quasibasis import (
     BUILTIN_WEIGHTS,
+    AnharmonicFamily,
     ExpansionReport,
     FunctionFamily,
+    ShiftedHermiteFamily,
     UniformGrid,
     anharmonic_family,
     biorthogonal_gram,

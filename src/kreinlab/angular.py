@@ -15,7 +15,6 @@ from ._linalg import (
     as_matrix,
     herm_residual,
     hermitize,
-    inner,
     operator_norm,
     orthonormal_columns,
 )

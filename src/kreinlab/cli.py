@@ -28,18 +28,17 @@ from .extensions import (
 from .quasibasis import (
     ANHARMONIC_GRID,
     HERMITE_GRID,
+    ShiftedHermiteFamily,
     UniformGrid,
     anharmonic_family,
     biorthogonal_gram,
     eigen_residual,
     expansion,
-    g_gram_fourier,
     h_gram_in_g,
     indefinite_gram,
     metric_gram,
     shifted_family,
     sign_pattern,
-    weighted_gram,
 )
 from .sequence_model import (
     SequenceModelSpec,
@@ -197,20 +196,24 @@ def _cmd_classify_model(config: RunConfig) -> int:
     return 0
 
 
+# quasi-basis family -> (default grid, constructor from the options and grid)
+_FAMILIES = {
+    "hermite": (HERMITE_GRID,
+                lambda ex, grid: shifted_family(ex["a"], ex["nmax"], grid)),
+    "anharmonic": (ANHARMONIC_GRID,
+                   lambda ex, grid: anharmonic_family(ex["beta"], ex["weight"],
+                                                      ex["nmax"], grid)),
+}
+
+
 def _cmd_quasi_basis(config: RunConfig) -> int:
-    kind = config.extras["family"]
-    n_max = config.extras["nmax"]
-    if kind == "hermite":
-        default = HERMITE_GRID
-    else:
-        default = ANHARMONIC_GRID
-    grid = UniformGrid(config.extras.get("half_width") or default.half_width,
-                       config.extras.get("nodes") or default.nodes)
-    if kind == "hermite":
-        fam = shifted_family(config.extras["a"], n_max, grid)
-    else:
-        fam = anharmonic_family(config.extras["beta"], config.extras["weight"],
-                                n_max, grid)
+    extras = config.extras
+    n_max = extras["nmax"]
+    default, build = _FAMILIES[extras["family"]]
+    half_width, nodes = extras.get("half_width"), extras.get("nodes")
+    grid = UniformGrid(default.half_width if half_width is None else half_width,
+                       default.nodes if nodes is None else nodes)
+    fam = build(extras, grid)
     sigma, offdiag, j_orthonormal = sign_pattern(fam)
     ig = indefinite_gram(fam)
     mg = metric_gram(fam)
@@ -235,7 +238,7 @@ def _cmd_quasi_basis(config: RunConfig) -> int:
         "expansion_final_error_metric": float(rep.g_errors[-1]),
         "expansion_final_error_mapped": float(rep.plain_errors[-1]),
     }
-    if kind == "hermite":
+    if isinstance(fam, ShiftedHermiteFamily):
         report["a"] = fam.a
         report["band_limit"] = fam.band
         report["h_gram_offdiag"] = float(np.max(np.abs(h_gram_in_g(fam) - np.diag(lam))))
@@ -243,8 +246,7 @@ def _cmd_quasi_basis(config: RunConfig) -> int:
         report["beta"] = fam.beta
         report["weight"] = fam.p_name
         report["parities"] = [int(s) for s in fam.g_parities]
-        report["weighted_gram_deviation"] = float(np.max(np.abs(
-            weighted_gram(fam) - np.eye(n_max + 1))))
+        report["weighted_gram_deviation"] = metric_dev
         report["max_richardson_error"] = float(np.max(fam.richardson_error))
     idx = range(n_max + 1)
     _write_csv(config.output_dir / "indefinite_gram.csv", ["m", "n", "re", "im"],
@@ -308,6 +310,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def grid_options(p, default):
+        p.add_argument("--L", dest="half_width", type=float, default=None,
+                       help=f"grid half-width (default {default.half_width:g})")
+        p.add_argument("--nodes", type=int, default=None,
+                       help=f"grid nodes, power of two (default {default.nodes})")
+
     def common(p, needs_input):
         if needs_input:
             p.add_argument("--input", required=True, type=Path,
@@ -343,20 +351,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(ph, False)
     ph.add_argument("--a", type=float, required=True, help="imaginary shift")
     ph.add_argument("--nmax", type=int, required=True)
-    ph.add_argument("--L", dest="half_width", type=float, default=None,
-                    help="grid half-width (default 12)")
-    ph.add_argument("--nodes", type=int, default=None,
-                    help="grid nodes, power of two (default 4096)")
+    grid_options(ph, HERMITE_GRID)
     pa = fam_sub.add_parser("anharmonic", help="weighted family e^p g_n for |x|^beta")
     common(pa, False)
     pa.add_argument("--beta", type=float, required=True, help="potential exponent, beta > 2")
     pa.add_argument("--p", dest="weight", default="x_over_1px2",
                     help="built-in odd weight exponent (x_over_1px2 | tanh)")
     pa.add_argument("--nmax", type=int, required=True)
-    pa.add_argument("--L", dest="half_width", type=float, default=None,
-                    help="grid half-width (default 8)")
-    pa.add_argument("--nodes", type=int, default=None,
-                    help="grid nodes, power of two (default 4096)")
+    grid_options(pa, ANHARMONIC_GRID)
 
     p = sub.add_parser("verify", help="run the cross-module invariant suite")
     common(p, False)

@@ -25,7 +25,6 @@ from ._linalg import (
     eig_min_herm,
     herm_residual,
     hermitize,
-    inner,
     operator_norm,
     orthonormal_columns,
     orthonormal_complement,

@@ -1,15 +1,25 @@
 """Quasi-basis diagnostics for concrete function families.
 
-Two families are built on a uniform symmetric grid:
+Two frozen family types are built on a uniform symmetric grid.  Both
+subclass `FunctionFamily`, which holds the samples of f_0..f_n_max and of
+their orthonormal reference g_n, the eigenvalues lambda_n of H f_n =
+lambda_n f_n, and the signs sign Re [f_n, f_n], measured once at
+construction:
 
-* shifted Hermite functions f_n(x) = g_n(x + i a), where g_n are the
+* `ShiftedHermiteFamily`: f_n(x) = g_n(x + i a), where g_n are the
   Hermite functions (three-term recurrence); the metric weight acts as
   multiplication by e^{2 a xi} on the Fourier side, and
   H = -d^2/dx^2 + x^2 + 2iax has f_n as eigenfunctions with eigenvalues
   1 + 2n + a^2;
-* weighted anharmonic families f_n = e^{p(x)} g_n with g_n the
-  finite-difference eigenfunctions of H0 = -d^2/dx^2 + |x|^beta (beta > 2)
-  and p a bounded odd weight exponent; the metric weight is e^{-2p(x)}.
+* `AnharmonicFamily`: f_n = e^{p(x)} g_n with g_n the finite-difference
+  eigenfunctions of H0 = -d^2/dx^2 + |x|^beta (beta > 2) and p a bounded
+  odd weight exponent; the metric weight is e^{-2p(x)}.
+
+Each type supplies only what differs: `metric_rows` (the two row stacks
+whose product, times `measure`, is the metric product), `half_metric`
+(e^{Q/2}), `metric` (e^{Q}) and `apply_h` (H f_n).  The Grams, the
+C-routes, H in the metric and the expansion are written once on top of
+them.
 
 Every Fourier-side quantity is gated by an explicit frequency-band check:
 the exponential weight amplifies unresolved tails, so results are refused
@@ -19,6 +29,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -68,9 +79,16 @@ HERMITE_GRID = UniformGrid(12.0, 4096)
 ANHARMONIC_GRID = UniformGrid(8.0, 8192)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FunctionFamily:
-    kind: str                      # "shifted_hermite" | "weighted_anharmonic"
+    """Grid samples of a family f_0..f_n_max and its reference g_n.
+
+    Each family type supplies metric_rows(rows, label, check) -> (L, R)
+    with (u, v)_G = measure * sum L u conj(R v) for each row u of rows
+    (label names the rows in refusals; a "{}" in it takes the row index),
+    half_metric(u) = e^{Q/2} u, metric(u) = e^{Q} u and apply_h(n) = H f_n.
+    """
+    kind: ClassVar[str]
     x: np.ndarray
     step: float
     half_width: float
@@ -78,16 +96,9 @@ class FunctionFamily:
     f: np.ndarray                  # (n_max+1, M) complex
     g: np.ndarray                  # (n_max+1, M) float, orthonormal reference
     g_parities: np.ndarray         # +/-1 parity of each g_n
-    a: float | None = None
-    band: float | None = None
-    beta: float | None = None
-    p_name: str | None = None
-    p_funcs: tuple | None = field(default=None, repr=False)
-    eigenvalues: np.ndarray | None = None
-    richardson_error: np.ndarray | None = None
-    _f_ext: np.ndarray | None = field(default=None, repr=False)
-    _signs: np.ndarray | None = field(default=None, repr=False)
-    _signs_gram: np.ndarray | None = field(default=None, repr=False)
+    eigenvalues: np.ndarray        # lambda_n with H f_n = lambda_n f_n
+    measure: float                 # quadrature weight of the metric product
+    signs: np.ndarray              # sign Re [f_n, f_n]
 
     @property
     def nodes(self) -> int:
@@ -105,20 +116,24 @@ def _hermite_table(n_rows: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def quad_inner(fam: FunctionFamily, u, v) -> complex:
-    """(u, v) = step * sum u conj(v), linear in the first argument."""
-    return complex(fam.step * np.sum(np.asarray(u) * np.conj(np.asarray(v))))
-
-
 def quad_norm(fam: FunctionFamily, u) -> float:
     return float(np.sqrt(fam.step) * np.linalg.norm(np.asarray(u)))
 
 
+def _reflect(u: np.ndarray) -> np.ndarray:
+    """u(-x) on the periodically identified grid, along the last axis."""
+    m = u.shape[-1]
+    return np.take(u, (-np.arange(m)) % m, axis=-1)
+
+
+def _signs(f: np.ndarray) -> np.ndarray:
+    """sign Re [f_n, f_n], from the diagonal of the indefinite Gram alone."""
+    return np.sign(np.real(np.sum(_reflect(f) * f.conj(), axis=1)))
+
+
 def parity_apply(fam: FunctionFamily, u) -> np.ndarray:
-    """(Pu)(x) = u(-x) on the periodically identified grid."""
-    u = np.asarray(u)
-    idx = (-np.arange(fam.nodes)) % fam.nodes
-    return u[idx]
+    """(Pu)(x) = u(-x) on the periodically identified grid, row by row."""
+    return _reflect(np.asarray(u))
 
 
 def frequencies(fam: FunctionFamily) -> np.ndarray:
@@ -138,7 +153,63 @@ def inverse_fourier(fam: FunctionFamily, uhat) -> np.ndarray:
     return np.sqrt(2.0 * np.pi) / fam.step * np.fft.ifft(phase * np.asarray(uhat, dtype=complex))
 
 
-def shifted_family(a: float, n_max: int, grid: UniformGrid = HERMITE_GRID) -> FunctionFamily:
+@dataclass(frozen=True)
+class ShiftedHermiteFamily(FunctionFamily):
+    """f_n(x) = g_n(x + i a); the metric is the band-gated e^{2 a xi}."""
+    kind = "shifted_hermite"
+    a: float
+    band: float                    # every weighted spectrum lives in |xi| <= band
+    f_ext: np.ndarray = field(repr=False)    # f_0..f_{n_max+2}, for H f_n
+
+    def _weighted_hat(self, u, power: float, label: str, check: bool = True) -> np.ndarray:
+        """e^{power a xi} u^ on the band (zero outside), with the decay gate."""
+        xi = frequencies(self)
+        weighted = np.where(np.abs(xi) <= self.band,
+                            np.exp(power * self.a * xi) * fourier(self, u), 0.0)
+        if check:
+            self._band_check(weighted, label)
+        return weighted
+
+    def _band_check(self, weighted_hat: np.ndarray, label: str) -> None:
+        """Refuse when a weighted spectrum has not decayed at the band edge."""
+        xi = np.abs(frequencies(self))
+        inside = xi <= self.band
+        shell = inside & (xi > self.band - 2.0)
+        peak = float(np.max(np.abs(weighted_hat[inside]), initial=0.0))
+        if peak == 0.0:
+            return
+        edge = float(np.max(np.abs(weighted_hat[shell]), initial=0.0))
+        if edge > BAND_EDGE_REL * peak:
+            raise FrequencyBandError(
+                f"{label}: weighted spectrum at the band edge is {edge / peak:.2e} "
+                "of its peak; the exponential weight would amplify unresolved tails"
+            )
+
+    def metric_rows(self, rows, label: str, check: bool = True):
+        """The weighted hats e^{a xi} u^ of the rows, on both sides."""
+        hats = np.vstack([self._weighted_hat(u, 1.0, label.format(n), check)
+                          for n, u in enumerate(rows)])
+        return hats, hats
+
+    def half_metric(self, u) -> np.ndarray:
+        return inverse_fourier(self, self._weighted_hat(u, 1.0, "half_metric_apply"))
+
+    def metric(self, u) -> np.ndarray:
+        return inverse_fourier(self, self._weighted_hat(u, 2.0, "c_action_multiplier"))
+
+    def apply_h(self, n: int) -> np.ndarray:
+        """Analytic derivative identities on the Hermite table."""
+        tab = self.f_ext
+        upp = np.sqrt((n + 1.0) * (n + 2.0)) / 2.0 * tab[n + 2]
+        mid = -(2.0 * n + 1.0) / 2.0 * tab[n]
+        low = np.sqrt(n * (n - 1.0)) / 2.0 * tab[n - 2] if n >= 2 else 0.0
+        second = low + mid + upp
+        potential = (self.x ** 2 + 2j * self.a * self.x) * tab[n]
+        return -second + potential
+
+
+def shifted_family(a: float, n_max: int,
+                   grid: UniformGrid = HERMITE_GRID) -> ShiftedHermiteFamily:
     """Shifted Hermite family f_n(x) = g_n(x + i a).
 
     The grid must resolve the classical frequency support of the family
@@ -166,31 +237,33 @@ def shifted_family(a: float, n_max: int, grid: UniformGrid = HERMITE_GRID) -> Fu
             f"step {grid.step:.3g} too coarse: band {band:.1f} exceeds half the "
             f"FFT range {xi_max:.1f}"
         )
-    g_ext = _hermite_table(n_rows, x.astype(complex)).real
-    f_ext = _hermite_table(n_rows, x + 1j * a)
-    fam = FunctionFamily(
-        kind="shifted_hermite",
-        x=x,
-        step=grid.step,
-        half_width=grid.half_width,
-        n_max=n_max,
-        f=f_ext[: n_max + 1].copy(),
-        g=g_ext[: n_max + 1].copy(),
-        g_parities=np.array([(-1) ** n for n in range(n_max + 1)]),
-        a=float(a),
-        band=float(band),
-        _f_ext=f_ext,
-    )
-    ref = fam.step * (fam.g @ fam.g.T)
+    g = _hermite_table(n_rows, x.astype(complex)).real[: n_max + 1].copy()
+    ref = grid.step * (g @ g.T)
     resid = float(np.max(np.abs(ref - np.eye(n_max + 1))))
     if resid > REFERENCE_GRAM_TOL:
         raise GridResolutionError(
             f"grid under-resolved: reference Gram residual {resid:.2e}"
         )
-    return fam
+    f_ext = _hermite_table(n_rows, x + 1j * a)
+    f = f_ext[: n_max + 1].copy()
+    return ShiftedHermiteFamily(
+        x=x,
+        step=grid.step,
+        half_width=grid.half_width,
+        n_max=n_max,
+        f=f,
+        g=g,
+        g_parities=np.array([(-1) ** n for n in range(n_max + 1)]),
+        eigenvalues=1.0 + 2.0 * np.arange(n_max + 1, dtype=float) + float(a) ** 2,
+        measure=2.0 * np.pi / (grid.nodes * grid.step),
+        signs=_signs(f),
+        a=float(a),
+        band=float(band),
+        f_ext=f_ext,
+    )
 
 
-def hermite_family(n_max: int, grid: UniformGrid = HERMITE_GRID) -> FunctionFamily:
+def hermite_family(n_max: int, grid: UniformGrid = HERMITE_GRID) -> ShiftedHermiteFamily:
     """Unshifted Hermite reference family (a = 0)."""
     return shifted_family(0.0, n_max, grid)
 
@@ -263,8 +336,38 @@ def _halfline_eigs(v_half: np.ndarray, h: float, parity: str, count: int):
     return w, vec
 
 
+@dataclass(frozen=True)
+class AnharmonicFamily(FunctionFamily):
+    """f_n = e^{p} g_n for |x|^beta; the metric is the weight e^{-2p}."""
+    kind = "weighted_anharmonic"
+    beta: float
+    p_name: str
+    p_funcs: tuple = field(repr=False)       # (p, p', p'')
+    richardson_error: np.ndarray
+
+    def metric_rows(self, rows, label: str, check: bool = True):
+        """(e^{-2p} rows, rows): the weight needs no band gate."""
+        return rows * np.exp(-2.0 * self.p_funcs[0](self.x)), rows
+
+    def half_metric(self, u) -> np.ndarray:
+        return np.exp(-self.p_funcs[0](self.x)) * np.asarray(u)
+
+    def metric(self, u) -> np.ndarray:
+        return np.exp(-2.0 * self.p_funcs[0](self.x)) * u
+
+    def apply_h(self, n: int) -> np.ndarray:
+        """The finite-difference conjugated operator."""
+        p, p1, p2 = self.p_funcs
+        fn = self.f[n]
+        h = self.step
+        d2 = (np.roll(fn, 1) - 2.0 * fn + np.roll(fn, -1)) / (h * h)
+        d1 = (np.roll(fn, -1) - np.roll(fn, 1)) / (2.0 * h)
+        v = np.abs(self.x) ** self.beta
+        return -d2 + (v + p2(self.x) - p1(self.x) ** 2) * fn + 2.0 * p1(self.x) * d1
+
+
 def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
-                      grid: UniformGrid = ANHARMONIC_GRID) -> FunctionFamily:
+                      grid: UniformGrid = ANHARMONIC_GRID) -> AnharmonicFamily:
     """Weighted anharmonic family f_n = e^{p} g_n.
 
     g_n are finite-difference eigenfunctions of -d^2/dx^2 + |x|^beta,
@@ -337,69 +440,32 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
                 f"weight derivative order {k} exceeds the admissible growth envelope",
                 stacklevel=2,
             )
-    f = np.exp(p(x))[None, :] * g
-    return FunctionFamily(
-        kind="weighted_anharmonic",
+    f = (np.exp(p(x))[None, :] * g).astype(complex)
+    return AnharmonicFamily(
         x=x,
         step=h,
         half_width=grid.half_width,
         n_max=n_max,
-        f=f.astype(complex),
+        f=f,
         g=g,
         g_parities=parities,
+        eigenvalues=eigs,
+        measure=h,
+        signs=_signs(f),
         beta=float(beta),
         p_name=p_name,
         p_funcs=(p, p1, p2),
-        eigenvalues=eigs,
         richardson_error=richardson,
     )
 
 
 # --- metric-side machinery --------------------------------------------------
 
-def _band_mask(fam: FunctionFamily) -> np.ndarray:
-    return np.abs(frequencies(fam)) <= fam.band
-
-
-def _band_check(fam: FunctionFamily, weighted_hat: np.ndarray, label: str) -> None:
-    """Refuse when a weighted spectrum has not decayed at the band edge."""
-    xi = np.abs(frequencies(fam))
-    inside = xi <= fam.band
-    shell = inside & (xi > fam.band - 2.0)
-    peak = float(np.max(np.abs(weighted_hat[inside]), initial=0.0))
-    if peak == 0.0:
-        return
-    edge = float(np.max(np.abs(weighted_hat[shell]), initial=0.0))
-    if edge > BAND_EDGE_REL * peak:
-        raise FrequencyBandError(
-            f"{label}: weighted spectrum at the band edge is {edge / peak:.2e} "
-            "of its peak; the exponential weight would amplify unresolved tails"
-        )
-
-
-def _half_weighted_hat(fam: FunctionFamily, u, label: str, check: bool = True) -> np.ndarray:
-    """e^{a xi} u^ on the band (zero outside), with the decay gate."""
-    xi = frequencies(fam)
-    hat = fourier(fam, u)
-    weighted = np.exp(fam.a * xi) * hat
-    mask = _band_mask(fam)
-    weighted = np.where(mask, weighted, 0.0)
-    if check:
-        _band_check(fam, weighted, label)
-    return weighted
-
-
 def metric_inner(fam: FunctionFamily, u, v, check: bool = True) -> complex:
-    """(u, v)_G: Fourier-weighted for the shifted family, e^{-2p}-weighted
-    in position space for the anharmonic one."""
-    if fam.kind == "shifted_hermite":
-        wu = _half_weighted_hat(fam, u, "metric_inner(u)", check)
-        wv = _half_weighted_hat(fam, v, "metric_inner(v)", check)
-        dxi = 2.0 * np.pi / (fam.nodes * fam.step)
-        return complex(np.sum(wu * np.conj(wv)) * dxi)
-    p = fam.p_funcs[0]
-    weight = np.exp(-2.0 * p(fam.x))
-    return complex(fam.step * np.sum(weight * np.asarray(u) * np.conj(np.asarray(v))))
+    """(u, v)_G = measure * sum L u conj(R v), linear in u."""
+    left, _ = fam.metric_rows(np.asarray(u)[None], "metric_inner(u)", check)
+    _, right = fam.metric_rows(np.asarray(v)[None], "metric_inner(v)", check)
+    return complex(fam.measure * np.sum(left[0] * np.conj(right[0])))
 
 
 def metric_norm(fam: FunctionFamily, u, check: bool = True) -> float:
@@ -409,57 +475,42 @@ def metric_norm(fam: FunctionFamily, u, check: bool = True) -> float:
 
 def half_metric_apply(fam: FunctionFamily, u) -> np.ndarray:
     """e^{Q/2} u: maps f_n back to the orthonormal reference g_n."""
-    if fam.kind == "shifted_hermite":
-        return inverse_fourier(fam, _half_weighted_hat(fam, u, "half_metric_apply"))
-    return np.exp(-fam.p_funcs[0](fam.x)) * np.asarray(u)
+    return fam.half_metric(u)
 
 
 def indefinite_gram(fam: FunctionFamily) -> np.ndarray:
     """Matrix of [f_m, f_n] = integral f_m(-x) conj(f_n(x)) dx."""
-    flipped = np.vstack([parity_apply(fam, fam.f[n]) for n in range(fam.n_max + 1)])
-    return fam.step * (flipped @ fam.f.conj().T)
+    return fam.step * (parity_apply(fam, fam.f) @ fam.f.conj().T)
 
 
 def sign_pattern(fam: FunctionFamily, tol: float = 1e-6):
-    """(sigma, max_offdiag, j_orthonormal) from the indefinite Gram.
+    """(sigma, max_offdiag, j_orthonormal) with sigma = fam.signs.
 
-    sigma_n = sign Re [f_n, f_n]; the family is J-orthonormal when the Gram
-    is diag(sigma) within tol.  Measured, never assumed.
+    The family is J-orthonormal when the indefinite Gram is diag(sigma)
+    within tol.  Measured, never assumed.
     """
-    if fam._signs is not None and tol == 1e-6:
-        gram = fam._signs_gram
-        sigma = fam._signs
-    else:
-        gram = indefinite_gram(fam)
-        sigma = np.sign(np.real(np.diag(gram)))
-        fam._signs = sigma
-        fam._signs_gram = gram
-    dev = np.abs(gram - np.diag(sigma))
-    return sigma, float(np.max(dev)), bool(np.max(dev) <= tol)
+    dev = float(np.max(np.abs(indefinite_gram(fam) - np.diag(fam.signs))))
+    return fam.signs, dev, dev <= tol
+
+
+def metric_gram(fam: FunctionFamily) -> np.ndarray:
+    """Metric Gram (f_m, f_n)_G."""
+    left, right = fam.metric_rows(fam.f, "metric_gram(f_{})")
+    return fam.measure * (left @ right.conj().T)
 
 
 def g_gram_fourier(fam: FunctionFamily) -> np.ndarray:
-    """Metric Gram (f_m, f_n)_G through the weighted Fourier route."""
-    if fam.kind != "shifted_hermite":
+    """Metric Gram of the shifted family, through the weighted Fourier route."""
+    if not isinstance(fam, ShiftedHermiteFamily):
         raise ValueError("the Fourier metric route applies to the shifted family")
-    wh = np.vstack([
-        _half_weighted_hat(fam, fam.f[n], f"g_gram_fourier(f_{n})")
-        for n in range(fam.n_max + 1)
-    ])
-    dxi = 2.0 * np.pi / (fam.nodes * fam.step)
-    return dxi * (wh @ wh.conj().T)
+    return metric_gram(fam)
 
 
 def weighted_gram(fam: FunctionFamily) -> np.ndarray:
     """Metric Gram (e^{-2p} f_m, f_n) of the anharmonic family."""
-    if fam.kind != "weighted_anharmonic":
+    if not isinstance(fam, AnharmonicFamily):
         raise ValueError("the position-weighted route applies to the anharmonic family")
-    weight = np.exp(-2.0 * fam.p_funcs[0](fam.x))
-    return fam.step * ((fam.f * weight) @ fam.f.conj().T)
-
-
-def metric_gram(fam: FunctionFamily) -> np.ndarray:
-    return g_gram_fourier(fam) if fam.kind == "shifted_hermite" else weighted_gram(fam)
+    return metric_gram(fam)
 
 
 def apply_hamiltonian(fam: FunctionFamily, n: int) -> np.ndarray:
@@ -467,27 +518,10 @@ def apply_hamiltonian(fam: FunctionFamily, n: int) -> np.ndarray:
     the finite-difference conjugated operator for the anharmonic one."""
     if not 0 <= n <= fam.n_max:
         raise ValueError("index outside the family")
-    if fam.kind == "shifted_hermite":
-        tab = fam._f_ext
-        upp = np.sqrt((n + 1.0) * (n + 2.0)) / 2.0 * tab[n + 2]
-        mid = -(2.0 * n + 1.0) / 2.0 * tab[n]
-        low = np.sqrt(n * (n - 1.0)) / 2.0 * tab[n - 2] if n >= 2 else 0.0
-        second = low + mid + upp
-        potential = (fam.x ** 2 + 2j * fam.a * fam.x) * tab[n]
-        return -second + potential
-    p, p1, p2 = fam.p_funcs
-    fn = fam.f[n]
-    h = fam.step
-    d2 = (np.roll(fn, 1) - 2.0 * fn + np.roll(fn, -1)) / (h * h)
-    d1 = (np.roll(fn, -1) - np.roll(fn, 1)) / (2.0 * h)
-    v = np.abs(fam.x) ** fam.beta
-    return -d2 + (v + p2(fam.x) - p1(fam.x) ** 2) * fn + 2.0 * p1(fam.x) * d1
+    return fam.apply_h(n)
 
 
 def family_eigenvalues(fam: FunctionFamily) -> np.ndarray:
-    if fam.kind == "shifted_hermite":
-        n = np.arange(fam.n_max + 1, dtype=float)
-        return 1.0 + 2.0 * n + fam.a ** 2
     return fam.eigenvalues.copy()
 
 
@@ -533,15 +567,7 @@ def c_action(fam: FunctionFamily, u) -> np.ndarray:
 
 def c_action_multiplier(fam: FunctionFamily, u) -> np.ndarray:
     """C = J e^Q through the metric-multiplier route (cross-check)."""
-    u = np.asarray(u, dtype=complex)
-    if fam.kind == "shifted_hermite":
-        xi = frequencies(fam)
-        hat = fourier(fam, u)
-        weighted = np.where(_band_mask(fam), np.exp(2.0 * fam.a * xi) * hat, 0.0)
-        _band_check(fam, weighted, "c_action_multiplier")
-        return parity_apply(fam, inverse_fourier(fam, weighted))
-    weight = np.exp(-2.0 * fam.p_funcs[0](fam.x))
-    return parity_apply(fam, weight * u)
+    return parity_apply(fam, fam.metric(np.asarray(u, dtype=complex)))
 
 
 @dataclass(frozen=True)
@@ -563,10 +589,9 @@ def expansion(fam: FunctionFamily, target) -> ExpansionReport:
     if not np.all(np.isfinite(target)):
         raise ValueError("target must be finite")
     metric_norm(fam, target)            # gate once: raises if not band-resolved
-    sigma, _, _ = sign_pattern(fam)
     flipped = parity_apply(fam, target)
-    coeffs = sigma * (fam.step * (fam.f.conj() @ flipped))
-    mapped_target = half_metric_apply(fam, target)
+    coeffs = fam.signs * (fam.step * (fam.f.conj() @ flipped))
+    mapped_target = fam.half_metric(target)
     g_errors = np.empty(fam.n_max + 1)
     plain_errors = np.empty(fam.n_max + 1)
     partial = np.zeros_like(target)
@@ -585,23 +610,14 @@ def expansion(fam: FunctionFamily, target) -> ExpansionReport:
 def h_gram_in_g(fam: FunctionFamily) -> np.ndarray:
     """A[m, n] = (H f_n, f_m)_G: Hermitian and diagonal when H is symmetric
     in the metric product on the span."""
-    count = fam.n_max + 1
-    hf = [apply_hamiltonian(fam, n) for n in range(count)]
-    if fam.kind == "shifted_hermite":
-        dxi = 2.0 * np.pi / (fam.nodes * fam.step)
-        wf = np.vstack([_half_weighted_hat(fam, fam.f[m], f"h_gram(f_{m})") for m in range(count)])
-        wh = np.vstack([_half_weighted_hat(fam, hf[n], f"h_gram(Hf_{n})") for n in range(count)])
-        return dxi * (wh @ wf.conj().T).T
-    out = np.empty((count, count), dtype=complex)
-    for m in range(count):
-        for n in range(count):
-            out[m, n] = metric_inner(fam, hf[n], fam.f[m])
-    return out
+    hf = np.vstack([apply_hamiltonian(fam, n) for n in range(fam.n_max + 1)])
+    _, right = fam.metric_rows(fam.f, "h_gram(f_{})")
+    left, _ = fam.metric_rows(hf, "h_gram(Hf_{})")
+    return fam.measure * (left @ right.conj().T).T
 
 
 def biorthogonal_gram(fam: FunctionFamily) -> np.ndarray:
     """(f_m, gamma_n) with gamma_n = sigma_n J f_n; the identity when the
     family is J-orthonormal."""
-    sigma, _, _ = sign_pattern(fam)
-    flipped = np.vstack([parity_apply(fam, fam.f[n]) for n in range(fam.n_max + 1)])
-    return fam.step * (fam.f @ np.conj(flipped.T)) * sigma[None, :]
+    flipped = parity_apply(fam, fam.f)
+    return fam.step * (fam.f @ np.conj(flipped.T)) * fam.signs[None, :]

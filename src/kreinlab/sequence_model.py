@@ -20,9 +20,8 @@ import numpy as np
 
 from ._linalg import hermitize, psd_sqrt
 from .angular import PartialContraction
-from .errors import InvariantViolation
 from .extensions import density_test, uniqueness_sup
-from .spaces import SignatureSpace, Subspace
+from .spaces import SignatureSpace
 
 VARIANTS = ("both_constraints", "chi_plus_zero")
 

@@ -42,25 +42,6 @@ def matrix_from_obj(obj) -> np.ndarray:
     return re + 1j * im
 
 
-def partial_contraction_to_obj(t0) -> dict:
-    """Serialize a PartialContraction as {"J", "domain", "action"}."""
-    return {
-        "J": matrix_to_obj(t0.space.j),
-        "domain": matrix_to_obj(t0.domain),
-        "action": matrix_to_obj(t0.action),
-    }
-
-
-def partial_contraction_from_obj(obj):
-    from .angular import PartialContraction
-    from .spaces import SignatureSpace
-
-    space = SignatureSpace(matrix_from_obj(obj["J"]))
-    return PartialContraction(
-        space, matrix_from_obj(obj["domain"]), matrix_from_obj(obj["action"])
-    )
-
-
 def problem_from_obj(obj):
     """Extension-problem file: {"J", "T0_domain", "T0_action"}."""
     from .angular import PartialContraction

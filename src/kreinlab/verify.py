@@ -18,7 +18,6 @@ import numpy as np
 
 from . import oracles
 from ._linalg import (
-    eig_min_herm,
     hermitize,
     operator_norm,
     orthonormal_columns,
@@ -54,7 +53,6 @@ from .quasibasis import (
     c_action_multiplier,
     eigen_residual,
     expansion,
-    family_eigenvalues,
     g_gram_fourier,
     h_gram_in_g,
     shifted_family,

@@ -165,3 +165,19 @@ def quartic_reference_eigenvalues(count: int, half_width: float = 8.0,
     coarse = grid_eigs(nodes)
     fine = grid_eigs(2 * nodes)
     return fine + (fine - coarse) / 3.0
+
+
+def weighted_h_gram(x, step, p, hf, f) -> np.ndarray:
+    """A[m, n] = step * sum e^{-2p} (H f_n) conj(f_m), one entry at a time.
+
+    The metric product of the weighted anharmonic family written out as
+    a quadrature sum per entry, against which the package's single matrix
+    product is checked; `hf` holds the rows H f_n.
+    """
+    weight = np.exp(-2.0 * p(x))
+    count = len(f)
+    out = np.empty((count, count), dtype=complex)
+    for m in range(count):
+        for n in range(count):
+            out[m, n] = step * np.sum(weight * hf[n] * np.conj(f[m]))
+    return out

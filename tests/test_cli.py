@@ -209,6 +209,32 @@ def test_quasi_basis_anharmonic_outputs(tmp_path):
     assert report["eigenvalues"][0] == pytest.approx(1.0603620904, abs=2e-6)
 
 
+@pytest.mark.parametrize("family", (["hermite", "--a", "0.5"],
+                                    ["anharmonic", "--beta", "4"]),
+                         ids=("hermite", "anharmonic"))
+@pytest.mark.parametrize("option, message", (("--L", "half_width must be positive"),
+                                             ("--nodes", "nodes must be a power of two")),
+                         ids=("L", "nodes"))
+def test_quasi_basis_zero_grid_option_rejected(tmp_path, capsys, family, option,
+                                               message):
+    # 0 is a value, not "use the default grid"
+    rc = run_cli(["quasi-basis", *family, "--nmax", "4", option, "0",
+                  "--output-dir", tmp_path / "o"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, half_width, nodes", (("hermite", "12", "4096"),
+                                                       ("anharmonic", "8", "8192")))
+def test_quasi_basis_help_names_grid_defaults(capsys, family, half_width, nodes):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["quasi-basis", family, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"grid half-width (default {half_width})" in text
+    assert f"grid nodes, power of two (default {nodes})" in text
+
+
 # ------------------------------------------------------------------ verify
 
 def test_verify_cli_passes_and_reports(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,15 @@ def test_construction_refusals():
 def test_large_shift_warns():
     with pytest.warns(UserWarning, match="envelope"):
         shifted_family(1.2, 4)
+
+
+@pytest.mark.parametrize("name", ("fam_half", "fam_anh"))
+def test_family_is_frozen_with_measured_signs(request, name):
+    fam = request.getfixturevalue(name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam.signs = -fam.signs
+    assert all(getattr(fam, f.name) is not None for f in dataclasses.fields(fam))
+    np.testing.assert_array_equal(fam.signs, np.sign(np.diag(indefinite_gram(fam)).real))
 
 
 # ------------------------------------------------------------ indefinite Gram
@@ -327,6 +338,21 @@ def test_anharmonic_c_multiplier_route(fam_anh):
     direct = c_action(fam_anh, u)
     mult = c_action_multiplier(fam_anh, u)
     assert quad_norm(fam_anh, direct - mult) < 1e-6
+
+
+@pytest.mark.parametrize("beta, weight, n_max", [(4.0, "x_over_1px2", 8),
+                                                  (3.0, "tanh", 16)])
+def test_anharmonic_h_gram_in_g(beta, weight, n_max):
+    fam = anharmonic_family(beta, weight, n_max=n_max)
+    a = h_gram_in_g(fam)
+    hf = [apply_hamiltonian(fam, n) for n in range(n_max + 1)]
+    want = ref.weighted_h_gram(fam.x, fam.step, fam.p_funcs[0], hf, fam.f)
+    assert np.max(np.abs(a - want)) <= 1e-12 * np.max(np.abs(want))
+    # H is symmetric in the metric product up to the h^2 discretization
+    # floor, and f_n are its eigenfunctions
+    assert np.max(np.abs(a - a.conj().T)) < 1e-4
+    assert np.max(np.abs(a - np.diag(np.diag(a)))) < 1e-4
+    np.testing.assert_allclose(np.diag(a), fam.eigenvalues, rtol=0, atol=1e-4)
 
 
 def test_anharmonic_validation():
