@@ -29,6 +29,16 @@ NEAR_UNIT_WINDOW = 1e-12
 APPROACH_WINDOW = 1e-3
 
 
+def _domain_coords(domain: np.ndarray, v, tol: float, message: str) -> np.ndarray:
+    """Coordinates D* v of v in the orthonormal basis D; raises ValueError
+    with `message` unless v - D D* v is small relative to v."""
+    v = np.asarray(v, dtype=complex)
+    c = domain.conj().T @ v
+    if np.linalg.norm(v - domain @ c) > tol * max(1.0, np.linalg.norm(v)):
+        raise ValueError(message)
+    return c
+
+
 class PartialContraction:
     """Strong contraction T0 defined on a J-invariant subspace.
 
@@ -79,12 +89,7 @@ class PartialContraction:
         return self.domain_dim == self.space.dim
 
     def coords(self, v, tol: float = STRUCT_TOL) -> np.ndarray:
-        v = np.asarray(v, dtype=complex)
-        c = self.domain.conj().T @ v
-        resid = np.linalg.norm(v - self.domain @ c)
-        if resid > tol * max(1.0, np.linalg.norm(v)):
-            raise ValueError("vector is not in the domain of T0")
-        return c
+        return _domain_coords(self.domain, v, tol, "vector is not in the domain of T0")
 
     def apply(self, v) -> np.ndarray:
         return self.action @ self.coords(v)
@@ -110,11 +115,7 @@ class PartialMap:
     action: np.ndarray
 
     def apply(self, v, tol: float = STRUCT_TOL) -> np.ndarray:
-        v = np.asarray(v, dtype=complex)
-        c = self.domain.conj().T @ v
-        if np.linalg.norm(v - self.domain @ c) > tol * max(1.0, np.linalg.norm(v)):
-            raise ValueError("vector is not in the domain")
-        return self.action @ c
+        return self.action @ _domain_coords(self.domain, v, tol, "vector is not in the domain")
 
 
 def extract_angular(space: SignatureSpace, l_plus: Subspace | None,
@@ -210,11 +211,8 @@ class CSymmetryMap:
     form_matrix: np.ndarray = field(repr=False)
 
     def apply(self, v, tol: float = STRUCT_TOL) -> np.ndarray:
-        v = np.asarray(v, dtype=complex)
-        c = self.domain.conj().T @ v
-        if np.linalg.norm(v - self.domain @ c) > tol * max(1.0, np.linalg.norm(v)):
-            raise ValueError("vector is not in D(C0)")
-        return self.matrix @ v
+        _domain_coords(self.domain, v, tol, "vector is not in D(C0)")
+        return self.matrix @ np.asarray(v, dtype=complex)
 
 
 def c0_operator(t0: PartialContraction, tol: float = STRUCT_TOL) -> CSymmetryMap:

@@ -41,6 +41,7 @@ from .quasibasis import (
     sign_pattern,
 )
 from .sequence_model import (
+    FIT_POINTS,
     SequenceModelSpec,
     classify_analytic,
     defect_prediction,
@@ -59,6 +60,9 @@ CSV column reference:
 Parallelism is capped by the KREIN_LAB_THREADS environment variable.
 """
 
+# Smallest classify-model --N: the trend fit needs FIT_POINTS + 1 dyadic points.
+_MIN_N = 2 ** (FIT_POINTS + 1)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -74,6 +78,10 @@ class RunConfig:
             raise ValueError(f"input file not found: {self.input_path}")
         if self.tolerance is not None and not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
+        if self.extras.get("samples", 0) < 0:
+            raise ValueError("--samples must be non-negative")
+        if self.extras.get("n_limit", _MIN_N) < _MIN_N:
+            raise ValueError(f"--N must be at least {_MIN_N}")
         self.output_dir.mkdir(parents=True, exist_ok=True)
 
 
@@ -324,11 +332,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="directory for report files (created if missing)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed; identical seeds give byte-identical reports")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the structural tolerance where applicable")
 
     p = sub.add_parser("extend", help="extension interval, case and sampled X-extensions")
     common(p, True)
+    p.add_argument("--tol", type=float, default=None,
+                   help="override the structural tolerance of the extension interval")
     p.add_argument("--samples", type=int, default=3,
                    help="number of projection/random X samples in the report")
 
@@ -342,7 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True, help="decay exponent, 1/2 < delta <= 3/2")
     p.add_argument("--variant", choices=sorted(_VARIANTS), required=True)
     p.add_argument("--N", dest="n_limit", type=int, default=2 ** 16,
-                   help="largest dyadic truncation for the divergence diagnostic")
+                   help="largest dyadic truncation for the divergence diagnostic "
+                        f"(at least {_MIN_N})")
 
     p = sub.add_parser("quasi-basis", help="quasi-basis diagnostics for a function family",
                        epilog=_CSV_DOC, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -373,7 +382,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         input_path=getattr(args, "input", None),
         output_dir=args.output_dir,
         seed=args.seed,
-        tolerance=args.tol,
+        tolerance=getattr(args, "tol", None),
         extras=extras,
     )
 

@@ -1,14 +1,17 @@
 """Self-adjoint contractive extensions of a symmetric partial contraction.
 
-The admissible extensions of T0 form an operator interval [T_mu, T_M]; the
-endpoints are produced by the square-root/projection corrections
+In the block form T = [D | E] [[A, B*], [B, C]] [D | E]* over D(T0) (+)
+D(T0)^perp (orthonormal bases D, E; A = D* T0 D, B = E* T0 D), a
+self-adjoint extension is a contraction iff its corner C lies in
 
-    T_mu = T - sqrt(I+T) Q_1 sqrt(I+T),   T_M = T + sqrt(I-T) Q_2 sqrt(I-T),
+    [C_min, C_max] = [-I + B (I + A)^{-1} B*,  I - B (I - A)^{-1} B*]
 
-where T is any anticommuting self-adjoint contractive extension and Q_1/Q_2
-project onto the orthogonal complements of sqrt(I+T) D(T0) and
-sqrt(I-T) D(T0).  Extensions are parametrized by 0 <= X <= I on the defect
-space M = ran(T_M - T_mu), and T anticommutes with J iff X solves
+(Krein's extremal extensions in the Schur-complement form of Ando-Nishio
+and Davis-Kahan-Weinberger).  These corners give the endpoints T_mu, T_M,
+and T_M - T_mu = E W E* with W = C_max - C_min, so the defect space
+M = ran(T_M - T_mu) and Delta^{1/2} come from the codim-sized W alone.
+Extensions are parametrized by 0 <= X <= I on M, and T anticommutes with J
+iff X solves
 
     X = J (I - X) J   (restricted to M).
 """
@@ -42,36 +45,30 @@ DEFECT_RCOND = 1e-8
 DEFECT_FLOOR = 1e-10
 
 
-def _blocks(t0: PartialContraction) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Quasi-unitary column split [D | E] and the fixed blocks A, B of T0."""
+def _completion(t0: PartialContraction):
+    """Block form of T0: [D | E], A, B and the corner bounds C_min, C_max."""
+    if not duality_test(t0):
+        raise InvariantViolation("extension theory needs a symmetric T0")
     d = t0.domain
     e = orthonormal_complement(d, t0.space.dim)
     a = hermitize(d.conj().T @ t0.action)
     b = e.conj().T @ t0.action
-    return d, e, a, b
+    eye_d, eye_e = np.eye(d.shape[1]), np.eye(e.shape[1])
+    c_min = hermitize(-eye_e + b @ np.linalg.solve(eye_d + a, b.conj().T))
+    c_max = hermitize(eye_e - b @ np.linalg.solve(eye_d - a, b.conj().T))
+    return np.hstack([d, e]), a, b, c_min, c_max
+
+
+def _assemble(basis: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The ambient matrix [D | E] [[A, B*], [B, C]] [D | E]*."""
+    return hermitize(basis @ np.block([[a, b.conj().T], [b, c]]) @ basis.conj().T)
 
 
 def any_sa_extension(t0: PartialContraction) -> np.ndarray:
-    """Some self-adjoint contractive extension of T0 (interval midpoint).
-
-    In the block form wrt D (+) D^perp the admissible lower-right blocks form
-    the operator interval [-I + B(I+A)^{-1}B*, I - B(I-A)^{-1}B*]; the
-    midpoint is completed in.
-    """
-    if not duality_test(t0):
-        raise InvariantViolation("extension theory needs a symmetric T0")
-    n = t0.space.dim
-    d, e, a, b = _blocks(t0)
-    k = e.shape[1]
-    if k == 0:
-        return hermitize(t0.action @ d.conj().T)
-    eye_d = np.eye(d.shape[1])
-    c_min = -np.eye(k) + b @ np.linalg.solve(eye_d + a, b.conj().T)
-    c_max = np.eye(k) - b @ np.linalg.solve(eye_d - a, b.conj().T)
-    c_mid = hermitize(0.5 * (c_min + c_max))
-    t = d @ a @ d.conj().T + e @ b @ d.conj().T + d @ b.conj().T @ e.conj().T \
-        + e @ c_mid @ e.conj().T
-    t = hermitize(t)
+    """Some self-adjoint contractive extension of T0: the interval midpoint,
+    completed with the corner (C_min + C_max)/2."""
+    basis, a, b, c_min, c_max = _completion(t0)
+    t = _assemble(basis, a, b, 0.5 * (c_min + c_max))
     if operator_norm(t) > 1.0 + 1e-10:
         raise InvariantViolation("completed midpoint is not a contraction")
     return t
@@ -102,7 +99,9 @@ class ExtensionInterval:
     t_m: np.ndarray
     defect: Subspace
     signature: tuple[int, int]
-    seed_extension: np.ndarray = field(repr=False)
+    # Delta^{1/2} = (T_M - T_mu)^{1/2} in defect coordinates: on the defect
+    # basis Mb, Delta^{1/2} Mb = Mb defect_half.
+    defect_half: np.ndarray = field(repr=False)
 
     @property
     def defect_dim(self) -> int:
@@ -112,50 +111,28 @@ class ExtensionInterval:
         mb = self.defect.basis
         return hermitize(mb.conj().T @ self.space.j @ mb)
 
-    def delta_half(self) -> np.ndarray:
-        return psd_sqrt(hermitize(self.t_m - self.t_mu))
 
+def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> ExtensionInterval:
+    """Extreme extensions T_mu, T_M by block completion of T0.
 
-def krein_interval(t0: PartialContraction, seed_extension=None,
-                   tol: float = STRUCT_TOL) -> ExtensionInterval:
-    """Extreme extensions via the square-root/projection corrections.
-
-    seed_extension may supply any anticommuting self-adjoint contractive
-    extension; the endpoints do not depend on the choice.
+    The endpoints carry the corners C_min and C_max; the defect space and
+    Delta^{1/2} come from the eigendecomposition of W = C_max - C_min on
+    D(T0)^perp.
     """
     space = t0.space
-    n = space.dim
-    if seed_extension is None:
-        t = j_symmetrize(space, any_sa_extension(t0), t0)
-    else:
-        t = hermitize(as_matrix(seed_extension))
-        if operator_norm(space.j @ t + t @ space.j) > tol:
-            raise InvariantViolation("seed extension must anticommute with J")
-        if operator_norm(t @ t0.domain - t0.action) > tol:
-            raise InvariantViolation("seed does not extend T0")
-        if operator_norm(t) > 1.0 + 1e-10:
-            raise InvariantViolation("seed extension is not a contraction")
-    eye = np.eye(n)
-    sqrt_plus = psd_sqrt(eye + t)
-    sqrt_minus = psd_sqrt(eye - t)
-    corrections = []
-    for s in (sqrt_plus, sqrt_minus):
-        u = orthonormal_columns(s @ t0.domain)
-        q = eye - u @ u.conj().T
-        corrections.append(hermitize(s @ q @ s))
-    t_mu = hermitize(t - corrections[0])
-    t_m = hermitize(t + corrections[1])
+    basis, a, b, c_min, c_max = _completion(t0)
+    t_mu = _assemble(basis, a, b, c_min)
+    t_m = _assemble(basis, a, b, c_max)
 
-    delta = hermitize(t_m - t_mu)
-    w, v = np.linalg.eigh(delta)
-    if w[0] < -tol:
+    w, v = np.linalg.eigh(hermitize(c_max - c_min))
+    if w.min(initial=0.0) < -tol:
         raise InvariantViolation("interval order failed: T_M - T_mu not PSD")
-    top = float(w[-1])
-    if top <= DEFECT_FLOOR:
-        defect = Subspace.empty(n)
-    else:
-        keep = w > DEFECT_RCOND * top
-        defect = Subspace(v[:, keep])
+    top = w.max(initial=0.0)
+    keep = (w > DEFECT_RCOND * top) & (top > DEFECT_FLOOR)
+    spanning = basis[:, t0.domain_dim:] @ v[:, keep]
+    defect = Subspace(spanning)
+    coords = defect.basis.conj().T @ spanning
+    half = hermitize((coords * np.sqrt(w[keep])) @ coords.conj().T)
 
     # Structural invariants of the endpoint pair.
     for endpoint in (t_mu, t_m):
@@ -166,19 +143,15 @@ def krein_interval(t0: PartialContraction, seed_extension=None,
     if operator_norm(space.j @ t_mu + t_m @ space.j) > tol * max(1.0, operator_norm(t_m)):
         raise InvariantViolation("J T_mu != -T_M J")
 
-    if defect.dim:
-        mb = defect.basis
-        jm = mb.conj().T @ space.j @ mb
-        if operator_norm(space.j @ mb - mb @ jm) > 1e-8:
-            raise InvariantViolation("defect space is not J-invariant")
-        ev = np.linalg.eigvalsh(hermitize(jm))
-        if np.max(np.abs(np.abs(ev) - 1.0)) > 1e-8:
-            raise InvariantViolation("J does not restrict to a symmetry of the defect")
-        p = int(np.sum(ev > 0))
-        q = defect.dim - p
-    else:
-        p = q = 0
-    return ExtensionInterval(space, t0, t_mu, t_m, defect, (p, q), t)
+    mb = defect.basis
+    jm = mb.conj().T @ space.j @ mb
+    if operator_norm(space.j @ mb - mb @ jm) > 1e-8:
+        raise InvariantViolation("defect space is not J-invariant")
+    ev = np.linalg.eigvalsh(hermitize(jm))
+    if np.abs(np.abs(ev) - 1.0).max(initial=0.0) > 1e-8:
+        raise InvariantViolation("J does not restrict to a symmetry of the defect")
+    p = int(np.sum(ev > 0))
+    return ExtensionInterval(space, t0, t_mu, t_m, defect, (p, defect.dim - p), half)
 
 
 def classify_case(interval: ExtensionInterval, tol: float = DEFECT_FLOOR) -> str:
@@ -278,7 +251,8 @@ class ExtensionChoice:
 
 def extension_from_x(interval: ExtensionInterval, x,
                      tol: float = STRUCT_TOL) -> ExtensionChoice:
-    """Realize the extension parametrized by 0 <= X <= I on the defect space.
+    """Realize the extension parametrized by 0 <= X <= I on the defect space:
+    T = T_mu + Mb (S X S) Mb* with Mb the defect basis and S = defect_half.
 
     The anticommutation flag is computed both as ||J T + T J|| and through
     the X-equation residual; the two verdicts must agree.
@@ -293,9 +267,8 @@ def extension_from_x(interval: ExtensionInterval, x,
     if m and (ev[0] < -tol or ev[-1] > 1.0 + tol):
         raise ValueError("X must satisfy 0 <= X <= I")
     mb = interval.defect.basis
-    x_full = mb @ x @ mb.conj().T
-    dh = interval.delta_half()
-    t = hermitize(interval.t_mu + dh @ x_full @ dh)
+    s = interval.defect_half
+    t = hermitize(interval.t_mu + mb @ (s @ x @ s) @ mb.conj().T)
 
     space = interval.space
     anti_resid = operator_norm(space.j @ t + t @ space.j)
@@ -307,8 +280,9 @@ def extension_from_x(interval: ExtensionInterval, x,
             f"defect-space tests (residuals {anti_resid:.3e} / {x_resid:.3e})"
         )
     extremal = bool(operator_norm(x @ x - x) <= tol) if m else True
-    # Interval membership.
-    if eig_min_herm(t - interval.t_mu) < -tol or eig_min_herm(interval.t_m - t) < -tol:
+    # Interval membership: T - T_mu and T_M - T live on the defect space.
+    if (eig_min_herm(mb.conj().T @ (t - interval.t_mu) @ mb) < -tol
+            or eig_min_herm(mb.conj().T @ (interval.t_m - t) @ mb) < -tol):
         raise InvariantViolation("realized extension leaves the interval")
     if operator_norm(t @ interval.t0.domain - interval.t0.action) > 1e-8:
         raise InvariantViolation("realized extension does not extend T0")

@@ -81,6 +81,19 @@ class GMetric:
         return eye_plus_t @ (self.space.p_plus @ x), eye_plus_t @ (self.space.p_minus @ x)
 
 
+def _inner_routes(metric: GMetric, f: np.ndarray, g: np.ndarray) -> tuple[complex, complex]:
+    """(f, g)_G as (Gf, g) and as [f_+, g_+] - [f_-, g_-]."""
+    fp, fm = metric.decompose(f)
+    gp, gm = metric.decompose(g)
+    j = metric.space.j
+    return inner(metric.g @ f, g), inner(j @ fp, gp) - inner(j @ fm, gm)
+
+
+def _jg_routes(metric: GMetric, f: np.ndarray, g: np.ndarray) -> tuple[complex, complex]:
+    """[f, g]_G as (G J_G f, g) and the ambient [f, g] = (J f, g)."""
+    return inner(metric.g @ (metric.j_g @ f), g), inner(metric.space.j @ f, g)
+
+
 def g_inner(metric: GMetric, f, g, tol: float = STRUCT_TOL) -> complex:
     """(f, g)_G = (Gf, g), cross-checked against the decomposition formula
     [f_+, g_+] - [f_-, g_-]."""
@@ -88,11 +101,7 @@ def g_inner(metric: GMetric, f, g, tol: float = STRUCT_TOL) -> complex:
     g = np.asarray(g, dtype=complex)
     metric._reject_kernel(f)
     metric._reject_kernel(g)
-    direct = inner(metric.g @ f, g)
-    fp, fm = metric.decompose(f)
-    gp, gm = metric.decompose(g)
-    j = metric.space.j
-    split = inner(j @ fp, gp) - inner(j @ fm, gm)
+    direct, split = _inner_routes(metric, f, g)
     scale = max(1.0, float(np.linalg.norm(f)) * float(np.linalg.norm(g)))
     if abs(direct - split) > tol * scale * max(1.0, metric.cond if not metric.degenerate else 1.0):
         raise InvariantViolation(
@@ -107,8 +116,7 @@ def jg_product(metric: GMetric, f, g, tol: float = STRUCT_TOL) -> complex:
     g = np.asarray(g, dtype=complex)
     metric._reject_kernel(f)
     metric._reject_kernel(g)
-    value = inner(metric.g @ (metric.j_g @ f), g)
-    ambient = inner(metric.space.j @ f, g)
+    value, ambient = _jg_routes(metric, f, g)
     scale = max(1.0, float(np.linalg.norm(f)) * float(np.linalg.norm(g)))
     if abs(value - ambient) > tol * scale:
         raise InvariantViolation("[.,.]_G disagrees with the ambient indefinite product")
@@ -145,13 +153,10 @@ def metric_report(metric: GMetric, seed: int = 0, probes: int = 8) -> dict:
             proj = metric.kernel @ (metric.kernel.conj().T @ f)
             f = f - proj
             g = g - metric.kernel @ (metric.kernel.conj().T @ g)
-        direct = inner(metric.g @ f, g)
-        fp, fm = metric.decompose(f)
-        gp, gm = metric.decompose(g)
-        j = metric.space.j
-        split = inner(j @ fp, gp) - inner(j @ fm, gm)
+        direct, split = _inner_routes(metric, f, g)
         max_inner = max(max_inner, abs(direct - split))
-        max_jg = max(max_jg, abs(inner(metric.g @ (metric.j_g @ f), g) - inner(j @ f, g)))
+        value, ambient = _jg_routes(metric, f, g)
+        max_jg = max(max_jg, abs(value - ambient))
         max_xi = max(max_xi, xi_norm_identity_residual(metric, f))
     return {
         "cond_G": metric.cond,

@@ -1,42 +1,45 @@
-"""Independent block-completion route for the extension interval.
+"""Independent square-root/projection route for the extension interval.
 
-Writing a self-adjoint contraction extending a partial map in block form
-[[A, B*], [B, C]] over domain ⊕ complement, the admissible lower-right
-blocks form the operator interval
+For any anticommuting self-adjoint contractive extension T of T0,
 
-    C_min = -I + B (I + A)^{-1} B*,   C_max = I - B (I - A)^{-1} B*.
+    T_mu = T - sqrt(I+T) Q_1 sqrt(I+T),   T_M = T + sqrt(I-T) Q_2 sqrt(I-T),
 
-This route shares no code with the square-root/projection construction in
-``extensions.krein_interval``; tests and the verification suite compare the
-two against each other.
+with Q_1/Q_2 the projections onto the orthogonal complements of
+sqrt(I+T) D(T0) and sqrt(I-T) D(T0).  The endpoints do not depend on T, so
+this route shares no endpoint algebra with the block completion in
+``extensions.krein_interval``; tests and the verification suite compare
+the two against each other.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import hermitize, orthonormal_complement
+from ._linalg import (STRUCT_TOL, as_matrix, hermitize, operator_norm,
+                      orthonormal_columns, psd_sqrt)
+from .errors import InvariantViolation
+from .extensions import any_sa_extension, j_symmetrize
 
 
-def completion_blocks(t0):
-    """(basis, A, B): the partial map in domain ⊕ complement coordinates."""
-    d = t0.domain
-    e = orthonormal_complement(d)
-    a = hermitize(d.conj().T @ t0.action)
-    b = e.conj().T @ t0.action
-    return np.hstack([d, e]), a, b
+def sqrt_projection_endpoints(t0, seed=None):
+    """(t_mu, t_m) ambient endpoint extensions via square-root corrections.
 
-
-def completion_endpoints(t0):
-    """(t_min, t_max) ambient endpoint extensions via Schur complements."""
-    basis, a, b = completion_blocks(t0)
-    m = b.shape[0]
-    if m == 0:
-        full = basis @ np.block([[a]]) @ basis.conj().T
-        return full.copy(), full.copy()
-    eye_d = np.eye(a.shape[0])
-    c_min = -np.eye(m) + b @ np.linalg.solve(eye_d + a, b.conj().T)
-    c_max = np.eye(m) - b @ np.linalg.solve(eye_d - a, b.conj().T)
-    def assemble(c):
-        blocks = np.block([[a, b.conj().T], [b, hermitize(c)]])
-        return hermitize(basis @ blocks @ basis.conj().T)
-    return assemble(c_min), assemble(c_max)
+    seed may supply any anticommuting self-adjoint contractive extension of
+    T0; the default is the J-symmetrized interval midpoint.
+    """
+    space = t0.space
+    if seed is None:
+        t = j_symmetrize(space, any_sa_extension(t0), t0)
+    else:
+        t = hermitize(as_matrix(seed))
+        if operator_norm(space.j @ t + t @ space.j) > STRUCT_TOL:
+            raise InvariantViolation("seed extension must anticommute with J")
+        if operator_norm(t @ t0.domain - t0.action) > STRUCT_TOL:
+            raise InvariantViolation("seed does not extend T0")
+        if operator_norm(t) > 1.0 + 1e-10:
+            raise InvariantViolation("seed extension is not a contraction")
+    eye = np.eye(space.dim)
+    corrections = []
+    for s in (psd_sqrt(eye + t), psd_sqrt(eye - t)):
+        u = orthonormal_columns(s @ t0.domain)
+        corrections.append(hermitize(s @ (eye - u @ u.conj().T) @ s))
+    return hermitize(t - corrections[0]), hermitize(t + corrections[1])

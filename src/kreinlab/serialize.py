@@ -47,12 +47,16 @@ def problem_from_obj(obj):
     from .angular import PartialContraction
     from .spaces import SignatureSpace
 
-    try:
-        j = matrix_from_obj(obj["J"])
-        domain = matrix_from_obj(obj["T0_domain"])
-        action = matrix_from_obj(obj["T0_action"])
-    except KeyError as exc:
-        raise ValueError(f"problem file is missing key {exc}") from exc
+    mats = []
+    for key in ("J", "T0_domain", "T0_action"):
+        try:
+            m = matrix_from_obj(obj[key])
+        except KeyError as exc:
+            raise ValueError(f"problem file is missing key {exc}") from exc
+        if not np.isfinite(m).all():
+            raise ValueError(f"problem matrix {key} has non-finite entries")
+        mats.append(m)
+    j, domain, action = mats
     space = SignatureSpace(j)
     return PartialContraction(space, domain, action)
 

@@ -235,7 +235,7 @@ def _check_endpoints_vs_completion(rng) -> str:
         sp = random_signature_space(rng)
         t0 = random_partial_contraction(rng, sp)
         interval = krein_interval(t0)
-        o_min, o_max = oracles.completion_endpoints(t0)
+        o_min, o_max = oracles.sqrt_projection_endpoints(t0)
         worst = max(worst, operator_norm(interval.t_mu - o_min),
                     operator_norm(interval.t_m - o_max))
         worst_anti = max(worst_anti, operator_norm(

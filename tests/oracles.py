@@ -96,6 +96,13 @@ def psd_root(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
+def extension_reference(t_mu, t_m, defect_basis, x) -> np.ndarray:
+    """T_mu + Delta^{1/2} (Mb X Mb*) Delta^{1/2} with Delta = T_M - T_mu,
+    through a dense square root of the ambient Delta."""
+    half = psd_root(t_m - t_mu)
+    return t_mu + half @ (defect_basis @ x @ defect_basis.conj().T) @ half
+
+
 def feasible_corner_cloud(t0, c_min_blk, c_max_blk, rng, count: int = 12):
     """Feasible completions spread over the corner interval [C_min, C_max],
     plus any rejection-sampled Hermitian corners that happen to be feasible.

@@ -21,7 +21,7 @@ from kreinlab.extensions import (
     krein_interval,
     solve_x_equation,
 )
-from kreinlab.oracles import completion_endpoints
+from kreinlab.oracles import sqrt_projection_endpoints
 from kreinlab.quasibasis import (
     HERMITE_GRID,
     anharmonic_family,
@@ -103,8 +103,8 @@ def test_interval_endpoints_match_brute_force_completions():
             iv = krein_interval(t0)
             j = space.j
 
-            # independent Schur-complement route on every instance
-            t_min, t_max = completion_endpoints(t0)
+            # independent square-root/projection route on every instance
+            t_min, t_max = sqrt_projection_endpoints(t0)
             assert opnorm(iv.t_mu - t_min) < 1e-8
             assert opnorm(iv.t_m - t_max) < 1e-8
             assert opnorm(j @ iv.t_mu + iv.t_m @ j) < 1e-10

@@ -201,3 +201,22 @@ def test_partial_contraction_rejects_bad_input(j2):
     with pytest.raises(InvariantViolation):
         # commuting rather than anticommuting action
         PartialContraction(space, [[1.0], [0.0]], [[0.5], [0.0]])
+
+
+@pytest.mark.parametrize("route, message", (
+    ("coords", "not in the domain of T0"),
+    ("partial_map", "not in the domain"),
+    ("c_symmetry", r"not in D\(C0\)"),
+))
+def test_domain_restricted_maps_reject_off_domain_vectors(j2, route, message):
+    # D(T0) = span{e1}; C0 and G0 live on span{e1 + e2/2}: e2 lies in none
+    t0 = PartialContraction(space2(j2), [[1.0], [0.0]], [[0.0], [0.5]])
+    inside = {"coords": np.array([2.0, 0.0]),
+              "partial_map": np.array([1.0, 0.5]),
+              "c_symmetry": np.array([1.0, 0.5])}[route]
+    apply = {"coords": t0.coords,
+             "partial_map": cayley_g0(t0).apply,
+             "c_symmetry": c0_operator(t0).apply}[route]
+    apply(inside)
+    with pytest.raises(ValueError, match=message):
+        apply(np.array([0.0, 1.0]))

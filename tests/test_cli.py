@@ -312,6 +312,56 @@ def test_exit_code_2_bad_tolerance(tmp_path, half_problem, capsys):
     assert "tolerance must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", (
+    ["solve-x", "--input", "{problem}"],
+    ["classify-model", "--delta", "1.25", "--variant", "both"],
+    ["quasi-basis", "hermite", "--a", "0.5", "--nmax", "4"],
+    ["verify"],
+), ids=("solve-x", "classify-model", "quasi-basis-hermite", "verify"))
+def test_tol_is_an_extend_option_only(tmp_path, half_problem, capsys, argv):
+    argv = [str(half_problem) if a == "{problem}" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--tol", "5", "--output-dir", tmp_path / "o"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ("nan", "inf"))
+def test_exit_code_2_non_finite_problem_entry(tmp_path, capsys, value):
+    path = write_problem(tmp_path / "bad.json", np.diag([1.0, -1.0]),
+                         [[1.0], [0.0]], [[0.0], [0.5]])
+    obj = json.loads(path.read_text())
+    obj["T0_action"]["re"][1] = float(value)
+    path.write_text(json.dumps(obj))
+    rc = run_cli(["extend", "--input", path, "--output-dir", tmp_path / "o"])
+    assert rc == 2
+    assert "T0_action" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ("extend", "solve-x"))
+def test_exit_code_2_negative_samples(tmp_path, half_problem, capsys, command):
+    rc = run_cli([command, "--input", half_problem, "--samples", "-1",
+                  "--output-dir", tmp_path / "o"])
+    assert rc == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", ("100", "0", "511"))
+def test_exit_code_2_classify_model_small_n(tmp_path, capsys, limit):
+    rc = run_cli(["classify-model", "--delta", "1.25", "--variant", "both",
+                  "--N", limit, "--output-dir", tmp_path / "o"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--N" in err and "512" in err
+
+
+def test_classify_model_smallest_n_accepted(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli(["classify-model", "--delta", "1.25", "--variant", "both",
+                    "--N", "512", "--output-dir", out]) == 0
+    assert load(out / "classify_model_report.json")["partial_sums"] == "partial_sums.csv"
+
+
 def test_exit_code_3_invariant_violation(tmp_path, capsys):
     problem = write_problem(tmp_path / "loose.json", np.diag([1.0, -1.0]),
                             [[1.0], [0.0]], [[0.0], [1.5]])

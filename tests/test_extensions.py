@@ -19,8 +19,9 @@ from kreinlab import (
     x_equation_residual,
 )
 from kreinlab.errors import CayleyUndefinedError, InvariantViolation
-from kreinlab.oracles import completion_endpoints
+from kreinlab.oracles import sqrt_projection_endpoints
 from kreinlab.verify import (
+    random_anticommuting_contraction,
     random_partial_contraction,
     random_signature_space,
     random_x,
@@ -132,7 +133,7 @@ def test_interval_dominates_feasible_cloud(seed):
     space = random_signature_space(rng)
     t0 = random_partial_contraction(rng, space)
     iv = krein_interval(t0)
-    c_min, c_max = completion_endpoints(t0)
+    c_min, c_max = sqrt_projection_endpoints(t0)
     comp = ref.complement_basis(np.asarray(t0.domain))
     cloud = ref.feasible_corner_cloud(
         t0,
@@ -152,16 +153,42 @@ def test_interval_dominates_feasible_cloud(seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_interval_versus_schur_completion(seed):
+    # production block completion against the square-root/projection oracle
     rng = np.random.default_rng(500 + seed)
     space = random_signature_space(rng)
     t0 = random_partial_contraction(rng, space)
     iv = krein_interval(t0)
-    t_min, t_max = completion_endpoints(t0)
+    t_min, t_max = sqrt_projection_endpoints(t0)
     assert opnorm(iv.t_mu - t_min) < 1e-8
     assert opnorm(iv.t_m - t_max) < 1e-8
     # hard/soft endpoints swap under J-conjugation
     j = space.j
     assert opnorm(j @ iv.t_mu + iv.t_m @ j) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sqrt_projection_endpoints_independent_of_seed(seed):
+    # the oracle gives the same endpoints from the midpoint seed and from the
+    # full contraction the domain was cut from, and both match production
+    rng = np.random.default_rng(1000 + seed)
+    space = random_signature_space(rng)
+    t_full = random_anticommuting_contraction(rng, space)
+    t0 = random_partial_contraction(rng, space, t_full=t_full)
+    iv = krein_interval(t0)
+    mid_mu, mid_m = sqrt_projection_endpoints(t0)
+    full_mu, full_m = sqrt_projection_endpoints(t0, seed=t_full)
+    assert opnorm(mid_mu - full_mu) < 1e-10
+    assert opnorm(mid_m - full_m) < 1e-10
+    for t_mu, t_m in ((mid_mu, mid_m), (full_mu, full_m)):
+        assert opnorm(t_mu - iv.t_mu) < 1e-10
+        assert opnorm(t_m - iv.t_m) < 1e-10
+
+
+def test_sqrt_projection_rejects_seed_not_extending_t0(j2):
+    # anticommuting contraction, but T e1 = e2 / 4 instead of e2 / 2
+    seed = np.array([[0.0, 0.25], [0.25, 0.0]], dtype=complex)
+    with pytest.raises(InvariantViolation, match="does not extend T0"):
+        sqrt_projection_endpoints(half_contraction(j2), seed=seed)
 
 
 # ------------------------------------------------------------- X parameters
@@ -224,6 +251,17 @@ def test_extension_from_x_endpoints_and_midpoint(j2):
     mid = extension_from_x(iv, [[0.5]])
     np.testing.assert_allclose(mid.t, 0.5 * (iv.t_mu + iv.t_m), atol=1e-12)
     assert mid.anticommuting
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_extension_from_x_matches_dense_square_root(seed):
+    rng = np.random.default_rng(1100 + seed)
+    space = random_signature_space(rng)
+    t0 = random_partial_contraction(rng, space)
+    iv = krein_interval(t0)
+    x = random_x(rng, iv.defect_dim)
+    want = ref.extension_reference(iv.t_mu, iv.t_m, iv.defect.basis, x)
+    assert opnorm(extension_from_x(iv, x).t - want) < 1e-10
 
 
 @pytest.mark.parametrize("seed", range(8))
