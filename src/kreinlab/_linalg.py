@@ -9,8 +9,13 @@ from .errors import InvariantViolation
 RANK_RCOND = 1e-12
 # Eigenvalues of nominally-PSD matrices in [-PSD_CLAMP, 0) are clamped to 0.
 PSD_CLAMP = 1e-12
-# Default tolerance for structural identities (involution, anticommutation, ...).
+# Tolerance for structural identities (involution, anticommutation, ...).
 STRUCT_TOL = 1e-10
+# Slack allowed above 1 when checking that a matrix is a contraction.
+CONTRACTION_SLACK = 1e-10
+# Tolerance for identities of computed results: interval endpoints, realized
+# extensions and the metric symmetry J_G.
+RESULT_TOL = 1e-8
 
 
 def as_matrix(a) -> np.ndarray:
@@ -47,25 +52,24 @@ def eig_min_herm(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(a))[0])
 
 
-def psd_sqrt(a: np.ndarray, clamp: float = PSD_CLAMP) -> np.ndarray:
+def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Square root of a PSD Hermitian matrix via eigh.
 
-    Eigenvalues within -clamp of zero are clamped to 0; anything more
+    Eigenvalues within -PSD_CLAMP of zero are clamped to 0; anything more
     negative means the input was not PSD and is an error.
     """
     a = hermitize(as_matrix(a))
     if a.size == 0:
         return a
     w, v = np.linalg.eigh(a)
-    if w[0] < -clamp * max(1.0, float(w[-1])):
+    if w[0] < -PSD_CLAMP * max(1.0, float(w[-1])):
         raise InvariantViolation(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
     w = np.clip(w, 0.0, None)
     return hermitize((v * np.sqrt(w)) @ v.conj().T)
 
 
-def orthonormal_columns(b: np.ndarray, rcond: float = RANK_RCOND,
-                        floor: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the column span, rank decided at rcond * sigma_max.
+def orthonormal_columns(b: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Orthonormal basis of the column span, rank decided at RANK_RCOND * sigma_max.
 
     `floor` sets a minimum reference scale: a projection of unit vectors
     that comes out at roundoff level must count as rank zero, not as a
@@ -77,7 +81,7 @@ def orthonormal_columns(b: np.ndarray, rcond: float = RANK_RCOND,
     u, s, _ = np.linalg.svd(b, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return b[:, :0]
-    rank = int(np.sum(s > rcond * max(s[0], floor)))
+    rank = int(np.sum(s > RANK_RCOND * max(s[0], floor)))
     return u[:, :rank]
 
 
@@ -90,23 +94,6 @@ def orthonormal_complement(u: np.ndarray, n: int | None = None) -> np.ndarray:
     full, s, _ = np.linalg.svd(u, full_matrices=True)
     rank = int(np.sum(s > RANK_RCOND * s[0])) if s.size else 0
     return full[:, rank:]
-
-
-def max_principal_cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Largest cosine of a principal angle between two column spans."""
-    if u.shape[1] == 0 or v.shape[1] == 0:
-        return 0.0
-    return operator_norm(u.conj().T @ v)
-
-
-def matrix_rank_rel(a: np.ndarray, rcond: float = RANK_RCOND) -> int:
-    a = as_matrix(a)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rcond * s[0]))
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

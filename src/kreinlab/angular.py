@@ -29,12 +29,12 @@ NEAR_UNIT_WINDOW = 1e-12
 APPROACH_WINDOW = 1e-3
 
 
-def _domain_coords(domain: np.ndarray, v, tol: float, message: str) -> np.ndarray:
+def _domain_coords(domain: np.ndarray, v, message: str) -> np.ndarray:
     """Coordinates D* v of v in the orthonormal basis D; raises ValueError
     with `message` unless v - D D* v is small relative to v."""
     v = np.asarray(v, dtype=complex)
     c = domain.conj().T @ v
-    if np.linalg.norm(v - domain @ c) > tol * max(1.0, np.linalg.norm(v)):
+    if np.linalg.norm(v - domain @ c) > STRUCT_TOL * max(1.0, np.linalg.norm(v)):
         raise ValueError(message)
     return c
 
@@ -46,36 +46,31 @@ class PartialContraction:
     action: the images T0 d_i in the ambient space (columns).
     """
 
-    def __init__(self, space: SignatureSpace, domain, action,
-                 strict_eps: float = 0.0, tol: float = STRUCT_TOL):
+    def __init__(self, space: SignatureSpace, domain, action):
         domain = as_matrix(domain)
         action = as_matrix(action)
         n, d = domain.shape
         if n != space.dim or action.shape != (n, d):
             raise InvariantViolation("domain/action shapes do not match the space")
-        if d and operator_norm(domain.conj().T @ domain - np.eye(d)) > tol:
+        if d and operator_norm(domain.conj().T @ domain - np.eye(d)) > STRUCT_TOL:
             raise InvariantViolation("domain basis must be orthonormal")
         self.space = space
         self.domain = domain
         self.action = action
-        self.strict_eps = float(strict_eps)
         self.norm = operator_norm(action)
-        bound = 1.0 - self.strict_eps
-        if self.norm > bound + NEAR_UNIT_WINDOW:
-            raise InvariantViolation(
-                f"not a strong contraction: ||T0|| = {self.norm:.12g} > {bound:.12g}"
-            )
-        self.near_unit = self.norm >= bound - NEAR_UNIT_WINDOW
+        if self.norm > 1.0 + NEAR_UNIT_WINDOW:
+            raise InvariantViolation(f"not a strong contraction: ||T0|| = {self.norm:.12g} > 1")
+        self.near_unit = self.norm >= 1.0 - NEAR_UNIT_WINDOW
         if d:
             # J-invariance of the domain.
             jd = space.j @ domain
             defect = jd - domain @ (domain.conj().T @ jd)
-            if operator_norm(defect) > tol:
+            if operator_norm(defect) > STRUCT_TOL:
                 raise InvariantViolation("domain is not J-invariant")
             # Anticommutation J T0 = -T0 J on the domain.
             j_on_domain = domain.conj().T @ space.j @ domain
             resid = operator_norm(space.j @ action + action @ j_on_domain)
-            if resid > tol * max(1.0, self.norm):
+            if resid > STRUCT_TOL * max(1.0, self.norm):
                 raise InvariantViolation(
                     f"J T0 + T0 J != 0 on the domain (residual {resid:.3e})"
                 )
@@ -88,8 +83,8 @@ class PartialContraction:
     def is_full_domain(self) -> bool:
         return self.domain_dim == self.space.dim
 
-    def coords(self, v, tol: float = STRUCT_TOL) -> np.ndarray:
-        return _domain_coords(self.domain, v, tol, "vector is not in the domain of T0")
+    def coords(self, v) -> np.ndarray:
+        return _domain_coords(self.domain, v, "vector is not in the domain of T0")
 
     def apply(self, v) -> np.ndarray:
         return self.action @ self.coords(v)
@@ -114,12 +109,12 @@ class PartialMap:
     domain: np.ndarray
     action: np.ndarray
 
-    def apply(self, v, tol: float = STRUCT_TOL) -> np.ndarray:
-        return self.action @ _domain_coords(self.domain, v, tol, "vector is not in the domain")
+    def apply(self, v) -> np.ndarray:
+        return self.action @ _domain_coords(self.domain, v, "vector is not in the domain")
 
 
 def extract_angular(space: SignatureSpace, l_plus: Subspace | None,
-                    l_minus: Subspace | None, tol: float = STRUCT_TOL) -> PartialContraction:
+                    l_minus: Subspace | None) -> PartialContraction:
     """Angular representation of a positive/negative subspace pair.
 
     Produces T0 = K_+ P_+ + K_- P_- on M_+ (+) M_- where K_+/- are the
@@ -148,7 +143,7 @@ def extract_angular(space: SignatureSpace, l_plus: Subspace | None,
             raise InvariantViolation("numerical rank failure in the graph projection")
         coeff, *_ = np.linalg.lstsq(pb, m, rcond=None)
         f = sub.basis @ coeff  # vectors of the subspace with P f = m
-        if operator_norm(proj @ f - m) > tol:
+        if operator_norm(proj @ f - m) > STRUCT_TOL:
             raise InvariantViolation("graph reconstruction failed on the subspace")
         domain_cols.append(m)
         action_cols.append(f - m)
@@ -158,7 +153,7 @@ def extract_angular(space: SignatureSpace, l_plus: Subspace | None,
     else:
         domain = np.zeros((n, 0), dtype=complex)
         action = np.zeros((n, 0), dtype=complex)
-    return PartialContraction(space, domain, action, tol=tol)
+    return PartialContraction(space, domain, action)
 
 
 def reconstruct_subspaces(t0: PartialContraction) -> tuple[Subspace, Subspace]:
@@ -173,10 +168,10 @@ def reconstruct_subspaces(t0: PartialContraction) -> tuple[Subspace, Subspace]:
     return out[0], out[1]
 
 
-def duality_test(t0: PartialContraction, tol: float = STRUCT_TOL) -> bool:
+def duality_test(t0: PartialContraction) -> bool:
     """True iff T0 is symmetric on its domain, equivalently [L_+, L_-] = 0."""
     s = t0.domain.conj().T @ t0.action
-    return herm_residual(s) <= tol * max(1.0, operator_norm(s))
+    return herm_residual(s) <= STRUCT_TOL * max(1.0, operator_norm(s))
 
 
 @dataclass(frozen=True)
@@ -187,8 +182,7 @@ class DefinitenessReport:
     approaching_nonuniform: bool
 
 
-def definiteness_class(t0: PartialContraction,
-                       approach_window: float = APPROACH_WINDOW) -> DefinitenessReport:
+def definiteness_class(t0: PartialContraction) -> DefinitenessReport:
     """Uniform-definiteness report for the subspace pair represented by T0."""
     if not duality_test(t0):
         raise InvariantViolation("definiteness classification expects a dual pair")
@@ -197,7 +191,7 @@ def definiteness_class(t0: PartialContraction,
     else:
         label = "uniformly_definite"
     maximal = t0.is_full_domain and duality_test(t0)
-    approaching = (1.0 - t0.norm) < approach_window
+    approaching = (1.0 - t0.norm) < APPROACH_WINDOW
     return DefinitenessReport(t0.norm, label, maximal, approaching)
 
 
@@ -210,18 +204,18 @@ class CSymmetryMap:
     signs: np.ndarray = field(repr=False)
     form_matrix: np.ndarray = field(repr=False)
 
-    def apply(self, v, tol: float = STRUCT_TOL) -> np.ndarray:
-        _domain_coords(self.domain, v, tol, "vector is not in D(C0)")
+    def apply(self, v) -> np.ndarray:
+        _domain_coords(self.domain, v, "vector is not in D(C0)")
         return self.matrix @ np.asarray(v, dtype=complex)
 
 
-def c0_operator(t0: PartialContraction, tol: float = STRUCT_TOL) -> CSymmetryMap:
+def c0_operator(t0: PartialContraction) -> CSymmetryMap:
     """Build C0 from the angular representation of a dual pair.
 
     Verifies the involution property and that G0 = J C0 is a positive
     symmetric form on the domain.
     """
-    if not duality_test(t0, tol):
+    if not duality_test(t0):
         raise InvariantViolation("C0 requires a dual pair (symmetric T0)")
     m_plus, m_minus = t0.domain_split()
     cols = []
@@ -236,18 +230,18 @@ def c0_operator(t0: PartialContraction, tol: float = STRUCT_TOL) -> CSymmetryMap
     signs = np.asarray(signs)
     matrix = (f * signs) @ np.linalg.pinv(f)
     # Involution on the domain.
-    if operator_norm(matrix @ matrix @ f - f) > tol * max(1.0, operator_norm(f)):
+    if operator_norm(matrix @ matrix @ f - f) > STRUCT_TOL * max(1.0, operator_norm(f)):
         raise InvariantViolation("C0^2 != I on D(C0)")
     # G0 = J C0 as a form on the domain basis: F^H J F diag(signs).
     form = (f.conj().T @ t0.space.j @ f) * signs
-    if herm_residual(form) > tol * max(1.0, operator_norm(form)):
+    if herm_residual(form) > STRUCT_TOL * max(1.0, operator_norm(form)):
         raise InvariantViolation("G0 = J C0 is not symmetric on D(C0)")
     if np.linalg.eigvalsh(hermitize(form))[0] <= 0:
         raise InvariantViolation("G0 = J C0 is not positive on D(C0)")
     return CSymmetryMap(matrix, orthonormal_columns(f), signs, hermitize(form))
 
 
-def cayley_g0(t0: PartialContraction, tol: float = STRUCT_TOL) -> PartialMap:
+def cayley_g0(t0: PartialContraction) -> PartialMap:
     """G0 = (I - T0)(I + T0)^{-1} on (I + T0) D(T0).
 
     (G0 f, f) = ||x||^2 - ||T0 x||^2 > 0 for f = (I + T0) x, so the map is
@@ -263,7 +257,7 @@ def cayley_g0(t0: PartialContraction, tol: float = STRUCT_TOL) -> PartialMap:
     coeff, *_ = np.linalg.lstsq(f, u, rcond=None)
     action = g_cols @ coeff
     form = u.conj().T @ action
-    if herm_residual(form) > tol * max(1.0, operator_norm(form)):
+    if herm_residual(form) > STRUCT_TOL * max(1.0, operator_norm(form)):
         raise InvariantViolation("G0 is not symmetric on its domain")
     if np.linalg.eigvalsh(hermitize(form))[0] <= 0:
         raise InvariantViolation("G0 is not positive definite on its domain")

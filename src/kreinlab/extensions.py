@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import (
+    CONTRACTION_SLACK,
     RANK_RCOND,
+    RESULT_TOL,
     STRUCT_TOL,
     as_matrix,
     eig_min_herm,
@@ -36,7 +38,7 @@ from ._linalg import (
 )
 from .angular import PartialContraction, duality_test
 from .errors import CayleyUndefinedError, InvariantViolation
-from .spaces import SignatureSpace, Subspace
+from .spaces import NEUTRAL_TOL, SignatureSpace, Subspace
 
 # Eigenvalues of T_M - T_mu above this (relative to the largest) span the
 # defect space; below, the direction is considered rigid.
@@ -69,22 +71,22 @@ def any_sa_extension(t0: PartialContraction) -> np.ndarray:
     completed with the corner (C_min + C_max)/2."""
     basis, a, b, c_min, c_max = _completion(t0)
     t = _assemble(basis, a, b, 0.5 * (c_min + c_max))
-    if operator_norm(t) > 1.0 + 1e-10:
+    if operator_norm(t) > 1.0 + CONTRACTION_SLACK:
         raise InvariantViolation("completed midpoint is not a contraction")
     return t
 
 
-def j_symmetrize(space: SignatureSpace, t_prime, t0: PartialContraction | None = None,
-                 tol: float = STRUCT_TOL) -> np.ndarray:
+def j_symmetrize(space: SignatureSpace, t_prime,
+                 t0: PartialContraction | None = None) -> np.ndarray:
     """T = (T' - J T' J)/2: anticommutes with J exactly, stays a contraction,
     and still extends T0 whenever T' does (the domain is J-invariant)."""
     t_prime = as_matrix(t_prime)
-    if herm_residual(t_prime) > tol * max(1.0, operator_norm(t_prime)):
+    if herm_residual(t_prime) > STRUCT_TOL * max(1.0, operator_norm(t_prime)):
         raise InvariantViolation("input to j_symmetrize must be self-adjoint")
-    if operator_norm(t_prime) > 1.0 + 1e-10:
+    if operator_norm(t_prime) > 1.0 + CONTRACTION_SLACK:
         raise InvariantViolation("input to j_symmetrize must be a contraction")
     if t0 is not None:
-        if operator_norm(t_prime @ t0.domain - t0.action) > tol:
+        if operator_norm(t_prime @ t0.domain - t0.action) > STRUCT_TOL:
             raise InvariantViolation("input does not extend T0")
     return hermitize(0.5 * (t_prime - space.j @ t_prime @ space.j))
 
@@ -136,27 +138,27 @@ def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> Extension
 
     # Structural invariants of the endpoint pair.
     for endpoint in (t_mu, t_m):
-        if operator_norm(endpoint @ t0.domain - t0.action) > 1e-8:
+        if operator_norm(endpoint @ t0.domain - t0.action) > RESULT_TOL:
             raise InvariantViolation("interval endpoint does not extend T0")
-        if operator_norm(endpoint) > 1.0 + 1e-8:
+        if operator_norm(endpoint) > 1.0 + RESULT_TOL:
             raise InvariantViolation("interval endpoint is not a contraction")
     if operator_norm(space.j @ t_mu + t_m @ space.j) > tol * max(1.0, operator_norm(t_m)):
         raise InvariantViolation("J T_mu != -T_M J")
 
     mb = defect.basis
     jm = mb.conj().T @ space.j @ mb
-    if operator_norm(space.j @ mb - mb @ jm) > 1e-8:
+    if operator_norm(space.j @ mb - mb @ jm) > RESULT_TOL:
         raise InvariantViolation("defect space is not J-invariant")
     ev = np.linalg.eigvalsh(hermitize(jm))
-    if np.abs(np.abs(ev) - 1.0).max(initial=0.0) > 1e-8:
+    if np.abs(np.abs(ev) - 1.0).max(initial=0.0) > RESULT_TOL:
         raise InvariantViolation("J does not restrict to a symmetry of the defect")
     p = int(np.sum(ev > 0))
     return ExtensionInterval(space, t0, t_mu, t_m, defect, (p, defect.dim - p), half)
 
 
-def classify_case(interval: ExtensionInterval, tol: float = DEFECT_FLOOR) -> str:
+def classify_case(interval: ExtensionInterval) -> str:
     """A: unique extension; B: balanced defect signature; C: unbalanced."""
-    if operator_norm(interval.t_m - interval.t_mu) < tol:
+    if operator_norm(interval.t_m - interval.t_mu) < DEFECT_FLOOR:
         return "A"
     p, q = interval.signature
     return "B" if p == q else "C"
@@ -193,8 +195,7 @@ class XSolutionSet:
 
 
 def solve_x_equation(interval: ExtensionInterval, seed: int | None = None,
-                     n_projection_samples: int = 1,
-                     tol: float = STRUCT_TOL) -> XSolutionSet:
+                     n_projection_samples: int = 1) -> XSolutionSet:
     """Describe the solution family of X = J(I-X)J on the defect space.
 
     X = I/2 always solves.  Orthogonal-projection solutions exist iff the
@@ -229,10 +230,10 @@ def solve_x_equation(interval: ExtensionInterval, seed: int | None = None,
     else:
         note = "no projection solutions: defect signature is unbalanced"
     for x in [elementary, *projections]:
-        if x_equation_residual(x, jm) > tol:
+        if x_equation_residual(x, jm) > STRUCT_TOL:
             raise InvariantViolation("constructed X does not solve the equation")
         ev = np.linalg.eigvalsh(hermitize(x))
-        if ev[0] < -tol or ev[-1] > 1.0 + tol:
+        if ev[0] < -STRUCT_TOL or ev[-1] > 1.0 + STRUCT_TOL:
             raise InvariantViolation("constructed X leaves [0, I]")
     return XSolutionSet(elementary, p == q, projections, (p, q), note)
 
@@ -249,8 +250,7 @@ class ExtensionChoice:
     anticommute_residual: float
 
 
-def extension_from_x(interval: ExtensionInterval, x,
-                     tol: float = STRUCT_TOL) -> ExtensionChoice:
+def extension_from_x(interval: ExtensionInterval, x) -> ExtensionChoice:
     """Realize the extension parametrized by 0 <= X <= I on the defect space:
     T = T_mu + Mb (S X S) Mb* with Mb the defect basis and S = defect_half.
 
@@ -261,10 +261,10 @@ def extension_from_x(interval: ExtensionInterval, x,
     x = as_matrix(x)
     if x.shape != (m, m):
         raise ValueError(f"X must be {m}x{m} on the defect space")
-    if herm_residual(x) > tol * max(1.0, operator_norm(x)):
+    if herm_residual(x) > STRUCT_TOL * max(1.0, operator_norm(x)):
         raise ValueError("X must be self-adjoint")
     ev = np.linalg.eigvalsh(hermitize(x))
-    if m and (ev[0] < -tol or ev[-1] > 1.0 + tol):
+    if m and (ev[0] < -STRUCT_TOL or ev[-1] > 1.0 + STRUCT_TOL):
         raise ValueError("X must satisfy 0 <= X <= I")
     mb = interval.defect.basis
     s = interval.defect_half
@@ -273,27 +273,27 @@ def extension_from_x(interval: ExtensionInterval, x,
     space = interval.space
     anti_resid = operator_norm(space.j @ t + t @ space.j)
     x_resid = x_equation_residual(x, interval.j_on_defect()) if m else 0.0
-    anticommuting = anti_resid <= tol
-    if anticommuting != (x_resid <= tol):
+    anticommuting = anti_resid <= STRUCT_TOL
+    if anticommuting != (x_resid <= STRUCT_TOL):
         raise InvariantViolation(
             "anticommutation verdicts disagree between the ambient and "
             f"defect-space tests (residuals {anti_resid:.3e} / {x_resid:.3e})"
         )
-    extremal = bool(operator_norm(x @ x - x) <= tol) if m else True
+    extremal = bool(operator_norm(x @ x - x) <= STRUCT_TOL) if m else True
     # Interval membership: T - T_mu and T_M - T live on the defect space.
-    if (eig_min_herm(mb.conj().T @ (t - interval.t_mu) @ mb) < -tol
-            or eig_min_herm(mb.conj().T @ (interval.t_m - t) @ mb) < -tol):
+    if (eig_min_herm(mb.conj().T @ (t - interval.t_mu) @ mb) < -STRUCT_TOL
+            or eig_min_herm(mb.conj().T @ (interval.t_m - t) @ mb) < -STRUCT_TOL):
         raise InvariantViolation("realized extension leaves the interval")
-    if operator_norm(t @ interval.t0.domain - interval.t0.action) > 1e-8:
+    if operator_norm(t @ interval.t0.domain - interval.t0.action) > RESULT_TOL:
         raise InvariantViolation("realized extension does not extend T0")
     return ExtensionChoice(x, t, anticommuting, extremal, x_resid, anti_resid)
 
 
-def cayley(t, tol: float = STRUCT_TOL) -> np.ndarray:
+def cayley(t) -> np.ndarray:
     """G = (I - T)(I + T)^{-1} of a self-adjoint contraction, spectral form."""
     t = hermitize(as_matrix(t))
     w, v = np.linalg.eigh(t)
-    if np.min(1.0 + w) < tol:
+    if np.min(1.0 + w) < STRUCT_TOL:
         raise CayleyUndefinedError(
             "-1 is in the spectrum; the metric operator would be unbounded"
         )
@@ -301,11 +301,11 @@ def cayley(t, tol: float = STRUCT_TOL) -> np.ndarray:
     return hermitize((v * g) @ v.conj().T)
 
 
-def cayley_inverse(g, tol: float = STRUCT_TOL) -> np.ndarray:
+def cayley_inverse(g) -> np.ndarray:
     """T = (I - G)(I + G)^{-1} of a PSD matrix; inverse of `cayley`."""
     g = hermitize(as_matrix(g))
     w, v = np.linalg.eigh(g)
-    if w[0] < -tol:
+    if w[0] < -STRUCT_TOL:
         raise InvariantViolation("metric operator must be positive semidefinite")
     w = np.clip(w, 0.0, None)
     t = (1.0 - w) / (1.0 + w)
@@ -320,16 +320,15 @@ class ExtremalityResult:
     cayley_defined: bool
 
 
-def extremality_test(t0: PartialContraction, choice: ExtensionChoice,
-                     tol: float = STRUCT_TOL) -> ExtremalityResult:
+def extremality_test(t0: PartialContraction, choice: ExtensionChoice) -> ExtremalityResult:
     """Extremality of an extension, by two routes.
 
-    Projection route: || X^2 - X || <= tol on the defect space.  Metric
+    Projection route: || X^2 - X || <= STRUCT_TOL on the defect space.  Metric
     route (when -1 is not in the spectrum): G^{1/2} (I + T) D(T0) must span
     G^{1/2} H, i.e. the domain is dense in the metric seminorm.  The routes
     are asserted to agree whenever both are computable.
     """
-    proj = bool(operator_norm(choice.x @ choice.x - choice.x) <= tol) \
+    proj = bool(operator_norm(choice.x @ choice.x - choice.x) <= STRUCT_TOL) \
         if choice.x.size else True
     try:
         g = cayley(choice.t)
@@ -340,7 +339,7 @@ def extremality_test(t0: PartialContraction, choice: ExtensionChoice,
     if top <= 0.0:
         rank_g = 0
     else:
-        rank_g = int(np.sum(w > tol * top))
+        rank_g = int(np.sum(w > STRUCT_TOL * top))
     f = (np.eye(t0.space.dim) + choice.t) @ t0.domain
     fu = orthonormal_columns(f)
     if fu.shape[1] != f.shape[1]:
@@ -350,7 +349,7 @@ def extremality_test(t0: PartialContraction, choice: ExtensionChoice,
     else:
         gh = psd_sqrt(g)
         s = np.linalg.svd(gh @ fu, compute_uv=False)
-        rank_gf = int(np.sum(s * s > tol * top))
+        rank_gf = int(np.sum(s * s > STRUCT_TOL * top))
     rank_crit = rank_gf == rank_g
     if rank_crit != proj:
         raise InvariantViolation(
@@ -376,7 +375,7 @@ class MaximalDualPair:
                     or self.rank_loss_plus or self.rank_loss_minus)
 
 
-def max_subspaces(space: SignatureSpace, t, neutral_tol: float = 1e-9) -> MaximalDualPair:
+def max_subspaces(space: SignatureSpace, t) -> MaximalDualPair:
     """Maximal subspace pair of an anticommuting self-adjoint contraction.
 
     For ||T|| = 1 individual image directions may become neutral (or
@@ -385,7 +384,7 @@ def max_subspaces(space: SignatureSpace, t, neutral_tol: float = 1e-9) -> Maxima
     t = hermitize(as_matrix(t))
     if operator_norm(space.j @ t + t @ space.j) > STRUCT_TOL:
         raise InvariantViolation("T must anticommute with J")
-    if operator_norm(t) > 1.0 + 1e-10:
+    if operator_norm(t) > 1.0 + CONTRACTION_SLACK:
         raise InvariantViolation("T must be a contraction")
     eye = np.eye(space.dim)
     out = []
@@ -398,7 +397,7 @@ def max_subspaces(space: SignatureSpace, t, neutral_tol: float = 1e-9) -> Maxima
             gram = hermitize(u.conj().T @ space.j @ u)
             w, v = np.linalg.eigh(gram)
             for k in range(len(w)):
-                if abs(w[k]) < neutral_tol:
+                if abs(w[k]) < NEUTRAL_TOL:
                     neutral.append(u @ v[:, k])
         out.append((Subspace(u) if u.shape[1] else Subspace.empty(space.dim),
                     neutral, rank_loss))
@@ -406,7 +405,7 @@ def max_subspaces(space: SignatureSpace, t, neutral_tol: float = 1e-9) -> Maxima
     return MaximalDualPair(lp, lm, np_, nm, rp, rm)
 
 
-def density_test(t0: PartialContraction, t, tol: float = STRUCT_TOL) -> bool:
+def density_test(t0: PartialContraction, t) -> bool:
     """True iff ran(Xi) cap D(T0)^perp = {0} for Xi = sqrt(I - T^2).
 
     This is the finite-dimensional rendering of density of the domain in
@@ -424,7 +423,7 @@ def density_test(t0: PartialContraction, t, tol: float = STRUCT_TOL) -> bool:
     if comp.shape[1] == 0 or ran.shape[1] == 0:
         return True
     cos = operator_norm(ran.conj().T @ comp)
-    return cos < 1.0 - tol
+    return cos < 1.0 - STRUCT_TOL
 
 
 def uniqueness_sup(t0: PartialContraction, g) -> float:

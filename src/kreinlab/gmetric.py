@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import (
+    CONTRACTION_SLACK,
+    RESULT_TOL,
     STRUCT_TOL,
     as_matrix,
     hermitize,
@@ -25,6 +27,8 @@ from .spaces import SignatureSpace
 
 # Relative eigenvalue threshold below which G is flagged degenerate.
 KERNEL_RCOND = 1e-12
+# Random probe pairs on which metric_report measures route agreement.
+REPORT_PROBES = 8
 
 
 @dataclass
@@ -39,11 +43,11 @@ class GMetric:
     cond: float = float("inf")
 
     @classmethod
-    def from_contraction(cls, space: SignatureSpace, t, tol: float = STRUCT_TOL) -> "GMetric":
+    def from_contraction(cls, space: SignatureSpace, t) -> "GMetric":
         t = hermitize(as_matrix(t))
-        if operator_norm(t) > 1.0 + 1e-10:
+        if operator_norm(t) > 1.0 + CONTRACTION_SLACK:
             raise InvariantViolation("T must be a contraction")
-        if operator_norm(space.j @ t + t @ space.j) > tol:
+        if operator_norm(space.j @ t + t @ space.j) > STRUCT_TOL:
             raise InvariantViolation("T must anticommute with J")
         g = cayley(t)  # raises CayleyUndefinedError when -1 in spec(T)
         n = space.dim
@@ -58,9 +62,9 @@ class GMetric:
         cond = float("inf") if degenerate else float(top / w[0])
         m = cls(space, t, g, xi, j_g, degenerate, kernel, cond)
         # J_G is an involution and G J_G = J (the two indefinite products agree).
-        if operator_norm(j_g @ j_g - np.eye(n)) > 1e-8:
+        if operator_norm(j_g @ j_g - np.eye(n)) > RESULT_TOL:
             raise InvariantViolation("J_G failed to be an involution")
-        if operator_norm(g @ j_g - space.j) > 1e-8:
+        if operator_norm(g @ j_g - space.j) > RESULT_TOL:
             raise InvariantViolation("G J_G != J: metric products disagree")
         return m
 
@@ -94,7 +98,7 @@ def _jg_routes(metric: GMetric, f: np.ndarray, g: np.ndarray) -> tuple[complex, 
     return inner(metric.g @ (metric.j_g @ f), g), inner(metric.space.j @ f, g)
 
 
-def g_inner(metric: GMetric, f, g, tol: float = STRUCT_TOL) -> complex:
+def g_inner(metric: GMetric, f, g) -> complex:
     """(f, g)_G = (Gf, g), cross-checked against the decomposition formula
     [f_+, g_+] - [f_-, g_-]."""
     f = np.asarray(f, dtype=complex)
@@ -103,14 +107,14 @@ def g_inner(metric: GMetric, f, g, tol: float = STRUCT_TOL) -> complex:
     metric._reject_kernel(g)
     direct, split = _inner_routes(metric, f, g)
     scale = max(1.0, float(np.linalg.norm(f)) * float(np.linalg.norm(g)))
-    if abs(direct - split) > tol * scale * max(1.0, metric.cond if not metric.degenerate else 1.0):
+    if abs(direct - split) > STRUCT_TOL * scale * max(1.0, metric.cond if not metric.degenerate else 1.0):
         raise InvariantViolation(
             f"metric product routes disagree ({direct:.6e} vs {split:.6e})"
         )
     return direct
 
 
-def jg_product(metric: GMetric, f, g, tol: float = STRUCT_TOL) -> complex:
+def jg_product(metric: GMetric, f, g) -> complex:
     """[f, g]_G = (J_G f, g)_G; agrees with the ambient [f, g]."""
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
@@ -118,7 +122,7 @@ def jg_product(metric: GMetric, f, g, tol: float = STRUCT_TOL) -> complex:
     metric._reject_kernel(g)
     value, ambient = _jg_routes(metric, f, g)
     scale = max(1.0, float(np.linalg.norm(f)) * float(np.linalg.norm(g)))
-    if abs(value - ambient) > tol * scale:
+    if abs(value - ambient) > STRUCT_TOL * scale:
         raise InvariantViolation("[.,.]_G disagrees with the ambient indefinite product")
     return value
 
@@ -139,14 +143,14 @@ def xi_norm_identity_residual(metric: GMetric, x) -> float:
     return float(abs(lhs - rhs))
 
 
-def metric_report(metric: GMetric, seed: int = 0, probes: int = 8) -> dict:
+def metric_report(metric: GMetric, seed: int = 0) -> dict:
     """Distortion and route-agreement residuals on random probe vectors."""
     rng = np.random.default_rng(seed)
     n = metric.space.dim
     max_inner = 0.0
     max_jg = 0.0
     max_xi = 0.0
-    for _ in range(probes):
+    for _ in range(REPORT_PROBES):
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         if metric.degenerate and metric.kernel.shape[1]:

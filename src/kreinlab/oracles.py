@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import (STRUCT_TOL, as_matrix, hermitize, operator_norm,
-                      orthonormal_columns, psd_sqrt)
+from ._linalg import (CONTRACTION_SLACK, STRUCT_TOL, as_matrix, hermitize,
+                      operator_norm, orthonormal_columns, psd_sqrt)
 from .errors import InvariantViolation
 from .extensions import any_sa_extension, j_symmetrize
 
@@ -35,7 +35,7 @@ def sqrt_projection_endpoints(t0, seed=None):
             raise InvariantViolation("seed extension must anticommute with J")
         if operator_norm(t @ t0.domain - t0.action) > STRUCT_TOL:
             raise InvariantViolation("seed does not extend T0")
-        if operator_norm(t) > 1.0 + 1e-10:
+        if operator_norm(t) > 1.0 + CONTRACTION_SLACK:
             raise InvariantViolation("seed extension is not a contraction")
     eye = np.eye(space.dim)
     corrections = []

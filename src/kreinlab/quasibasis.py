@@ -51,6 +51,9 @@ BAND_MARGIN = 8.0
 BAND_EDGE_REL = 1e-9
 # Span-projection residual above which c_action warns.
 SPAN_WARN_TOL = 1e-6
+# Largest deviation of the indefinite Gram from diag(sigma) that sign_pattern
+# still reports as J-orthonormal.
+J_ORTHONORMAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -483,14 +486,14 @@ def indefinite_gram(fam: FunctionFamily) -> np.ndarray:
     return fam.step * (parity_apply(fam, fam.f) @ fam.f.conj().T)
 
 
-def sign_pattern(fam: FunctionFamily, tol: float = 1e-6):
+def sign_pattern(fam: FunctionFamily):
     """(sigma, max_offdiag, j_orthonormal) with sigma = fam.signs.
 
     The family is J-orthonormal when the indefinite Gram is diag(sigma)
-    within tol.  Measured, never assumed.
+    within J_ORTHONORMAL_TOL.  Measured, never assumed.
     """
     dev = float(np.max(np.abs(indefinite_gram(fam) - np.diag(fam.signs))))
-    return fam.signs, dev, dev <= tol
+    return fam.signs, dev, dev <= J_ORTHONORMAL_TOL
 
 
 def metric_gram(fam: FunctionFamily) -> np.ndarray:
@@ -599,9 +602,11 @@ def expansion(fam: FunctionFamily, target) -> ExpansionReport:
     for m in range(fam.n_max + 1):
         partial = partial + coeffs[m] * fam.f[m]
         mapped_partial = mapped_partial + coeffs[m] * fam.g[m]
-        # The target passed the band gate and every f_m passed it at
-        # construction, so the residuals are band-resolved by linearity;
-        # re-checking would trip on roundoff-level leftovers.
+        # The target passed the gate above.  The Hermite band lies
+        # BAND_MARGIN beyond the classical support of f_0..f_{n_max+2}, and
+        # the f_m are gated where metric_gram builds their hats; the
+        # anharmonic metric has no band gate.  Re-checking the residual
+        # would trip on roundoff-level leftovers.
         g_errors[m] = metric_norm(fam, target - partial, check=False)
         plain_errors[m] = quad_norm(fam, mapped_target - mapped_partial)
     return ExpansionReport(coeffs, g_errors, plain_errors, span_residual(fam, target))

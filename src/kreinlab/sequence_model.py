@@ -25,7 +25,7 @@ from .spaces import SignatureSpace
 
 VARIANTS = ("both_constraints", "chi_plus_zero")
 
-# Log-log slope of the dyadic partial sums above this threshold reads as
+# Log-log slope of the dyadic partial sums above DIVERGENCE_THRESHOLD reads as
 # divergence; below MARGINAL_WINDOW a divergent verdict is flagged marginal
 # (the delta = 1 boundary diverges only logarithmically).
 DIVERGENCE_THRESHOLD = 0.05
@@ -129,15 +129,13 @@ class DivergenceReport:
     marginal: bool
 
 
-def xi_preimage_diagnostic(spec: SequenceModelSpec, max_exponent: int = 16,
-                           threshold: float = DIVERGENCE_THRESHOLD,
-                           marginal_window: float = MARGINAL_WINDOW) -> DivergenceReport:
+def xi_preimage_diagnostic(spec: SequenceModelSpec, max_exponent: int = 16) -> DivergenceReport:
     """Dyadic partial sums of the reachability series with a trend verdict.
 
     The verdict is the fitted log-log growth exponent of S_N over the last
-    FIT_POINTS dyadic truncations: above `threshold` the series is read as
-    divergent (chi leaves ran(Xi) in the limit), below as convergent.  A
-    divergent verdict with exponent below `marginal_window` is flagged
+    FIT_POINTS dyadic truncations: above DIVERGENCE_THRESHOLD the series is
+    read as divergent (chi leaves ran(Xi) in the limit), below as convergent.
+    A divergent verdict with exponent below MARGINAL_WINDOW is flagged
     marginal — the boundary case grows only like log N.
     """
     if max_exponent < FIT_POINTS + 1:
@@ -149,8 +147,8 @@ def xi_preimage_diagnostic(spec: SequenceModelSpec, max_exponent: int = 16,
     tail_n = dyadic[-FIT_POINTS:].astype(float)
     tail_s = sums[-FIT_POINTS:]
     slope = np.polyfit(np.log(tail_n), np.log(tail_s), 1)[0]
-    verdict = "diverges" if slope > threshold else "converges"
-    marginal = verdict == "diverges" and slope < marginal_window
+    verdict = "diverges" if slope > DIVERGENCE_THRESHOLD else "converges"
+    marginal = verdict == "diverges" and slope < MARGINAL_WINDOW
     return DivergenceReport(dyadic, sums, float(slope), verdict, marginal)
 
 

@@ -47,6 +47,8 @@ def problem_from_obj(obj):
     from .angular import PartialContraction
     from .spaces import SignatureSpace
 
+    if not isinstance(obj, dict):
+        raise ValueError("problem file must be a JSON object with keys J, T0_domain, T0_action")
     mats = []
     for key in ("J", "T0_domain", "T0_action"):
         try:

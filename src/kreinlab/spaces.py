@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import (
-    RANK_RCOND,
     STRUCT_TOL,
     as_matrix,
     herm_residual,
@@ -30,15 +29,15 @@ NEUTRAL_TOL = 1e-9
 class SignatureSpace:
     """C^dim equipped with a fundamental symmetry J."""
 
-    def __init__(self, j, tol: float = STRUCT_TOL):
+    def __init__(self, j):
         j = as_matrix(j)
         n = j.shape[0]
         if j.shape[1] != n:
             raise InvariantViolation("J must be square")
-        if herm_residual(j) > tol * max(1.0, operator_norm(j)):
+        if herm_residual(j) > STRUCT_TOL * max(1.0, operator_norm(j)):
             raise InvariantViolation("J must be self-adjoint")
         j = hermitize(j)
-        if operator_norm(j @ j - np.eye(n)) > tol:
+        if operator_norm(j @ j - np.eye(n)) > STRUCT_TOL:
             raise InvariantViolation("J must be an involution (J^2 = I)")
         w, v = np.linalg.eigh(j)
         n_minus = int(np.sum(w < 0))
@@ -79,9 +78,9 @@ class Subspace:
     construction and the rank must equal the column count.
     """
 
-    def __init__(self, basis, rcond: float = RANK_RCOND):
+    def __init__(self, basis):
         b = as_matrix(basis)
-        u = orthonormal_columns(b, rcond=rcond)
+        u = orthonormal_columns(b)
         if u.shape[1] != b.shape[1]:
             raise InvariantViolation(
                 f"spanning set is rank-deficient ({u.shape[1]} < {b.shape[1]})"

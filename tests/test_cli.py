@@ -305,6 +305,17 @@ def test_exit_code_2_missing_problem_key(tmp_path, capsys):
     assert "missing key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ("[]", "3", '"s"', "null"),
+                         ids=("list", "number", "string", "null"))
+@pytest.mark.parametrize("command", ("extend", "solve-x"))
+def test_exit_code_2_problem_not_an_object(tmp_path, capsys, command, text):
+    path = tmp_path / "scalar.json"
+    path.write_text(text)
+    rc = run_cli([command, "--input", path, "--output-dir", tmp_path / "o"])
+    assert rc == 2
+    assert "problem file must be a JSON object" in capsys.readouterr().err
+
+
 def test_exit_code_2_bad_tolerance(tmp_path, half_problem, capsys):
     rc = run_cli(["extend", "--input", half_problem, "--output-dir", tmp_path,
                   "--tol", "-1"])

@@ -1,19 +1,27 @@
-"""Every name a package module imports is used in that module.
+"""Two small AST checks on ``src/kreinlab`` in place of a linter.
 
-A small AST check in place of a linter: it collects the names bound by
-``import`` and ``from ... import`` statements in each module of
-``src/kreinlab`` and fails on any that the module never reads.  The
-package ``__init__.py`` is skipped (its imports are re-exports), as is
+Unused imports: the names bound by ``import`` and ``from ... import``
+statements in each module must be read by that module.  The package
+``__init__.py`` is skipped (its imports are re-exports), as is
 ``from __future__``.
+
+Unset defaulted parameters: every parameter with a default must be passed
+by some call in ``src/kreinlab``, ``tests/`` or ``perfbench/``; a knob that
+no caller sets belongs in a named module constant.  A call passes a
+parameter when it sets it by keyword, reaches its position (a ``*args``
+reaches every position) or passes a ``**mapping``.  Calls are matched by
+function name, and by class name for ``__init__``.
 """
 from __future__ import annotations
 
 import ast
+import math
 from pathlib import Path
 
 import kreinlab
 
 PACKAGE = Path(kreinlab.__file__).resolve().parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,3 +52,84 @@ def test_package_modules_have_no_unused_imports():
             if names:
                 found[path.name] = names
     assert found == {}
+
+
+def _callee(func: ast.expr) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _defaulted_parameters(module: str, tree: ast.Module):
+    """(call name, label, parameter, position or None) per defaulted parameter."""
+    owner = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                owner[item] = node.name
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(node)
+        if cls and node.name == "__init__":
+            name, label = cls, f"{module}.{cls}"
+        else:
+            name, label = node.name, ".".join(filter(None, (module, cls, node.name)))
+        static = any(_callee(d) == "staticmethod" for d in node.decorator_list)
+        bound = 1 if cls and not static else 0       # self / cls
+        args = node.args
+        positional = args.posonlyargs + args.args
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            yield name, f"{label}({positional[i].arg})", positional[i].arg, i - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, f"{label}({arg.arg})", arg.arg, None
+
+
+def unset_defaulted_parameters(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of `modules` (name -> source) that no call in
+    `callers` (sources) passes, as sorted ``module.function(parameter)``."""
+    calls: dict[str, list[tuple[set, float]]] = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and (name := _callee(node.func)):
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                reach = math.inf if starred else len(node.args)
+                calls.setdefault(name, []).append(({k.arg for k in node.keywords}, reach))
+    unset = []
+    for module, source in modules.items():
+        for name, label, param, pos in _defaulted_parameters(module, ast.parse(source)):
+            # k.arg is None for a **mapping.
+            if not any(param in kws or None in kws or (pos is not None and pos < reach)
+                       for kws, reach in calls.get(name, ())):
+                unset.append(label)
+    return sorted(unset)
+
+
+def test_unset_defaulted_parameter_detector():
+    source = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0, y=0):\n        pass\n"
+        "    def m(self, p=0):\n        pass\n"
+        "    @staticmethod\n"
+        "    def s(q=0):\n        pass\n"
+        "f(0, 5)\nf(0, d=1)\nK(1)\nK.s(2)\nobj.m(**opts)\n"
+    )
+    assert unset_defaulted_parameters({"mod": source}, [source]) == [
+        "mod.K(y)", "mod.f(c)", "mod.f(e)",
+    ]
+    assert unset_defaulted_parameters({"mod": "def g(a, b=1):\n    pass\n"},
+                                      ["h(g, *rest)\n"]) == ["mod.g(b)"]
+    assert unset_defaulted_parameters({"mod": "def g(a, b=1):\n    pass\n"},
+                                      ["g(*rest)\n"]) == []
+
+
+def test_no_unset_defaulted_parameters():
+    modules = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    callers = [path.read_text()
+               for folder in (PACKAGE, REPO / "tests", REPO / "perfbench")
+               for path in sorted(folder.glob("*.py"))]
+    assert unset_defaulted_parameters(modules, callers) == []
