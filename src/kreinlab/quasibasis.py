@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     FrequencyBandError,
@@ -314,6 +313,10 @@ def _halfline_eigs(v_half: np.ndarray, h: float, parity: str, count: int):
     sqrt(2) substitution so the matrix stays symmetric tridiagonal),
     parity "odd" a Dirichlet condition; both use Dirichlet at the far end.
     """
+    # Deferred: importing scipy.linalg costs more than numpy itself, and only
+    # the anharmonic family reaches this solver.
+    from scipy.linalg import eigh_tridiagonal
+
     inv_h2 = 1.0 / (h * h)
     if parity == "even":
         d = 2.0 * inv_h2 + v_half

@@ -3,7 +3,8 @@
 Matrices travel as {"rows": r, "cols": c, "re": [...], "im": [...]} with
 row-major flat float lists.  Reports are emitted with a deterministic
 encoder: keys sorted, floats always printed with 17 significant digits, so
-identical inputs give byte-identical files.
+identical inputs give byte-identical files.  A list, tuple or array of
+Python floats is formatted and joined in one pass.
 """
 from __future__ import annotations
 
@@ -22,9 +23,21 @@ def matrix_to_obj(m) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "re": [float(x) for x in m.real.ravel(order="C")],
-        "im": [float(x) for x in m.imag.ravel(order="C")],
+        "re": m.real.ravel().tolist(),
+        "im": m.imag.ravel().tolist(),
     }
+
+
+def _flat_floats(values, name: str) -> np.ndarray:
+    arr = None
+    if isinstance(values, list):
+        try:
+            arr = np.asarray(values)
+        except ValueError:              # ragged nesting
+            pass
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "fi":
+        raise ValueError(f"malformed matrix object: {name!r} must be a flat list of numbers")
+    return arr.astype(float, copy=False)
 
 
 def matrix_from_obj(obj) -> np.ndarray:
@@ -35,10 +48,10 @@ def matrix_from_obj(obj) -> np.ndarray:
         re, im = obj["re"], obj["im"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
-    if rows < 0 or cols < 0 or len(re) != rows * cols or len(im) != rows * cols:
+    re, im = _flat_floats(re, "re"), _flat_floats(im, "im")
+    if rows < 0 or cols < 0 or re.size != rows * cols or im.size != rows * cols:
         raise ValueError("matrix object has inconsistent shape fields")
-    re = np.asarray(re, dtype=float).reshape(rows, cols)
-    im = np.asarray(im, dtype=float).reshape(rows, cols)
+    re, im = re.reshape(rows, cols), im.reshape(rows, cols)
     return re + 1j * im
 
 
@@ -63,14 +76,20 @@ def problem_from_obj(obj):
     return PartialContraction(space, domain, action)
 
 
-def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+def _fmt_floats(values) -> str:
+    """", "-joined text of Python floats: 17 significant digits, with ".0" on
+    integral values so every float keeps a uniform numeric shape ("1" ->
+    "1.0") and files stay stable.  Every float in a report or CSV, scalar or
+    array, goes through here."""
+    tokens = map("%.17g".__mod__, values)
+    text = ", ".join([t if "." in t or "e" in t else t + ".0" for t in tokens])
+    if "n" in text:                  # only "inf" and "nan" contain an "n"
         raise ValueError("non-finite float in report")
-    out = format(float(x), ".17g")
-    # Keep a uniform numeric shape ("1" -> "1.0") so files stay stable.
-    if "e" not in out and "E" not in out and "." not in out:
-        out += ".0"
-    return out
+    return text
+
+
+def _fmt_float(x: float) -> str:
+    return _fmt_floats((float(x),))
 
 
 def _encode(obj: Any, parts: list[str]) -> None:
@@ -79,7 +98,7 @@ def _encode(obj: Any, parts: list[str]) -> None:
     elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        parts.append(_fmt_float(float(obj)))
+        parts.append(_fmt_float(obj))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -95,10 +114,14 @@ def _encode(obj: Any, parts: list[str]) -> None:
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         parts.append("[")
-        for i, item in enumerate(seq):
-            if i:
-                parts.append(", ")
-            _encode(item, parts)
+        if seq and set(map(type, seq)) == {float}:
+            # Bulk path: a float array is formatted and joined in one pass.
+            parts.append(_fmt_floats(seq))
+        else:
+            for i, item in enumerate(seq):
+                if i:
+                    parts.append(", ")
+                _encode(item, parts)
         parts.append("]")
     else:
         raise ValueError(f"cannot serialize object of type {type(obj)!r}")

@@ -555,6 +555,14 @@ def _check_serialize(rng) -> str:
         raise AssertionError("report serialization is order-sensitive")
     if f"{np.pi:.17g}" not in first:
         raise AssertionError("floats are not serialized at 17 significant digits")
+    values = m.real.ravel().tolist()
+    values[-1] = float("nan")
+    try:
+        dumps_report({"v": values})
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("a NaN inside a float list was serialized")
     return "serialization deterministic and lossless"
 
 

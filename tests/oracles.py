@@ -2,11 +2,13 @@
 
 Everything here is deliberately low-tech and self-contained: feasibility
 bisection on eigenvalue constraints, explicit Hermite polynomial
-coefficients, dense finite-difference eigensolves.  None of it shares an
+coefficients, dense finite-difference eigensolves, a report encoder that
+formats one value per call.  None of it shares an
 algorithm with the package routines it cross-checks, so agreement between
 the two routes is evidence rather than tautology.
 """
 
+import json
 import math
 
 import numpy as np
@@ -188,3 +190,54 @@ def weighted_h_gram(x, step, p, hf, f) -> np.ndarray:
         for n in range(count):
             out[m, n] = step * np.sum(weight * hf[n] * np.conj(f[m]))
     return out
+
+
+def _reference_float(x: float) -> str:
+    if x != x or x in (float("inf"), float("-inf")):
+        raise ValueError("non-finite float in report")
+    out = format(float(x), ".17g")
+    if "e" not in out and "E" not in out and "." not in out:
+        out += ".0"
+    return out
+
+
+def _reference_encode(obj, parts: list) -> None:
+    if obj is None or isinstance(obj, (bool, np.bool_)):
+        parts.append(json.dumps(bool(obj)) if obj is not None else "null")
+    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        parts.append(_reference_float(float(obj)))
+    elif isinstance(obj, str):
+        parts.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise ValueError("report keys must be strings")
+            if i:
+                parts.append(", ")
+            parts.append(json.dumps(key) + ": ")
+            _reference_encode(obj[key], parts)
+        parts.append("}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        parts.append("[")
+        for i, item in enumerate(seq):
+            if i:
+                parts.append(", ")
+            _reference_encode(item, parts)
+        parts.append("]")
+    else:
+        raise ValueError(f"cannot serialize object of type {type(obj)!r}")
+
+
+def reference_dumps_report(obj) -> str:
+    """The report text built one value per recursive call: sorted keys,
+    `format(x, ".17g")` floats with ".0" on integral ones, ", " and ": "
+    separators, a final newline.  The package formats float arrays in bulk;
+    the two must agree byte for byte."""
+    parts: list = []
+    _reference_encode(obj, parts)
+    parts.append("\n")
+    return "".join(parts)

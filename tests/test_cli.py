@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line front end.
 
 Everything drives ``kreinlab.cli.main`` in-process and inspects the files
-it writes; one test checks the console script: the entry point declared in
-``pyproject.toml``, and the help text of its target in a child interpreter.
+it writes, except two tests that run the CLI module in a child interpreter:
+one checks the console script (the entry point declared in
+``pyproject.toml`` and the help text of its target), the other that
+``extend`` and ``classify-model`` never import scipy.
 """
 from __future__ import annotations
 
@@ -316,6 +318,19 @@ def test_exit_code_2_problem_not_an_object(tmp_path, capsys, command, text):
     assert "problem file must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", (5, [[0.0]], {"0": 0.0}),
+                         ids=("number", "nested", "object"))
+def test_exit_code_2_matrix_fields_not_flat_lists(tmp_path, capsys, value):
+    # A 1x1 J, so a nested [[0.0]] has the right number of entries per row.
+    path = write_problem(tmp_path / "bad.json", [[1.0]], [[1.0]], [[0.5]])
+    obj = json.loads(path.read_text())
+    obj["J"]["im"] = value
+    path.write_text(json.dumps(obj))
+    rc = run_cli(["extend", "--input", path, "--output-dir", tmp_path / "o"])
+    assert rc == 2
+    assert "malformed matrix object" in capsys.readouterr().err
+
+
 def test_exit_code_2_bad_tolerance(tmp_path, half_problem, capsys):
     rc = run_cli(["extend", "--input", half_problem, "--output-dir", tmp_path,
                   "--tol", "-1"])
@@ -390,6 +405,16 @@ def test_exit_code_4_resolution_refusal(tmp_path, capsys):
 
 # ----------------------------------------------------------- console script
 
+def child_env() -> dict:
+    # Run the entry point's module from the imported package, not from PATH:
+    # the suite must pass from a source tree where nothing is installed.
+    src = str(Path(kreinlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_console_script_help():
     if sys.version_info >= (3, 11):
         import tomllib
@@ -399,14 +424,8 @@ def test_console_script_help():
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     assert scripts["kreinlab"] == "kreinlab.cli:main"
 
-    # Run the entry point's module from the imported package, not from PATH:
-    # the suite must pass from a source tree where nothing is installed.
-    src = str(Path(kreinlab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "kreinlab.cli", "--help"],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=child_env(), timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: kreinlab")
     for token in ("extend", "solve-x", "classify-model", "quasi-basis",
@@ -414,3 +433,20 @@ def test_console_script_help():
         assert token in proc.stdout
     assert "partial_sums.csv" in proc.stdout  # CSV column reference block
     assert "KREIN_LAB_THREADS" in proc.stdout
+
+
+def test_extend_and_classify_model_do_not_import_scipy(tmp_path, half_problem):
+    # Only the anharmonic family needs scipy; the other subcommands must not
+    # pay for importing it.  The child runs the module as ``python -m`` does
+    # and lists the loaded scipy modules when the interpreter exits.
+    probe = ("import atexit, runpy, sys\n"
+             "atexit.register(lambda: print('scipy modules:', sorted(\n"
+             "    m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+             "runpy.run_module('kreinlab.cli', run_name='__main__', alter_sys=True)\n")
+    for argv in (["extend", "--input", str(half_problem)],
+                 ["classify-model", "--delta", "1.25", "--variant", "both"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv, "--output-dir", str(tmp_path / argv[0])],
+            capture_output=True, text=True, env=child_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "scipy modules: []"

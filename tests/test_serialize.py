@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kreinlab.serialize import (
     dumps_report,
@@ -9,6 +11,13 @@ from kreinlab.serialize import (
     matrix_to_obj,
     problem_from_obj,
 )
+from oracles import reference_dumps_report
+
+# Floats whose text is easy to get wrong: signed zero, integral values (".0"
+# suffix, and 1e16 still printed without an exponent), the smallest
+# subnormal and values with large exponents.
+EDGE_FLOATS = (0.0, -0.0, 1.0, -3.0, 2.0 ** 53, 1e16, 1e17, 5e-324, 1e300,
+               -1e300, 0.1, 1.0 / 3.0)
 
 
 def test_matrix_roundtrip_is_exact(rng):
@@ -37,6 +46,18 @@ def test_matrix_from_obj_validation():
         matrix_from_obj({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
     with pytest.raises(ValueError):
         matrix_from_obj({"rows": 2, "cols": 2})
+
+
+@pytest.mark.parametrize("value", (5, "ab", [[1.0]], [1.0, [2.0]], [{"x": 1.0}],
+                                   {"0": 1.0}, None, ["1.0"], [True]),
+                         ids=("number", "string", "nested", "ragged",
+                              "list-of-objects", "object", "null",
+                              "list-of-strings", "list-of-booleans"))
+def test_matrix_from_obj_requires_flat_lists(value):
+    good = {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0]}
+    for field in ("re", "im"):
+        with pytest.raises(ValueError, match="malformed matrix object"):
+            matrix_from_obj({**good, field: value})
 
 
 def test_problem_from_obj_missing_key():
@@ -72,3 +93,61 @@ def test_report_rejects_non_finite():
         dumps_report({"v": float("nan")})
     with pytest.raises(ValueError):
         dumps_report({"v": float("inf")})
+
+
+finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from(EDGE_FLOATS))
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), finite,
+    st.text(max_size=6),
+    st.booleans().map(np.bool_),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    finite.map(np.float64),
+)
+float_arrays = st.one_of(
+    st.lists(finite, max_size=12),
+    st.lists(finite, max_size=12).map(tuple),
+    st.lists(finite, max_size=12).map(lambda v: np.array(v, dtype=float)),
+    st.lists(st.tuples(finite, finite), max_size=4).map(
+        lambda v: np.array(v, dtype=float).reshape(-1, 2)),
+    st.lists(st.one_of(finite, st.integers(-9, 9)), max_size=12),
+)
+reports = st.recursive(
+    st.one_of(scalars, float_arrays),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(reports)
+def test_report_matches_reference_encoder(obj):
+    assert dumps_report(obj) == reference_dumps_report(obj)
+
+
+def test_report_edge_values_match_reference_encoder():
+    obj = {"floats": list(EDGE_FLOATS), "mixed": [1, 2.0, -0.0, 3, 1e16],
+           "empty": [], "empty_tuple": (), "array": np.array(EDGE_FLOATS),
+           "scalars": [np.bool_(False), np.int64(-7), np.float64(-0.0)],
+           "nested": [[0.0, 1.0], [5e-324, 1e300]]}
+    text = dumps_report(obj)
+    assert text == reference_dumps_report(obj)
+    assert '"floats": [0.0, -0.0, 1.0, -3.0, 9007199254740992.0, 10000000000000000.0, ' \
+           '1e+17, 4.9406564584124654e-324, 1.0000000000000001e+300' in text
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), float("-inf")))
+def test_report_rejects_non_finite_inside_float_list(bad):
+    values = np.linspace(-1.0, 1.0, 500).tolist()
+    values[321] = bad
+    for obj in (values, tuple(values), np.array(values)):
+        with pytest.raises(ValueError, match="non-finite float in report"):
+            dumps_report({"v": obj})
+    m = np.arange(64.0).reshape(8, 8) + 1j * np.ones((8, 8))
+    m[5, 2] = complex(1.0, bad)
+    with pytest.raises(ValueError, match="non-finite float in report"):
+        dumps_report({"m": matrix_to_obj(m)})
