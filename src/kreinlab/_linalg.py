@@ -29,12 +29,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def herm_residual(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - a.conj().T)))
-
-
 def inner(u: np.ndarray, v: np.ndarray) -> complex:
     """Inner product (u, v), linear in the first argument."""
     return complex(np.vdot(v, u))
@@ -44,6 +38,28 @@ def operator_norm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def check_residual(message: str, a: np.ndarray, bound: float, scale=None) -> None:
+    """Raise InvariantViolation(message) unless ||a||_2 <= bound, times
+    max(1, ||scale||_2) if a scale is given.  As ||a||_2 <= ||a||_F, the SVDs
+    are taken only when the Frobenius norm exceeds bound; the message may
+    print the 2-norm as {residual}."""
+    if a.size == 0 or np.linalg.norm(a) <= bound:
+        return
+    residual = operator_norm(a)
+    if scale is not None:
+        bound *= max(1.0, operator_norm(scale))
+    if residual > bound:
+        raise InvariantViolation(message.format(residual=residual))
+
+
+def is_self_adjoint(a: np.ndarray) -> bool:
+    """max |a - a*| <= STRUCT_TOL * max(1, ||a||_2), taking the 2-norm only
+    when the entrywise residual exceeds STRUCT_TOL (the scale is at least 1).
+    A NaN residual fails neither comparison, so it passes."""
+    residual = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    return residual <= STRUCT_TOL or not residual > STRUCT_TOL * max(1.0, operator_norm(a))
 
 
 def eig_min_herm(a: np.ndarray) -> float:

@@ -13,8 +13,9 @@ import numpy as np
 from ._linalg import (
     STRUCT_TOL,
     as_matrix,
-    herm_residual,
+    check_residual,
     hermitize,
+    is_self_adjoint,
     operator_norm,
     orthonormal_columns,
 )
@@ -52,8 +53,8 @@ class PartialContraction:
         n, d = domain.shape
         if n != space.dim or action.shape != (n, d):
             raise InvariantViolation("domain/action shapes do not match the space")
-        if d and operator_norm(domain.conj().T @ domain - np.eye(d)) > STRUCT_TOL:
-            raise InvariantViolation("domain basis must be orthonormal")
+        check_residual("domain basis must be orthonormal",
+                       domain.conj().T @ domain - np.eye(d), STRUCT_TOL)
         self.space = space
         self.domain = domain
         self.action = action
@@ -61,19 +62,15 @@ class PartialContraction:
         if self.norm > 1.0 + NEAR_UNIT_WINDOW:
             raise InvariantViolation(f"not a strong contraction: ||T0|| = {self.norm:.12g} > 1")
         self.near_unit = self.norm >= 1.0 - NEAR_UNIT_WINDOW
-        if d:
-            # J-invariance of the domain.
-            jd = space.j @ domain
-            defect = jd - domain @ (domain.conj().T @ jd)
-            if operator_norm(defect) > STRUCT_TOL:
-                raise InvariantViolation("domain is not J-invariant")
-            # Anticommutation J T0 = -T0 J on the domain.
-            j_on_domain = domain.conj().T @ space.j @ domain
-            resid = operator_norm(space.j @ action + action @ j_on_domain)
-            if resid > STRUCT_TOL * max(1.0, self.norm):
-                raise InvariantViolation(
-                    f"J T0 + T0 J != 0 on the domain (residual {resid:.3e})"
-                )
+        # J-invariance of the domain.
+        jd = space.j @ domain
+        check_residual("domain is not J-invariant",
+                       jd - domain @ (domain.conj().T @ jd), STRUCT_TOL)
+        # Anticommutation J T0 = -T0 J on the domain.
+        j_on_domain = domain.conj().T @ space.j @ domain
+        check_residual("J T0 + T0 J != 0 on the domain (residual {residual:.3e})",
+                       space.j @ action + action @ j_on_domain,
+                       STRUCT_TOL * max(1.0, self.norm))
 
     @property
     def domain_dim(self) -> int:
@@ -143,8 +140,7 @@ def extract_angular(space: SignatureSpace, l_plus: Subspace | None,
             raise InvariantViolation("numerical rank failure in the graph projection")
         coeff, *_ = np.linalg.lstsq(pb, m, rcond=None)
         f = sub.basis @ coeff  # vectors of the subspace with P f = m
-        if operator_norm(proj @ f - m) > STRUCT_TOL:
-            raise InvariantViolation("graph reconstruction failed on the subspace")
+        check_residual("graph reconstruction failed on the subspace", proj @ f - m, STRUCT_TOL)
         domain_cols.append(m)
         action_cols.append(f - m)
     if domain_cols:
@@ -170,8 +166,7 @@ def reconstruct_subspaces(t0: PartialContraction) -> tuple[Subspace, Subspace]:
 
 def duality_test(t0: PartialContraction) -> bool:
     """True iff T0 is symmetric on its domain, equivalently [L_+, L_-] = 0."""
-    s = t0.domain.conj().T @ t0.action
-    return herm_residual(s) <= STRUCT_TOL * max(1.0, operator_norm(s))
+    return is_self_adjoint(t0.domain.conj().T @ t0.action)
 
 
 @dataclass(frozen=True)
@@ -230,11 +225,10 @@ def c0_operator(t0: PartialContraction) -> CSymmetryMap:
     signs = np.asarray(signs)
     matrix = (f * signs) @ np.linalg.pinv(f)
     # Involution on the domain.
-    if operator_norm(matrix @ matrix @ f - f) > STRUCT_TOL * max(1.0, operator_norm(f)):
-        raise InvariantViolation("C0^2 != I on D(C0)")
+    check_residual("C0^2 != I on D(C0)", matrix @ matrix @ f - f, STRUCT_TOL, scale=f)
     # G0 = J C0 as a form on the domain basis: F^H J F diag(signs).
     form = (f.conj().T @ t0.space.j @ f) * signs
-    if herm_residual(form) > STRUCT_TOL * max(1.0, operator_norm(form)):
+    if not is_self_adjoint(form):
         raise InvariantViolation("G0 = J C0 is not symmetric on D(C0)")
     if np.linalg.eigvalsh(hermitize(form))[0] <= 0:
         raise InvariantViolation("G0 = J C0 is not positive on D(C0)")
@@ -257,7 +251,7 @@ def cayley_g0(t0: PartialContraction) -> PartialMap:
     coeff, *_ = np.linalg.lstsq(f, u, rcond=None)
     action = g_cols @ coeff
     form = u.conj().T @ action
-    if herm_residual(form) > STRUCT_TOL * max(1.0, operator_norm(form)):
+    if not is_self_adjoint(form):
         raise InvariantViolation("G0 is not symmetric on its domain")
     if np.linalg.eigvalsh(hermitize(form))[0] <= 0:
         raise InvariantViolation("G0 is not positive definite on its domain")

@@ -76,8 +76,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.input_path is not None and not self.input_path.is_file():
             raise ValueError(f"input file not found: {self.input_path}")
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if self.tolerance is not None and not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.extras.get("samples", 0) < 0:
             raise ValueError("--samples must be non-negative")
         if self.extras.get("n_limit", _MIN_N) < _MIN_N:

@@ -27,9 +27,10 @@ from ._linalg import (
     RESULT_TOL,
     STRUCT_TOL,
     as_matrix,
+    check_residual,
     eig_min_herm,
-    herm_residual,
     hermitize,
+    is_self_adjoint,
     operator_norm,
     orthonormal_columns,
     orthonormal_complement,
@@ -71,8 +72,7 @@ def any_sa_extension(t0: PartialContraction) -> np.ndarray:
     completed with the corner (C_min + C_max)/2."""
     basis, a, b, c_min, c_max = _completion(t0)
     t = _assemble(basis, a, b, 0.5 * (c_min + c_max))
-    if operator_norm(t) > 1.0 + CONTRACTION_SLACK:
-        raise InvariantViolation("completed midpoint is not a contraction")
+    check_residual("completed midpoint is not a contraction", t, 1.0 + CONTRACTION_SLACK)
     return t
 
 
@@ -81,13 +81,12 @@ def j_symmetrize(space: SignatureSpace, t_prime,
     """T = (T' - J T' J)/2: anticommutes with J exactly, stays a contraction,
     and still extends T0 whenever T' does (the domain is J-invariant)."""
     t_prime = as_matrix(t_prime)
-    if herm_residual(t_prime) > STRUCT_TOL * max(1.0, operator_norm(t_prime)):
+    if not is_self_adjoint(t_prime):
         raise InvariantViolation("input to j_symmetrize must be self-adjoint")
-    if operator_norm(t_prime) > 1.0 + CONTRACTION_SLACK:
-        raise InvariantViolation("input to j_symmetrize must be a contraction")
+    check_residual("input to j_symmetrize must be a contraction", t_prime,
+                   1.0 + CONTRACTION_SLACK)
     if t0 is not None:
-        if operator_norm(t_prime @ t0.domain - t0.action) > STRUCT_TOL:
-            raise InvariantViolation("input does not extend T0")
+        check_residual("input does not extend T0", t_prime @ t0.domain - t0.action, STRUCT_TOL)
     return hermitize(0.5 * (t_prime - space.j @ t_prime @ space.j))
 
 
@@ -138,17 +137,14 @@ def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> Extension
 
     # Structural invariants of the endpoint pair.
     for endpoint in (t_mu, t_m):
-        if operator_norm(endpoint @ t0.domain - t0.action) > RESULT_TOL:
-            raise InvariantViolation("interval endpoint does not extend T0")
-        if operator_norm(endpoint) > 1.0 + RESULT_TOL:
-            raise InvariantViolation("interval endpoint is not a contraction")
-    if operator_norm(space.j @ t_mu + t_m @ space.j) > tol * max(1.0, operator_norm(t_m)):
-        raise InvariantViolation("J T_mu != -T_M J")
+        check_residual("interval endpoint does not extend T0",
+                       endpoint @ t0.domain - t0.action, RESULT_TOL)
+        check_residual("interval endpoint is not a contraction", endpoint, 1.0 + RESULT_TOL)
+    check_residual("J T_mu != -T_M J", space.j @ t_mu + t_m @ space.j, tol, scale=t_m)
 
     mb = defect.basis
     jm = mb.conj().T @ space.j @ mb
-    if operator_norm(space.j @ mb - mb @ jm) > RESULT_TOL:
-        raise InvariantViolation("defect space is not J-invariant")
+    check_residual("defect space is not J-invariant", space.j @ mb - mb @ jm, RESULT_TOL)
     ev = np.linalg.eigvalsh(hermitize(jm))
     if np.abs(np.abs(ev) - 1.0).max(initial=0.0) > RESULT_TOL:
         raise InvariantViolation("J does not restrict to a symmetry of the defect")
@@ -157,8 +153,9 @@ def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> Extension
 
 
 def classify_case(interval: ExtensionInterval) -> str:
-    """A: unique extension; B: balanced defect signature; C: unbalanced."""
-    if operator_norm(interval.t_m - interval.t_mu) < DEFECT_FLOOR:
+    """A: unique extension (no defect); B: balanced defect signature;
+    C: unbalanced.  The defect decision is the one krein_interval made."""
+    if interval.defect_dim == 0:
         return "A"
     p, q = interval.signature
     return "B" if p == q else "C"
@@ -261,7 +258,7 @@ def extension_from_x(interval: ExtensionInterval, x) -> ExtensionChoice:
     x = as_matrix(x)
     if x.shape != (m, m):
         raise ValueError(f"X must be {m}x{m} on the defect space")
-    if herm_residual(x) > STRUCT_TOL * max(1.0, operator_norm(x)):
+    if not is_self_adjoint(x):
         raise ValueError("X must be self-adjoint")
     ev = np.linalg.eigvalsh(hermitize(x))
     if m and (ev[0] < -STRUCT_TOL or ev[-1] > 1.0 + STRUCT_TOL):
@@ -284,8 +281,8 @@ def extension_from_x(interval: ExtensionInterval, x) -> ExtensionChoice:
     if (eig_min_herm(mb.conj().T @ (t - interval.t_mu) @ mb) < -STRUCT_TOL
             or eig_min_herm(mb.conj().T @ (interval.t_m - t) @ mb) < -STRUCT_TOL):
         raise InvariantViolation("realized extension leaves the interval")
-    if operator_norm(t @ interval.t0.domain - interval.t0.action) > RESULT_TOL:
-        raise InvariantViolation("realized extension does not extend T0")
+    check_residual("realized extension does not extend T0",
+                   t @ interval.t0.domain - interval.t0.action, RESULT_TOL)
     return ExtensionChoice(x, t, anticommuting, extremal, x_resid, anti_resid)
 
 
@@ -382,10 +379,8 @@ def max_subspaces(space: SignatureSpace, t) -> MaximalDualPair:
     collapse); they are reported rather than silently classified.
     """
     t = hermitize(as_matrix(t))
-    if operator_norm(space.j @ t + t @ space.j) > STRUCT_TOL:
-        raise InvariantViolation("T must anticommute with J")
-    if operator_norm(t) > 1.0 + CONTRACTION_SLACK:
-        raise InvariantViolation("T must be a contraction")
+    check_residual("T must anticommute with J", space.j @ t + t @ space.j, STRUCT_TOL)
+    check_residual("T must be a contraction", t, 1.0 + CONTRACTION_SLACK)
     eye = np.eye(space.dim)
     out = []
     for basis in (space.plus_basis(), space.minus_basis()):

@@ -16,9 +16,9 @@ from ._linalg import (
     RESULT_TOL,
     STRUCT_TOL,
     as_matrix,
+    check_residual,
     hermitize,
     inner,
-    operator_norm,
     psd_sqrt,
 )
 from .errors import InvariantViolation
@@ -45,10 +45,8 @@ class GMetric:
     @classmethod
     def from_contraction(cls, space: SignatureSpace, t) -> "GMetric":
         t = hermitize(as_matrix(t))
-        if operator_norm(t) > 1.0 + CONTRACTION_SLACK:
-            raise InvariantViolation("T must be a contraction")
-        if operator_norm(space.j @ t + t @ space.j) > STRUCT_TOL:
-            raise InvariantViolation("T must anticommute with J")
+        check_residual("T must be a contraction", t, 1.0 + CONTRACTION_SLACK)
+        check_residual("T must anticommute with J", space.j @ t + t @ space.j, STRUCT_TOL)
         g = cayley(t)  # raises CayleyUndefinedError when -1 in spec(T)
         n = space.dim
         xi = psd_sqrt(hermitize(np.eye(n) - t @ t))
@@ -62,10 +60,8 @@ class GMetric:
         cond = float("inf") if degenerate else float(top / w[0])
         m = cls(space, t, g, xi, j_g, degenerate, kernel, cond)
         # J_G is an involution and G J_G = J (the two indefinite products agree).
-        if operator_norm(j_g @ j_g - np.eye(n)) > RESULT_TOL:
-            raise InvariantViolation("J_G failed to be an involution")
-        if operator_norm(g @ j_g - space.j) > RESULT_TOL:
-            raise InvariantViolation("G J_G != J: metric products disagree")
+        check_residual("J_G failed to be an involution", j_g @ j_g - np.eye(n), RESULT_TOL)
+        check_residual("G J_G != J: metric products disagree", g @ j_g - space.j, RESULT_TOL)
         return m
 
     def _reject_kernel(self, f: np.ndarray) -> None:

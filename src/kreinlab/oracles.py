@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import (CONTRACTION_SLACK, STRUCT_TOL, as_matrix, hermitize,
-                      operator_norm, orthonormal_columns, psd_sqrt)
-from .errors import InvariantViolation
+from ._linalg import (CONTRACTION_SLACK, STRUCT_TOL, as_matrix, check_residual,
+                      hermitize, orthonormal_columns, psd_sqrt)
 from .extensions import any_sa_extension, j_symmetrize
 
 
@@ -31,12 +30,10 @@ def sqrt_projection_endpoints(t0, seed=None):
         t = j_symmetrize(space, any_sa_extension(t0), t0)
     else:
         t = hermitize(as_matrix(seed))
-        if operator_norm(space.j @ t + t @ space.j) > STRUCT_TOL:
-            raise InvariantViolation("seed extension must anticommute with J")
-        if operator_norm(t @ t0.domain - t0.action) > STRUCT_TOL:
-            raise InvariantViolation("seed does not extend T0")
-        if operator_norm(t) > 1.0 + CONTRACTION_SLACK:
-            raise InvariantViolation("seed extension is not a contraction")
+        check_residual("seed extension must anticommute with J",
+                       space.j @ t + t @ space.j, STRUCT_TOL)
+        check_residual("seed does not extend T0", t @ t0.domain - t0.action, STRUCT_TOL)
+        check_residual("seed extension is not a contraction", t, 1.0 + CONTRACTION_SLACK)
     eye = np.eye(space.dim)
     corrections = []
     for s in (psd_sqrt(eye + t), psd_sqrt(eye - t)):

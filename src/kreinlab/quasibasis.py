@@ -63,8 +63,8 @@ class UniformGrid:
     def __post_init__(self):
         if self.nodes < 16 or self.nodes & (self.nodes - 1):
             raise ValueError("nodes must be a power of two (FFT-sized), >= 16")
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not 0 < self.half_width < np.inf:
+            raise ValueError("half_width must be positive and finite")
 
     @property
     def step(self) -> float:
@@ -222,6 +222,8 @@ def shifted_family(a: float, n_max: int,
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if not np.isfinite(a):
+        raise ValueError("a must be finite")
     if abs(a) > 1.0:
         warnings.warn("shift |a| > 1 is outside the validated envelope", stacklevel=2)
     x = grid.points()
@@ -382,8 +384,10 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
     the eigenvalue discretization error.  p must be a bounded odd weight
     from BUILTIN_WEIGHTS.
     """
-    if beta <= 2.0:
-        raise ValueError("beta must exceed 2")
+    if not 2.0 < beta < np.inf:
+        raise ValueError("beta must exceed 2 and be finite")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     if p_name not in BUILTIN_WEIGHTS:
         raise ValueError(f"unknown weight {p_name!r}; choose from {sorted(BUILTIN_WEIGHTS)}")
     p, p1, p2 = BUILTIN_WEIGHTS[p_name]()

@@ -13,10 +13,10 @@ import numpy as np
 from ._linalg import (
     STRUCT_TOL,
     as_matrix,
-    herm_residual,
+    check_residual,
     hermitize,
     inner,
-    operator_norm,
+    is_self_adjoint,
     orthonormal_columns,
 )
 from .errors import InvariantViolation
@@ -34,11 +34,10 @@ class SignatureSpace:
         n = j.shape[0]
         if j.shape[1] != n:
             raise InvariantViolation("J must be square")
-        if herm_residual(j) > STRUCT_TOL * max(1.0, operator_norm(j)):
+        if not is_self_adjoint(j):
             raise InvariantViolation("J must be self-adjoint")
         j = hermitize(j)
-        if operator_norm(j @ j - np.eye(n)) > STRUCT_TOL:
-            raise InvariantViolation("J must be an involution (J^2 = I)")
+        check_residual("J must be an involution (J^2 = I)", j @ j - np.eye(n), STRUCT_TOL)
         w, v = np.linalg.eigh(j)
         n_minus = int(np.sum(w < 0))
         n_plus = n - n_minus

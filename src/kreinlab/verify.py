@@ -18,6 +18,8 @@ import numpy as np
 
 from . import oracles
 from ._linalg import (
+    RESULT_TOL,
+    STRUCT_TOL,
     hermitize,
     operator_norm,
     orthonormal_columns,
@@ -74,6 +76,38 @@ from .spaces import (
     classify_subspace,
     fundamental_projections,
 )
+
+# Thresholds of the checks.  Identities that the library itself checks at
+# STRUCT_TOL or RESULT_TOL are held to the same constant here.
+
+# Two routes to the same angular, C0/G0 or metric quantity agree.
+ROUTE_TOL = 1e-8
+# An action whose asymmetry exceeds this must fail the duality test.
+ASYMMETRY_FLOOR = 1e-8
+# Cayley round trip: cayley_inverse(cayley(T)) = T.
+ROUNDTRIP_TOL = 1e-10
+# Relative gap between the matrix and series preimage norms.
+SERIES_REL_TOL = 1e-9
+# The worked 2x2 instance against its hand-computed matrices, and its
+# elementary solution X = 1/2, which is built exactly.
+WORKED_TOL = 1e-10
+WORKED_X_TOL = 1e-12
+# Hermite family: metric and biorthogonal Grams against I, eigen-residual,
+# H in the metric Gram against diag(eigenvalues), span and multiplier
+# C-operator routes.
+GRAM_TOL = 1e-6
+HERMITE_RESIDUAL_TOL = 1e-8
+H_GRAM_TOL = 1e-5
+C_ROUTE_TOL = 1e-6
+# Anharmonic family: weighted Gram against I, conjugated-operator residual,
+# Richardson eigenvalue error.
+WEIGHTED_GRAM_TOL = 1e-10
+ANHARMONIC_RESIDUAL_TOL = 1e-4
+RICHARDSON_TOL = 1e-4
+# In-span expansions: final metric error, and the rise between steps that
+# still counts as monotone.
+EXPANSION_TOL = 1e-8
+MONOTONE_SLACK = 1e-12
 
 
 # --- deterministic sample builders (also used by the test suite) -----------
@@ -160,7 +194,7 @@ def _check_spaces_projections(rng) -> str:
             label = classify_subspace(sp, Subspace(basis)).label
             if label != want:
                 raise AssertionError(f"fundamental subspace classified as {label}")
-    if worst > 1e-10:
+    if worst > STRUCT_TOL:
         raise AssertionError(f"projection identity residual {worst:.3e}")
     return f"projection identities hold (residual {worst:.2e})"
 
@@ -176,7 +210,7 @@ def _check_angular_roundtrip(rng) -> str:
         pd = t0.domain @ t0.domain.conj().T
         pb = back.domain @ back.domain.conj().T
         worst = max(worst, operator_norm(pd - pb))
-    if worst > 1e-8:
+    if worst > ROUTE_TOL:
         raise AssertionError(f"angular roundtrip residual {worst:.3e}")
     return f"extract/reconstruct roundtrip residual {worst:.2e}"
 
@@ -198,7 +232,7 @@ def _check_angular_duality(rng) -> str:
         broken = PartialContraction(sp, t0.domain, skew @ t0.domain)
         if broken.domain_dim and duality_test(broken) and operator_norm(
                 hermitize(t0.domain.conj().T @ broken.action)
-                - t0.domain.conj().T @ broken.action) > 1e-8:
+                - t0.domain.conj().T @ broken.action) > ASYMMETRY_FLOOR:
             raise AssertionError("non-symmetric action passed the duality test")
     return "duality holds iff the restricted action is symmetric"
 
@@ -223,7 +257,7 @@ def _check_angular_c0(rng) -> str:
             val = np.real(np.vdot(fx, g0.apply(fx)))
             expect = float(np.vdot(x, x).real - np.vdot(t0.apply(x), t0.apply(x)).real)
             worst = max(worst, abs(val - expect))
-    if worst > 1e-8:
+    if worst > ROUTE_TOL:
         raise AssertionError(f"C0/G0 residual {worst:.3e}")
     return f"C0 involution and (G0 f, f) = ||x||^2 - ||T0 x||^2 (residual {worst:.2e})"
 
@@ -240,9 +274,9 @@ def _check_endpoints_vs_completion(rng) -> str:
                     operator_norm(interval.t_m - o_max))
         worst_anti = max(worst_anti, operator_norm(
             sp.j @ interval.t_mu + interval.t_m @ sp.j))
-    if worst > 1e-8:
+    if worst > RESULT_TOL:
         raise AssertionError(f"endpoint routes disagree by {worst:.3e}")
-    if worst_anti > 1e-10:
+    if worst_anti > STRUCT_TOL:
         raise AssertionError(f"J T_mu + T_M J = {worst_anti:.3e}")
     return f"square-root and block-completion endpoints agree ({worst:.2e})"
 
@@ -262,7 +296,7 @@ def _check_defect_complement(rng) -> str:
         sig = (int(np.sum(ev > 0)), int(np.sum(ev < 0)))
         if sig != interval.signature:
             raise AssertionError(f"defect signature {interval.signature} != {sig}")
-    if worst > 1e-8:
+    if worst > RESULT_TOL:
         raise AssertionError(f"defect/complement distance {worst:.3e}")
     return "defect space = D(T0)-perp with matching J-signature (strong-contraction seeds)"
 
@@ -283,11 +317,11 @@ def _check_anticommute_equivalence(rng) -> str:
             choice = extension_from_x(interval, x)   # raises if verdicts split
             if choice.anticommuting:
                 n_true += 1
-                if choice.x_residual > 1e-10:
+                if choice.x_residual > STRUCT_TOL:
                     raise AssertionError("anticommuting extension with nonzero X-residual")
             else:
                 n_false += 1
-                if x_equation_residual(x, jm) < 1e-10:
+                if x_equation_residual(x, jm) < STRUCT_TOL:
                     raise AssertionError("X solves the equation but JT != -TJ")
     if n_true == 0 or n_false == 0:
         raise AssertionError("equivalence was not exercised on both sides")
@@ -308,11 +342,11 @@ def _check_x_solutions(rng) -> str:
         for x0 in [sols.elementary, *sols.projections]:
             for alpha in (0.0, 0.25, 1.0):
                 xa = sols.affine(x0, alpha)
-                if x_equation_residual(xa, jm) > 1e-10:
+                if x_equation_residual(xa, jm) > STRUCT_TOL:
                     raise AssertionError("affine family left the solution set")
         for x in sols.projections:
             n_proj += 1
-            if operator_norm(x @ x - x) > 1e-10:
+            if operator_norm(x @ x - x) > STRUCT_TOL:
                 raise AssertionError("projection solution is not a projection")
     return f"elementary, affine and {n_proj} projection solutions all verified"
 
@@ -333,7 +367,7 @@ def _check_extremality_routes(rng) -> str:
             result = extremality_test(t0, choice)   # raises on route disagreement
             if result.cayley_defined:
                 n_checked += 1
-                if result.projection_criterion != (operator_norm(x @ x - x) <= 1e-10):
+                if result.projection_criterion != (operator_norm(x @ x - x) <= STRUCT_TOL):
                     raise AssertionError("projection criterion mislabeled a sample")
     if n_checked == 0:
         raise AssertionError("no sample had a defined Cayley transform")
@@ -348,7 +382,7 @@ def _check_cayley_roundtrip(rng) -> str:
         t = hermitize(a + a.conj().T)
         t *= 0.95 * float(rng.uniform(0.2, 1.0)) / max(operator_norm(t), 1e-12)
         worst = max(worst, operator_norm(cayley_inverse(cayley(t)) - t))
-    if worst > 1e-10:
+    if worst > ROUNDTRIP_TOL:
         raise AssertionError(f"Cayley roundtrip residual {worst:.3e}")
     try:
         cayley(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -376,7 +410,7 @@ def _check_gmetric(rng) -> str:
         g = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
         g_inner(metric, f, g)      # self-checking routes
         jg_product(metric, f, g)
-    if worst > 1e-8:
+    if worst > ROUTE_TOL:
         raise AssertionError(f"metric agreement residual {worst:.3e}")
     zero = GMetric.from_contraction(
         random_signature_space(rng, 4),
@@ -432,7 +466,7 @@ def _check_model_series(rng) -> str:
                 worst = max(worst, rel)
                 if sample.domain_dense:
                     raise AssertionError("proper truncated domain reported as dense")
-    if worst > 1e-9:
+    if worst > SERIES_REL_TOL:
         raise AssertionError(f"series/matrix preimage norms differ by {worst:.3e}")
     return f"||Xi^-1 chi||^2 matrix vs series within {worst:.2e}"
 
@@ -456,21 +490,21 @@ def _check_t_half(rng) -> str:
     interval = krein_interval(t0)
     t_mu_ref = np.array([[0.0, 0.5], [0.5, -0.75]])
     t_m_ref = np.array([[0.0, 0.5], [0.5, 0.75]])
-    if operator_norm(interval.t_mu - t_mu_ref) > 1e-10:
+    if operator_norm(interval.t_mu - t_mu_ref) > WORKED_TOL:
         raise AssertionError("T_mu differs from the worked value")
-    if operator_norm(interval.t_m - t_m_ref) > 1e-10:
+    if operator_norm(interval.t_m - t_m_ref) > WORKED_TOL:
         raise AssertionError("T_M differs from the worked value")
     if interval.defect_dim != 1 or interval.signature != (0, 1):
         raise AssertionError("defect must be the negative line span{e2}")
     if classify_case(interval) != "C":
         raise AssertionError("worked instance must be case C")
     sols = solve_x_equation(interval)
-    if sols.projection_exists or abs(sols.elementary[0, 0] - 0.5) > 1e-12:
+    if sols.projection_exists or abs(sols.elementary[0, 0] - 0.5) > WORKED_X_TOL:
         raise AssertionError("unique anticommuting solution X = 1/2 expected")
     choice = extension_from_x(interval, sols.elementary)
     if not choice.anticommuting or choice.extremal:
         raise AssertionError("X = 1/2 must be anticommuting and non-extremal")
-    if operator_norm(choice.t - np.array([[0.0, 0.5], [0.5, 0.0]])) > 1e-10:
+    if operator_norm(choice.t - np.array([[0.0, 0.5], [0.5, 0.0]])) > WORKED_TOL:
         raise AssertionError("realized extension differs from the worked value")
     if density_test(t0, choice.t):
         raise AssertionError("proper domain misreported as dense")
@@ -484,20 +518,20 @@ def _check_quasibasis_hermite(rng) -> str:
         raise AssertionError(f"sign pattern broken (offdiag {offdiag:.3e})")
     gram = g_gram_fourier(fam)
     dev = operator_norm(gram - np.eye(fam.n_max + 1))
-    if dev > 1e-6:
+    if dev > GRAM_TOL:
         raise AssertionError(f"metric Gram deviates from I by {dev:.3e}")
     lam, residuals = eigen_residual(fam)
-    if np.max(residuals) > 1e-8:
+    if np.max(residuals) > HERMITE_RESIDUAL_TOL:
         raise AssertionError(f"eigen-residual {np.max(residuals):.3e}")
     bio = biorthogonal_gram(fam)
-    if operator_norm(bio - np.eye(fam.n_max + 1)) > 1e-6:
+    if operator_norm(bio - np.eye(fam.n_max + 1)) > GRAM_TOL:
         raise AssertionError("biorthogonality failed")
     hg = h_gram_in_g(fam)
-    if operator_norm(hg - np.diag(lam)) > 1e-5:
+    if operator_norm(hg - np.diag(lam)) > H_GRAM_TOL:
         raise AssertionError("H is not diagonal in the metric Gram")
     target = fam.f[2] + 0.5j * fam.f[5]
     rep = expansion(fam, target)
-    if rep.g_errors[-1] > 1e-8 or np.any(np.diff(rep.g_errors) > 1e-12):
+    if rep.g_errors[-1] > EXPANSION_TOL or np.any(np.diff(rep.g_errors) > MONOTONE_SLACK):
         raise AssertionError("in-span expansion failed to converge monotonically")
     return (f"a = 0.4 family: Gram dev {offdiag:.1e}, metric Gram dev {dev:.1e}, "
             f"max eigen-residual {np.max(residuals):.1e}")
@@ -516,7 +550,7 @@ def _check_quasibasis_c_routes(rng) -> str:
     coeff = rng.standard_normal(afam.n_max + 1) + 1j * rng.standard_normal(afam.n_max + 1)
     u = afam.f.T @ coeff
     worst = max(worst, float(np.max(np.abs(c_action(afam, u) - c_action_multiplier(afam, u)))))
-    if worst > 1e-6:
+    if worst > C_ROUTE_TOL:
         raise AssertionError(f"C-routes disagree by {worst:.3e}")
     return f"span and multiplier C-operator routes agree within {worst:.2e}"
 
@@ -528,16 +562,16 @@ def _check_quasibasis_anharmonic(rng) -> str:
         raise AssertionError(f"indefinite Gram not diag(+/-1) (offdiag {offdiag:.3e})")
     wg = weighted_gram(fam)
     dev = operator_norm(wg - np.eye(fam.n_max + 1))
-    if dev > 1e-10:
+    if dev > WEIGHTED_GRAM_TOL:
         raise AssertionError(f"weighted Gram deviates from I by {dev:.3e}")
     lam, residuals = eigen_residual(fam)
-    if np.max(residuals) > 1e-4:
+    if np.max(residuals) > ANHARMONIC_RESIDUAL_TOL:
         raise AssertionError(f"conjugated-operator residual {np.max(residuals):.3e}")
-    if np.max(fam.richardson_error) > 1e-4:
+    if np.max(fam.richardson_error) > RICHARDSON_TOL:
         raise AssertionError("eigenvalue discretization error too large")
     target = fam.f[1] - 2.0 * fam.f[4]
     rep = expansion(fam, target)
-    if rep.g_errors[-1] > 1e-8 or np.any(np.diff(rep.g_errors) > 1e-12):
+    if rep.g_errors[-1] > EXPANSION_TOL or np.any(np.diff(rep.g_errors) > MONOTONE_SLACK):
         raise AssertionError("in-span anharmonic expansion failed")
     return (f"beta = 4 family: Gram dev {offdiag:.1e}, weighted Gram dev {dev:.1e}, "
             f"max residual {np.max(residuals):.1e}")

@@ -214,14 +214,31 @@ def test_quasi_basis_anharmonic_outputs(tmp_path):
 @pytest.mark.parametrize("family", (["hermite", "--a", "0.5"],
                                     ["anharmonic", "--beta", "4"]),
                          ids=("hermite", "anharmonic"))
-@pytest.mark.parametrize("option, message", (("--L", "half_width must be positive"),
-                                             ("--nodes", "nodes must be a power of two")),
-                         ids=("L", "nodes"))
+@pytest.mark.parametrize("option, value, message", (
+    ("--L", "0", "half_width must be positive"),
+    ("--nodes", "0", "nodes must be a power of two"),
+    ("--L", "nan", "half_width must be positive and finite"),
+    ("--L", "inf", "half_width must be positive and finite"),
+), ids=("L", "nodes", "L-nan", "L-inf"))
 def test_quasi_basis_zero_grid_option_rejected(tmp_path, capsys, family, option,
-                                               message):
+                                               value, message):
     # 0 is a value, not "use the default grid"
-    rc = run_cli(["quasi-basis", *family, "--nmax", "4", option, "0",
+    rc = run_cli(["quasi-basis", *family, "--nmax", "4", option, value,
                   "--output-dir", tmp_path / "o"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", (
+    (["hermite", "--a", "nan", "--nmax", "4"], "a must be finite"),
+    (["hermite", "--a", "inf", "--nmax", "4"], "a must be finite"),
+    (["hermite", "--a", "0.5", "--nmax", "-1"], "n_max must be nonnegative"),
+    (["anharmonic", "--beta", "nan", "--nmax", "4"], "beta must exceed 2 and be finite"),
+    (["anharmonic", "--beta", "inf", "--nmax", "4"], "beta must exceed 2 and be finite"),
+    (["anharmonic", "--beta", "4", "--nmax", "-1"], "n_max must be nonnegative"),
+), ids=("a-nan", "a-inf", "hermite-nmax", "beta-nan", "beta-inf", "anharmonic-nmax"))
+def test_quasi_basis_bad_family_option_rejected(tmp_path, capsys, argv, message):
+    rc = run_cli(["quasi-basis", *argv, "--output-dir", tmp_path / "o"])
     assert rc == 2
     assert message in capsys.readouterr().err
 
@@ -331,9 +348,10 @@ def test_exit_code_2_matrix_fields_not_flat_lists(tmp_path, capsys, value):
     assert "malformed matrix object" in capsys.readouterr().err
 
 
-def test_exit_code_2_bad_tolerance(tmp_path, half_problem, capsys):
+@pytest.mark.parametrize("tol", ("-1", "inf"))
+def test_exit_code_2_bad_tolerance(tmp_path, half_problem, capsys, tol):
     rc = run_cli(["extend", "--input", half_problem, "--output-dir", tmp_path,
-                  "--tol", "-1"])
+                  "--tol", tol])
     assert rc == 2
     assert "tolerance must be positive" in capsys.readouterr().err
 

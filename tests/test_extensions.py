@@ -106,6 +106,18 @@ def test_interval_full_domain_collapses(j2):
     assert classify_case(iv) == "A"
 
 
+def test_near_unit_case_is_the_interval_defect_decision(j2):
+    # ||T0|| = 1 - eps: the interval width 2(1 - ||T0||^2) crosses DEFECT_FLOOR
+    space = SignatureSpace(j2)
+    cases = set()
+    for eps in np.logspace(-12, -9, 61):
+        iv = krein_interval(PartialContraction(space, [[1.0], [0.0]], [[0.0], [1.0 - eps]]))
+        case = classify_case(iv)
+        assert (case == "A") == (iv.defect_dim == 0)
+        cases.add(case)
+    assert cases == {"A", "C"}
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_interval_matches_bisection_oracle(seed):
     # codimension-one domains in dims 2-4: endpoints against pure

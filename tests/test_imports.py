@@ -1,4 +1,4 @@
-"""Two small AST checks on ``src/kreinlab`` in place of a linter.
+"""Three small AST checks on ``src/kreinlab`` in place of a linter.
 
 Unused imports: the names bound by ``import`` and ``from ... import``
 statements in each module must be read by that module.  The package
@@ -11,6 +11,11 @@ no caller sets belongs in a named module constant.  A call passes a
 parameter when it sets it by keyword, reaches its position (a ``*args``
 reaches every position) or passes a ``**mapping``.  Calls are matched by
 function name, and by class name for ``__init__``.
+
+One residual check: an invariant whose violation raises is measured by
+``_linalg.check_residual`` or ``_linalg.is_self_adjoint``, not by an ``if``
+on ``operator_norm``.  Only ``_linalg.py`` itself and the verification
+suite ``verify.py`` (whose checks report residuals) may write one.
 """
 from __future__ import annotations
 
@@ -133,3 +138,60 @@ def test_no_unset_defaulted_parameters():
                for folder in (PACKAGE, REPO / "tests", REPO / "perfbench")
                for path in sorted(folder.glob("*.py"))]
     assert unset_defaulted_parameters(modules, callers) == []
+
+
+def _reads_norm(node: ast.AST, names: set[str]) -> bool:
+    return any((isinstance(n, ast.Call) and _callee(n.func) == "operator_norm")
+               or (isinstance(n, ast.Name) and n.id in names) for n in ast.walk(node))
+
+
+def norm_threshold_raises(source: str) -> list[int]:
+    """Lines of the ``if`` statements whose test reads an ``operator_norm``
+    value (a call, or a local name assigned one) and whose body raises."""
+    lines = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = {target.id for node in ast.walk(func)
+                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                 and _callee(node.value.func) == "operator_norm"
+                 for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(func):
+            if (isinstance(node, ast.If) and _reads_norm(node.test, names)
+                    and any(isinstance(n, ast.Raise)
+                            for stmt in node.body for n in ast.walk(stmt))):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_norm_threshold_raise_detector():
+    source = (
+        "def f(a, b):\n"
+        "    if operator_norm(a) > 1e-10:\n"            # 2: flagged
+        "        raise ValueError('a')\n"
+        "    r = la.operator_norm(b)\n"
+        "    if r > tol * max(1.0, s):\n"               # 5: flagged
+        "        raise ValueError(f'{r}')\n"
+        "    if h(b) > tol * max(1.0, operator_norm(b)):\n"   # 7: flagged
+        "        raise ValueError('b')\n"
+        "    if operator_norm(a) < floor:\n"            # returns: not flagged
+        "        return 'A'\n"
+        "    self.norm = operator_norm(a)\n"
+        "    if self.norm > 1.0:\n"                     # stored value: not flagged
+        "        raise ValueError('norm')\n"
+        "    flag = bool(operator_norm(a) <= tol)\n"
+        "    if flag != other:\n"                       # a verdict: not flagged
+        "        raise ValueError('routes')\n"
+        "    check_residual('a', a, tol)\n"
+    )
+    assert norm_threshold_raises(source) == [2, 5, 7]
+
+
+def test_invariant_checks_use_the_residual_helpers():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in ("_linalg.py", "verify.py"):
+            lines = norm_threshold_raises(path.read_text())
+            if lines:
+                found[path.name] = lines
+    assert found == {}
