@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import CayleyUndefinedError, InvariantViolation
 
 # Relative singular-value cutoff for all rank / orthonormalization decisions.
 RANK_RCOND = 1e-12
@@ -68,20 +68,27 @@ def eig_min_herm(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(hermitize(a))[0])
 
 
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Square root of a PSD Hermitian matrix via eigh.
+def from_spectrum(v: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """V diag(values) V* for the eigenvectors V of a Hermitian matrix."""
+    return hermitize((v * values) @ v.conj().T)
 
-    Eigenvalues within -PSD_CLAMP of zero are clamped to 0; anything more
-    negative means the input was not PSD and is an error.
-    """
-    a = hermitize(as_matrix(a))
-    if a.size == 0:
-        return a
-    w, v = np.linalg.eigh(a)
-    if w[0] < -PSD_CLAMP * max(1.0, float(w[-1])):
-        raise InvariantViolation(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
-    w = np.clip(w, 0.0, None)
-    return hermitize((v * np.sqrt(w)) @ v.conj().T)
+
+def psd_clamp(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a nominally PSD matrix, those in [-PSD_CLAMP max(1, largest), 0)
+    set to 0; anything more negative means it was not PSD and is an error."""
+    low = float(w.min(initial=0.0))
+    if low < -PSD_CLAMP * max(1.0, float(w.max(initial=0.0))):
+        raise InvariantViolation(f"matrix is not PSD (min eigenvalue {low:.3e})")
+    return np.clip(w, 0.0, None)
+
+
+def cayley_spectrum(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues (1 - w)/(1 + w) of G = (I - T)(I + T)^{-1} for T's eigenvalues w."""
+    if np.min(1.0 + w) < STRUCT_TOL:
+        raise CayleyUndefinedError(
+            "-1 is in the spectrum; the metric operator would be unbounded"
+        )
+    return (1.0 - w) / (1.0 + w)
 
 
 def orthonormal_columns(b: np.ndarray, floor: float = 0.0) -> np.ndarray:

@@ -78,6 +78,8 @@ class RunConfig:
             raise ValueError(f"input file not found: {self.input_path}")
         if self.tolerance is not None and not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("--seed must be non-negative")
         if self.extras.get("samples", 0) < 0:
             raise ValueError("--samples must be non-negative")
         if self.extras.get("n_limit", _MIN_N) < _MIN_N:

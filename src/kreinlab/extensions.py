@@ -27,14 +27,16 @@ from ._linalg import (
     RESULT_TOL,
     STRUCT_TOL,
     as_matrix,
+    cayley_spectrum,
     check_residual,
     eig_min_herm,
+    from_spectrum,
     hermitize,
     is_self_adjoint,
     operator_norm,
     orthonormal_columns,
     orthonormal_complement,
-    psd_sqrt,
+    psd_clamp,
     random_unitary,
 )
 from .angular import PartialContraction, duality_test
@@ -288,14 +290,8 @@ def extension_from_x(interval: ExtensionInterval, x) -> ExtensionChoice:
 
 def cayley(t) -> np.ndarray:
     """G = (I - T)(I + T)^{-1} of a self-adjoint contraction, spectral form."""
-    t = hermitize(as_matrix(t))
-    w, v = np.linalg.eigh(t)
-    if np.min(1.0 + w) < STRUCT_TOL:
-        raise CayleyUndefinedError(
-            "-1 is in the spectrum; the metric operator would be unbounded"
-        )
-    g = (1.0 - w) / (1.0 + w)
-    return hermitize((v * g) @ v.conj().T)
+    w, v = np.linalg.eigh(hermitize(as_matrix(t)))
+    return from_spectrum(v, cayley_spectrum(w))
 
 
 def cayley_inverse(g) -> np.ndarray:
@@ -305,14 +301,12 @@ def cayley_inverse(g) -> np.ndarray:
     if w[0] < -STRUCT_TOL:
         raise InvariantViolation("metric operator must be positive semidefinite")
     w = np.clip(w, 0.0, None)
-    t = (1.0 - w) / (1.0 + w)
-    return hermitize((v * t) @ v.conj().T)
+    return from_spectrum(v, (1.0 - w) / (1.0 + w))
 
 
 @dataclass(frozen=True)
 class ExtremalityResult:
     extremal: bool
-    projection_criterion: bool
     rank_criterion: bool | None          # None when the Cayley transform fails
     cayley_defined: bool
 
@@ -320,23 +314,18 @@ class ExtremalityResult:
 def extremality_test(t0: PartialContraction, choice: ExtensionChoice) -> ExtremalityResult:
     """Extremality of an extension, by two routes.
 
-    Projection route: || X^2 - X || <= STRUCT_TOL on the defect space.  Metric
-    route (when -1 is not in the spectrum): G^{1/2} (I + T) D(T0) must span
-    G^{1/2} H, i.e. the domain is dense in the metric seminorm.  The routes
-    are asserted to agree whenever both are computable.
+    Projection route: X is a projection (choice.extremal).  Metric route (when
+    -1 is not in the spectrum, G and G^{1/2} read from the eigenpairs of T):
+    G^{1/2} (I + T) D(T0) must span G^{1/2} H, i.e. the domain is dense in the
+    metric seminorm.  The routes are asserted to agree whenever both are computable.
     """
-    proj = bool(operator_norm(choice.x @ choice.x - choice.x) <= STRUCT_TOL) \
-        if choice.x.size else True
+    w, v = np.linalg.eigh(hermitize(choice.t))
     try:
-        g = cayley(choice.t)
+        g = cayley_spectrum(w)
     except CayleyUndefinedError:
-        return ExtremalityResult(proj, proj, None, False)
-    w = np.linalg.eigvalsh(g)
-    top = float(w[-1])
-    if top <= 0.0:
-        rank_g = 0
-    else:
-        rank_g = int(np.sum(w > STRUCT_TOL * top))
+        return ExtremalityResult(choice.extremal, None, False)
+    top = float(g.max())
+    rank_g = int(np.sum(g > STRUCT_TOL * top)) if top > 0.0 else 0
     f = (np.eye(t0.space.dim) + choice.t) @ t0.domain
     fu = orthonormal_columns(f)
     if fu.shape[1] != f.shape[1]:
@@ -344,15 +333,16 @@ def extremality_test(t0: PartialContraction, choice: ExtensionChoice) -> Extrema
     if fu.shape[1] == 0 or top <= 0.0:
         rank_gf = 0
     else:
-        gh = psd_sqrt(g)
-        s = np.linalg.svd(gh @ fu, compute_uv=False)
+        # G^{1/2} fu in the eigenbasis of T, which leaves its singular values.
+        gh_fu = np.sqrt(psd_clamp(g))[:, None] * (v.conj().T @ fu)
+        s = np.linalg.svd(gh_fu, compute_uv=False)
         rank_gf = int(np.sum(s * s > STRUCT_TOL * top))
     rank_crit = rank_gf == rank_g
-    if rank_crit != proj:
+    if rank_crit != choice.extremal:
         raise InvariantViolation(
-            f"extremality routes disagree (projection {proj}, rank {rank_crit})"
+            f"extremality routes disagree (projection {choice.extremal}, rank {rank_crit})"
         )
-    return ExtremalityResult(proj, proj, rank_crit, True)
+    return ExtremalityResult(choice.extremal, rank_crit, True)
 
 
 @dataclass
@@ -406,14 +396,10 @@ def density_test(t0: PartialContraction, t) -> bool:
     This is the finite-dimensional rendering of density of the domain in
     the energetic space of the extension.
     """
-    t = hermitize(as_matrix(t))
     n = t0.space.dim
-    xi_sq = hermitize(np.eye(n) - t @ t)
-    w, v = np.linalg.eigh(xi_sq)
-    top = max(float(w[-1]), 0.0)
-    if top == 0.0:
-        return True
-    ran = v[:, w > RANK_RCOND * top]
+    w, v = np.linalg.eigh(hermitize(as_matrix(t)))
+    xi_sq = 1.0 - w * w                  # the eigenvalues of Xi^2 = I - T^2
+    ran = v[:, xi_sq > RANK_RCOND * max(float(xi_sq.max()), 0.0)]
     comp = orthonormal_complement(t0.domain, n)
     if comp.shape[1] == 0 or ran.shape[1] == 0:
         return True

@@ -16,13 +16,14 @@ from ._linalg import (
     RESULT_TOL,
     STRUCT_TOL,
     as_matrix,
+    cayley_spectrum,
     check_residual,
+    from_spectrum,
     hermitize,
     inner,
-    psd_sqrt,
+    psd_clamp,
 )
 from .errors import InvariantViolation
-from .extensions import cayley
 from .spaces import SignatureSpace
 
 # Relative eigenvalue threshold below which G is flagged degenerate.
@@ -47,17 +48,18 @@ class GMetric:
         t = hermitize(as_matrix(t))
         check_residual("T must be a contraction", t, 1.0 + CONTRACTION_SLACK)
         check_residual("T must anticommute with J", space.j @ t + t @ space.j, STRUCT_TOL)
-        g = cayley(t)  # raises CayleyUndefinedError when -1 in spec(T)
+        w, v = np.linalg.eigh(t)
+        g_values = cayley_spectrum(w)  # raises CayleyUndefinedError when -1 in spec(T)
+        g = from_spectrum(v, g_values)
+        xi = from_spectrum(v, np.sqrt(psd_clamp(1.0 - w * w)))
         n = space.dim
-        xi = psd_sqrt(hermitize(np.eye(n) - t @ t))
         eye_plus_t = np.eye(n) + t
         j_g = eye_plus_t @ space.j @ np.linalg.inv(eye_plus_t)
-        w, v = np.linalg.eigh(g)
-        top = float(w[-1])
-        kernel_mask = w <= KERNEL_RCOND * max(top, 1.0)
+        top = float(g_values.max())
+        kernel_mask = g_values <= KERNEL_RCOND * max(top, 1.0)
         degenerate = bool(kernel_mask.any())
         kernel = v[:, kernel_mask]
-        cond = float("inf") if degenerate else float(top / w[0])
+        cond = float("inf") if degenerate else float(top / g_values.min())
         m = cls(space, t, g, xi, j_g, degenerate, kernel, cond)
         # J_G is an involution and G J_G = J (the two indefinite products agree).
         check_residual("J_G failed to be an involution", j_g @ j_g - np.eye(n), RESULT_TOL)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._linalg import (CONTRACTION_SLACK, STRUCT_TOL, as_matrix, check_residual,
-                      hermitize, orthonormal_columns, psd_sqrt)
+                      from_spectrum, hermitize, orthonormal_columns, psd_clamp)
 from .extensions import any_sa_extension, j_symmetrize
 
 
@@ -36,7 +36,8 @@ def sqrt_projection_endpoints(t0, seed=None):
         check_residual("seed extension is not a contraction", t, 1.0 + CONTRACTION_SLACK)
     eye = np.eye(space.dim)
     corrections = []
-    for s in (psd_sqrt(eye + t), psd_sqrt(eye - t)):
+    for w, v in (np.linalg.eigh(hermitize(eye + t)), np.linalg.eigh(hermitize(eye - t))):
+        s = from_spectrum(v, np.sqrt(psd_clamp(w)))      # sqrt(I + T), sqrt(I - T)
         u = orthonormal_columns(s @ t0.domain)
         corrections.append(hermitize(s @ (eye - u @ u.conj().T) @ s))
     return hermitize(t - corrections[0]), hermitize(t + corrections[1])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import hermitize, psd_sqrt
+from ._linalg import from_spectrum, psd_clamp
 from .angular import PartialContraction
 from .extensions import density_test, uniqueness_sup
 from .spaces import SignatureSpace
@@ -202,7 +202,8 @@ def truncated_density_sweep(spec: SequenceModelSpec,
         sub = SequenceModelSpec(spec.delta, spec.variant, n)
         inst = build_model(sub)
         chi = inst.chi_minus
-        xi = psd_sqrt(hermitize(np.eye(2 * n) - inst.t @ inst.t))
+        w, v = np.linalg.eigh(inst.t)
+        xi = from_spectrum(v, np.sqrt(psd_clamp(1.0 - w * w)))
         pre, *_ = np.linalg.lstsq(xi, chi, rcond=None)
         norm_sq_matrix = float(np.real(np.vdot(pre, pre)))
         coeff_norm_sq = float(np.sum(np.arange(1, n + 1, dtype=float) ** (-2 * sub.delta)))

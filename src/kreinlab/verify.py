@@ -367,7 +367,7 @@ def _check_extremality_routes(rng) -> str:
             result = extremality_test(t0, choice)   # raises on route disagreement
             if result.cayley_defined:
                 n_checked += 1
-                if result.projection_criterion != (operator_norm(x @ x - x) <= STRUCT_TOL):
+                if result.extremal != (operator_norm(x @ x - x) <= STRUCT_TOL):
                     raise AssertionError("projection criterion mislabeled a sample")
     if n_checked == 0:
         raise AssertionError("no sample had a defined Cayley transform")

@@ -3,9 +3,11 @@
 Everything here is deliberately low-tech and self-contained: feasibility
 bisection on eigenvalue constraints, explicit Hermite polynomial
 coefficients, dense finite-difference eigensolves, a report encoder that
-formats one value per call.  None of it shares an
-algorithm with the package routines it cross-checks, so agreement between
-the two routes is evidence rather than tautology.
+formats one value per call, one eigendecomposition per function of a
+matrix.  None of it shares an algorithm with the package routines it
+cross-checks, so agreement between the two routes is evidence rather than
+tautology; where a verdict must agree, the package's thresholds are
+imported rather than restated.
 """
 
 import json
@@ -14,6 +16,9 @@ import math
 import numpy as np
 from numpy.polynomial import hermite as npherm
 from scipy.linalg import eigh_tridiagonal
+
+from kreinlab._linalg import RANK_RCOND, STRUCT_TOL
+from kreinlab.gmetric import KERNEL_RCOND
 
 FEAS_SLACK = 1e-12
 
@@ -103,6 +108,49 @@ def extension_reference(t_mu, t_m, defect_basis, x) -> np.ndarray:
     through a dense square root of the ambient Delta."""
     half = psd_root(t_m - t_mu)
     return t_mu + half @ (defect_basis @ x @ defect_basis.conj().T) @ half
+
+
+def multi_eigh_route(domain, t, x) -> dict:
+    """Extremality, density and metric quantities of an extension T, each
+    function of T from its own eigendecomposition: G = (I - T)(I + T)^{-1}
+    from eigh(T), rank G from eigvalsh(G), G^{1/2} from eigh(G), and ran Xi,
+    Xi = (I - T^2)^{1/2} from eigh(I - T^2).  The package reads all of them
+    from one eigh of T; the thresholds are the package's."""
+    n = t.shape[0]
+    eye = np.eye(n)
+    t = 0.5 * (t + t.conj().T)
+    out = {"extremal": bool(np.linalg.norm(x @ x - x, 2) <= STRUCT_TOL) if x.size else True}
+
+    xi_sq = eye - t @ t
+    w, v = np.linalg.eigh(0.5 * (xi_sq + xi_sq.conj().T))
+    top = max(float(w[-1]), 0.0)
+    ran = v[:, w > RANK_RCOND * top] if top > 0.0 else v[:, :0]
+    comp = complement_basis(domain)
+    out["dense"] = (top == 0.0 or comp.shape[1] == 0 or ran.shape[1] == 0
+                    or np.linalg.norm(ran.conj().T @ comp, 2) < 1.0 - STRUCT_TOL)
+    out["xi"] = psd_root(xi_sq)
+
+    w, v = np.linalg.eigh(t)
+    out["cayley_defined"] = bool(np.min(1.0 + w) >= STRUCT_TOL)
+    if not out["cayley_defined"]:
+        out["rank_criterion"] = None
+        return out
+    g = (v * ((1.0 - w) / (1.0 + w))) @ v.conj().T
+    out["g"] = g = 0.5 * (g + g.conj().T)
+    gw = np.linalg.eigvalsh(g)
+    top = float(gw[-1])
+    kernel = gw <= KERNEL_RCOND * max(top, 1.0)
+    out["degenerate"], out["kernel_dim"] = bool(kernel.any()), int(kernel.sum())
+    rank_g = int(np.sum(gw > STRUCT_TOL * top)) if top > 0.0 else 0
+    u, s, _ = np.linalg.svd((eye + t) @ domain, full_matrices=False)
+    fu = u[:, :int(np.sum(s > RANK_RCOND * s[0]))] if s.size and s[0] > 0.0 else u[:, :0]
+    if fu.shape[1] == 0 or top <= 0.0:
+        rank_gf = 0
+    else:
+        sv = np.linalg.svd(psd_root(g) @ fu, compute_uv=False)
+        rank_gf = int(np.sum(sv * sv > STRUCT_TOL * top))
+    out["rank_criterion"] = rank_gf == rank_g
+    return out
 
 
 def feasible_corner_cloud(t0, c_min_blk, c_max_blk, rng, count: int = 12):

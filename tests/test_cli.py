@@ -390,6 +390,14 @@ def test_exit_code_2_negative_samples(tmp_path, half_problem, capsys, command):
     assert "--samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ("extend", "solve-x", "verify"))
+def test_exit_code_2_negative_seed(tmp_path, half_problem, capsys, command):
+    problem = [] if command == "verify" else ["--input", half_problem]
+    rc = run_cli([command, *problem, "--seed", "-1", "--output-dir", tmp_path / "o"])
+    assert rc == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("limit", ("100", "0", "511"))
 def test_exit_code_2_classify_model_small_n(tmp_path, capsys, limit):
     rc = run_cli(["classify-model", "--delta", "1.25", "--variant", "both",

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles as ref
 from kreinlab import (
+    GMetric,
     PartialContraction,
     SignatureSpace,
     any_sa_extension,
@@ -18,6 +21,7 @@ from kreinlab import (
     solve_x_equation,
     x_equation_residual,
 )
+from kreinlab._linalg import RESULT_TOL
 from kreinlab.errors import CayleyUndefinedError, InvariantViolation
 from kreinlab.oracles import sqrt_projection_endpoints
 from kreinlab.verify import (
@@ -318,7 +322,6 @@ def test_extremality_half_instance_midpoint_not_extremal(j2):
     res = extremality_test(t0, choice)
     assert not res.extremal
     assert res.cayley_defined
-    assert res.projection_criterion is False
     assert res.rank_criterion is False
 
 
@@ -364,7 +367,68 @@ def test_extremality_routes_agree(seed):
         except CayleyUndefinedError:
             continue
         if res.cayley_defined:
-            assert res.rank_criterion == res.projection_criterion
+            assert res.rank_criterion == res.extremal
+
+
+def _x_candidates(rng, iv, seed):
+    """Elementary, projection (I and the hypermaximal neutral ones),
+    rank-one and random parameters on the defect space."""
+    m = iv.defect_dim
+    if m == 0:
+        return [np.zeros((0, 0))]
+    sols = solve_x_equation(iv, seed=seed, n_projection_samples=2)
+    v = rng.standard_normal((m, 1)) + 1j * rng.standard_normal((m, 1))
+    v /= np.linalg.norm(v)
+    return [sols.elementary, np.eye(m), *sols.projections, v @ v.conj().T,
+            random_x(rng, m)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12))
+def test_one_eigh_route_matches_multi_eigh_oracle(seed, n):
+    # Every verdict read from the one eigendecomposition of T is the one the
+    # separate decompositions of T, G, G^{1/2} and I - T^2 give.
+    rng = np.random.default_rng(seed)
+    space = random_signature_space(rng, n)
+    t0 = random_partial_contraction(rng, space)
+    iv = krein_interval(t0)
+    for x in _x_candidates(rng, iv, seed):
+        choice = extension_from_x(iv, x)
+        want = ref.multi_eigh_route(t0.domain, choice.t, choice.x)
+        res = extremality_test(t0, choice)
+        assert (res.extremal, res.rank_criterion, res.cayley_defined) == \
+            (want["extremal"], want["rank_criterion"], want["cayley_defined"])
+        assert density_test(t0, choice.t) == want["dense"]
+        if choice.anticommuting and res.cayley_defined:
+            metric = GMetric.from_contraction(space, choice.t)
+            assert metric.degenerate == want["degenerate"]
+            assert metric.kernel.shape[1] == want["kernel_dim"]
+            assert opnorm(metric.g - want["g"]) <= RESULT_TOL
+            assert opnorm(metric.xi - want["xi"]) <= RESULT_TOL
+
+
+@pytest.mark.parametrize("call", ("extremality_test", "density_test",
+                                  "GMetric.from_contraction"))
+def test_one_eigendecomposition_of_t_per_call(monkeypatch, call):
+    rng = np.random.default_rng(811)
+    n = 9
+    space = random_signature_space(rng, n)
+    t0 = random_partial_contraction(rng, space)
+    iv = krein_interval(t0)
+    choice = extension_from_x(iv, 0.5 * np.eye(iv.defect_dim))
+    run = {"extremality_test": lambda: extremality_test(t0, choice),
+           "density_test": lambda: density_test(t0, choice.t),
+           "GMetric.from_contraction": lambda: GMetric.from_contraction(space, choice.t)}[call]
+    assert choice.anticommuting and extremality_test(t0, choice).cayley_defined
+    counted = []
+    for name in ("eigh", "eigvalsh"):
+        def count(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            if np.shape(a) == (n, n):
+                counted.append(_name)
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, count)
+    run()
+    assert counted == ["eigh"]
 
 
 # ---------------------------------------------------------------- subspaces
