@@ -370,19 +370,6 @@ def test_extremality_routes_agree(seed):
             assert res.rank_criterion == res.extremal
 
 
-def _x_candidates(rng, iv, seed):
-    """Elementary, projection (I and the hypermaximal neutral ones),
-    rank-one and random parameters on the defect space."""
-    m = iv.defect_dim
-    if m == 0:
-        return [np.zeros((0, 0))]
-    sols = solve_x_equation(iv, seed=seed, n_projection_samples=2)
-    v = rng.standard_normal((m, 1)) + 1j * rng.standard_normal((m, 1))
-    v /= np.linalg.norm(v)
-    return [sols.elementary, np.eye(m), *sols.projections, v @ v.conj().T,
-            random_x(rng, m)]
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12))
 def test_one_eigh_route_matches_multi_eigh_oracle(seed, n):
@@ -392,7 +379,15 @@ def test_one_eigh_route_matches_multi_eigh_oracle(seed, n):
     space = random_signature_space(rng, n)
     t0 = random_partial_contraction(rng, space)
     iv = krein_interval(t0)
-    for x in _x_candidates(rng, iv, seed):
+    m = iv.defect_dim
+    xs = [np.zeros((0, 0))]
+    if m:
+        # Elementary, projection (I and hypermaximal neutral), rank-one, random.
+        v = rng.standard_normal((m, 1)) + 1j * rng.standard_normal((m, 1))
+        v /= np.linalg.norm(v)
+        sols = solve_x_equation(iv, seed=seed, n_projection_samples=2)
+        xs = [sols.elementary, np.eye(m), *sols.projections, v @ v.conj().T, random_x(rng, m)]
+    for x in xs:
         choice = extension_from_x(iv, x)
         want = ref.multi_eigh_route(t0.domain, choice.t, choice.x)
         res = extremality_test(t0, choice)
