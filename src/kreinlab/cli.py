@@ -62,6 +62,9 @@ Parallelism is capped by the KREIN_LAB_THREADS environment variable.
 
 # Smallest classify-model --N: the trend fit needs FIT_POINTS + 1 dyadic points.
 _MIN_N = 2 ** (FIT_POINTS + 1)
+# Largest classify-model --N: the diagnostic is O(N) in memory, about 0.4 GB
+# of peak RSS at 2^24.
+_MAX_N = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,8 @@ class RunConfig:
             raise ValueError("--samples must be non-negative")
         if self.extras.get("n_limit", _MIN_N) < _MIN_N:
             raise ValueError(f"--N must be at least {_MIN_N}")
+        if self.extras.get("n_limit", _MAX_N) > _MAX_N:
+            raise ValueError(f"--N must be at most {_MAX_N}")
         self.output_dir.mkdir(parents=True, exist_ok=True)
 
 
@@ -353,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=sorted(_VARIANTS), required=True)
     p.add_argument("--N", dest="n_limit", type=int, default=2 ** 16,
                    help="largest dyadic truncation for the divergence diagnostic "
-                        f"(at least {_MIN_N})")
+                        f"(from {_MIN_N} to {_MAX_N})")
 
     p = sub.add_parser("quasi-basis", help="quasi-basis diagnostics for a function family",
                        epilog=_CSV_DOC, formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -15,11 +15,11 @@ construction:
   eigenfunctions of H0 = -d^2/dx^2 + |x|^beta (beta > 2) and p a bounded
   odd weight exponent; the metric weight is e^{-2p(x)}.
 
-Each type supplies only what differs: `metric_rows` (the two row stacks
-whose product, times `measure`, is the metric product), `half_metric`
-(e^{Q/2}), `metric` (e^{Q}) and `apply_h` (H f_n).  The Grams, the
-C-routes, H in the metric and the expansion are written once on top of
-them.
+Each type supplies only what differs, on whole row stacks: `metric_rows`
+(the two row stacks whose product, times `measure`, is the metric product),
+`half_metric` (e^{Q/2}), `metric` (e^{Q}) and `apply_h` (H f_n for all n).
+The Grams, the C-routes, H in the metric and the expansion are written once
+on top of them, with one transform per row stack.
 
 Every Fourier-side quantity is gated by an explicit frequency-band check:
 the exponential weight amplifies unresolved tails, so results are refused
@@ -85,10 +85,10 @@ ANHARMONIC_GRID = UniformGrid(8.0, 8192)
 class FunctionFamily:
     """Grid samples of a family f_0..f_n_max and its reference g_n.
 
-    Each family type supplies metric_rows(rows, label, check) -> (L, R)
-    with (u, v)_G = measure * sum L u conj(R v) for each row u of rows
-    (label names the rows in refusals; a "{}" in it takes the row index),
-    half_metric(u) = e^{Q/2} u, metric(u) = e^{Q} u and apply_h(n) = H f_n.
+    Each family type supplies metric_rows(rows, label) -> (L, R) with
+    (u, v)_G = measure * sum L u conj(R v) row by row (a "{}" in label takes
+    the index of the first refused row), half_metric(u) = e^{Q/2} u,
+    metric(u) = e^{Q} u and apply_h(), the rows H f_0..H f_n_max.
     """
     kind: ClassVar[str]
     x: np.ndarray
@@ -146,7 +146,8 @@ def fourier(fam: FunctionFamily, u) -> np.ndarray:
     """Continuous-normalization Fourier transform sampled at fftfreq points."""
     xi = frequencies(fam)
     phase = np.exp(1j * fam.half_width * xi)
-    return fam.step / np.sqrt(2.0 * np.pi) * phase * np.fft.fft(np.asarray(u, dtype=complex))
+    hat = np.fft.fft(np.asarray(u, dtype=complex))
+    return np.multiply(fam.step / np.sqrt(2.0 * np.pi) * phase, hat, out=hat)
 
 
 def inverse_fourier(fam: FunctionFamily, uhat) -> np.ndarray:
@@ -163,34 +164,30 @@ class ShiftedHermiteFamily(FunctionFamily):
     band: float                    # every weighted spectrum lives in |xi| <= band
     f_ext: np.ndarray = field(repr=False)    # f_0..f_{n_max+2}, for H f_n
 
-    def _weighted_hat(self, u, power: float, label: str, check: bool = True) -> np.ndarray:
-        """e^{power a xi} u^ on the band (zero outside), with the decay gate."""
+    def _weighted_hat(self, rows, power: float, label: str) -> np.ndarray:
+        """e^{power a xi} u^ on the band (zero outside) for every row u, in
+        one transform, with the decay gate at the band edge."""
         xi = frequencies(self)
-        weighted = np.where(np.abs(xi) <= self.band,
-                            np.exp(power * self.a * xi) * fourier(self, u), 0.0)
-        if check:
-            self._band_check(weighted, label)
+        inside = np.abs(xi) <= self.band
+        weighted = fourier(self, rows)
+        weighted[..., ~inside] = 0.0
+        weighted[..., inside] = np.exp(power * self.a * xi[inside]) * weighted[..., inside]
+        mag = np.abs(np.atleast_2d(weighted)[:, inside])
+        peak = np.max(mag, axis=1, initial=0.0)
+        edge = np.max(mag[:, np.abs(xi[inside]) > self.band - 2.0], axis=1, initial=0.0)
+        refused = np.flatnonzero(edge > BAND_EDGE_REL * peak)
+        if refused.size:
+            n = refused[0]
+            raise FrequencyBandError(
+                f"{label.format(n)}: weighted spectrum at the band edge is "
+                f"{edge[n] / peak[n]:.2e} of its peak; the exponential weight "
+                "would amplify unresolved tails"
+            )
         return weighted
 
-    def _band_check(self, weighted_hat: np.ndarray, label: str) -> None:
-        """Refuse when a weighted spectrum has not decayed at the band edge."""
-        xi = np.abs(frequencies(self))
-        inside = xi <= self.band
-        shell = inside & (xi > self.band - 2.0)
-        peak = float(np.max(np.abs(weighted_hat[inside]), initial=0.0))
-        if peak == 0.0:
-            return
-        edge = float(np.max(np.abs(weighted_hat[shell]), initial=0.0))
-        if edge > BAND_EDGE_REL * peak:
-            raise FrequencyBandError(
-                f"{label}: weighted spectrum at the band edge is {edge / peak:.2e} "
-                "of its peak; the exponential weight would amplify unresolved tails"
-            )
-
-    def metric_rows(self, rows, label: str, check: bool = True):
+    def metric_rows(self, rows, label: str):
         """The weighted hats e^{a xi} u^ of the rows, on both sides."""
-        hats = np.vstack([self._weighted_hat(u, 1.0, label.format(n), check)
-                          for n, u in enumerate(rows)])
+        hats = self._weighted_hat(rows, 1.0, label)
         return hats, hats
 
     def half_metric(self, u) -> np.ndarray:
@@ -199,15 +196,17 @@ class ShiftedHermiteFamily(FunctionFamily):
     def metric(self, u) -> np.ndarray:
         return inverse_fourier(self, self._weighted_hat(u, 2.0, "c_action_multiplier"))
 
-    def apply_h(self, n: int) -> np.ndarray:
+    def apply_h(self) -> np.ndarray:
         """Analytic derivative identities on the Hermite table."""
         tab = self.f_ext
-        upp = np.sqrt((n + 1.0) * (n + 2.0)) / 2.0 * tab[n + 2]
-        mid = -(2.0 * n + 1.0) / 2.0 * tab[n]
-        low = np.sqrt(n * (n - 1.0)) / 2.0 * tab[n - 2] if n >= 2 else 0.0
-        second = low + mid + upp
-        potential = (self.x ** 2 + 2j * self.a * self.x) * tab[n]
-        return -second + potential
+        n = np.arange(self.n_max + 1.0)[:, None]
+        # In place, one temporary stack at a time: -u'' + (x^2 + 2iax) u.
+        out = -(2.0 * n + 1.0) / 2.0 * tab[:-2]
+        out[2:] += np.sqrt(n[2:] * (n[2:] - 1.0)) / 2.0 * tab[:-4]
+        out += np.sqrt((n + 1.0) * (n + 2.0)) / 2.0 * tab[2:]
+        np.negative(out, out=out)
+        out += (self.x ** 2 + 2j * self.a * self.x) * tab[:-2]
+        return out
 
 
 def shifted_family(a: float, n_max: int,
@@ -353,7 +352,7 @@ class AnharmonicFamily(FunctionFamily):
     p_funcs: tuple = field(repr=False)       # (p, p', p'')
     richardson_error: np.ndarray
 
-    def metric_rows(self, rows, label: str, check: bool = True):
+    def metric_rows(self, rows, label: str):
         """(e^{-2p} rows, rows): the weight needs no band gate."""
         return rows * np.exp(-2.0 * self.p_funcs[0](self.x)), rows
 
@@ -363,15 +362,15 @@ class AnharmonicFamily(FunctionFamily):
     def metric(self, u) -> np.ndarray:
         return np.exp(-2.0 * self.p_funcs[0](self.x)) * u
 
-    def apply_h(self, n: int) -> np.ndarray:
-        """The finite-difference conjugated operator."""
+    def apply_h(self) -> np.ndarray:
+        """The finite-difference conjugated operator on every row."""
         p, p1, p2 = self.p_funcs
-        fn = self.f[n]
+        f = self.f
         h = self.step
-        d2 = (np.roll(fn, 1) - 2.0 * fn + np.roll(fn, -1)) / (h * h)
-        d1 = (np.roll(fn, -1) - np.roll(fn, 1)) / (2.0 * h)
+        d2 = (np.roll(f, 1, axis=1) - 2.0 * f + np.roll(f, -1, axis=1)) / (h * h)
+        d1 = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * h)
         v = np.abs(self.x) ** self.beta
-        return -d2 + (v + p2(self.x) - p1(self.x) ** 2) * fn + 2.0 * p1(self.x) * d1
+        return -d2 + (v + p2(self.x) - p1(self.x) ** 2) * f + 2.0 * p1(self.x) * d1
 
 
 def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
@@ -471,15 +470,15 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
 
 # --- metric-side machinery --------------------------------------------------
 
-def metric_inner(fam: FunctionFamily, u, v, check: bool = True) -> complex:
+def metric_inner(fam: FunctionFamily, u, v) -> complex:
     """(u, v)_G = measure * sum L u conj(R v), linear in u."""
-    left, _ = fam.metric_rows(np.asarray(u)[None], "metric_inner(u)", check)
-    _, right = fam.metric_rows(np.asarray(v)[None], "metric_inner(v)", check)
+    left, _ = fam.metric_rows(np.asarray(u)[None], "metric_inner(u)")
+    _, right = fam.metric_rows(np.asarray(v)[None], "metric_inner(v)")
     return complex(fam.measure * np.sum(left[0] * np.conj(right[0])))
 
 
-def metric_norm(fam: FunctionFamily, u, check: bool = True) -> float:
-    val = np.real(metric_inner(fam, u, u, check))
+def metric_norm(fam: FunctionFamily, u) -> float:
+    val = np.real(metric_inner(fam, u, u))
     return float(np.sqrt(max(val, 0.0)))
 
 
@@ -528,7 +527,7 @@ def apply_hamiltonian(fam: FunctionFamily, n: int) -> np.ndarray:
     the finite-difference conjugated operator for the anharmonic one."""
     if not 0 <= n <= fam.n_max:
         raise ValueError("index outside the family")
-    return fam.apply_h(n)
+    return fam.apply_h()[n]
 
 
 def family_eigenvalues(fam: FunctionFamily) -> np.ndarray:
@@ -538,10 +537,10 @@ def family_eigenvalues(fam: FunctionFamily) -> np.ndarray:
 def eigen_residual(fam: FunctionFamily) -> tuple[np.ndarray, np.ndarray]:
     """Relative residuals ||H f_n - lambda_n f_n|| / ||f_n|| per index."""
     lam = family_eigenvalues(fam)
-    residuals = np.empty(fam.n_max + 1)
-    for n in range(fam.n_max + 1):
-        hf = apply_hamiltonian(fam, n)
-        residuals[n] = quad_norm(fam, hf - lam[n] * fam.f[n]) / quad_norm(fam, fam.f[n])
+    defect = fam.apply_h()
+    defect -= lam[:, None] * fam.f
+    residuals = np.array([quad_norm(fam, d) / quad_norm(fam, f)
+                          for d, f in zip(defect, fam.f)])
     return lam, residuals
 
 
@@ -551,10 +550,8 @@ def span_residual(fam: FunctionFamily, u) -> float:
     nrm = np.linalg.norm(u)
     if nrm == 0.0:
         return 0.0
-    _, res, *_ = np.linalg.lstsq(fam.f.T, u, rcond=None)
-    if res.size:
-        return float(np.sqrt(res[0]) / nrm)
-    return float(np.linalg.norm(u - fam.f.T @ np.linalg.lstsq(fam.f.T, u, rcond=None)[0]) / nrm)
+    coeffs = np.linalg.lstsq(fam.f.T, u, rcond=None)[0]
+    return float(np.linalg.norm(u - fam.f.T @ coeffs) / nrm)
 
 
 def c_action(fam: FunctionFamily, u) -> np.ndarray:
@@ -594,27 +591,25 @@ def expansion(fam: FunctionFamily, target) -> ExpansionReport:
     g_errors[m] is the metric-norm error using terms 0..m; plain_errors[m]
     is the plain-norm error of the mapped series e^{Q/2} target ~ sum c_n g_n.
     Both are non-increasing in m because the f_n are metric-orthonormal.
+    The metric rows of the target and of the family are gated once, and
+    those of each residual follow from them by linearity.
     """
     target = np.asarray(target, dtype=complex)
     if not np.all(np.isfinite(target)):
         raise ValueError("target must be finite")
-    metric_norm(fam, target)            # gate once: raises if not band-resolved
+    left, right = fam.metric_rows(target[None], "expansion(target)")
+    f_left, f_right = fam.metric_rows(fam.f, "expansion(f_{})")
     flipped = parity_apply(fam, target)
     coeffs = fam.signs * (fam.step * (fam.f.conj() @ flipped))
     mapped_target = fam.half_metric(target)
     g_errors = np.empty(fam.n_max + 1)
     plain_errors = np.empty(fam.n_max + 1)
-    partial = np.zeros_like(target)
     mapped_partial = np.zeros(fam.nodes, dtype=complex)
     for m in range(fam.n_max + 1):
-        partial = partial + coeffs[m] * fam.f[m]
+        left = left - coeffs[m] * f_left[m]
+        right = right - coeffs[m] * f_right[m]
         mapped_partial = mapped_partial + coeffs[m] * fam.g[m]
-        # The target passed the gate above.  The Hermite band lies
-        # BAND_MARGIN beyond the classical support of f_0..f_{n_max+2}, and
-        # the f_m are gated where metric_gram builds their hats; the
-        # anharmonic metric has no band gate.  Re-checking the residual
-        # would trip on roundoff-level leftovers.
-        g_errors[m] = metric_norm(fam, target - partial, check=False)
+        g_errors[m] = np.sqrt(max(fam.measure * np.real(np.sum(left * np.conj(right))), 0.0))
         plain_errors[m] = quad_norm(fam, mapped_target - mapped_partial)
     return ExpansionReport(coeffs, g_errors, plain_errors, span_residual(fam, target))
 
@@ -622,9 +617,8 @@ def expansion(fam: FunctionFamily, target) -> ExpansionReport:
 def h_gram_in_g(fam: FunctionFamily) -> np.ndarray:
     """A[m, n] = (H f_n, f_m)_G: Hermitian and diagonal when H is symmetric
     in the metric product on the span."""
-    hf = np.vstack([apply_hamiltonian(fam, n) for n in range(fam.n_max + 1)])
     _, right = fam.metric_rows(fam.f, "h_gram(f_{})")
-    left, _ = fam.metric_rows(hf, "h_gram(Hf_{})")
+    left, _ = fam.metric_rows(fam.apply_h(), "h_gram(Hf_{})")
     return fam.measure * (left @ right.conj().T).T
 
 

@@ -240,6 +240,39 @@ def weighted_h_gram(x, step, p, hf, f) -> np.ndarray:
     return out
 
 
+def per_cutoff_expansion_errors(fam, target, coeffs) -> np.ndarray:
+    """||target - sum_{n <= m} c_n f_n||_G for every cutoff m, one residual
+    at a time, each through its own ungated weighted norm.
+
+    For the shifted Hermite family the norm is ||e^{a xi} u^|| over the band
+    |xi| <= band, with u^ from a plain DFT (the unit-modulus grid phase drops
+    out of the norm); for the anharmonic family it is the quadrature sum of
+    e^{-2p} |u|^2.  The package instead gates two row stacks once and reads
+    every error from them by linearity.
+    """
+    if fam.kind == "shifted_hermite":
+        xi = 2.0 * np.pi * np.fft.fftfreq(fam.nodes, d=fam.step)
+        band = np.abs(xi) <= fam.band
+        weight = np.exp(2.0 * fam.a * xi[band])
+        dxi = 2.0 * np.pi / (fam.nodes * fam.step)
+
+        def norm_sq(u):
+            spectrum = np.abs(np.fft.fft(u)[band]) ** 2
+            return dxi * fam.step ** 2 / (2.0 * np.pi) * np.sum(weight * spectrum)
+    else:
+        weight = np.exp(-2.0 * fam.p_funcs[0](fam.x))
+
+        def norm_sq(u):
+            return fam.step * np.sum(weight * np.abs(u) ** 2)
+
+    errors = []
+    partial = np.zeros(fam.nodes, dtype=complex)
+    for c, f in zip(coeffs, fam.f):
+        partial = partial + c * f
+        errors.append(math.sqrt(max(float(norm_sq(target - partial)), 0.0)))
+    return np.array(errors)
+
+
 def _reference_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError("non-finite float in report")

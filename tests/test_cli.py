@@ -407,6 +407,14 @@ def test_exit_code_2_classify_model_small_n(tmp_path, capsys, limit):
     assert "--N" in err and "512" in err
 
 
+@pytest.mark.parametrize("limit", (str(2 ** 24 + 1), str(2 ** 40), str(2 ** 62)))
+def test_exit_code_2_classify_model_large_n(tmp_path, capsys, limit):
+    rc = run_cli(["classify-model", "--delta", "1.25", "--variant", "both",
+                  "--N", limit, "--output-dir", tmp_path / "o"])
+    assert rc == 2
+    assert "--N must be at most 16777216" in capsys.readouterr().err
+
+
 def test_classify_model_smallest_n_accepted(tmp_path):
     out = tmp_path / "o"
     assert run_cli(["classify-model", "--delta", "1.25", "--variant", "both",

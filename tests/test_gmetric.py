@@ -101,3 +101,20 @@ def test_metric_report_structure(j2):
     assert rep["cond_G"] == pytest.approx(9.0)
     for key in ("inner_decomposition", "jg_vs_ambient", "xi_norm_identity"):
         assert rep["agreement_residuals"][key] < 1e-10
+
+
+def test_degenerate_metric_is_reachable_and_guarded():
+    # T = diag(a, -a) anticommutes with the swap J, and G = diag((1 - a)/(1 + a),
+    # (1 + a)/(1 - a)): at 1 - a = 1e-7 the small eigenvalue falls below
+    # KERNEL_RCOND times the large one, at 1 - a = 1e-5 it does not
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    assert not metric_for(swap, np.diag([1.0 - 1e-5, 1e-5 - 1.0])).degenerate
+    m = metric_for(swap, np.diag([1.0 - 1e-7, 1e-7 - 1.0]))
+    assert m.degenerate and m.kernel.shape == (2, 1) and m.cond == np.inf
+    e1 = np.array([1.0, 0.0], dtype=complex)
+    for product in (g_inner, jg_product):
+        with pytest.raises(ValueError, match=r"ker\(G\)"):
+            product(m, e1, e1)
+    rep = metric_report(m, seed=5)
+    assert rep["degenerate"] and rep["cond_G"] == np.inf
+    assert all(np.isfinite(v) for v in rep["agreement_residuals"].values())

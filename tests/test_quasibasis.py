@@ -41,6 +41,7 @@ from kreinlab.quasibasis import (
 )
 
 import kreinlab.quasibasis as qb
+from kreinlab.verify import EXPANSION_TOL, MONOTONE_SLACK
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +183,9 @@ def test_band_gate_refuses_flat_spectra(fam_half):
     spike[fam_half.nodes // 2] = 1.0
     with pytest.raises(FrequencyBandError):
         metric_norm(fam_half, spike)
+    # one gate over a row stack names the first row it refuses
+    with pytest.raises(FrequencyBandError, match=r"rows\(1\)"):
+        fam_half.metric_rows(np.vstack([fam_half.f[0], spike]), "rows({})")
 
 
 # ----------------------------------------------------------------- eigenpairs
@@ -279,6 +283,56 @@ def test_expansion_errors_non_increasing(fam_half):
     rep = expansion(fam_half, target)
     assert np.all(np.diff(rep.g_errors) < 1e-12)
     assert np.all(np.diff(rep.plain_errors) < 1e-12)
+
+
+EXPANSION_FAMILIES = {
+    "hermite-0.5-12": lambda: shifted_family(0.5, 12),
+    "hermite-0.4-8": lambda: shifted_family(0.4, 8),
+    "anharmonic-4-6": lambda: anharmonic_family(4.0, "x_over_1px2", n_max=6),
+    "anharmonic-4-8": lambda: anharmonic_family(4.0, "x_over_1px2", n_max=8),
+    "anharmonic-3-tanh-16": lambda: anharmonic_family(3.0, "tanh", n_max=16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPANSION_FAMILIES))
+def test_expansion_matches_per_cutoff_oracle(name):
+    # the families and targets of `quasi-basis` and `verify`, one seeded
+    # in-span target, and one target off the span
+    fam = EXPANSION_FAMILIES[name]()
+    count = fam.n_max + 1
+    rng = np.random.default_rng(1017)
+    in_span = [fam.f.T @ (1.0 / (1.0 + np.arange(count))),
+               fam.f[2] + 0.5j * fam.f[5],
+               fam.f[1] - 2.0 * fam.f[4],
+               fam.f.T @ (rng.standard_normal(count) + 1j * rng.standard_normal(count))]
+    off_span = np.exp(-fam.x ** 2).astype(complex)
+    for target in in_span + [off_span]:
+        rep = expansion(fam, target)
+        want = ref.per_cutoff_expansion_errors(fam, target, rep.coefficients)
+        assert np.max(np.abs(rep.g_errors - want)) <= 1e-12
+        assert np.all(np.diff(rep.g_errors) <= MONOTONE_SLACK)
+        assert target is off_span or rep.g_errors[-1] < EXPANSION_TOL
+
+
+@pytest.mark.parametrize("n_max", (8, 16))
+def test_fft_count_independent_of_n_max(monkeypatch, n_max):
+    fam = shifted_family(0.5, n_max)
+    target = fam.f.T @ (1.0 / (1.0 + np.arange(n_max + 1)))
+    counted = []
+
+    def count(*args, _real=np.fft.fft, **kwargs):
+        counted.append(1)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", count)
+    calls = {}
+    for name, run in (("metric_gram", lambda: metric_gram(fam)),
+                      ("h_gram_in_g", lambda: h_gram_in_g(fam)),
+                      ("expansion", lambda: expansion(fam, target))):
+        counted.clear()
+        run()
+        calls[name] = len(counted)
+    assert calls == {"metric_gram": 1, "h_gram_in_g": 2, "expansion": 3}
 
 
 def test_expansion_converges_across_truncations():
