@@ -93,9 +93,7 @@ from .quasibasis import (
     c_action_multiplier,
     eigen_residual,
     expansion,
-    g_gram_fourier,
     h_gram_in_g,
-    hermite_family,
     indefinite_gram,
     metric_gram,
     metric_inner,

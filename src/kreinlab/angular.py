@@ -185,7 +185,7 @@ def definiteness_class(t0: PartialContraction) -> DefinitenessReport:
         label = "definite_not_uniform"
     else:
         label = "uniformly_definite"
-    maximal = t0.is_full_domain and duality_test(t0)
+    maximal = t0.is_full_domain
     approaching = (1.0 - t0.norm) < APPROACH_WINDOW
     return DefinitenessReport(t0.norm, label, maximal, approaching)
 

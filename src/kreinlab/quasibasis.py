@@ -6,20 +6,25 @@ their orthonormal reference g_n, the eigenvalues lambda_n of H f_n =
 lambda_n f_n, and the signs sign Re [f_n, f_n], measured once at
 construction:
 
-* `ShiftedHermiteFamily`: f_n(x) = g_n(x + i a), where g_n are the
+* `ShiftedHermiteFamily` (`shifted_family`; a = 0 is the unshifted
+  Hermite reference): f_n(x) = g_n(x + i a), where g_n are the
   Hermite functions (three-term recurrence); the metric weight acts as
   multiplication by e^{2 a xi} on the Fourier side, and
   H = -d^2/dx^2 + x^2 + 2iax has f_n as eigenfunctions with eigenvalues
   1 + 2n + a^2;
-* `AnharmonicFamily`: f_n = e^{p(x)} g_n with g_n the finite-difference
-  eigenfunctions of H0 = -d^2/dx^2 + |x|^beta (beta > 2) and p a bounded
-  odd weight exponent; the metric weight is e^{-2p(x)}.
+* `AnharmonicFamily` (`anharmonic_family`): f_n = e^{p(x)} g_n with g_n
+  the finite-difference eigenfunctions of H0 = -d^2/dx^2 + |x|^beta
+  (beta > 2), solved on the half line per parity, and p a bounded odd
+  weight exponent; the metric weight is e^{-2p(x)}.
 
 Each type supplies only what differs, on whole row stacks: `metric_rows`
 (the two row stacks whose product, times `measure`, is the metric product),
 `half_metric` (e^{Q/2}), `metric` (e^{Q}) and `apply_h` (H f_n for all n).
-The Grams, the C-routes, H in the metric and the expansion are written once
-on top of them, with one transform per row stack.
+These and the `eigenvalues` field are read directly.  The Grams
+(`indefinite_gram`, `metric_gram` for either type), the C-routes, H in the
+metric and the expansion are written once on top of them, with one
+transform per row stack; `parity_apply` is the reflection u(x) -> u(-x)
+behind the indefinite product.
 
 Every Fourier-side quantity is gated by an explicit frequency-band check:
 the exponential weight amplifies unresolved tails, so results are refused
@@ -122,20 +127,16 @@ def quad_norm(fam: FunctionFamily, u) -> float:
     return float(np.sqrt(fam.step) * np.linalg.norm(np.asarray(u)))
 
 
-def _reflect(u: np.ndarray) -> np.ndarray:
-    """u(-x) on the periodically identified grid, along the last axis."""
+def parity_apply(u) -> np.ndarray:
+    """(Pu)(x) = u(-x) on the periodically identified grid, row by row."""
+    u = np.asarray(u)
     m = u.shape[-1]
     return np.take(u, (-np.arange(m)) % m, axis=-1)
 
 
 def _signs(f: np.ndarray) -> np.ndarray:
     """sign Re [f_n, f_n], from the diagonal of the indefinite Gram alone."""
-    return np.sign(np.real(np.sum(_reflect(f) * f.conj(), axis=1)))
-
-
-def parity_apply(fam: FunctionFamily, u) -> np.ndarray:
-    """(Pu)(x) = u(-x) on the periodically identified grid, row by row."""
-    return _reflect(np.asarray(u))
+    return np.sign(np.real(np.sum(parity_apply(f) * f.conj(), axis=1)))
 
 
 def frequencies(fam: FunctionFamily) -> np.ndarray:
@@ -191,7 +192,7 @@ class ShiftedHermiteFamily(FunctionFamily):
         return hats, hats
 
     def half_metric(self, u) -> np.ndarray:
-        return inverse_fourier(self, self._weighted_hat(u, 1.0, "half_metric_apply"))
+        return inverse_fourier(self, self._weighted_hat(u, 1.0, "half_metric"))
 
     def metric(self, u) -> np.ndarray:
         return inverse_fourier(self, self._weighted_hat(u, 2.0, "c_action_multiplier"))
@@ -266,11 +267,6 @@ def shifted_family(a: float, n_max: int,
     )
 
 
-def hermite_family(n_max: int, grid: UniformGrid = HERMITE_GRID) -> ShiftedHermiteFamily:
-    """Unshifted Hermite reference family (a = 0)."""
-    return shifted_family(0.0, n_max, grid)
-
-
 # --- weighted anharmonic families -----------------------------------------
 
 def _p_x_over_1px2():
@@ -307,29 +303,34 @@ BUILTIN_WEIGHTS = {
 }
 
 
-def _halfline_eigs(v_half: np.ndarray, h: float, parity: str, count: int):
-    """Lowest eigenpairs of -d^2/dx^2 + V on the half line.
+def _halfline_tridiagonal(v_half: np.ndarray, h: float, parity: str):
+    """(diagonal, off-diagonal) of -d^2/dx^2 + V on the half line.
 
     parity "even" uses a reflecting condition at 0 (symmetrized with the
     sqrt(2) substitution so the matrix stays symmetric tridiagonal),
     parity "odd" a Dirichlet condition; both use Dirichlet at the far end.
     """
+    inv_h2 = 1.0 / (h * h)
+    if parity == "even":
+        e = np.full(v_half.size - 1, -inv_h2)
+        e[0] = -np.sqrt(2.0) * inv_h2
+        return 2.0 * inv_h2 + v_half, e
+    return 2.0 * inv_h2 + v_half[1:], np.full(v_half.size - 2, -inv_h2)
+
+
+def _halfline_eigs(v_half: np.ndarray, h: float, parity: str, count: int):
+    """Lowest eigenpairs of the `_halfline_tridiagonal` operator, with the
+    eigenvectors as half-line samples normalized on the full line."""
     # Deferred: importing scipy.linalg costs more than numpy itself, and only
     # the anharmonic family reaches this solver.
     from scipy.linalg import eigh_tridiagonal
 
-    inv_h2 = 1.0 / (h * h)
+    w, vec = eigh_tridiagonal(*_halfline_tridiagonal(v_half, h, parity),
+                              select="i", select_range=(0, count - 1))
     if parity == "even":
-        d = 2.0 * inv_h2 + v_half
-        e = np.full(v_half.size - 1, -inv_h2)
-        e[0] = -np.sqrt(2.0) * inv_h2
-        w, vec = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
         vec = vec.copy()
         vec[0] *= np.sqrt(2.0)           # undo the substitution: u_0 = sqrt(2) w_0
     else:
-        d = 2.0 * inv_h2 + v_half[1:]
-        e = np.full(v_half.size - 2, -inv_h2)
-        w, vec = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
         vec = np.vstack([np.zeros(count), vec])
     # Deterministic sign and full-line normalization (norm^2 = 2h sum u^2
     # with the half-weight at 0 already absorbed by the substitution).
@@ -394,46 +395,41 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
     h = grid.step
     m = grid.nodes
     half = m // 2
-    x_half = h * np.arange(half)
-    v_half = np.abs(x_half) ** beta
+    v_half = np.abs(h * np.arange(half)) ** beta
 
     count = n_max + 2
     w_even, u_even = _halfline_eigs(v_half, h, "even", count)
     w_odd, u_odd = _halfline_eigs(v_half, h, "odd", count)
 
-    # Richardson step-halving estimate of the eigenvalue error.
-    x_half2 = 0.5 * h * np.arange(2 * half)
-    v_half2 = np.abs(x_half2) ** beta
-    w_even2, _ = _halfline_eigs(v_half2, 0.5 * h, "even", count)
-    w_odd2, _ = _halfline_eigs(v_half2, 0.5 * h, "odd", count)
+    # Richardson step-halving estimate of the eigenvalue error: the
+    # eigenvalues alone on the doubled grid.
+    from scipy.linalg import eigh_tridiagonal   # deferred, as in _halfline_eigs
 
-    merged = sorted(
-        [(w_even[k], 1, k) for k in range(count)] + [(w_odd[k], -1, k) for k in range(count)]
-    )[: n_max + 1]
-    eigs = np.array([t[0] for t in merged])
+    v_half2 = np.abs(0.5 * h * np.arange(2 * half)) ** beta
+    lowest = {"eigvals_only": True, "select": "i", "select_range": (0, count - 1)}
+    w_even2 = eigh_tridiagonal(*_halfline_tridiagonal(v_half2, 0.5 * h, "even"), **lowest)
+    w_odd2 = eigh_tridiagonal(*_halfline_tridiagonal(v_half2, 0.5 * h, "odd"), **lowest)
+
+    # Merge the branches by eigenvalue.  The odd branch comes first, so on an
+    # exact tie the stable sort orders levels by (eigenvalue, parity, index).
+    w_all = np.concatenate([w_odd, w_even])
+    order = np.argsort(w_all, kind="stable")[: n_max + 1]
+    eigs = w_all[order]
     gaps = np.diff(eigs)
     if np.any(gaps < 1e-8 * np.maximum(1.0, np.abs(eigs[1:]))):
         raise ParityMixingError(
             "even/odd eigenvalue branches are too close to separate reliably"
         )
-    parities = np.array([t[1] for t in merged])
-    richardson = np.array([
-        abs((w_even if s > 0 else w_odd)[k] - (w_even2 if s > 0 else w_odd2)[k]) / 3.0
-        for _, s, k in merged
-    ])
+    parities = np.where(order < count, -1, 1)
+    richardson = np.abs(w_all - np.concatenate([w_odd2, w_even2]))[order] / 3.0
 
-    # Map half-line solutions onto the full grid.
-    k_idx = np.abs(np.arange(m) - half)
-    sign = np.sign(np.arange(m) - half)
-    g_rows = []
-    for _, s, k in merged:
-        u = (u_even if s > 0 else u_odd)[:, k]
-        u_padded = np.concatenate([u, [0.0]])   # Dirichlet value at |x| = L
-        row = u_padded[np.minimum(k_idx, half)]
-        if s < 0:
-            row = row * sign
-        g_rows.append(row)
-    g = np.array(g_rows)
+    # Map half-line solutions onto the full grid, with the Dirichlet value
+    # 0 at |x| = L in the last column.
+    u_rows = np.zeros((n_max + 1, half + 1))
+    u_rows[:, :half] = np.hstack([u_odd, u_even])[:, order].T
+    offset = np.arange(m) - half
+    g = np.take(u_rows, np.abs(offset), axis=1)
+    g[parities < 0] *= np.sign(offset)
 
     # Odd weight and growth envelope |p^(k)| <= C (1+x^2)^{(alpha-k)/2},
     # alpha < beta/2 + 1, checked numerically on the grid.
@@ -482,14 +478,9 @@ def metric_norm(fam: FunctionFamily, u) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def half_metric_apply(fam: FunctionFamily, u) -> np.ndarray:
-    """e^{Q/2} u: maps f_n back to the orthonormal reference g_n."""
-    return fam.half_metric(u)
-
-
 def indefinite_gram(fam: FunctionFamily) -> np.ndarray:
     """Matrix of [f_m, f_n] = integral f_m(-x) conj(f_n(x)) dx."""
-    return fam.step * (parity_apply(fam, fam.f) @ fam.f.conj().T)
+    return fam.step * (parity_apply(fam.f) @ fam.f.conj().T)
 
 
 def sign_pattern(fam: FunctionFamily):
@@ -508,13 +499,6 @@ def metric_gram(fam: FunctionFamily) -> np.ndarray:
     return fam.measure * (left @ right.conj().T)
 
 
-def g_gram_fourier(fam: FunctionFamily) -> np.ndarray:
-    """Metric Gram of the shifted family, through the weighted Fourier route."""
-    if not isinstance(fam, ShiftedHermiteFamily):
-        raise ValueError("the Fourier metric route applies to the shifted family")
-    return metric_gram(fam)
-
-
 def weighted_gram(fam: FunctionFamily) -> np.ndarray:
     """Metric Gram (e^{-2p} f_m, f_n) of the anharmonic family."""
     if not isinstance(fam, AnharmonicFamily):
@@ -522,21 +506,9 @@ def weighted_gram(fam: FunctionFamily) -> np.ndarray:
     return metric_gram(fam)
 
 
-def apply_hamiltonian(fam: FunctionFamily, n: int) -> np.ndarray:
-    """H f_n: analytic derivative identities for the shifted family,
-    the finite-difference conjugated operator for the anharmonic one."""
-    if not 0 <= n <= fam.n_max:
-        raise ValueError("index outside the family")
-    return fam.apply_h()[n]
-
-
-def family_eigenvalues(fam: FunctionFamily) -> np.ndarray:
-    return fam.eigenvalues.copy()
-
-
 def eigen_residual(fam: FunctionFamily) -> tuple[np.ndarray, np.ndarray]:
     """Relative residuals ||H f_n - lambda_n f_n|| / ||f_n|| per index."""
-    lam = family_eigenvalues(fam)
+    lam = fam.eigenvalues.copy()
     defect = fam.apply_h()
     defect -= lam[:, None] * fam.f
     residuals = np.array([quad_norm(fam, d) / quad_norm(fam, f)
@@ -567,14 +539,14 @@ def c_action(fam: FunctionFamily, u) -> np.ndarray:
             f"c_action target lies outside the span (residual {resid:.2e})",
             stacklevel=2,
         )
-    flipped_u = parity_apply(fam, u)
+    flipped_u = parity_apply(u)
     coeffs = fam.step * (fam.f.conj() @ flipped_u)   # [u, f_n] = (Ju, f_n)
     return fam.f.T @ coeffs
 
 
 def c_action_multiplier(fam: FunctionFamily, u) -> np.ndarray:
     """C = J e^Q through the metric-multiplier route (cross-check)."""
-    return parity_apply(fam, fam.metric(np.asarray(u, dtype=complex)))
+    return parity_apply(fam.metric(np.asarray(u, dtype=complex)))
 
 
 @dataclass(frozen=True)
@@ -599,7 +571,7 @@ def expansion(fam: FunctionFamily, target) -> ExpansionReport:
         raise ValueError("target must be finite")
     left, right = fam.metric_rows(target[None], "expansion(target)")
     f_left, f_right = fam.metric_rows(fam.f, "expansion(f_{})")
-    flipped = parity_apply(fam, target)
+    flipped = parity_apply(target)
     coeffs = fam.signs * (fam.step * (fam.f.conj() @ flipped))
     mapped_target = fam.half_metric(target)
     g_errors = np.empty(fam.n_max + 1)
@@ -625,5 +597,5 @@ def h_gram_in_g(fam: FunctionFamily) -> np.ndarray:
 def biorthogonal_gram(fam: FunctionFamily) -> np.ndarray:
     """(f_m, gamma_n) with gamma_n = sigma_n J f_n; the identity when the
     family is J-orthonormal."""
-    flipped = parity_apply(fam, fam.f)
+    flipped = parity_apply(fam.f)
     return fam.step * (fam.f @ np.conj(flipped.T)) * fam.signs[None, :]

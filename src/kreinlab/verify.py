@@ -55,8 +55,8 @@ from .quasibasis import (
     c_action_multiplier,
     eigen_residual,
     expansion,
-    g_gram_fourier,
     h_gram_in_g,
+    metric_gram,
     shifted_family,
     sign_pattern,
     weighted_gram,
@@ -516,7 +516,7 @@ def _check_quasibasis_hermite(rng) -> str:
     sigma, offdiag, ok = sign_pattern(fam)
     if not ok or np.any(sigma != fam.g_parities):
         raise AssertionError(f"sign pattern broken (offdiag {offdiag:.3e})")
-    gram = g_gram_fourier(fam)
+    gram = metric_gram(fam)
     dev = operator_norm(gram - np.eye(fam.n_max + 1))
     if dev > GRAM_TOL:
         raise AssertionError(f"metric Gram deviates from I by {dev:.3e}")

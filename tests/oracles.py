@@ -224,6 +224,35 @@ def quartic_reference_eigenvalues(count: int, half_width: float = 8.0,
     return fine + (fine - coarse) / 3.0
 
 
+def halfline_merge_loop(even, odd, even_fine, odd_fine, n_max: int):
+    """(eigenvalues, parities, Richardson errors, g rows) of the anharmonic
+    family from its half-line solves, one level at a time.
+
+    `even` and `odd` are (eigenvalues, half-line vectors) on the coarse
+    grid, `even_fine` and `odd_fine` the eigenvalues on the halved step.
+    The levels are merged by sorting (eigenvalue, parity, index) tuples and
+    each g row is mapped onto the full grid on its own.
+    """
+    (w_even, u_even), (w_odd, u_odd) = even, odd
+    count = w_even.size
+    half = u_even.shape[0]
+    merged = sorted([(w_even[k], 1, k) for k in range(count)]
+                    + [(w_odd[k], -1, k) for k in range(count)])[: n_max + 1]
+    eigs = np.array([t[0] for t in merged])
+    parities = np.array([t[1] for t in merged])
+    richardson = np.array([
+        abs((w_even if s > 0 else w_odd)[k] - (even_fine if s > 0 else odd_fine)[k]) / 3.0
+        for _, s, k in merged
+    ])
+    offset = np.arange(2 * half) - half
+    rows = []
+    for _, s, k in merged:
+        u = np.concatenate([(u_even if s > 0 else u_odd)[:, k], [0.0]])
+        row = u[np.abs(offset)]
+        rows.append(row * np.sign(offset) if s < 0 else row)
+    return eigs, parities, richardson, np.array(rows)
+
+
 def weighted_h_gram(x, step, p, hf, f) -> np.ndarray:
     """A[m, n] = step * sum e^{-2p} (H f_n) conj(f_m), one entry at a time.
 

@@ -10,7 +10,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 import oracles as ref
 from kreinlab.extensions import (
@@ -27,9 +26,9 @@ from kreinlab.quasibasis import (
     anharmonic_family,
     eigen_residual,
     expansion,
-    g_gram_fourier,
     h_gram_in_g,
     indefinite_gram,
+    metric_gram,
     shifted_family,
     weighted_gram,
 )
@@ -228,7 +227,7 @@ def test_shifted_hermite_quasi_basis_diagnostics():
         ig = indefinite_gram(fam)
         assert np.max(np.abs(ig - np.diag((-1.0) ** n))) < 1e-8
 
-        gg = g_gram_fourier(fam)
+        gg = metric_gram(fam)
         assert np.max(np.abs(gg - np.eye(13))) < 1e-6
 
         lam, residuals = eigen_residual(fam)

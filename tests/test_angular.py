@@ -114,6 +114,18 @@ def test_definiteness_near_unit_flag(j2):
     assert rep.norm == pytest.approx(1.0 - 1e-4)
 
 
+def test_definiteness_unit_norm_not_uniform(j2):
+    # T0 e1 = e2 has norm 1: the pair is definite but not uniformly so, and
+    # the proper domain keeps it from being maximal.
+    space = SignatureSpace(j2)
+    t0 = PartialContraction(space, [[1.0], [0.0]], [[0.0], [1.0]])
+    rep = definiteness_class(t0)
+    assert rep.classification == "definite_not_uniform"
+    assert not rep.maximal
+    assert rep.approaching_nonuniform
+    assert rep.norm == pytest.approx(1.0)
+
+
 def test_model_truncation_norm_formula():
     assert alphas(10 ** 4).max() == pytest.approx(1.0 - 1e-4, abs=1e-15)
     inst = build_model(SequenceModelSpec(1.0, n_pairs=50))

@@ -29,7 +29,6 @@ from kreinlab.verify import (
     random_partial_contraction,
     random_signature_space,
     random_x,
-    t_half_problem,
 )
 
 
@@ -345,6 +344,23 @@ def test_extremality_trivial_defect(j2):
     iv = krein_interval(t0)
     choice = extension_from_x(iv, np.zeros((0, 0)))
     assert extremality_test(t0, choice).extremal
+
+
+def test_extremality_empty_domain_rank_routes():
+    # With an empty domain the rank of G (I + T) D(T0) is 0, so the metric
+    # route reads extremal exactly when G = 0: X = I gives T = I (G = 0),
+    # X = I/2 gives T = 0 (G = I).
+    space = SignatureSpace(np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex))
+    empty = np.zeros((4, 0), dtype=complex)
+    t0 = PartialContraction(space, empty, empty.copy())
+    iv = krein_interval(t0)
+    for x, t, extremal in ((np.eye(4), np.eye(4), True),
+                           (0.5 * np.eye(4), np.zeros((4, 4)), False)):
+        choice = extension_from_x(iv, x)
+        assert opnorm(choice.t - t) < 1e-12
+        res = extremality_test(t0, choice)
+        assert res.cayley_defined
+        assert (res.extremal, res.rank_criterion) == (extremal, extremal)
 
 
 @pytest.mark.parametrize("seed", range(10))

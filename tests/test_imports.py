@@ -1,9 +1,9 @@
 """Three small AST checks on ``src/kreinlab`` in place of a linter.
 
 Unused imports: the names bound by ``import`` and ``from ... import``
-statements in each module must be read by that module.  The package
-``__init__.py`` is skipped (its imports are re-exports), as is
-``from __future__``.
+statements in each module, and in each test module under ``tests/``, must
+be read by that module.  The package ``__init__.py`` is skipped (its
+imports are re-exports), as is ``from __future__``.
 
 Unset defaulted parameters: every parameter with a default must be passed
 by some call in ``src/kreinlab``, ``tests/`` or ``perfbench/``; a knob that
@@ -49,14 +49,22 @@ def test_unused_import_detector():
     assert unused_imports(source) == ["b (line 3)", "os (line 1)"]
 
 
-def test_package_modules_have_no_unused_imports():
+def _unused_imports_by_file(paths) -> dict[str, list[str]]:
     found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name != "__init__.py":
-            names = unused_imports(path.read_text())
-            if names:
-                found[path.name] = names
-    assert found == {}
+    for path in paths:
+        names = unused_imports(path.read_text())
+        if names:
+            found[path.name] = names
+    return found
+
+
+def test_package_modules_have_no_unused_imports():
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    assert _unused_imports_by_file(paths) == {}
+
+
+def test_test_modules_have_no_unused_imports():
+    assert _unused_imports_by_file(sorted((REPO / "tests").glob("*.py"))) == {}
 
 
 def _callee(func: ast.expr) -> str | None:

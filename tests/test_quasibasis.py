@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles as ref
 from kreinlab.errors import (
@@ -11,22 +12,15 @@ from kreinlab.errors import (
     ParityMixingError,
 )
 from kreinlab.quasibasis import (
-    HERMITE_GRID,
-    ExpansionReport,
     UniformGrid,
     anharmonic_family,
-    apply_hamiltonian,
     biorthogonal_gram,
     c_action,
     c_action_multiplier,
     eigen_residual,
     expansion,
-    family_eigenvalues,
     fourier,
-    g_gram_fourier,
     h_gram_in_g,
-    half_metric_apply,
-    hermite_family,
     indefinite_gram,
     inverse_fourier,
     metric_gram,
@@ -36,7 +30,6 @@ from kreinlab.quasibasis import (
     quad_norm,
     shifted_family,
     sign_pattern,
-    span_residual,
     weighted_gram,
 )
 
@@ -46,7 +39,7 @@ from kreinlab.verify import EXPANSION_TOL, MONOTONE_SLACK
 
 @pytest.fixture(scope="module")
 def fam0():
-    return hermite_family(12)
+    return shifted_family(0.0, 12)
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +86,7 @@ def test_ground_state_value_at_origin(fam0):
 
 
 def test_reference_gram_identity():
-    fam = hermite_family(20, UniformGrid(12.0, 4096))
+    fam = shifted_family(0.0, 20, UniformGrid(12.0, 4096))
     gram = fam.step * (fam.g @ fam.g.T)
     assert np.max(np.abs(gram - np.eye(21))) < 1e-10
 
@@ -154,27 +147,26 @@ def test_indefinite_gram_oracle_quadrature(fam_half):
     # recompute one entry with the polynomial-route values: the indefinite
     # pairing integrates f_m(-x) conj(f_n(x))
     f2 = ref.hermite_function_poly(2, fam_half.x + 0.5j)
-    val = fam_half.step * np.sum(parity_apply(fam_half, f2) * np.conj(f2))
+    val = fam_half.step * np.sum(parity_apply(f2) * np.conj(f2))
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
 # ----------------------------------------------------------------- G metric
 
 def test_g_gram_unshifted_is_identity(fam0):
-    assert np.max(np.abs(g_gram_fourier(fam0) - np.eye(13))) < 1e-8
+    assert np.max(np.abs(metric_gram(fam0) - np.eye(13))) < 1e-8
 
 
 def test_g_gram_shifted_identity(fam_half):
-    assert np.max(np.abs(g_gram_fourier(fam_half) - np.eye(13))) < 1e-6
+    assert np.max(np.abs(metric_gram(fam_half) - np.eye(13))) < 1e-6
     assert metric_inner(fam_half, fam_half.f[0], fam_half.f[0]) == pytest.approx(
         1.0, abs=1e-8)
-    assert np.max(np.abs(metric_gram(fam_half) - np.eye(13))) < 1e-6
 
 
 def test_half_metric_maps_f_to_g(fam_half):
     # e^{Q/2} f_n = g_n is the identity behind the metric Gram route
     for n in (0, 5, 12):
-        got = half_metric_apply(fam_half, fam_half.f[n])
+        got = fam_half.half_metric(fam_half.f[n])
         assert quad_norm(fam_half, got - fam_half.g[n]) < 1e-8
 
 
@@ -237,7 +229,7 @@ def test_c_action_eigenvectors(fam_half):
 def test_c_action_unshifted_is_parity(fam0):
     u = fam0.g[3].astype(complex)
     got = c_action(fam0, u)
-    np.testing.assert_allclose(got, parity_apply(fam0, u), atol=1e-10)
+    np.testing.assert_allclose(got, parity_apply(u), atol=1e-10)
 
 
 def test_c_action_routes_agree(fam_half):
@@ -373,7 +365,7 @@ def test_anharmonic_spectrum_against_reference(fam_anh):
     # the conjugated operator is similar to -u'' + x^4, whose low levels a
     # fine independent grid pins to ~1e-6
     want = ref.quartic_reference_eigenvalues(9)
-    got = family_eigenvalues(fam_anh)
+    got = fam_anh.eigenvalues
     assert abs(got[0] - 1.0603620904) < 2e-6
     np.testing.assert_allclose(got, want, atol=5e-4)
 
@@ -399,7 +391,7 @@ def test_anharmonic_c_multiplier_route(fam_anh):
 def test_anharmonic_h_gram_in_g(beta, weight, n_max):
     fam = anharmonic_family(beta, weight, n_max=n_max)
     a = h_gram_in_g(fam)
-    hf = [apply_hamiltonian(fam, n) for n in range(n_max + 1)]
+    hf = fam.apply_h()
     want = ref.weighted_h_gram(fam.x, fam.step, fam.p_funcs[0], hf, fam.f)
     assert np.max(np.abs(a - want)) <= 1e-12 * np.max(np.abs(want))
     # H is symmetric in the metric product up to the h^2 discretization
@@ -421,6 +413,44 @@ def test_anharmonic_tanh_weight():
     sigma, offdiag, ok = sign_pattern(fam)
     assert ok and offdiag < 1e-6
     assert np.max(np.abs(weighted_gram(fam) - np.eye(5))) < 1e-12
+
+
+def test_anharmonic_richardson_solves_are_eigenvalues_only(monkeypatch):
+    # the two coarse solves need eigenvectors for g_n; the two step-halving
+    # solves feed only the eigenvalue error estimate
+    solve = scipy.linalg.eigh_tridiagonal
+    with_vectors = []
+
+    def counting(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        with_vectors.append(isinstance(out, tuple))
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    anharmonic_family(4.0, "tanh", n_max=3, grid=UniformGrid(8.0, 1024))
+    assert len(with_vectors) == 4
+    assert with_vectors.count(True) == 2
+
+
+@pytest.mark.parametrize("beta, weight, n_max", [(4.0, "x_over_1px2", 6), (3.0, "tanh", 9)])
+def test_anharmonic_merge_matches_loop_reference(beta, weight, n_max):
+    # the array merge of the even/odd branches copies what the per-level
+    # loop of the reference computes, bit for bit
+    grid = UniformGrid(8.0, 1024)
+    fam = anharmonic_family(beta, weight, n_max=n_max, grid=grid)
+    h, half, count = grid.step, grid.nodes // 2, n_max + 2
+    v_half = np.abs(h * np.arange(half)) ** beta
+    v_fine = np.abs(0.5 * h * np.arange(2 * half)) ** beta
+    even, odd, (w_even_fine, _), (w_odd_fine, _) = (
+        qb._halfline_eigs(v, step, parity, count)
+        for v, step, parity in ((v_half, h, "even"), (v_half, h, "odd"),
+                                (v_fine, 0.5 * h, "even"), (v_fine, 0.5 * h, "odd")))
+    eigs, parities, richardson, g = ref.halfline_merge_loop(even, odd, w_even_fine,
+                                                            w_odd_fine, n_max)
+    assert np.array_equal(fam.eigenvalues, eigs)
+    assert np.array_equal(fam.g_parities, parities)
+    assert np.array_equal(fam.richardson_error, richardson)
+    assert np.array_equal(fam.g, g)
 
 
 def test_parity_mixing_refusal(monkeypatch):
