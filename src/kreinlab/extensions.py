@@ -13,7 +13,11 @@ M = ran(T_M - T_mu) and Delta^{1/2} come from the codim-sized W alone.
 Extensions are parametrized by 0 <= X <= I on M, and T anticommutes with J
 iff X solves
 
-    X = J (I - X) J   (restricted to M).
+    X = J (I - X) J   (restricted to M),
+
+while T is extremal iff X is a projection.  Both verdicts are decided on
+the m x m X.  The n x n routes are independent checks only: ||J T + T J||
+in `verify`, the metric-rank criterion in `kreinlab.oracles`.
 """
 from __future__ import annotations
 
@@ -36,7 +40,6 @@ from ._linalg import (
     operator_norm,
     orthonormal_columns,
     orthonormal_complement,
-    psd_clamp,
     random_unitary,
 )
 from .angular import PartialContraction, duality_test
@@ -246,15 +249,14 @@ class ExtensionChoice:
     anticommuting: bool
     extremal: bool
     x_residual: float
-    anticommute_residual: float
 
 
 def extension_from_x(interval: ExtensionInterval, x) -> ExtensionChoice:
     """Realize the extension parametrized by 0 <= X <= I on the defect space:
     T = T_mu + Mb (S X S) Mb* with Mb the defect basis and S = defect_half.
 
-    The anticommutation flag is computed both as ||J T + T J|| and through
-    the X-equation residual; the two verdicts must agree.
+    Both verdicts are read from X alone: T anticommutes with J iff X solves
+    X = J(I - X)J, and T is extremal iff X is a projection.
     """
     m = interval.defect_dim
     x = as_matrix(x)
@@ -269,15 +271,8 @@ def extension_from_x(interval: ExtensionInterval, x) -> ExtensionChoice:
     s = interval.defect_half
     t = hermitize(interval.t_mu + mb @ (s @ x @ s) @ mb.conj().T)
 
-    space = interval.space
-    anti_resid = operator_norm(space.j @ t + t @ space.j)
     x_resid = x_equation_residual(x, interval.j_on_defect()) if m else 0.0
-    anticommuting = anti_resid <= STRUCT_TOL
-    if anticommuting != (x_resid <= STRUCT_TOL):
-        raise InvariantViolation(
-            "anticommutation verdicts disagree between the ambient and "
-            f"defect-space tests (residuals {anti_resid:.3e} / {x_resid:.3e})"
-        )
+    anticommuting = x_resid <= STRUCT_TOL
     extremal = bool(operator_norm(x @ x - x) <= STRUCT_TOL) if m else True
     # Interval membership: T - T_mu and T_M - T live on the defect space.
     if (eig_min_herm(mb.conj().T @ (t - interval.t_mu) @ mb) < -STRUCT_TOL
@@ -285,7 +280,7 @@ def extension_from_x(interval: ExtensionInterval, x) -> ExtensionChoice:
         raise InvariantViolation("realized extension leaves the interval")
     check_residual("realized extension does not extend T0",
                    t @ interval.t0.domain - interval.t0.action, RESULT_TOL)
-    return ExtensionChoice(x, t, anticommuting, extremal, x_resid, anti_resid)
+    return ExtensionChoice(x, t, anticommuting, extremal, x_resid)
 
 
 def cayley(t) -> np.ndarray:
@@ -307,42 +302,22 @@ def cayley_inverse(g) -> np.ndarray:
 @dataclass(frozen=True)
 class ExtremalityResult:
     extremal: bool
-    rank_criterion: bool | None          # None when the Cayley transform fails
     cayley_defined: bool
 
 
 def extremality_test(t0: PartialContraction, choice: ExtensionChoice) -> ExtremalityResult:
-    """Extremality of an extension, by two routes.
+    """Extremality of an extension: T is extremal iff X is a projection
+    (choice.extremal), and cayley_defined says whether -1 is outside the
+    spectrum of T, so that G = (I - T)(I + T)^{-1} exists.
 
-    Projection route: X is a projection (choice.extremal).  Metric route (when
-    -1 is not in the spectrum, G and G^{1/2} read from the eigenpairs of T):
-    G^{1/2} (I + T) D(T0) must span G^{1/2} H, i.e. the domain is dense in the
-    metric seminorm.  The routes are asserted to agree whenever both are computable.
+    t0 is not read.  The metric-rank route (G^{1/2} (I + T) D(T0) spans
+    G^{1/2} H) is the independent check `kreinlab.oracles.rank_extremality`.
     """
-    w, v = np.linalg.eigh(hermitize(choice.t))
     try:
-        g = cayley_spectrum(w)
+        cayley_spectrum(np.linalg.eigvalsh(hermitize(choice.t)))
     except CayleyUndefinedError:
-        return ExtremalityResult(choice.extremal, None, False)
-    top = float(g.max())
-    rank_g = int(np.sum(g > STRUCT_TOL * top)) if top > 0.0 else 0
-    f = (np.eye(t0.space.dim) + choice.t) @ t0.domain
-    fu = orthonormal_columns(f)
-    if fu.shape[1] != f.shape[1]:
-        raise InvariantViolation("(I + T) lost rank on the domain despite Cayley existing")
-    if fu.shape[1] == 0 or top <= 0.0:
-        rank_gf = 0
-    else:
-        # G^{1/2} fu in the eigenbasis of T, which leaves its singular values.
-        gh_fu = np.sqrt(psd_clamp(g))[:, None] * (v.conj().T @ fu)
-        s = np.linalg.svd(gh_fu, compute_uv=False)
-        rank_gf = int(np.sum(s * s > STRUCT_TOL * top))
-    rank_crit = rank_gf == rank_g
-    if rank_crit != choice.extremal:
-        raise InvariantViolation(
-            f"extremality routes disagree (projection {choice.extremal}, rank {rank_crit})"
-        )
-    return ExtremalityResult(choice.extremal, rank_crit, True)
+        return ExtremalityResult(choice.extremal, False)
+    return ExtremalityResult(choice.extremal, True)
 
 
 @dataclass

@@ -228,18 +228,19 @@ def shifted_family(a: float, n_max: int,
         warnings.warn("shift |a| > 1 is outside the validated envelope", stacklevel=2)
     x = grid.points()
     n_rows = n_max + 3                   # two extra rows for second derivatives
-    edge = _hermite_table(n_rows, np.array([-grid.half_width, grid.half_width]))
-    if np.max(np.abs(edge)) > EDGE_TOL:
-        raise GridResolutionError(
-            f"half_width {grid.half_width} too small: |g_n| = "
-            f"{np.max(np.abs(edge)):.2e} at the edge"
-        )
+    # The O(1) band check runs before the O(n_max) edge recurrence.
     band = np.sqrt(2.0 * (n_rows - 1) + 1.0) + 2.0 * abs(a) + BAND_MARGIN
     xi_max = np.pi / grid.step
     if band > 0.5 * xi_max:
         raise GridResolutionError(
             f"step {grid.step:.3g} too coarse: band {band:.1f} exceeds half the "
             f"FFT range {xi_max:.1f}"
+        )
+    edge = _hermite_table(n_rows, np.array([-grid.half_width, grid.half_width]))
+    if np.max(np.abs(edge)) > EDGE_TOL:
+        raise GridResolutionError(
+            f"half_width {grid.half_width} too small: |g_n| = "
+            f"{np.max(np.abs(edge)):.2e} at the edge"
         )
     g = _hermite_table(n_rows, x.astype(complex)).real[: n_max + 1].copy()
     ref = grid.step * (g @ g.T)
@@ -388,6 +389,10 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
         raise ValueError("beta must exceed 2 and be finite")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if n_max + 2 > grid.nodes // 2 - 1:      # eigenpairs needed per parity vs held
+        raise ValueError(f"n_max {n_max} is too large for the {grid.nodes}-node grid: its odd "
+                         f"half-line problem holds {grid.nodes // 2 - 1} eigenpairs, so n_max "
+                         f"must be at most {grid.nodes // 2 - 3}")
     if p_name not in BUILTIN_WEIGHTS:
         raise ValueError(f"unknown weight {p_name!r}; choose from {sorted(BUILTIN_WEIGHTS)}")
     p, p1, p2 = BUILTIN_WEIGHTS[p_name]()

@@ -62,6 +62,17 @@ class ModelInstance:
     t0: PartialContraction = field(repr=False)
 
 
+def _constraint_vectors(spec: SequenceModelSpec):
+    """(coeff, chi_plus, chi_minus): the normalized profile n^{-delta} on the
+    +/- coordinates; chi_plus is None for the chi_plus_zero variant."""
+    coeff = np.arange(1, spec.n_pairs + 1, dtype=float) ** (-spec.delta)
+    coeff = coeff / np.linalg.norm(coeff)
+    chi_plus, chi_minus = np.zeros((2, 2 * spec.n_pairs), dtype=complex)
+    chi_plus[0::2] = coeff
+    chi_minus[1::2] = coeff
+    return coeff, chi_plus if spec.variant == "both_constraints" else None, chi_minus
+
+
 def build_model(spec: SequenceModelSpec) -> ModelInstance:
     """Truncated model instance with the constrained angular domain."""
     n = spec.n_pairs
@@ -77,29 +88,15 @@ def build_model(spec: SequenceModelSpec) -> ModelInstance:
         t[ip, im] = -1j * a[k]           # T gamma^- = -i alpha gamma^+
     space = SignatureSpace(j)
 
-    coeff = np.arange(1, n + 1, dtype=float) ** (-spec.delta)
-    coeff = coeff / np.linalg.norm(coeff)
-    chi_minus = np.zeros(dim, dtype=complex)
-    chi_minus[1::2] = coeff
-    if spec.variant == "both_constraints":
-        chi_plus = np.zeros(dim, dtype=complex)
-        chi_plus[0::2] = coeff
-    else:
-        chi_plus = None
-
+    coeff, chi_plus, chi_minus = _constraint_vectors(spec)
+    # Orthonormal complement of the coefficient vector inside an
+    # n-dimensional +/- coordinate block; an unconstrained block keeps all.
+    comp = np.linalg.svd(coeff.reshape(-1, 1), full_matrices=True)[0][:, 1:]
     domain_cols = []
     for chi, sl in ((chi_plus, np.s_[0::2]), (chi_minus, np.s_[1::2])):
-        block = np.zeros((dim, 0), dtype=complex)
-        if chi is None:
-            block = np.zeros((dim, n), dtype=complex)
-            block[sl] = np.eye(n)
-        elif n > 1:
-            # Orthonormal complement of the coefficient vector inside the
-            # n-dimensional +/- coordinate block, embedded back.
-            u, _, _ = np.linalg.svd(coeff.reshape(-1, 1), full_matrices=True)
-            comp = u[:, 1:]
-            block = np.zeros((dim, n - 1), dtype=complex)
-            block[sl] = comp
+        cols = np.eye(n) if chi is None else comp
+        block = np.zeros((dim, cols.shape[1]), dtype=complex)
+        block[sl] = cols
         domain_cols.append(block)
     domain = np.hstack(domain_cols)
     action = t @ domain
@@ -167,12 +164,12 @@ def defect_prediction(spec: SequenceModelSpec) -> DefectPrediction:
     if case == "A":
         return DefectPrediction("A", 0, (0, 0), None,
                                 "defect space trivial: the extension is unique in the limit")
-    inst = build_model(spec)
+    _, chi_plus, chi_minus = _constraint_vectors(spec)
     if spec.variant == "both_constraints":
-        basis = np.column_stack([inst.chi_plus, inst.chi_minus])
+        basis = np.column_stack([chi_plus, chi_minus])
         return DefectPrediction("B", 2, (1, 1), basis,
                                 "span{chi_+, chi_-} with balanced signature")
-    basis = inst.chi_minus.reshape(-1, 1)
+    basis = chi_minus.reshape(-1, 1)
     return DefectPrediction("C", 1, (0, 1), basis,
                             "span{chi_-}: negative-definite defect")
 

@@ -75,6 +75,7 @@ from .spaces import (
     Subspace,
     classify_subspace,
     fundamental_projections,
+    indefinite_product,
 )
 
 # Thresholds of the checks.  Identities that the library itself checks at
@@ -314,15 +315,15 @@ def _check_anticommute_equivalence(rng) -> str:
             x = random_x(rng, m)
             samples.extend([x, symmetrize_solution(x, jm)])
         for x in samples:
-            choice = extension_from_x(interval, x)   # raises if verdicts split
-            if choice.anticommuting:
-                n_true += 1
-                if choice.x_residual > STRUCT_TOL:
-                    raise AssertionError("anticommuting extension with nonzero X-residual")
-            else:
-                n_false += 1
-                if x_equation_residual(x, jm) < STRUCT_TOL:
-                    raise AssertionError("X solves the equation but JT != -TJ")
+            # extension_from_x reads the verdict from the X-equation residual.
+            choice = extension_from_x(interval, x)
+            ambient = operator_norm(sp.j @ choice.t + choice.t @ sp.j) <= STRUCT_TOL
+            if ambient != choice.anticommuting:
+                raise AssertionError(
+                    f"anticommutation verdicts disagree (||JT + TJ|| {ambient}, "
+                    f"X-equation {choice.anticommuting})")
+            n_true += ambient
+            n_false += not ambient
     if n_true == 0 or n_false == 0:
         raise AssertionError("equivalence was not exercised on both sides")
     return f"JT = -TJ iff X = J(I-X)J on {n_true}+{n_false} samples"
@@ -364,7 +365,11 @@ def _check_extremality_routes(rng) -> str:
         xs.extend(random_x(rng, m) for _ in range(4))
         for x in xs:
             choice = extension_from_x(interval, x)
-            result = extremality_test(t0, choice)   # raises on route disagreement
+            result = extremality_test(t0, choice)
+            rank = oracles.rank_extremality(t0, choice.t)
+            if rank != (result.extremal if result.cayley_defined else None):
+                raise AssertionError(
+                    f"extremality routes disagree (projection {result.extremal}, rank {rank})")
             if result.cayley_defined:
                 n_checked += 1
                 if result.extremal != (operator_norm(x @ x - x) <= STRUCT_TOL):
@@ -408,8 +413,13 @@ def _check_gmetric(rng) -> str:
             sp.j @ metric.g - np.linalg.solve(metric.g, sp.j)) / metric.cond)
         f = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
         g = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
-        g_inner(metric, f, g)      # self-checking routes
-        jg_product(metric, f, g)
+        # Second routes on the same (f, g): the split along L_+/- and [f, g].
+        direct, split = g_inner(metric, f, g), metric.split_inner(f, g)
+        tol = STRUCT_TOL * max(1.0, float(np.linalg.norm(f)) * float(np.linalg.norm(g)))
+        if abs(direct - split) > tol * max(1.0, metric.cond):
+            raise AssertionError(f"metric product routes disagree ({direct:.6e} vs {split:.6e})")
+        if abs(jg_product(metric, f, g) - indefinite_product(sp, f, g)) > tol:
+            raise AssertionError("[.,.]_G disagrees with the ambient indefinite product")
     if worst > ROUTE_TOL:
         raise AssertionError(f"metric agreement residual {worst:.3e}")
     zero = GMetric.from_contraction(

@@ -437,6 +437,22 @@ def test_exit_code_4_resolution_refusal(tmp_path, capsys):
     assert "resolution refusal" in capsys.readouterr().err
 
 
+def test_exit_code_4_huge_hermite_nmax_names_the_band(tmp_path, capsys):
+    # the O(1) band check refuses before the O(n_max) Hermite recurrence runs
+    rc = run_cli(["quasi-basis", "hermite", "--a", "0.5", "--nmax", "4000000",
+                  "--output-dir", tmp_path / "o"])
+    assert rc == 4
+    assert "too coarse: band" in capsys.readouterr().err
+
+
+def test_exit_code_2_anharmonic_nmax_beyond_grid(tmp_path, capsys):
+    rc = run_cli(["quasi-basis", "anharmonic", "--beta", "4", "--nmax", "5000",
+                  "--output-dir", tmp_path / "o"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "n_max 5000" in err and "at most 4093" in err
+
+
 # ----------------------------------------------------------- console script
 
 def child_env() -> dict:

@@ -23,7 +23,7 @@ from kreinlab import (
 )
 from kreinlab._linalg import RESULT_TOL
 from kreinlab.errors import CayleyUndefinedError, InvariantViolation
-from kreinlab.oracles import sqrt_projection_endpoints
+from kreinlab.oracles import rank_extremality, sqrt_projection_endpoints
 from kreinlab.verify import (
     random_anticommuting_contraction,
     random_partial_contraction,
@@ -292,13 +292,16 @@ def test_anticommutation_equivalence_sampled(seed):
     m = iv.defect_dim
     jm = iv.j_on_defect()
     hits = 0
+    j = space.j
     for _ in range(40):
         x = random_x(rng, m)
-        choice = extension_from_x(iv, x)      # raises if the verdicts split
+        choice = extension_from_x(iv, x)
+        assert choice.anticommuting == (opnorm(j @ choice.t + choice.t @ j) <= 1e-10)
         assert choice.anticommuting == (choice.x_residual <= 1e-10)
         hits += choice.anticommuting
         sym = 0.5 * (x + jm @ (np.eye(m) - x) @ jm)
         choice = extension_from_x(iv, sym)
+        assert choice.anticommuting == (opnorm(j @ choice.t + choice.t @ j) <= 1e-10)
         assert choice.anticommuting
         hits += 1
     assert hits >= 40  # the symmetrized half always anticommutes
@@ -321,7 +324,7 @@ def test_extremality_half_instance_midpoint_not_extremal(j2):
     res = extremality_test(t0, choice)
     assert not res.extremal
     assert res.cayley_defined
-    assert res.rank_criterion is False
+    assert rank_extremality(t0, choice.t) is False
 
 
 def test_extremality_projection_solution(j2):
@@ -334,7 +337,7 @@ def test_extremality_projection_solution(j2):
     res = extremality_test(t0, choice)
     assert res.extremal
     if res.cayley_defined:
-        assert res.rank_criterion is True
+        assert rank_extremality(t0, choice.t) is True
 
 
 def test_extremality_trivial_defect(j2):
@@ -360,13 +363,12 @@ def test_extremality_empty_domain_rank_routes():
         assert opnorm(choice.t - t) < 1e-12
         res = extremality_test(t0, choice)
         assert res.cayley_defined
-        assert (res.extremal, res.rank_criterion) == (extremal, extremal)
+        assert (res.extremal, rank_extremality(t0, choice.t)) == (extremal, extremal)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_extremality_routes_agree(seed):
-    # extension_from_x + extremality_test raise on any route disagreement,
-    # so surviving the sweep is the assertion
+    # the projection verdict of extremality_test against the metric-rank oracle
     rng = np.random.default_rng(800 + seed)
     space = random_signature_space(rng)
     t0 = random_partial_contraction(rng, space)
@@ -378,19 +380,17 @@ def test_extremality_routes_agree(seed):
                   random_x(rng, iv.defect_dim)]
     for x in candidates:
         choice = extension_from_x(iv, x)
-        try:
-            res = extremality_test(t0, choice)
-        except CayleyUndefinedError:
-            continue
+        res = extremality_test(t0, choice)
         if res.cayley_defined:
-            assert res.rank_criterion == res.extremal
+            assert rank_extremality(t0, choice.t) == res.extremal
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12))
 def test_one_eigh_route_matches_multi_eigh_oracle(seed, n):
-    # Every verdict read from the one eigendecomposition of T is the one the
-    # separate decompositions of T, G, G^{1/2} and I - T^2 give.
+    # Every verdict read from the one eigendecomposition of T, and the
+    # metric-rank oracle, is the one the separate decompositions of T, G,
+    # G^{1/2} and I - T^2 give.
     rng = np.random.default_rng(seed)
     space = random_signature_space(rng, n)
     t0 = random_partial_contraction(rng, space)
@@ -407,7 +407,7 @@ def test_one_eigh_route_matches_multi_eigh_oracle(seed, n):
         choice = extension_from_x(iv, x)
         want = ref.multi_eigh_route(t0.domain, choice.t, choice.x)
         res = extremality_test(t0, choice)
-        assert (res.extremal, res.rank_criterion, res.cayley_defined) == \
+        assert (res.extremal, rank_extremality(t0, choice.t), res.cayley_defined) == \
             (want["extremal"], want["rank_criterion"], want["cayley_defined"])
         assert density_test(t0, choice.t) == want["dense"]
         if choice.anticommuting and res.cayley_defined:
@@ -439,7 +439,38 @@ def test_one_eigendecomposition_of_t_per_call(monkeypatch, call):
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, count)
     run()
-    assert counted == ["eigh"]
+    # extremality_test needs only the eigenvalues of T
+    assert counted == [{"extremality_test": "eigvalsh"}.get(call, "eigh")]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_extension_verdicts_decompose_t_once(monkeypatch, seed):
+    # extension_from_x and extremality_test decide anticommutation and
+    # extremality on X; the one decomposition of an n-row operand is the
+    # eigvalsh of T behind cayley_defined.  Wrapping numpy.linalg._linalg
+    # also counts the SVD inside norm(., 2).
+    rng = np.random.default_rng(820 + seed)
+    n = 12
+    space = random_signature_space(rng, n)
+    t0 = random_partial_contraction(rng, space)
+    iv = krein_interval(t0)
+    m = iv.defect_dim
+    sols = solve_x_equation(iv, seed=seed, n_projection_samples=2)
+    xs = [sols.elementary, np.zeros((m, m)), np.eye(m), *sols.projections, random_x(rng, m)]
+    counted = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        def count(a, *args, _name=name, _real=getattr(np.linalg._linalg, name), **kwargs):
+            if np.shape(a)[0] == n:
+                counted.append(_name)
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg._linalg, name, count)
+        monkeypatch.setattr(np.linalg, name, count)
+    defined = set()
+    for x in xs:
+        counted.clear()
+        defined.add(extremality_test(t0, extension_from_x(iv, x)).cayley_defined)
+        assert counted == ["eigvalsh"]
+    assert defined == {True, False}
 
 
 # ---------------------------------------------------------------- subspaces

@@ -1,4 +1,4 @@
-"""Three small AST checks on ``src/kreinlab`` in place of a linter.
+"""Four small AST checks on ``src/kreinlab`` in place of a linter.
 
 Unused imports: the names bound by ``import`` and ``from ... import``
 statements in each module, and in each test module under ``tests/``, must
@@ -16,6 +16,10 @@ One residual check: an invariant whose violation raises is measured by
 ``_linalg.check_residual`` or ``_linalg.is_self_adjoint``, not by an ``if``
 on ``operator_norm``.  Only ``_linalg.py`` itself and the verification
 suite ``verify.py`` (whose checks report residuals) may write one.
+
+Oracles stay out of production: ``kreinlab.oracles`` holds second routes
+that production decides another way, so no module except ``verify.py``
+may import it.
 """
 from __future__ import annotations
 
@@ -203,3 +207,36 @@ def test_invariant_checks_use_the_residual_helpers():
             if lines:
                 found[path.name] = lines
     assert found == {}
+
+
+def imports_oracles(source: str) -> bool:
+    """True if a package module imports kreinlab.oracles, in any spelling."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(alias.name.startswith("kreinlab.oracles") for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import inside the package starts at kreinlab
+            module = ".".join(filter(None, ("kreinlab" if node.level else "", node.module)))
+            if module == "kreinlab.oracles" or (
+                    module == "kreinlab" and any(a.name == "oracles" for a in node.names)):
+                return True
+    return False
+
+
+def test_oracle_import_detector():
+    for source in ("from . import oracles\n", "from . import serialize, oracles\n",
+                   "from .oracles import rank_extremality\n",
+                   "from kreinlab import oracles as o\n",
+                   "from kreinlab.oracles import sqrt_projection_endpoints\n",
+                   "import kreinlab.oracles\n"):
+        assert imports_oracles(source), source
+    for source in ("from . import extensions\n", "from .extensions import cayley\n",
+                   "import oracles\n", "from kreinlab import verify\n"):
+        assert not imports_oracles(source), source
+
+
+def test_only_verify_imports_the_oracles():
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if imports_oracles(path.read_text())]
+    assert found == ["verify.py"]

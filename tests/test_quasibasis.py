@@ -408,6 +408,15 @@ def test_anharmonic_validation():
         anharmonic_family(4.0, "no_such_weight")
 
 
+def test_anharmonic_nmax_bounded_by_the_half_line_grid():
+    # the odd half-line problem of a 16-node grid has 7 unknowns, and each
+    # parity needs n_max + 2 eigenpairs
+    grid = UniformGrid(8.0, 16)
+    assert anharmonic_family(4.0, n_max=5, grid=grid).n_max == 5
+    with pytest.raises(ValueError, match=r"n_max 6 .* at most 5"):
+        anharmonic_family(4.0, n_max=6, grid=grid)
+
+
 def test_anharmonic_tanh_weight():
     fam = anharmonic_family(4.0, "tanh", n_max=4)
     sigma, offdiag, ok = sign_pattern(fam)

@@ -146,3 +146,19 @@ def test_defect_predictions():
     pred = defect_prediction(SequenceModelSpec(0.8, "both_constraints"))
     assert (pred.case, pred.dimension) == ("A", 0)
     assert pred.basis is None
+
+
+def test_defect_prediction_does_not_build_the_model(monkeypatch):
+    # chi_+/- come from the constraint profile alone, not from the n x n model
+    want = {}
+    for variant in ("both_constraints", "chi_plus_zero"):
+        inst = build_model(SequenceModelSpec(1.25, variant))
+        want[variant] = np.column_stack(
+            [chi for chi in (inst.chi_plus, inst.chi_minus) if chi is not None])
+
+    def refuse(spec):
+        raise AssertionError("defect_prediction built the model")
+
+    monkeypatch.setattr("kreinlab.sequence_model.build_model", refuse)
+    for variant, basis in want.items():
+        assert np.array_equal(defect_prediction(SequenceModelSpec(1.25, variant)).basis, basis)
