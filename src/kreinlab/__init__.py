@@ -23,6 +23,7 @@ from .spaces import (
     Subspace,
     SubspaceClass,
     classify_subspace,
+    fundamental_bases,
     fundamental_projections,
     indefinite_product,
 )

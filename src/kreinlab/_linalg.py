@@ -25,6 +25,15 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def finite_matrix(a, name: str) -> np.ndarray:
+    """as_matrix(a), refused with a ValueError naming the operand unless every
+    entry is finite (checked before any factorization sees it)."""
+    m = as_matrix(a)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return m
+
+
 def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
@@ -108,12 +117,11 @@ def orthonormal_columns(b: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return u[:, :rank]
 
 
-def orthonormal_complement(u: np.ndarray, n: int | None = None) -> np.ndarray:
+def orthonormal_complement(u: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the column span."""
     u = as_matrix(u)
-    dim = u.shape[0] if n is None else n
     if u.shape[1] == 0:
-        return np.eye(dim, dtype=complex)
+        return np.eye(u.shape[0], dtype=complex)
     full, s, _ = np.linalg.svd(u, full_matrices=True)
     rank = int(np.sum(s > RANK_RCOND * s[0])) if s.size else 0
     return full[:, rank:]

@@ -7,20 +7,22 @@ recovered as L_+/- = (I + T0) P_+/- D(T0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ._linalg import (
     STRUCT_TOL,
-    as_matrix,
     check_residual,
+    finite_matrix,
     hermitize,
     is_self_adjoint,
     operator_norm,
     orthonormal_columns,
+    orthonormal_complement,
 )
 from .errors import CayleyUndefinedError, InvariantViolation
-from .spaces import SignatureSpace, Subspace, classify_subspace
+from .spaces import SignatureSpace, Subspace, classify_subspace, fundamental_projections
 
 # Window around the contraction bound inside which equality is flagged
 # instead of rejected (truncated families legitimately approach norm 1).
@@ -48,8 +50,8 @@ class PartialContraction:
     """
 
     def __init__(self, space: SignatureSpace, domain, action):
-        domain = as_matrix(domain)
-        action = as_matrix(action)
+        domain = finite_matrix(domain, "domain")
+        action = finite_matrix(action, "action")
         n, d = domain.shape
         if n != space.dim or action.shape != (n, d):
             raise InvariantViolation("domain/action shapes do not match the space")
@@ -72,6 +74,12 @@ class PartialContraction:
                        space.j @ action + action @ j_on_domain,
                        STRUCT_TOL * max(1.0, self.norm))
 
+    @cached_property
+    def complement(self) -> np.ndarray:
+        """Orthonormal basis E of D(T0)^perp, taken once per problem (one SVD
+        of the domain) and shared by the block completion and density_test."""
+        return orthonormal_complement(self.domain)
+
     @property
     def domain_dim(self) -> int:
         return self.domain.shape[1]
@@ -88,8 +96,9 @@ class PartialContraction:
 
     def domain_split(self) -> tuple[np.ndarray, np.ndarray]:
         """Orthonormal bases of M_+ = D cap H_+ and M_- = D cap H_-."""
-        m_plus = orthonormal_columns(self.space.p_plus @ self.domain, floor=1.0)
-        m_minus = orthonormal_columns(self.space.p_minus @ self.domain, floor=1.0)
+        p_plus, p_minus = fundamental_projections(self.space)
+        m_plus = orthonormal_columns(p_plus @ self.domain, floor=1.0)
+        m_minus = orthonormal_columns(p_minus @ self.domain, floor=1.0)
         if m_plus.shape[1] + m_minus.shape[1] != self.domain_dim:
             raise InvariantViolation("domain does not split along H_+ (+) H_-")
         return m_plus, m_minus
@@ -119,12 +128,10 @@ def extract_angular(space: SignatureSpace, l_plus: Subspace | None,
     or the graph projection loses rank.
     """
     n = space.dim
+    p_plus, p_minus = fundamental_projections(space)
     domain_cols: list[np.ndarray] = []
     action_cols: list[np.ndarray] = []
-    for sub, proj, want in (
-        (l_plus, space.p_plus, "positive"),
-        (l_minus, space.p_minus, "negative"),
-    ):
+    for sub, proj, want in ((l_plus, p_plus, "positive"), (l_minus, p_minus, "negative")):
         if sub is None or sub.dim == 0:
             continue
         if sub.ambient_dim != n:

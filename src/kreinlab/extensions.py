@@ -39,12 +39,11 @@ from ._linalg import (
     is_self_adjoint,
     operator_norm,
     orthonormal_columns,
-    orthonormal_complement,
     random_unitary,
 )
 from .angular import PartialContraction, duality_test
 from .errors import CayleyUndefinedError, InvariantViolation
-from .spaces import NEUTRAL_TOL, SignatureSpace, Subspace
+from .spaces import NEUTRAL_TOL, SignatureSpace, Subspace, fundamental_bases
 
 # Eigenvalues of T_M - T_mu above this (relative to the largest) span the
 # defect space; below, the direction is considered rigid.
@@ -57,8 +56,7 @@ def _completion(t0: PartialContraction):
     """Block form of T0: [D | E], A, B and the corner bounds C_min, C_max."""
     if not duality_test(t0):
         raise InvariantViolation("extension theory needs a symmetric T0")
-    d = t0.domain
-    e = orthonormal_complement(d, t0.space.dim)
+    d, e = t0.domain, t0.complement
     a = hermitize(d.conj().T @ t0.action)
     b = e.conj().T @ t0.action
     eye_d, eye_e = np.eye(d.shape[1]), np.eye(e.shape[1])
@@ -99,7 +97,6 @@ def j_symmetrize(space: SignatureSpace, t_prime,
 class ExtensionInterval:
     """Operator interval of self-adjoint contractive extensions."""
 
-    space: SignatureSpace
     t0: PartialContraction
     t_mu: np.ndarray
     t_m: np.ndarray
@@ -108,14 +105,13 @@ class ExtensionInterval:
     # Delta^{1/2} = (T_M - T_mu)^{1/2} in defect coordinates: on the defect
     # basis Mb, Delta^{1/2} Mb = Mb defect_half.
     defect_half: np.ndarray = field(repr=False)
+    # J compressed to the defect, Mb* J Mb (hermitized): the J of the
+    # equation X = J(I - X)J, which krein_interval forms to read the signature.
+    j_on_defect: np.ndarray = field(repr=False)
 
     @property
     def defect_dim(self) -> int:
         return self.defect.dim
-
-    def j_on_defect(self) -> np.ndarray:
-        mb = self.defect.basis
-        return hermitize(mb.conj().T @ self.space.j @ mb)
 
 
 def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> ExtensionInterval:
@@ -150,11 +146,12 @@ def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> Extension
     mb = defect.basis
     jm = mb.conj().T @ space.j @ mb
     check_residual("defect space is not J-invariant", space.j @ mb - mb @ jm, RESULT_TOL)
-    ev = np.linalg.eigvalsh(hermitize(jm))
+    j_on_defect = hermitize(jm)
+    ev = np.linalg.eigvalsh(j_on_defect)
     if np.abs(np.abs(ev) - 1.0).max(initial=0.0) > RESULT_TOL:
         raise InvariantViolation("J does not restrict to a symmetry of the defect")
     p = int(np.sum(ev > 0))
-    return ExtensionInterval(space, t0, t_mu, t_m, defect, (p, defect.dim - p), half)
+    return ExtensionInterval(t0, t_mu, t_m, defect, (p, defect.dim - p), half, j_on_defect)
 
 
 def classify_case(interval: ExtensionInterval) -> str:
@@ -209,7 +206,7 @@ def solve_x_equation(interval: ExtensionInterval, seed: int | None = None,
     m = interval.defect_dim
     if m == 0:
         raise ValueError("the defect space is trivial; the extension is unique")
-    jm = interval.j_on_defect()
+    jm = interval.j_on_defect
     elementary = 0.5 * np.eye(m)
     p, q = interval.signature
     projections: list[np.ndarray] = []
@@ -271,7 +268,7 @@ def extension_from_x(interval: ExtensionInterval, x) -> ExtensionChoice:
     s = interval.defect_half
     t = hermitize(interval.t_mu + mb @ (s @ x @ s) @ mb.conj().T)
 
-    x_resid = x_equation_residual(x, interval.j_on_defect()) if m else 0.0
+    x_resid = x_equation_residual(x, interval.j_on_defect) if m else 0.0
     anticommuting = x_resid <= STRUCT_TOL
     extremal = bool(operator_norm(x @ x - x) <= STRUCT_TOL) if m else True
     # Interval membership: T - T_mu and T_M - T live on the defect space.
@@ -348,7 +345,7 @@ def max_subspaces(space: SignatureSpace, t) -> MaximalDualPair:
     check_residual("T must be a contraction", t, 1.0 + CONTRACTION_SLACK)
     eye = np.eye(space.dim)
     out = []
-    for basis in (space.plus_basis(), space.minus_basis()):
+    for basis in fundamental_bases(space):
         img = (eye + t) @ basis
         u = orthonormal_columns(img, floor=1.0)
         rank_loss = basis.shape[1] - u.shape[1]
@@ -371,11 +368,10 @@ def density_test(t0: PartialContraction, t) -> bool:
     This is the finite-dimensional rendering of density of the domain in
     the energetic space of the extension.
     """
-    n = t0.space.dim
     w, v = np.linalg.eigh(hermitize(as_matrix(t)))
     xi_sq = 1.0 - w * w                  # the eigenvalues of Xi^2 = I - T^2
     ran = v[:, xi_sq > RANK_RCOND * max(float(xi_sq.max()), 0.0)]
-    comp = orthonormal_complement(t0.domain, n)
+    comp = t0.complement
     if comp.shape[1] == 0 or ran.shape[1] == 0:
         return True
     cos = operator_norm(ran.conj().T @ comp)

@@ -25,7 +25,7 @@ from ._linalg import (
     inner,
     psd_clamp,
 )
-from .spaces import SignatureSpace, indefinite_product
+from .spaces import SignatureSpace, fundamental_projections, indefinite_product
 
 # Relative eigenvalue threshold below which G is flagged degenerate.
 KERNEL_RCOND = 1e-12
@@ -83,7 +83,8 @@ class GMetric:
         """Split f along (I + T) H_+ (+) (I + T) H_-."""
         eye_plus_t = np.eye(self.space.dim) + self.t
         x = np.linalg.solve(eye_plus_t, np.asarray(f, dtype=complex))
-        return eye_plus_t @ (self.space.p_plus @ x), eye_plus_t @ (self.space.p_minus @ x)
+        p_plus, p_minus = fundamental_projections(self.space)
+        return eye_plus_t @ (p_plus @ x), eye_plus_t @ (p_minus @ x)
 
     def split_inner(self, f, g) -> complex:
         """[f_+, g_+] - [f_-, g_-] over `decompose`: the second route to (f, g)_G."""

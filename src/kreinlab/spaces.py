@@ -1,8 +1,11 @@
 """Finite-dimensional indefinite inner-product substrate.
 
 A fundamental symmetry J (self-adjoint involution, J != +/-I) turns C^n into
-a Krein space with [f, g] = (Jf, g).  Subspaces carry Euclidean-orthonormal
-bases; sign classification happens through the indefinite Gram matrix.
+a Krein space with [f, g] = (Jf, g).  A `SignatureSpace` keeps J and its
+signature only; the projections P_+/- = (I +/- J)/2 and the eigenbases of
+H_+/- are formed on demand by `fundamental_projections` and
+`fundamental_bases`.  Subspaces carry Euclidean-orthonormal bases; sign
+classification happens through the indefinite Gram matrix.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ from ._linalg import (
     STRUCT_TOL,
     as_matrix,
     check_residual,
+    finite_matrix,
     hermitize,
     inner,
     is_self_adjoint,
@@ -27,10 +31,16 @@ NEUTRAL_TOL = 1e-9
 
 
 class SignatureSpace:
-    """C^dim equipped with a fundamental symmetry J."""
+    """C^dim equipped with a fundamental symmetry J.
+
+    Stores dim, the checked and hermitized J (read-only) and the signature
+    (plus_dim, minus_dim).  No decomposition is taken: the eigenvalues of
+    an involution lie within STRUCT_TOL of +/-1, so n_+ = (n + tr J)/2
+    rounds exactly.
+    """
 
     def __init__(self, j):
-        j = as_matrix(j)
+        j = finite_matrix(j, "J")
         n = j.shape[0]
         if j.shape[1] != n:
             raise InvariantViolation("J must be square")
@@ -38,33 +48,15 @@ class SignatureSpace:
             raise InvariantViolation("J must be self-adjoint")
         j = hermitize(j)
         check_residual("J must be an involution (J^2 = I)", j @ j - np.eye(n), STRUCT_TOL)
-        w, v = np.linalg.eigh(j)
-        n_minus = int(np.sum(w < 0))
-        n_plus = n - n_minus
+        n_plus = round((n + float(np.trace(j).real)) / 2)
+        n_minus = n - n_plus
         if n_plus == 0 or n_minus == 0:
             raise InvariantViolation("J = +/-I carries no indefinite structure")
         self.dim = n
         self.j = j
         self.j.setflags(write=False)
-        self._minus_basis = v[:, :n_minus]
-        self._plus_basis = v[:, n_minus:]
         self.plus_dim = n_plus
         self.minus_dim = n_minus
-        self.p_plus = hermitize(0.5 * (np.eye(n) + j))
-        self.p_minus = hermitize(0.5 * (np.eye(n) - j))
-
-    def plus_basis(self) -> np.ndarray:
-        """Orthonormal basis of the +1 eigenspace H_+."""
-        return self._plus_basis.copy()
-
-    def minus_basis(self) -> np.ndarray:
-        return self._minus_basis.copy()
-
-    def h_plus(self) -> "Subspace":
-        return Subspace(self._plus_basis)
-
-    def h_minus(self) -> "Subspace":
-        return Subspace(self._minus_basis)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SignatureSpace(dim={self.dim}, signature=({self.plus_dim}, {self.minus_dim}))"
@@ -117,8 +109,16 @@ def indefinite_product(space: SignatureSpace, f, g) -> complex:
 
 
 def fundamental_projections(space: SignatureSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(P_+, P_-) with P_+/- = (I +/- J)/2."""
-    return space.p_plus.copy(), space.p_minus.copy()
+    """(P_+, P_-) with P_+/- = (I +/- J)/2, formed on each call."""
+    eye = np.eye(space.dim)
+    return hermitize(0.5 * (eye + space.j)), hermitize(0.5 * (eye - space.j))
+
+
+def fundamental_bases(space: SignatureSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (H_+, H_-) of the +1 and -1 eigenspaces of J, from
+    one eigh of J per call."""
+    _, v = np.linalg.eigh(space.j)
+    return v[:, space.minus_dim:], v[:, :space.minus_dim]
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,7 @@ from .spaces import (
     SignatureSpace,
     Subspace,
     classify_subspace,
+    fundamental_bases,
     fundamental_projections,
     indefinite_product,
 )
@@ -130,7 +131,7 @@ def random_anticommuting_contraction(rng: np.random.Generator, space: SignatureS
     scale = operator_norm(k)
     if scale > 0:
         k *= norm_cap * float(rng.uniform(0.3, 1.0)) / scale
-    basis = np.hstack([space.plus_basis(), space.minus_basis()])
+    basis = np.hstack(fundamental_bases(space))
     blocks = np.zeros((space.dim, space.dim), dtype=complex)
     blocks[:p, p:] = k
     blocks[p:, :p] = k.conj().T
@@ -153,7 +154,7 @@ def random_partial_contraction(rng: np.random.Generator, space: SignatureSpace,
             continue
         break
     cols = []
-    for basis, d in ((space.plus_basis(), d_plus), (space.minus_basis(), d_minus)):
+    for basis, d in zip(fundamental_bases(space), (d_plus, d_minus)):
         if d:
             coeff = rng.standard_normal((basis.shape[1], d)) + 1j * rng.standard_normal((basis.shape[1], d))
             cols.append(orthonormal_columns(basis @ coeff))
@@ -191,7 +192,7 @@ def _check_spaces_projections(rng) -> str:
             operator_norm(pp @ pm),
             operator_norm(sp.j - pp + pm),
         )
-        for basis, want in ((sp.plus_basis(), "positive"), (sp.minus_basis(), "negative")):
+        for basis, want in zip(fundamental_bases(sp), ("positive", "negative")):
             label = classify_subspace(sp, Subspace(basis)).label
             if label != want:
                 raise AssertionError(f"fundamental subspace classified as {label}")
@@ -225,7 +226,7 @@ def _check_angular_duality(rng) -> str:
         p, q = sp.plus_dim, sp.minus_dim
         k1 = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
         k2 = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
-        basis = np.hstack([sp.plus_basis(), sp.minus_basis()])
+        basis = np.hstack(fundamental_bases(sp))
         blocks = np.zeros((sp.dim, sp.dim), dtype=complex)
         blocks[:p, p:] = 0.2 * k1 / max(operator_norm(k1), 1e-12)
         blocks[p:, :p] = 0.4 * k2.conj().T / max(operator_norm(k2), 1e-12)
@@ -288,7 +289,7 @@ def _check_defect_complement(rng) -> str:
         sp = random_signature_space(rng)
         t0 = random_partial_contraction(rng, sp)
         interval = krein_interval(t0)
-        comp = orthonormal_complement(t0.domain, sp.dim)
+        comp = orthonormal_complement(t0.domain)
         mb = interval.defect.basis
         if mb.shape[1] != comp.shape[1]:
             raise AssertionError("defect dimension differs from codim D(T0)")
@@ -309,7 +310,7 @@ def _check_anticommute_equivalence(rng) -> str:
         t0 = random_partial_contraction(rng, sp)
         interval = krein_interval(t0)
         m = interval.defect_dim
-        jm = interval.j_on_defect()
+        jm = interval.j_on_defect
         samples = [0.5 * np.eye(m), np.zeros((m, m)), np.eye(m)]
         for _ in range(12):
             x = random_x(rng, m)
@@ -335,7 +336,7 @@ def _check_x_solutions(rng) -> str:
         sp = random_signature_space(rng)
         t0 = random_partial_contraction(rng, sp)
         interval = krein_interval(t0)
-        jm = interval.j_on_defect()
+        jm = interval.j_on_defect
         sols = solve_x_equation(interval, seed=int(rng.integers(2 ** 31)),
                                 n_projection_samples=3)
         if sols.projection_exists != (interval.signature[0] == interval.signature[1]):

@@ -142,7 +142,7 @@ def test_anticommutation_equivalence_zero_counterexamples():
             t0 = random_partial_contraction(rng, space)
             iv = krein_interval(t0)
             m = iv.defect_dim
-            jm = iv.j_on_defect()
+            jm = iv.j_on_defect
             eye = np.eye(m)
             xs = []
             for _ in range(100):
@@ -205,7 +205,7 @@ def test_worked_half_instance_end_to_end():
 
         # J acts as -1 on the one-dimensional defect, so the fixed-point
         # equation reads x = 1 - x with the unique solution 1/2
-        np.testing.assert_allclose(iv.j_on_defect(), [[-1.0]], atol=1e-10)
+        np.testing.assert_allclose(iv.j_on_defect, [[-1.0]], atol=1e-10)
         sols = solve_x_equation(iv)
         np.testing.assert_allclose(sols.elementary, [[0.5]], atol=1e-10)
         assert not sols.projection_exists

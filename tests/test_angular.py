@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from kreinlab import (
     definiteness_class,
     duality_test,
     extract_angular,
+    fundamental_bases,
     reconstruct_subspaces,
 )
 from kreinlab.errors import CayleyUndefinedError, InvariantViolation
@@ -25,11 +28,24 @@ def projector(basis):
     return basis @ basis.conj().T
 
 
+@pytest.mark.parametrize("operand", ("J", "domain", "action"))
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_non_finite_operand_refused_by_name(operand, bad):
+    # Refused before any factorization: no LinAlgError, no RuntimeWarning.
+    mats = {"J": np.diag([1.0, -1.0, 1.0]), "domain": np.eye(3)[:, :1],
+            "action": np.array([[0.0], [0.5], [0.0]])}
+    mats[operand][-1, -1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{operand} has non-finite entries$"):
+            PartialContraction(SignatureSpace(mats["J"]), mats["domain"], mats["action"])
+
+
 # ---------------------------------------------------------------- extraction
 
 def test_extract_fundamental_pair_gives_zero(j2):
     space = SignatureSpace(j2)
-    t0 = extract_angular(space, space.h_plus(), space.h_minus())
+    t0 = extract_angular(space, *map(Subspace, fundamental_bases(space)))
     assert t0.is_full_domain
     np.testing.assert_allclose(t0.full_matrix(), np.zeros((2, 2)), atol=1e-14)
 
@@ -137,7 +153,7 @@ def test_model_truncation_norm_formula():
 
 def test_c0_fundamental_pair_is_j(j2):
     space = SignatureSpace(j2)
-    t0 = extract_angular(space, space.h_plus(), space.h_minus())
+    t0 = extract_angular(space, *map(Subspace, fundamental_bases(space)))
     c0 = c0_operator(t0)
     np.testing.assert_allclose(c0.matrix, j2, atol=1e-12)
 

@@ -213,7 +213,7 @@ def test_x_solutions_balanced_signature(j2):
     sols = solve_x_equation(iv, seed=11, n_projection_samples=4)
     assert sols.projection_exists
     assert sols.signature == (1, 1)
-    jm = iv.j_on_defect()
+    jm = iv.j_on_defect
     _, v = np.linalg.eigh(jm)
     seen = []
     for x in sols.projections:
@@ -250,7 +250,7 @@ def test_x_elementary_and_affine_closure(seed):
     if iv.defect_dim == 0:
         pytest.skip("trivial defect")
     sols = solve_x_equation(iv, seed=seed, n_projection_samples=2)
-    jm = iv.j_on_defect()
+    jm = iv.j_on_defect
     assert x_equation_residual(sols.elementary, jm) < 1e-12
     m = iv.defect_dim
     for x0 in [sols.elementary, *sols.projections]:
@@ -290,7 +290,7 @@ def test_anticommutation_equivalence_sampled(seed):
     if iv.defect_dim == 0:
         pytest.skip("trivial defect")
     m = iv.defect_dim
-    jm = iv.j_on_defect()
+    jm = iv.j_on_defect
     hits = 0
     j = space.j
     for _ in range(40):
@@ -528,6 +528,58 @@ def test_density_degenerate_xi(j2):
     t = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     t0 = PartialContraction(space, np.eye(2, dtype=complex), t)
     assert density_test(t0, t)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
+       norm_cap=st.floats(0.9, 1.0))
+def test_density_equals_extremality_on_realized_extensions(seed, n, norm_cap):
+    # A self-adjoint contractive extension is extremal iff D(T0) is dense in
+    # its energetic space (Arlinskii-Hassi-Sebestyen-de Snoo 2001): the
+    # density test on T agrees with the projection verdict on X.
+    rng = np.random.default_rng(seed)
+    space = random_signature_space(rng, n)
+    t_full = random_anticommuting_contraction(rng, space, norm_cap=norm_cap)
+    t0 = random_partial_contraction(rng, space, t_full)
+    iv = krein_interval(t0)
+    m = iv.defect_dim
+    sols = solve_x_equation(iv, seed=seed, n_projection_samples=2)
+    xs = [sols.elementary, *sols.projections, np.eye(m), np.zeros((m, m)), random_x(rng, m)]
+    if m > 1:
+        # A random rank-k projection: extremal, but off the X-equation.
+        k = int(rng.integers(1, m))
+        q, _ = np.linalg.qr(rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k)))
+        off = extension_from_x(iv, q @ q.conj().T)
+        assert off.extremal and not off.anticommuting
+        xs.append(off.x)
+    for x in xs:
+        choice = extension_from_x(iv, x)
+        assert density_test(t0, choice.t) == choice.extremal
+
+
+def test_interval_and_density_share_one_complement(monkeypatch):
+    # D(T0)^perp is taken once per problem: krein_interval and seven
+    # density tests take a single SVD of the domain between them.
+    rng = np.random.default_rng(1307)
+    space = random_signature_space(rng, 10)
+    t0 = random_partial_contraction(rng, space)
+    counted = []
+    real = np.linalg._linalg.svd
+
+    def count(a, *args, **kwargs):
+        if np.shape(a) == t0.domain.shape and np.array_equal(a, t0.domain):
+            counted.append("svd")
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg._linalg, "svd", count)
+    monkeypatch.setattr(np.linalg, "svd", count)
+    iv = krein_interval(t0)
+    m = iv.defect_dim
+    sols = solve_x_equation(iv, seed=3, n_projection_samples=2)
+    xs = [sols.elementary, *sols.projections, np.eye(m), np.zeros((m, m)), random_x(rng, m)]
+    xs += [random_x(rng, m) for _ in range(7 - len(xs))]
+    for x in xs[:7]:
+        density_test(t0, extension_from_x(iv, x).t)
+    assert counted == ["svd"]
 
 
 # -------------------------------------------------------------------- Cayley

@@ -1,4 +1,4 @@
-"""Four small AST checks on ``src/kreinlab`` in place of a linter.
+"""Five small AST checks on ``src/kreinlab`` in place of a linter.
 
 Unused imports: the names bound by ``import`` and ``from ... import``
 statements in each module, and in each test module under ``tests/``, must
@@ -20,6 +20,11 @@ suite ``verify.py`` (whose checks report residuals) may write one.
 Oracles stay out of production: ``kreinlab.oracles`` holds second routes
 that production decides another way, so no module except ``verify.py``
 may import it.
+
+One complement per problem: D(T0)^perp is ``PartialContraction.complement``,
+so ``orthonormal_complement`` is called only in ``angular.py`` (that
+property) and in ``verify.py`` (its independent check that the defect is
+the domain complement).
 """
 from __future__ import annotations
 
@@ -240,3 +245,25 @@ def test_only_verify_imports_the_oracles():
     found = [path.name for path in sorted(PACKAGE.glob("*.py"))
              if imports_oracles(path.read_text())]
     assert found == ["verify.py"]
+
+
+def calls_to(source: str, name: str) -> list[int]:
+    """Lines of the calls to `name`, bare or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and _callee(node.func) == name)
+
+
+def test_call_detector():
+    source = ("from ._linalg import orthonormal_complement\n"
+              "e = orthonormal_complement(d)\n"
+              "f = _linalg.orthonormal_complement(u)\n"
+              "g = orthonormal_complement\n"
+              "h = orthonormal_columns(d)\n")
+    assert calls_to(source, "orthonormal_complement") == [2, 3]
+    assert calls_to(source, "orthonormal_columns") == [5]
+
+
+def test_domain_complement_is_taken_only_by_the_property():
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if calls_to(path.read_text(), "orthonormal_complement")]
+    assert found == ["angular.py", "verify.py"]

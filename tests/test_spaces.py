@@ -5,9 +5,11 @@ from kreinlab import (
     SignatureSpace,
     Subspace,
     classify_subspace,
+    fundamental_bases,
     fundamental_projections,
     indefinite_product,
 )
+from kreinlab._linalg import STRUCT_TOL, hermitize, operator_norm, random_unitary
 from kreinlab.errors import KreinLabError
 from kreinlab.verify import random_signature_space
 
@@ -99,8 +101,9 @@ def test_signature_space_rejects_non_involution():
 def test_signature_space_counts(j2):
     space = SignatureSpace(np.diag([1.0, 1.0, -1.0]).astype(complex))
     assert (space.plus_dim, space.minus_dim) == (2, 1)
-    assert space.plus_basis().shape == (3, 2)
-    cls = classify_subspace(space, space.h_plus())
+    h_plus, _ = fundamental_bases(space)
+    assert h_plus.shape == (3, 2)
+    cls = classify_subspace(space, Subspace(h_plus))
     assert cls.label == "positive" and cls.uniform_margin == pytest.approx(1.0)
 
 
@@ -108,3 +111,61 @@ def test_classify_rejects_zero_subspace(j2):
     space = SignatureSpace(j2)
     with pytest.raises(ValueError):
         classify_subspace(space, Subspace.empty(2))
+
+
+def rotated_j(rng, n, plus):
+    """U diag(+1 x plus, -1 x (n - plus)) U* for a random unitary U."""
+    u = random_unitary(rng, n)
+    signs = np.concatenate([np.ones(plus), -np.ones(n - plus)])
+    return hermitize((u * signs) @ u.conj().T)
+
+
+def assert_signature_and_bases(space):
+    # The trace signature is the eigenvalue count, and fundamental_bases is
+    # the eigenbasis of J split at minus_dim, bit for bit.
+    w, v = np.linalg.eigh(space.j)
+    assert space.minus_dim == int(np.sum(np.linalg.eigvalsh(space.j) < 0))
+    assert space.plus_dim == space.dim - space.minus_dim
+    h_plus, h_minus = fundamental_bases(space)
+    assert np.array_equal(h_plus, v[:, space.minus_dim:])
+    assert np.array_equal(h_minus, v[:, :space.minus_dim])
+    assert operator_norm(space.j @ h_plus - h_plus) <= STRUCT_TOL
+    assert operator_norm(space.j @ h_minus + h_minus) <= STRUCT_TOL
+
+
+@pytest.mark.parametrize("n", (2, 7, 64))
+def test_signature_of_rotated_j_every_split(n):
+    rng = np.random.default_rng(n)
+    for plus in range(1, n):
+        space = SignatureSpace(rotated_j(rng, n, plus))
+        assert (space.plus_dim, space.minus_dim) == (plus, n - plus)
+        assert_signature_and_bases(space)
+    for sign in (1.0, -1.0):
+        with pytest.raises(KreinLabError):
+            SignatureSpace(sign * rotated_j(rng, n, n))
+
+
+def test_signature_of_perturbed_j():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    e = hermitize(a)
+    e *= 1e-11 / operator_norm(e)
+    space = SignatureSpace(rotated_j(rng, 7, 3) + e)
+    assert (space.plus_dim, space.minus_dim) == (3, 4)
+    assert_signature_and_bases(space)
+
+
+def test_signature_space_takes_no_decomposition(monkeypatch):
+    # The signature is read from tr J; construction factors nothing.
+    # Wrapping numpy.linalg._linalg also counts the SVD inside norm(., 2).
+    j = rotated_j(np.random.default_rng(64), 64, 27)
+    counted = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        def count(a, *args, _name=name, _real=getattr(np.linalg._linalg, name), **kwargs):
+            counted.append(_name)
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg._linalg, name, count)
+        monkeypatch.setattr(np.linalg, name, count)
+    space = SignatureSpace(j)
+    assert counted == []
+    assert (space.plus_dim, space.minus_dim) == (27, 37)
