@@ -588,6 +588,19 @@ def _check_quasibasis_anharmonic(rng) -> str:
             f"max residual {np.max(residuals):.1e}")
 
 
+def _float_edge_values() -> list[float]:
+    """Floats whose 17-digit text is easy to get wrong: every power of ten
+    with both neighbours, signed zeros, subnormals, integers 2**50..2**63
+    +/- 4, the %g switches at 1e-5/1e-4 and 1e16/1e17, and exact ties."""
+    values = [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1234567890123456.75,
+              1234567890123456.25, 1e-5, 1e-4, 1e16, 1e17]
+    for p in range(-323, 309):
+        v = float(f"1e{p}")
+        values += [v, float(np.nextafter(v, 0.0)), -float(np.nextafter(v, np.inf))]
+    values += [float(2 ** e + d) for e in range(50, 64) for d in range(-4, 5)]
+    return values
+
+
 def _check_serialize(rng) -> str:
     m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     back = matrix_from_obj(matrix_to_obj(m))
@@ -608,6 +621,14 @@ def _check_serialize(rng) -> str:
         pass
     else:
         raise AssertionError("a NaN inside a float list was serialized")
+    # A long float list takes the vectorized formatter; its text must be
+    # "%.17g" of each value.
+    bits = rng.integers(0, 2 ** 64, size=1024, dtype=np.uint64).view(np.float64)
+    values = bits[np.isfinite(bits)].tolist() + _float_edge_values()
+    texts = [format(v, ".17g") for v in values]
+    expected = ", ".join(t if "." in t or "e" in t else t + ".0" for t in texts)
+    if dumps_report({"v": values}) != '{"v": [' + expected + "]}\n":
+        raise AssertionError("bulk float text differs from per-value %.17g")
     return "serialization deterministic and lossless"
 
 

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line front end.
 
 Everything drives ``kreinlab.cli.main`` in-process and inspects the files
-it writes, except two tests that run the CLI module in a child interpreter:
-one checks the console script (the entry point declared in
-``pyproject.toml`` and the help text of its target), the other that
-``extend`` and ``classify-model`` never import scipy.
+it writes, except three tests that run the CLI module in a child
+interpreter: one checks the console script (the entry point declared in
+``pyproject.toml`` and the help text of its target), one that ``extend``
+and ``classify-model`` never import scipy, and one that importing the CLI
+and ``extend`` on the README problem never build the report formatter's
+tables.
 """
 from __future__ import annotations
 
@@ -500,3 +502,24 @@ def test_extend_and_classify_model_do_not_import_scipy(tmp_path, half_problem):
             capture_output=True, text=True, env=child_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "scipy modules: []"
+
+
+def test_import_and_small_extend_do_not_build_formatter_tables(tmp_path, half_problem):
+    # The vectorized float formatter builds its tables on its first call,
+    # which only float lists of at least _BULK_MIN values make.  The child
+    # reports the table cache after the import and at exit.
+    probe = ("import atexit, runpy\n"
+             "from kreinlab import serialize\n"
+             "import kreinlab.cli\n"
+             "print('after import:', serialize._tables.cache_info().currsize)\n"
+             "atexit.register(lambda: print('at exit:', serialize._tables.cache_info().currsize))\n"
+             "runpy.run_module('kreinlab.cli', run_name='__main__', alter_sys=True)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "extend", "--input", str(half_problem),
+         "--output-dir", str(tmp_path), "--seed", "1"],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "after import: 0"
+    assert lines[-1] == "at exit: 0"
+    assert (tmp_path / "extend_report.json").exists()

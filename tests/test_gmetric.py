@@ -12,6 +12,7 @@ from kreinlab import (
     metric_report,
     xi_norm_identity_residual,
 )
+from kreinlab import gmetric
 from kreinlab.errors import CayleyUndefinedError
 from kreinlab.verify import random_anticommuting_contraction, random_signature_space
 
@@ -118,3 +119,36 @@ def test_degenerate_metric_is_reachable_and_guarded():
     rep = metric_report(m, seed=5)
     assert rep["degenerate"] and rep["cond_G"] == np.inf
     assert all(np.isfinite(v) for v in rep["agreement_residuals"].values())
+
+
+def test_metric_report_decomposes_all_probes_at_once(monkeypatch, rng):
+    # The 2 * REPORT_PROBES probe vectors go through one decompose: one solve
+    # with I + T and one P+/- pair (16 of each when every probe had its own).
+    sp = random_signature_space(rng, 12)
+    m = GMetric.from_contraction(sp, random_anticommuting_contraction(rng, sp, norm_cap=0.9))
+    calls = []
+    solve, projections = np.linalg.solve, gmetric.fundamental_projections
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append("solve") or solve(*a))
+    monkeypatch.setattr(gmetric, "fundamental_projections",
+                        lambda space: calls.append("P") or projections(space))
+    rep = metric_report(m, seed=3)
+    assert calls == ["solve", "P"]
+    assert rep["agreement_residuals"]["inner_decomposition"] < 1e-10
+    calls.clear()
+    f, g = (rng.standard_normal(12) + 1j * rng.standard_normal(12) for _ in range(2))
+    split = m.split_inner(f, g)
+    assert calls == ["solve", "P"]
+    assert split == pytest.approx(g_inner(m, f, g), rel=1e-12)
+
+
+def test_stacked_decompose_matches_single_vectors(rng):
+    sp = random_signature_space(rng, 9)
+    m = GMetric.from_contraction(sp, random_anticommuting_contraction(rng, sp, norm_cap=0.9))
+    stack = rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5))
+    plus, minus = m.decompose(stack)
+    assert plus.shape == minus.shape == (9, 5)
+    np.testing.assert_allclose(plus + minus, stack, atol=1e-13)
+    for i in range(5):
+        p, q = m.decompose(stack[:, i])
+        np.testing.assert_allclose(plus[:, i], p, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(minus[:, i], q, rtol=0, atol=1e-14)
