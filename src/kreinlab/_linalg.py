@@ -71,12 +71,6 @@ def is_self_adjoint(a: np.ndarray) -> bool:
     return residual <= STRUCT_TOL or not residual > STRUCT_TOL * max(1.0, operator_norm(a))
 
 
-def eig_min_herm(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(hermitize(a))[0])
-
-
 def from_spectrum(v: np.ndarray, values: np.ndarray) -> np.ndarray:
     """V diag(values) V* for the eigenvectors V of a Hermitian matrix."""
     return hermitize((v * values) @ v.conj().T)
@@ -118,13 +112,10 @@ def orthonormal_columns(b: np.ndarray, floor: float = 0.0) -> np.ndarray:
 
 
 def orthonormal_complement(u: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the column span."""
+    """Orthonormal basis of the orthogonal complement of the span of the
+    orthonormal (hence full-rank) columns u, from one complete QR."""
     u = as_matrix(u)
-    if u.shape[1] == 0:
-        return np.eye(u.shape[0], dtype=complex)
-    full, s, _ = np.linalg.svd(u, full_matrices=True)
-    rank = int(np.sum(s > RANK_RCOND * s[0])) if s.size else 0
-    return full[:, rank:]
+    return np.linalg.qr(u, mode="complete")[0][:, u.shape[1]:]
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -76,7 +76,7 @@ class PartialContraction:
 
     @cached_property
     def complement(self) -> np.ndarray:
-        """Orthonormal basis E of D(T0)^perp, taken once per problem (one SVD
+        """Orthonormal basis E of D(T0)^perp, taken once per problem (one QR
         of the domain) and shared by the block completion and density_test."""
         return orthonormal_complement(self.domain)
 

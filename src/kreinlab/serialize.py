@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -104,7 +105,7 @@ def _tokens(values) -> list[str]:
 
 def _fmt_floats(values) -> str:
     """", "-joined text of floats, 17 significant digits each.  Every float
-    in a report or CSV, scalar or array, goes through here."""
+    sequence of a report goes through here, and scalars through `_fmt_float`."""
     x = np.asarray(values, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("non-finite float in report")
@@ -116,7 +117,11 @@ def _fmt_floats(values) -> str:
 
 
 def _fmt_float(x: float) -> str:
-    return _fmt_floats((float(x),))
+    """`_fmt_floats` of one float (a scalar or CSV cell), without arrays."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("non-finite float in report")
+    return _tokens((x,))[0]
 
 
 def _pow10(p: int) -> np.longdouble:

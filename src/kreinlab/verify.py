@@ -290,7 +290,7 @@ def _check_defect_complement(rng) -> str:
         t0 = random_partial_contraction(rng, sp)
         interval = krein_interval(t0)
         comp = orthonormal_complement(t0.domain)
-        mb = interval.defect.basis
+        mb = interval.defect_basis
         if mb.shape[1] != comp.shape[1]:
             raise AssertionError("defect dimension differs from codim D(T0)")
         worst = max(worst, operator_norm(mb @ mb.conj().T - comp @ comp.conj().T))
@@ -311,6 +311,7 @@ def _check_anticommute_equivalence(rng) -> str:
         interval = krein_interval(t0)
         m = interval.defect_dim
         jm = interval.j_on_defect
+        mb = interval.defect_basis
         samples = [0.5 * np.eye(m), np.zeros((m, m)), np.eye(m)]
         for _ in range(12):
             x = random_x(rng, m)
@@ -318,6 +319,13 @@ def _check_anticommute_equivalence(rng) -> str:
         for x in samples:
             # extension_from_x reads the verdict from the X-equation residual.
             choice = extension_from_x(interval, x)
+            # T - T_mu and T_M - T are PSD and live on the defect space.
+            for gap in (choice.t - interval.t_mu, interval.t_m - choice.t):
+                if np.linalg.eigvalsh(hermitize(mb.conj().T @ gap @ mb)).min(
+                        initial=0.0) < -STRUCT_TOL:
+                    raise AssertionError("realized extension leaves the interval")
+            if operator_norm(choice.t @ t0.domain - t0.action) > RESULT_TOL:
+                raise AssertionError("realized extension does not extend T0")
             ambient = operator_norm(sp.j @ choice.t + choice.t @ sp.j) <= STRUCT_TOL
             if ambient != choice.anticommuting:
                 raise AssertionError(

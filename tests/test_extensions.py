@@ -15,6 +15,7 @@ from kreinlab import (
     density_test,
     extension_from_x,
     extremality_test,
+    fundamental_bases,
     j_symmetrize,
     krein_interval,
     max_subspaces,
@@ -93,7 +94,7 @@ def test_interval_half_instance(j2):
     np.testing.assert_allclose(iv.t_mu, [[0.0, 0.5], [0.5, -0.75]], atol=1e-10)
     np.testing.assert_allclose(iv.t_m, [[0.0, 0.5], [0.5, 0.75]], atol=1e-10)
     assert iv.defect_dim == 1
-    np.testing.assert_allclose(np.abs(iv.defect.basis), [[0.0], [1.0]], atol=1e-10)
+    np.testing.assert_allclose(np.abs(iv.defect_basis), [[0.0], [1.0]], atol=1e-10)
     assert iv.signature == (0, 1)
     assert classify_case(iv) == "C"
 
@@ -179,6 +180,29 @@ def test_interval_versus_schur_completion(seed):
     # hard/soft endpoints swap under J-conjugation
     j = space.j
     assert opnorm(j @ iv.t_mu + iv.t_m @ j) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_interval_in_the_eigenbasis_of_delta(seed):
+    # the defect coordinates are eigenvectors of Delta = T_M - T_mu with
+    # fixed phases, Delta^{1/2} is diag(defect_scale) on them, and the
+    # rank-m update T_mu = T_M - E W E* is the full block completion
+    rng = np.random.default_rng(1500 + seed)
+    space = random_signature_space(rng, int(rng.integers(2, 33)))
+    t0 = random_partial_contraction(rng, space)
+    iv = krein_interval(t0)
+    mb, m = iv.defect_basis, iv.defect_dim
+    assert m > 0 and iv.defect_scale.shape == (m,)
+    assert opnorm(mb.conj().T @ mb - np.eye(m)) < 1e-12
+    lead = mb[np.abs(mb).argmax(axis=0), np.arange(m)]
+    assert np.all(lead.real > 0) and np.all(np.abs(lead.imag) <= 1e-15 * lead.real)
+    assert opnorm(mb.conj().T @ (iv.t_m - iv.t_mu) @ mb - np.diag(iv.defect_scale ** 2)) < 1e-12
+    domain, action = t0.domain, t0.action
+    comp = ref.complement_basis(domain)
+    a_blk = domain.conj().T @ action
+    b_blk = comp.conj().T @ action
+    c_min = -np.eye(m) + b_blk @ np.linalg.solve(np.eye(domain.shape[1]) + a_blk, b_blk.conj().T)
+    assert opnorm(iv.t_mu - ref.completion_matrix(domain, comp, a_blk, b_blk, c_min)) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -275,8 +299,59 @@ def test_extension_from_x_matches_dense_square_root(seed):
     t0 = random_partial_contraction(rng, space)
     iv = krein_interval(t0)
     x = random_x(rng, iv.defect_dim)
-    want = ref.extension_reference(iv.t_mu, iv.t_m, iv.defect.basis, x)
+    want = ref.extension_reference(iv.t_mu, iv.t_m, iv.defect_basis, x)
     assert opnorm(extension_from_x(iv, x).t - want) < 1e-10
+
+
+def test_realized_extension_is_stable_under_domain_rounding():
+    # The same D(T0) given by a basis 1e-15 away gives the same T for the
+    # same X: the defect coordinates are Delta's eigenvectors with fixed
+    # phases, which move by rounding over the eigengap, not by an arbitrary
+    # rotation of a re-orthonormalized basis.  The domain has codimension
+    # 16 < dim D(T0), so that Delta has simple eigenvalues (a larger
+    # codimension gives Delta the eigenvalue 2 on ker B*, where the
+    # coordinates are eigh's choice).
+    rng = np.random.default_rng(1601)
+    space = random_signature_space(rng, 64)
+    t_full = random_anticommuting_contraction(rng, space)
+    domain = np.hstack([
+        np.linalg.qr(h @ (rng.standard_normal((h.shape[1], h.shape[1] - 8))
+                          + 1j * rng.standard_normal((h.shape[1], h.shape[1] - 8))))[0]
+        for h in fundamental_bases(space)])
+    noise = rng.standard_normal(domain.shape) + 1j * rng.standard_normal(domain.shape)
+    moved = np.linalg.qr(domain + 1e-15 * noise)[0]
+    iv = krein_interval(PartialContraction(space, domain, t_full @ domain))
+    iv_moved = krein_interval(PartialContraction(space, moved, t_full @ moved))
+    assert iv_moved.defect_dim == iv.defect_dim == 16
+    x = random_x(rng, iv.defect_dim)
+    assert opnorm(extension_from_x(iv_moved, x).t - extension_from_x(iv, x).t) <= 1e-9
+    assert np.diff(iv.defect_scale ** 2).min() > 1e-6
+
+
+def test_extension_from_x_decomposes_only_x(monkeypatch):
+    # one eigvalsh, of X (the 0 <= X <= I check); no eigh, eigvalsh or SVD
+    # of an n-row operand.  Wrapping numpy.linalg._linalg also counts the
+    # SVD inside norm(., 2).
+    rng = np.random.default_rng(1602)
+    n = 16
+    space = random_signature_space(rng, n)
+    t0 = random_partial_contraction(rng, space)
+    iv = krein_interval(t0)
+    m = iv.defect_dim
+    assert 0 < m < n
+    sols = solve_x_equation(iv, seed=1, n_projection_samples=1)
+    counted = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        def count(a, *args, _name=name, _real=getattr(np.linalg._linalg, name), **kwargs):
+            counted.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg._linalg, name, count)
+        monkeypatch.setattr(np.linalg, name, count)
+    for x in [sols.elementary, *sols.projections, np.eye(m), random_x(rng, m)]:
+        counted.clear()
+        extension_from_x(iv, x)
+        assert [c for c in counted if c[0] == "eigvalsh"] == [("eigvalsh", (m, m))]
+        assert not [c for c in counted if c[1][0] == n]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -559,19 +634,19 @@ def test_density_equals_extremality_on_realized_extensions(seed, n, norm_cap):
 
 def test_interval_and_density_share_one_complement(monkeypatch):
     # D(T0)^perp is taken once per problem: krein_interval and seven
-    # density tests take a single SVD of the domain between them.
+    # density tests take a single QR of the domain between them.
     rng = np.random.default_rng(1307)
     space = random_signature_space(rng, 10)
     t0 = random_partial_contraction(rng, space)
     counted = []
-    real = np.linalg._linalg.svd
+    real = np.linalg._linalg.qr
 
     def count(a, *args, **kwargs):
         if np.shape(a) == t0.domain.shape and np.array_equal(a, t0.domain):
-            counted.append("svd")
+            counted.append("qr")
         return real(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg._linalg, "svd", count)
-    monkeypatch.setattr(np.linalg, "svd", count)
+    monkeypatch.setattr(np.linalg._linalg, "qr", count)
+    monkeypatch.setattr(np.linalg, "qr", count)
     iv = krein_interval(t0)
     m = iv.defect_dim
     sols = solve_x_equation(iv, seed=3, n_projection_samples=2)
@@ -579,7 +654,7 @@ def test_interval_and_density_share_one_complement(monkeypatch):
     xs += [random_x(rng, m) for _ in range(7 - len(xs))]
     for x in xs[:7]:
         density_test(t0, extension_from_x(iv, x).t)
-    assert counted == ["svd"]
+    assert counted == ["qr"]
 
 
 # -------------------------------------------------------------------- Cayley

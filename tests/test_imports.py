@@ -1,4 +1,4 @@
-"""Five small AST checks on ``src/kreinlab`` in place of a linter.
+"""Six small AST checks on ``src/kreinlab`` in place of a linter.
 
 Unused imports: the names bound by ``import`` and ``from ... import``
 statements in each module, and in each test module under ``tests/``, must
@@ -25,6 +25,9 @@ One complement per problem: D(T0)^perp is ``PartialContraction.complement``,
 so ``orthonormal_complement`` is called only in ``angular.py`` (that
 property) and in ``verify.py`` (its independent check that the defect is
 the domain complement).
+
+No dead helpers: every top-level function of ``_linalg.py`` is called from
+another module of the package; importing it is not enough.
 """
 from __future__ import annotations
 
@@ -267,3 +270,31 @@ def test_domain_complement_is_taken_only_by_the_property():
     found = [path.name for path in sorted(PACKAGE.glob("*.py"))
              if calls_to(path.read_text(), "orthonormal_complement")]
     assert found == ["angular.py", "verify.py"]
+
+
+def uncalled_functions(source: str, callers: list[str]) -> list[str]:
+    """Top-level functions of `source` that no call in `callers` makes,
+    bare or as an attribute."""
+    defined = {node.name for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    called = {_callee(node.func) for caller in callers for node in ast.walk(ast.parse(caller))
+              if isinstance(node, ast.Call)}
+    return sorted(defined - called)
+
+
+def test_uncalled_function_detector():
+    source = ("def hermitize(a):\n    return a\n"
+              "def eig_min_herm(a):\n    return hermitize(a)\n"
+              "def helper(a):\n    return a\n"
+              "class K:\n    def method(self):\n        pass\n")
+    callers = ["from ._linalg import eig_min_herm, hermitize\n"
+               "t = hermitize(a)\nf = eig_min_herm\nk.method()\n",
+               "u = _linalg.helper(a)\n"]
+    assert uncalled_functions(source, callers) == ["eig_min_herm"]
+    assert uncalled_functions(source, callers + ["eig_min_herm(t)\n"]) == []
+
+
+def test_linalg_helpers_are_called_from_other_modules():
+    callers = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "_linalg.py"]
+    assert uncalled_functions((PACKAGE / "_linalg.py").read_text(), callers) == []

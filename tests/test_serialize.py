@@ -100,6 +100,15 @@ def test_report_rejects_non_finite():
         dumps_report({"v": float("inf")})
 
 
+def test_scalar_route_matches_the_sequence_route():
+    # scalars and CSV cells skip the array round trip of _fmt_floats
+    for x in (*EDGE_FLOATS, np.float64(-2.5e-7), np.float32(0.1), 7):
+        assert serialize._fmt_float(x) == serialize._fmt_floats([float(x)])
+    for bad in (float("nan"), float("inf"), np.float64("-inf")):
+        with pytest.raises(ValueError, match="^non-finite float in report$"):
+            serialize._fmt_float(bad)
+
+
 finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from(EDGE_FLOATS))
 scalars = st.one_of(
