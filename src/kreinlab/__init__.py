@@ -57,7 +57,6 @@ from .extensions import (
     max_subspaces,
     solve_x_equation,
     symmetrize_solution,
-    uniqueness_sup,
     x_equation_residual,
 )
 from .gmetric import (

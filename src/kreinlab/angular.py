@@ -64,12 +64,10 @@ class PartialContraction:
         if self.norm > 1.0 + NEAR_UNIT_WINDOW:
             raise InvariantViolation(f"not a strong contraction: ||T0|| = {self.norm:.12g} > 1")
         self.near_unit = self.norm >= 1.0 - NEAR_UNIT_WINDOW
-        # J-invariance of the domain.
+        # J-invariance of the domain and J T0 = -T0 J on it, both from one J D.
         jd = space.j @ domain
-        check_residual("domain is not J-invariant",
-                       jd - domain @ (domain.conj().T @ jd), STRUCT_TOL)
-        # Anticommutation J T0 = -T0 J on the domain.
-        j_on_domain = domain.conj().T @ space.j @ domain
+        j_on_domain = domain.conj().T @ jd
+        check_residual("domain is not J-invariant", jd - domain @ j_on_domain, STRUCT_TOL)
         check_residual("J T0 + T0 J != 0 on the domain (residual {residual:.3e})",
                        space.j @ action + action @ j_on_domain,
                        STRUCT_TOL * max(1.0, self.norm))

@@ -42,6 +42,7 @@ from .quasibasis import (
 )
 from .sequence_model import (
     FIT_POINTS,
+    MAX_PAIRS,
     SequenceModelSpec,
     classify_analytic,
     defect_prediction,
@@ -62,9 +63,8 @@ Parallelism is capped by the KREIN_LAB_THREADS environment variable.
 
 # Smallest classify-model --N: the trend fit needs FIT_POINTS + 1 dyadic points.
 _MIN_N = 2 ** (FIT_POINTS + 1)
-# Largest classify-model --N: the diagnostic is O(N) in memory, about 0.4 GB
-# of peak RSS at 2^24.
-_MAX_N = 2 ** 24
+# Largest classify-model --N: the package's cap on the O(N) model routes.
+_MAX_N = MAX_PAIRS
 
 
 @dataclass(frozen=True)

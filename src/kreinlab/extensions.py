@@ -349,8 +349,7 @@ def max_subspaces(space: SignatureSpace, t) -> MaximalDualPair:
             for k in range(len(w)):
                 if abs(w[k]) < NEUTRAL_TOL:
                     neutral.append(u @ v[:, k])
-        out.append((Subspace(u) if u.shape[1] else Subspace.empty(space.dim),
-                    neutral, rank_loss))
+        out.append((Subspace.from_orthonormal(u), neutral, rank_loss))
     (lp, np_, rp), (lm, nm, rm) = out
     return MaximalDualPair(lp, lm, np_, nm, rp, rm)
 
@@ -369,23 +368,3 @@ def density_test(t0: PartialContraction, t) -> bool:
         return True
     cos = operator_norm(ran.conj().T @ comp)
     return cos < 1.0 - STRUCT_TOL
-
-
-def uniqueness_sup(t0: PartialContraction, g) -> float:
-    """sup over the domain of |(T0 x, g)|^2 / (||x||^2 - ||T0 x||^2).
-
-    Finite-truncation diagnostic only: the sup is always finite for a
-    strong contraction on a finite-dimensional domain, so it can only be
-    read as a trend across truncations, never as a rigidity verdict.
-    """
-    g = np.asarray(g, dtype=complex)
-    a = t0.action
-    if a.shape[1] == 0:
-        return 0.0
-    s = hermitize(a.conj().T @ a)
-    w, v = np.linalg.eigh(s)
-    if np.max(w) >= 1.0:
-        raise InvariantViolation("strong contraction required")
-    inv_half = (v / np.sqrt(1.0 - w)) @ v.conj().T
-    vec = inv_half @ (a.conj().T @ g)
-    return float(np.real(np.vdot(vec, vec)))

@@ -9,6 +9,9 @@ with Q_1/Q_2 the projections onto the orthogonal complements of
 sqrt(I+T) D(T0) and sqrt(I-T) D(T0); unlike `extensions.krein_interval`,
 no block completion is involved.  Extremality: the metric-rank criterion,
 where `extensions.extremality_test` asks whether X is a projection.
+Sequence-model sweep: the n x n truncation (Xi from the eigenpairs of T,
+the preimage by least squares, `density_test` and `uniqueness_sup`), where
+`sequence_model.truncated_density_sweep` reads the block structure.
 """
 from __future__ import annotations
 
@@ -18,7 +21,8 @@ from ._linalg import (CONTRACTION_SLACK, STRUCT_TOL, as_matrix, cayley_spectrum,
                       check_residual, from_spectrum, hermitize, orthonormal_columns,
                       psd_clamp)
 from .errors import CayleyUndefinedError, InvariantViolation
-from .extensions import any_sa_extension, j_symmetrize
+from .extensions import any_sa_extension, density_test, j_symmetrize
+from .sequence_model import SequenceModelSpec, TruncationSample, build_model, series_terms
 
 
 def sqrt_projection_endpoints(t0, seed=None):
@@ -71,3 +75,43 @@ def rank_extremality(t0, t) -> bool | None:
         s = np.linalg.svd(gh_fu, compute_uv=False)
         rank_gf = int(np.sum(s * s > STRUCT_TOL * top))
     return rank_gf == rank_g
+
+
+def uniqueness_sup(t0, g) -> float:
+    """sup over the domain of |(T0 x, g)|^2 / (||x||^2 - ||T0 x||^2).
+
+    Finite-truncation diagnostic only: the sup is always finite for a
+    strong contraction on a finite-dimensional domain, so it can only be
+    read as a trend across truncations, never as a rigidity verdict.
+    """
+    g = np.asarray(g, dtype=complex)
+    a = t0.action
+    if a.shape[1] == 0:
+        return 0.0
+    s = hermitize(a.conj().T @ a)
+    w, v = np.linalg.eigh(s)
+    if np.max(w) >= 1.0:
+        raise InvariantViolation("strong contraction required")
+    inv_half = (v / np.sqrt(1.0 - w)) @ v.conj().T
+    vec = inv_half @ (a.conj().T @ g)
+    return float(np.real(np.vdot(vec, vec)))
+
+
+def dense_density_sweep(spec, exponents) -> list[TruncationSample]:
+    """`truncated_density_sweep` on the built 2N x 2N model at each N = 2^e."""
+    out = []
+    for e in exponents:
+        n = 2 ** e
+        sub = SequenceModelSpec(spec.delta, spec.variant, n)
+        inst = build_model(sub)
+        chi = inst.chi_minus
+        w, v = np.linalg.eigh(inst.t)
+        xi = from_spectrum(v, np.sqrt(psd_clamp(1.0 - w * w)))
+        pre, *_ = np.linalg.lstsq(xi, chi, rcond=None)
+        norm_sq_matrix = float(np.real(np.vdot(pre, pre)))
+        coeff_norm_sq = float(np.sum(np.arange(1, n + 1, dtype=float) ** (-2 * sub.delta)))
+        norm_sq_series = float(np.sum(series_terms(sub.delta, n))) / coeff_norm_sq
+        dense = density_test(inst.t0, inst.t)
+        sup = uniqueness_sup(inst.t0, chi)
+        out.append(TruncationSample(n, norm_sq_matrix, norm_sq_series, dense, sup))
+    return out

@@ -11,19 +11,30 @@ gamma_n^+/- (one or both, depending on the variant).  Whether chi is
 asymptotically reachable through Xi = sqrt(I - T^2) is governed by the
 series S = sum n^{-2 delta} / (1 - alpha_n^2) = sum n^{2-2 delta} / (2n-1),
 divergent exactly for delta <= 1.
+
+T and J are 2 x 2 block diagonal, so Xi^2 = I - T^2 is diag(1 - alpha_n^2)
+on both coordinates of pair n.  `truncated_density_sweep` reads every
+truncated quantity from alpha and the profile in O(N), without building
+the model; the n x n route is its oracle in `kreinlab.oracles`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import from_spectrum, psd_clamp
+from ._linalg import RANK_RCOND, STRUCT_TOL
 from .angular import PartialContraction
-from .extensions import density_test, uniqueness_sup
 from .spaces import SignatureSpace
 
 VARIANTS = ("both_constraints", "chi_plus_zero")
+
+# Largest truncation of the O(N) routes: the sweep takes exponents up to
+# MAX_EXPONENT, and classify-model --N is at most MAX_PAIRS (the diagnostic
+# peaks at about 0.4 GB of RSS there).
+MAX_PAIRS = 2 ** 24
+MAX_EXPONENT = MAX_PAIRS.bit_length() - 1
 
 # Log-log slope of the dyadic partial sums above DIVERGENCE_THRESHOLD reads as
 # divergence; below MARGINAL_WINDOW a divergent verdict is flagged marginal
@@ -62,11 +73,16 @@ class ModelInstance:
     t0: PartialContraction = field(repr=False)
 
 
+def _profile(delta: float, n_pairs: int) -> np.ndarray:
+    """The constraint profile c_n = n^{-delta} / ||n^{-delta}||, n = 1..N."""
+    coeff = np.arange(1, n_pairs + 1, dtype=float) ** (-delta)
+    return coeff / np.sqrt(coeff @ coeff)
+
+
 def _constraint_vectors(spec: SequenceModelSpec):
     """(coeff, chi_plus, chi_minus): the normalized profile n^{-delta} on the
     +/- coordinates; chi_plus is None for the chi_plus_zero variant."""
-    coeff = np.arange(1, spec.n_pairs + 1, dtype=float) ** (-spec.delta)
-    coeff = coeff / np.linalg.norm(coeff)
+    coeff = _profile(spec.delta, spec.n_pairs)
     chi_plus, chi_minus = np.zeros((2, 2 * spec.n_pairs), dtype=complex)
     chi_plus[0::2] = coeff
     chi_minus[1::2] = coeff
@@ -77,15 +93,12 @@ def build_model(spec: SequenceModelSpec) -> ModelInstance:
     """Truncated model instance with the constrained angular domain."""
     n = spec.n_pairs
     dim = 2 * n
-    j = np.zeros((dim, dim))
+    plus, minus = np.arange(0, dim, 2), np.arange(1, dim, 2)
+    j = np.diag(np.tile([1.0, -1.0], n))
     t = np.zeros((dim, dim), dtype=complex)
     a = alphas(n)
-    for k in range(n):
-        ip, im = 2 * k, 2 * k + 1
-        j[ip, ip] = 1.0
-        j[im, im] = -1.0
-        t[im, ip] = 1j * a[k]            # T gamma^+ = i alpha gamma^-
-        t[ip, im] = -1j * a[k]           # T gamma^- = -i alpha gamma^+
+    t[minus, plus] = 1j * a              # T gamma^+ = i alpha gamma^-
+    t[plus, minus] = -1j * a             # T gamma^- = -i alpha gamma^+
     space = SignatureSpace(j)
 
     coeff, chi_plus, chi_minus = _constraint_vectors(spec)
@@ -177,35 +190,56 @@ def defect_prediction(spec: SequenceModelSpec) -> DefectPrediction:
 @dataclass(frozen=True)
 class TruncationSample:
     n_pairs: int
-    preimage_norm_sq_matrix: float       # ||Xi^{-1} chi||^2 via the built matrices
+    preimage_norm_sq_matrix: float       # ||Xi^{-1} chi||^2 from the model's Xi
     preimage_norm_sq_series: float       # same quantity from the analytic series
-    domain_dense: bool                   # density_test at this truncation
+    domain_dense: bool                   # density_test's rule at this truncation
     sup_diagnostic: float                # uniqueness_sup against chi
 
 
 def truncated_density_sweep(spec: SequenceModelSpec,
                             exponents: tuple[int, ...] = (3, 4, 5, 6)) -> list[TruncationSample]:
-    """Cross-check the analytic series against the built matrices.
+    """Cross-check the analytic series against the truncated model at N = 2^e.
 
-    At every finite truncation Xi is invertible, so density_test is False
-    whenever the domain is proper — the truncation alone never certifies
-    the limiting class.  What does transfer is the preimage norm
-    ||Xi^{-1} chi||^2, which must match the analytic partial sum exactly
-    and whose growth across truncations carries the verdict.
+    At every finite truncation Xi is invertible, so the domain is never
+    dense when it is proper: the truncation alone never certifies the
+    limiting class.  What does transfer is the preimage norm
+    ||Xi^{-1} chi||^2, which must match the analytic partial sum and whose
+    growth across truncations carries the verdict.
+
+    Everything is read from the block structure in O(N).  With weights
+    w_n = c_n^2 / xi_n, xi_n = 1 - alpha_n^2 and chi = chi_-:
+    - ||Xi^{-1} chi||^2 = sum w_n;
+    - the sup of |(T0 x, chi)|^2 / (||x||^2 - ||T0 x||^2) over D(T0) = E^perp
+      is h* D (D* M D)^{-1} D* h with M = Xi^2 and h = T chi (alpha_n c_n
+      on the + coordinates).  D (D* M D)^{-1} D* = M^{-1} - M^{-1} E
+      (E* M^{-1} E)^{-1} E* M^{-1} (the rank-m Woodbury/Schur correction), and
+      only chi_+ meets h, so the sup is sum w alpha^2, less
+      (sum w alpha)^2 / sum w when chi_+ constrains the domain; that
+      difference is summed as sum w (alpha - mean_w alpha)^2;
+    - density_test's rule on the diagonal Xi: ran Xi is the pairs with
+      xi_n > RANK_RCOND max xi, and as the columns of E have disjoint
+      supports, the cosine between ran Xi and E is the largest norm of chi_+/-
+      restricted to them, that is, of the profile c on those pairs.
     """
+    bad = [e for e in exponents if not 0 <= e <= MAX_EXPONENT]
+    if bad:
+        raise ValueError(f"truncation exponents {bad} outside [0, {MAX_EXPONENT}]: "
+                         f"the sweep stops at 2^{MAX_EXPONENT} = {MAX_PAIRS} pairs")
     out = []
     for e in exponents:
         n = 2 ** e
-        sub = SequenceModelSpec(spec.delta, spec.variant, n)
-        inst = build_model(sub)
-        chi = inst.chi_minus
-        w, v = np.linalg.eigh(inst.t)
-        xi = from_spectrum(v, np.sqrt(psd_clamp(1.0 - w * w)))
-        pre, *_ = np.linalg.lstsq(xi, chi, rcond=None)
-        norm_sq_matrix = float(np.real(np.vdot(pre, pre)))
-        coeff_norm_sq = float(np.sum(np.arange(1, n + 1, dtype=float) ** (-2 * sub.delta)))
-        norm_sq_series = float(np.sum(series_terms(sub.delta, n))) / coeff_norm_sq
-        dense = density_test(inst.t0, inst.t)
-        sup = uniqueness_sup(inst.t0, chi)
+        a = alphas(n)
+        c_sq = _profile(spec.delta, n) ** 2
+        xi = 1.0 - a * a
+        w = c_sq / xi
+        norm_sq_matrix = float(np.sum(w))
+        if spec.variant == "both_constraints":
+            sup = float(w @ (a - (w @ a) / norm_sq_matrix) ** 2)
+        else:
+            sup = float(w @ (a * a))
+        keep = xi > RANK_RCOND * xi.max()
+        dense = math.sqrt(float(np.sum(c_sq[keep]))) < 1.0 - STRUCT_TOL
+        coeff_norm_sq = float(np.sum(np.arange(1, n + 1, dtype=float) ** (-2 * spec.delta)))
+        norm_sq_series = float(np.sum(series_terms(spec.delta, n))) / coeff_norm_sq
         out.append(TruncationSample(n, norm_sq_matrix, norm_sq_series, dense, sup))
     return out

@@ -66,7 +66,9 @@ class Subspace:
     """Subspace stored through a Euclidean-orthonormal basis matrix.
 
     Input columns must be linearly independent; they are orthonormalized on
-    construction and the rank must equal the column count.
+    construction and the rank must equal the column count.  A basis that is
+    orthonormal already goes through `from_orthonormal`, which checks it
+    instead.
     """
 
     def __init__(self, basis):
@@ -80,8 +82,20 @@ class Subspace:
         self.basis.setflags(write=False)
 
     @classmethod
+    def from_orthonormal(cls, u) -> "Subspace":
+        """The span of u, whose columns must be orthonormal; u is stored
+        (as a read-only view), not re-orthonormalized."""
+        u = as_matrix(u)
+        check_residual("basis must be orthonormal",
+                       u.conj().T @ u - np.eye(u.shape[1]), STRUCT_TOL)
+        sub = cls.__new__(cls)
+        sub.basis = u.view()
+        sub.basis.setflags(write=False)
+        return sub
+
+    @classmethod
     def empty(cls, ambient_dim: int) -> "Subspace":
-        return cls(np.zeros((ambient_dim, 0), dtype=complex))
+        return cls.from_orthonormal(np.zeros((ambient_dim, 0), dtype=complex))
 
     @classmethod
     def from_vectors(cls, *vectors) -> "Subspace":

@@ -88,8 +88,8 @@ ROUTE_TOL = 1e-8
 ASYMMETRY_FLOOR = 1e-8
 # Cayley round trip: cayley_inverse(cayley(T)) = T.
 ROUNDTRIP_TOL = 1e-10
-# Relative gap between the matrix and series preimage norms.
-SERIES_REL_TOL = 1e-9
+# Relative gap between the structured and dense sweeps (preimage norm, sup).
+SWEEP_REL_TOL = 1e-9
 # The worked 2x2 instance against its hand-computed matrices, and its
 # elementary solution X = 1/2, which is built exactly.
 WORKED_TOL = 1e-10
@@ -479,15 +479,16 @@ def _check_model_series(rng) -> str:
     for delta in (0.8, 1.25):
         for variant in ("both_constraints", "chi_plus_zero"):
             spec = SequenceModelSpec(delta, variant, 64)
-            for sample in truncated_density_sweep(spec, exponents=(4, 6)):
-                rel = abs(sample.preimage_norm_sq_matrix - sample.preimage_norm_sq_series)
-                rel /= sample.preimage_norm_sq_series
-                worst = max(worst, rel)
-                if sample.domain_dense:
+            for got, ref in zip(truncated_density_sweep(spec, exponents=(4, 6)),
+                                oracles.dense_density_sweep(spec, (4, 6))):
+                for value, want in ((got.preimage_norm_sq_matrix, ref.preimage_norm_sq_matrix),
+                                    (got.sup_diagnostic, ref.sup_diagnostic)):
+                    worst = max(worst, abs(value - want) / want)
+                if got.domain_dense or ref.domain_dense:
                     raise AssertionError("proper truncated domain reported as dense")
-    if worst > SERIES_REL_TOL:
-        raise AssertionError(f"series/matrix preimage norms differ by {worst:.3e}")
-    return f"||Xi^-1 chi||^2 matrix vs series within {worst:.2e}"
+    if worst > SWEEP_REL_TOL:
+        raise AssertionError(f"structured/dense sweep values differ by {worst:.3e}")
+    return f"||Xi^-1 chi||^2 and sup, structured vs dense, within {worst:.2e}"
 
 
 def _check_model_divergence(rng) -> str:

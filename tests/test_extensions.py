@@ -582,6 +582,31 @@ def test_max_subspaces_degenerate_unit_norm(j2):
     assert abs(np.vdot(pair.l_plus.basis[:, 0], v)) == pytest.approx(1.0)
 
 
+def test_max_subspaces_orthonormalizes_each_image_once(monkeypatch):
+    # one SVD per image (I + T) H_+/- and one for the contraction check; the
+    # orthonormal result is stored as it is, not decomposed a second time
+    rng = np.random.default_rng(1506)
+    n = 24
+    space = random_signature_space(rng, n)
+    t = random_anticommuting_contraction(rng, space)
+    counted = []
+
+    def count(a, *args, _real=np.linalg._linalg.svd, **kwargs):
+        counted.append(np.shape(a))
+        return _real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg._linalg, "svd", count)
+    monkeypatch.setattr(np.linalg, "svd", count)
+    pair = max_subspaces(space, t)
+    assert counted == [(n, n), (n, space.plus_dim), (n, space.minus_dim)]
+    for sub, basis in zip((pair.l_plus, pair.l_minus), fundamental_bases(space)):
+        u = sub.basis
+        assert u.shape == basis.shape
+        assert opnorm(u.conj().T @ u - np.eye(u.shape[1])) < 1e-12
+        img = (np.eye(n) + t) @ basis
+        assert opnorm(img - u @ (u.conj().T @ img)) < 1e-12
+
+
 # ------------------------------------------------------------------- density
 
 def test_density_full_domain(j2):

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import oracles as ref
+from kreinlab.oracles import dense_density_sweep
 from kreinlab.sequence_model import (
+    MAX_PAIRS,
+    VARIANTS,
     SequenceModelSpec,
     alphas,
     build_model,
@@ -12,6 +15,7 @@ from kreinlab.sequence_model import (
     truncated_density_sweep,
     xi_preimage_diagnostic,
 )
+from kreinlab.spaces import SignatureSpace
 
 DELTAS = (0.6, 0.8, 1.0, 1.1, 1.25, 1.5)
 
@@ -31,6 +35,22 @@ def test_single_pair_is_zero():
     inst = build_model(SequenceModelSpec(1.0, n_pairs=1))
     assert alphas(1)[0] == 0.0
     np.testing.assert_allclose(inst.t, np.zeros((2, 2)), atol=1e-15)
+
+
+@pytest.mark.parametrize("n", (1, 2, 7, 64))
+def test_build_model_fill_matches_the_per_pair_loop(n):
+    # the index-array fill of J and T against the per-pair loop, bit for bit
+    a = alphas(n)
+    j = np.zeros((2 * n, 2 * n))
+    t = np.zeros((2 * n, 2 * n), dtype=complex)
+    for k in range(n):
+        ip, im = 2 * k, 2 * k + 1
+        j[ip, ip], j[im, im] = 1.0, -1.0
+        t[im, ip] = 1j * a[k]
+        t[ip, im] = -1j * a[k]
+    inst = build_model(SequenceModelSpec(1.25, n_pairs=n))
+    assert inst.space.j.tobytes() == SignatureSpace(j).j.tobytes()
+    assert inst.t.tobytes() == t.tobytes()
 
 
 def test_constraint_vector_profile():
@@ -135,6 +155,64 @@ def test_sup_diagnostic_trend_tracks_divergence():
     assert flat[-1] < 1.5 * flat[0]
     assert flat[-1] - flat[-2] < 0.4 * (flat[1] - flat[0])
     assert grow[-1] - grow[-2] > 0.4 * (grow[1] - grow[0])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("delta", (0.75, 1.0, 1.25, 1.5))
+def test_sweep_matches_the_dense_oracle(delta, variant):
+    # the O(N) block-structure sweep against the built 2N x 2N model: eigh
+    # of T, lstsq for the preimage, density_test and the sup over D(T0)
+    spec = SequenceModelSpec(delta, variant)
+    exponents = (3, 4, 5, 6, 7)
+    for got, want in zip(truncated_density_sweep(spec, exponents),
+                         dense_density_sweep(spec, exponents), strict=True):
+        assert got.n_pairs == want.n_pairs
+        assert got.preimage_norm_sq_matrix == pytest.approx(want.preimage_norm_sq_matrix,
+                                                            rel=1e-12)
+        assert got.sup_diagnostic == pytest.approx(want.sup_diagnostic, rel=1e-12)
+        assert got.domain_dense == want.domain_dense
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("delta", (0.75, 1.0, 1.25, 1.5))
+def test_sweep_at_2_16_pairs_matches_the_series(delta, variant):
+    # 2^16 pairs: a dense model would be 2^17 x 2^17 complex (275 GB)
+    (sample,) = truncated_density_sweep(SequenceModelSpec(delta, variant), exponents=(16,))
+    assert sample.n_pairs == 2 ** 16
+    assert sample.preimage_norm_sq_matrix == pytest.approx(
+        sample.preimage_norm_sq_series, rel=1e-12)
+    assert not sample.domain_dense
+    assert np.isfinite(sample.sup_diagnostic) and sample.sup_diagnostic > 0.0
+
+
+@pytest.mark.parametrize("exponent", (25, -1))
+def test_sweep_refuses_exponents_outside_the_cap(exponent):
+    assert MAX_PAIRS == 2 ** 24
+    with pytest.raises(ValueError, match=rf"\[0, 24\].*{MAX_PAIRS} pairs"):
+        truncated_density_sweep(SequenceModelSpec(1.0), exponents=(3, exponent))
+
+
+def test_sweep_builds_no_model_and_factors_nothing(monkeypatch):
+    # O(N): no 2N x 2N model and no np.linalg factorization or solve at any
+    # truncation, so the cost is the length-N arrays alone
+    def refuse(spec):
+        raise AssertionError("truncated_density_sweep built the model")
+
+    counted = []
+
+    def counter(name, real):
+        def count(*args, **kwargs):
+            counted.append(name)
+            return real(*args, **kwargs)
+        return count
+
+    monkeypatch.setattr("kreinlab.sequence_model.build_model", refuse)
+    for name in ("eigh", "eigvalsh", "svd", "lstsq", "qr", "solve"):
+        monkeypatch.setattr(np.linalg, name, counter(name, getattr(np.linalg, name)))
+    samples = truncated_density_sweep(SequenceModelSpec(1.25, "both_constraints"),
+                                      exponents=tuple(range(3, 17)))
+    assert [s.n_pairs for s in samples] == [2 ** e for e in range(3, 17)]
+    assert counted == []
 
 
 def test_defect_predictions():

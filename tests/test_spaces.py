@@ -10,7 +10,7 @@ from kreinlab import (
     indefinite_product,
 )
 from kreinlab._linalg import STRUCT_TOL, hermitize, operator_norm, random_unitary
-from kreinlab.errors import KreinLabError
+from kreinlab.errors import InvariantViolation, KreinLabError
 from kreinlab.verify import random_signature_space
 
 
@@ -105,6 +105,16 @@ def test_signature_space_counts(j2):
     assert h_plus.shape == (3, 2)
     cls = classify_subspace(space, Subspace(h_plus))
     assert cls.label == "positive" and cls.uniform_margin == pytest.approx(1.0)
+
+
+def test_from_orthonormal_stores_a_checked_basis():
+    u = np.linalg.qr(np.arange(12.0).reshape(4, 3) + np.eye(4, 3))[0].astype(complex)
+    sub = Subspace.from_orthonormal(u)
+    assert np.array_equal(sub.basis, u) and not sub.basis.flags.writeable
+    assert u.flags.writeable
+    with pytest.raises(InvariantViolation, match="orthonormal"):
+        Subspace.from_orthonormal(2.0 * u)
+    assert Subspace.empty(3).basis.shape == (3, 0)
 
 
 def test_classify_rejects_zero_subspace(j2):
