@@ -16,8 +16,10 @@ parametrized by 0 <= X <= I on M, and T anticommutes with J iff X solves
     X = J (I - X) J   (restricted to M),
 
 while T is extremal iff X is a projection.  Both verdicts are decided on
-the m x m X.  The n x n checks (||J T + T J||, interval membership, T
-extends T0) run in `verify`, the metric-rank criterion in `kreinlab.oracles`.
+the m x m X, and ||T_mu||, ||T_M|| <= 1 is certified from the block data
+(endpoint_excess_bound).  The n x n checks (||J T + T J||, interval
+membership, T extends T0, the endpoint 2-norms) run in `verify`, the
+metric-rank criterion in `kreinlab.oracles`.
 """
 from __future__ import annotations
 
@@ -40,8 +42,8 @@ from ._linalg import (
     orthonormal_columns,
     random_unitary,
 )
-from .angular import PartialContraction, duality_test
-from .errors import CayleyUndefinedError, InvariantViolation
+from .angular import PartialContraction
+from .errors import CayleyUndefinedError, InvariantViolation, ResolutionError
 from .spaces import NEUTRAL_TOL, SignatureSpace, Subspace, fundamental_bases
 
 # Eigenvalues of T_M - T_mu above this (relative to the largest) span the
@@ -49,19 +51,32 @@ from .spaces import NEUTRAL_TOL, SignatureSpace, Subspace, fundamental_bases
 DEFECT_RCOND = 1e-8
 # Absolute floor: a difference this small means case A (no defect at all).
 DEFECT_FLOOR = 1e-10
+# Rounding allowance of the endpoint certificate, in units of n times the
+# machine epsilon: the corner products B Z, the two products that assemble
+# an n x n endpoint and the rank-m update between the endpoints.
+ENDPOINT_ROUNDING = 8
 
 
 def _completion(t0: PartialContraction):
-    """Block form of T0: [D | E], A, B and the corner bounds C_min, C_max."""
-    if not duality_test(t0):
-        raise InvariantViolation("extension theory needs a symmetric T0")
+    """Block form of T0: [D | E], A, B, the corner bounds C_min, C_max and
+    the larger Frobenius residual ||(I +/- A) Z - B*|| of the two solves
+    Z = (I +/- A)^{-1} B* that give the corners."""
     d, e = t0.domain, t0.complement
-    a = hermitize(d.conj().T @ t0.action)
+    dt0d = d.conj().T @ t0.action       # the symmetry test of duality_test
+    if not is_self_adjoint(dt0d):
+        raise InvariantViolation("extension theory needs a symmetric T0")
+    a = hermitize(dt0d)
     b = e.conj().T @ t0.action
+    bh = b.conj().T
     eye_d, eye_e = np.eye(d.shape[1]), np.eye(e.shape[1])
-    c_min = hermitize(-eye_e + b @ np.linalg.solve(eye_d + a, b.conj().T))
-    c_max = hermitize(eye_e - b @ np.linalg.solve(eye_d - a, b.conj().T))
-    return np.hstack([d, e]), a, b, c_min, c_max
+    i_plus_a, i_minus_a = eye_d + a, eye_d - a
+    z_plus = np.linalg.solve(i_plus_a, bh)
+    z_minus = np.linalg.solve(i_minus_a, bh)
+    residual = max(np.linalg.norm(i_plus_a @ z_plus - bh),
+                   np.linalg.norm(i_minus_a @ z_minus - bh))
+    c_min = hermitize(-eye_e + b @ z_plus)
+    c_max = hermitize(eye_e - b @ z_minus)
+    return np.hstack([d, e]), a, b, c_min, c_max, float(residual)
 
 
 def _assemble(basis: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -72,7 +87,7 @@ def _assemble(basis: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) ->
 def any_sa_extension(t0: PartialContraction) -> np.ndarray:
     """Some self-adjoint contractive extension of T0: the interval midpoint,
     completed with the corner (C_min + C_max)/2."""
-    basis, a, b, c_min, c_max = _completion(t0)
+    basis, a, b, c_min, c_max, _ = _completion(t0)
     t = _assemble(basis, a, b, 0.5 * (c_min + c_max))
     check_residual("completed midpoint is not a contraction", t, 1.0 + CONTRACTION_SLACK)
     return t
@@ -108,20 +123,48 @@ class ExtensionInterval:
     # J compressed to the defect, Mb* J Mb (hermitized): the J of the
     # equation X = J(I - X)J, which krein_interval forms to read the signature.
     j_on_defect: np.ndarray = field(repr=False)
+    # epsilon with ||T_mu||_2, ||T_M||_2 <= 1 + epsilon, certified from the
+    # block data (see endpoint_excess_bound); at most RESULT_TOL.
+    certified_excess: float
 
     @property
     def defect_dim(self) -> int:
         return self.defect_basis.shape[1]
 
 
+def endpoint_excess_bound(t0: PartialContraction, solve_residual: float,
+                          w: np.ndarray) -> float:
+    """epsilon with ||T_mu||_2, ||T_M||_2 <= 1 + epsilon, from the block data.
+
+    With Z = (I +/- A)^{-1} B* computed with residual R = (I +/- A) Z - B*,
+    the Schur complements of I - K_M and I + K_M (K the block matrix of an
+    endpoint) with respect to I -/+ A are, in exact arithmetic,
+    B (I - A)^{-1} R and W + B (I + A)^{-1} R, and mirrored for K_mu.  A and
+    B are compressions of T0, so ||B|| ||(I +/- A)^{-1}|| <= ||T0|| / (1 -
+    ||T0||), and a Schur complement >= -s I gives I -/+ K >= -s I.  To the
+    resulting bound on ||K|| - 1 come the orthonormality slack of [D | E]
+    (||D* D - I||_F; E is Householder-orthonormal) and the rounding of the
+    corner products and of the assembly, ENDPOINT_ROUNDING n u.
+    """
+    solve_term = 0.0
+    if solve_residual:
+        gap = 1.0 - t0.norm
+        solve_term = t0.norm * solve_residual / gap if gap > 0 else np.inf
+    rounding = ENDPOINT_ROUNDING * t0.space.dim * np.finfo(float).eps
+    return (solve_term + max(0.0, -float(w.min(initial=0.0)))
+            + t0.basis_defect + rounding)
+
+
 def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> ExtensionInterval:
     """Extreme extensions T_mu, T_M by block completion of T0.
 
     T_M is assembled from the corner C_max; T_mu, the defect basis and
-    Delta^{1/2} come from the eigenpairs (w, V) of W = C_max - C_min.
+    Delta^{1/2} come from the eigenpairs (w, V) of W = C_max - C_min.  Both
+    endpoints are certified contractions by endpoint_excess_bound, or the
+    interval is refused with a ResolutionError; no n x n norm is taken.
     """
     space = t0.space
-    basis, a, b, c_min, c_max = _completion(t0)
+    basis, a, b, c_min, c_max, solve_residual = _completion(t0)
     t_m = _assemble(basis, a, b, c_max)
 
     w, v = np.linalg.eigh(hermitize(c_max - c_min))
@@ -140,7 +183,11 @@ def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> Extension
     for endpoint in (t_mu, t_m):
         check_residual("interval endpoint does not extend T0",
                        endpoint @ t0.domain - t0.action, RESULT_TOL)
-        check_residual("interval endpoint is not a contraction", endpoint, 1.0 + RESULT_TOL)
+    excess = endpoint_excess_bound(t0, solve_residual, w)
+    if not excess <= RESULT_TOL:
+        raise ResolutionError(
+            f"cannot certify the interval endpoints as contractions: the bound "
+            f"{excess:.3e} on ||T|| - 1 exceeds RESULT_TOL = {RESULT_TOL:.0e}")
     check_residual("J T_mu != -T_M J", space.j @ t_mu + t_m @ space.j, tol, scale=t_m)
 
     jm = mb.conj().T @ space.j @ mb
@@ -150,7 +197,8 @@ def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> Extension
     if np.abs(np.abs(ev) - 1.0).max(initial=0.0) > RESULT_TOL:
         raise InvariantViolation("J does not restrict to a symmetry of the defect")
     p = int(np.sum(ev > 0))
-    return ExtensionInterval(t0, t_mu, t_m, mb, scale, (p, mb.shape[1] - p), j_on_defect)
+    return ExtensionInterval(t0, t_mu, t_m, mb, scale, (p, mb.shape[1] - p), j_on_defect,
+                             excess)
 
 
 def classify_case(interval: ExtensionInterval) -> str:

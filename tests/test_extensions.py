@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,9 +24,12 @@ from kreinlab import (
     solve_x_equation,
     x_equation_residual,
 )
-from kreinlab._linalg import RESULT_TOL
-from kreinlab.errors import CayleyUndefinedError, InvariantViolation
+from kreinlab._linalg import RESULT_TOL, hermitize, orthonormal_columns, random_unitary
+from kreinlab.cli import main
+from kreinlab.errors import CayleyUndefinedError, InvariantViolation, ResolutionError
 from kreinlab.oracles import rank_extremality, sqrt_projection_endpoints
+from kreinlab.sequence_model import SequenceModelSpec, build_model
+from kreinlab.serialize import matrix_to_obj
 from kreinlab.verify import (
     random_anticommuting_contraction,
     random_partial_contraction,
@@ -120,6 +125,91 @@ def test_near_unit_case_is_the_interval_defect_decision(j2):
         assert (case == "A") == (iv.defect_dim == 0)
         cases.add(case)
     assert cases == {"A", "C"}
+
+
+def dense_problem(rng, n):
+    # J with a signature near n/2, an anticommuting contraction of norm at
+    # most 0.9 and a random J-invariant domain whose orthogonal complement
+    # has n/4 dimensions, split 1:1 between H_+ and H_-
+    p = int(rng.integers(3 * n // 8, 5 * n // 8 + 1))
+    u = random_unitary(rng, n)
+    space = SignatureSpace(hermitize((u * np.r_[np.ones(p), -np.ones(n - p)]) @ u.conj().T))
+    t = random_anticommuting_contraction(rng, space)
+    cols = []
+    for basis in fundamental_bases(space):
+        k = basis.shape[1] - n // 8
+        cols.append(orthonormal_columns(basis @ (rng.standard_normal((basis.shape[1], k))
+                                                 + 1j * rng.standard_normal((basis.shape[1], k)))))
+    domain = np.hstack(cols)
+    return PartialContraction(space, domain, t @ domain)
+
+
+def endpoint_excess(iv):
+    return max(opnorm(iv.t_mu), opnorm(iv.t_m)) - 1.0
+
+
+def test_endpoint_certificate_covers_the_measured_norms():
+    # the certified epsilon bounds the n x n 2-norm excess of both endpoints
+    # and stays within RESULT_TOL, on small random problems and on models;
+    # every third domain basis is scaled 4e-11 off orthonormal, which
+    # PartialContraction accepts and which lifts ||T|| above 1 by up to 3e-11
+    for seed in range(300):
+        rng = np.random.default_rng(7000 + seed)
+        space = random_signature_space(rng)
+        t0 = random_partial_contraction(rng, space)
+        if seed % 3 == 0:
+            t0 = PartialContraction(space, t0.domain * (1 + 4e-11), t0.action * (1 + 4e-11))
+        iv = krein_interval(t0)
+        assert endpoint_excess(iv) <= iv.certified_excess <= RESULT_TOL
+    for n_pairs in (64, 128):
+        for delta in (0.8, 1.25):
+            for variant in ("both_constraints", "chi_plus_zero"):
+                iv = krein_interval(build_model(SequenceModelSpec(delta, variant, n_pairs)).t0)
+                assert endpoint_excess(iv) <= iv.certified_excess <= RESULT_TOL
+
+
+def test_inaccurate_solve_is_refused_not_certified(monkeypatch, tmp_path, j2):
+    # corner solves 1e-6 off leave endpoints the certificate cannot cover:
+    # krein_interval refuses, and extend exits 4
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+    rng = np.random.default_rng(7301)
+    for t0 in (half_contraction(j2), dense_problem(rng, 16)):
+        with pytest.raises(ResolutionError, match="RESULT_TOL"):
+            krein_interval(t0)
+    t0 = half_contraction(j2)
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"J": matrix_to_obj(j2),
+                                   "T0_domain": matrix_to_obj(t0.domain),
+                                   "T0_action": matrix_to_obj(t0.action)}))
+    assert main(["extend", "--input", str(problem), "--output-dir", str(tmp_path)]) == 4
+    assert not (tmp_path / "extend_report.json").exists()
+
+
+@pytest.mark.parametrize("problem", ["dense_96", "model_128_pairs"])
+def test_interval_takes_no_svd(monkeypatch, problem):
+    # the endpoint certificate replaces the two n x n norms: with D(T0)^perp
+    # cached, krein_interval factors only m x m matrices besides its 2 solves
+    if problem == "dense_96":
+        t0 = dense_problem(np.random.default_rng(7401), 96)
+    else:
+        t0 = build_model(SequenceModelSpec(1.25, "both_constraints", 128)).t0
+    t0.complement
+    counted = []
+
+    def counter(name, real):
+        def count(a, *args, **kwargs):
+            counted.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
+        return count
+    for name in ("svd", "eigh", "eigvalsh", "qr", "solve"):
+        for module in (np.linalg, np.linalg._linalg):
+            monkeypatch.setattr(module, name, counter(name, getattr(module, name)))
+    iv = krein_interval(t0)
+    d, m = t0.domain_dim, iv.defect_dim
+    assert m == t0.space.dim - d
+    assert sorted(counted) == [("eigh", (m, m)), ("eigvalsh", (m, m)),
+                               ("solve", (d, d)), ("solve", (d, d))]
 
 
 @pytest.mark.parametrize("seed", range(10))

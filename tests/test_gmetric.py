@@ -13,7 +13,7 @@ from kreinlab import (
     xi_norm_identity_residual,
 )
 from kreinlab import gmetric
-from kreinlab.errors import CayleyUndefinedError
+from kreinlab.errors import CayleyUndefinedError, InvariantViolation
 from kreinlab.verify import random_anticommuting_contraction, random_signature_space
 
 T_HALF = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
@@ -93,6 +93,23 @@ def test_xi_norm_identity(seed):
 def test_unit_norm_contraction_fails_loudly(j2):
     with pytest.raises(CayleyUndefinedError):
         metric_for(j2, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+
+
+def test_contraction_check_reads_the_eigenvalues(monkeypatch):
+    # ||T|| = max |eigenvalue| of the one eigh: 1 - 1e-9 is accepted and
+    # 1 + 1e-9 refused, as a non-contraction also when the eigenvalue beyond
+    # the unit ball is below -1 (not as an undefined Cayley transform)
+    def refuse(*args, **kwargs):
+        raise AssertionError("from_contraction took an SVD")
+    monkeypatch.setattr(np.linalg._linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    a = 1.0 - 1e-9
+    assert metric_for(swap, np.diag([a, -a])).degenerate
+    a = 1.0 + 1e-9
+    for j, t in ((swap, np.diag([a, -a])), (np.diag([1.0, -1.0]), a * swap)):
+        with pytest.raises(InvariantViolation, match="contraction"):
+            metric_for(j, t)
 
 
 def test_metric_report_structure(j2):
