@@ -55,12 +55,8 @@ class PartialContraction:
         n, d = domain.shape
         if n != space.dim or action.shape != (n, d):
             raise InvariantViolation("domain/action shapes do not match the space")
-        gram_defect = domain.conj().T @ domain - np.eye(d)
-        check_residual("domain basis must be orthonormal", gram_defect, STRUCT_TOL)
-        # ||D* D - I||_F, a bound on the 2-norm that the check above holds to
-        # STRUCT_TOL: the orthonormality slack of D in the endpoint
-        # certificate of krein_interval.
-        self.basis_defect = float(np.linalg.norm(gram_defect))
+        check_residual("domain basis must be orthonormal",
+                       domain.conj().T @ domain - np.eye(d), STRUCT_TOL)
         self.space = space
         self.domain = domain
         self.action = action

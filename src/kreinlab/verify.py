@@ -266,7 +266,7 @@ def _check_angular_c0(rng) -> str:
 
 def _check_endpoints_vs_completion(rng) -> str:
     # The n x n 2-norms of the endpoints are the independent route to the
-    # contraction certificate that krein_interval reads from block data.
+    # bound on ||T|| - 1 that krein_interval reads from block data.
     worst = 0.0
     worst_anti = 0.0
     worst_excess = -np.inf
@@ -284,17 +284,17 @@ def _check_endpoints_vs_completion(rng) -> str:
         if excess > RESULT_TOL:
             raise AssertionError(f"interval endpoint is not a contraction: "
                                  f"||T|| - 1 = {excess:.3e}")
-        if excess > interval.certified_excess:
-            raise AssertionError(f"||T|| - 1 = {excess:.3e} exceeds the certified "
-                                 f"{interval.certified_excess:.3e}")
+        if excess > interval.excess_bound:
+            raise AssertionError(f"||T|| - 1 = {excess:.3e} exceeds the bound "
+                                 f"{interval.excess_bound:.3e}")
         worst_excess = max(worst_excess, excess)
-        worst_bound = max(worst_bound, interval.certified_excess)
+        worst_bound = max(worst_bound, interval.excess_bound)
     if worst > RESULT_TOL:
         raise AssertionError(f"endpoint routes disagree by {worst:.3e}")
     if worst_anti > STRUCT_TOL:
         raise AssertionError(f"J T_mu + T_M J = {worst_anti:.3e}")
     return (f"square-root and block-completion endpoints agree ({worst:.2e}); "
-            f"||T|| - 1 at most {worst_excess:.2e}, certified {worst_bound:.2e}")
+            f"||T|| - 1 at most {worst_excess:.2e}, bound {worst_bound:.2e}")
 
 
 def _check_defect_complement(rng) -> str:
