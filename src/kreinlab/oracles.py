@@ -12,6 +12,8 @@ where `extensions.extremality_test` asks whether X is a projection.
 Sequence-model sweep: the n x n truncation (Xi from the eigenpairs of T,
 the preimage by least squares, `density_test` and `uniqueness_sup`), where
 `sequence_model.truncated_density_sweep` reads the block structure.
+Step-halving eigenvalues: bisection on the halved step, where
+`quasibasis.halfline_levels` refines the coarse eigenpairs.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from ._linalg import (CONTRACTION_SLACK, STRUCT_TOL, as_matrix, cayley_spectrum,
                       psd_clamp)
 from .errors import CayleyUndefinedError, InvariantViolation
 from .extensions import any_sa_extension, density_test, j_symmetrize
+from .quasibasis import _halfline_tridiagonal
 from .sequence_model import SequenceModelSpec, TruncationSample, build_model, series_terms
 
 
@@ -115,3 +118,15 @@ def dense_density_sweep(spec, exponents) -> list[TruncationSample]:
         sup = uniqueness_sup(inst.t0, chi)
         out.append(TruncationSample(n, norm_sq_matrix, norm_sq_series, dense, sup))
     return out
+
+
+def halved_step_bisection(beta: float, grid, parity: str, count: int) -> np.ndarray:
+    """The lowest `count` eigenvalues of the half-line operator of `parity`
+    on the halved step of `grid`, by bisection of the whole tridiagonal."""
+    # Deferred, as in quasibasis: the CLI imports this module through verify.
+    from scipy.linalg import eigh_tridiagonal
+
+    h = 0.5 * grid.step
+    v_half2 = np.abs(h * np.arange(grid.nodes)) ** beta
+    return eigh_tridiagonal(*_halfline_tridiagonal(v_half2, h, parity), eigvals_only=True,
+                            select="i", select_range=(0, count - 1))

@@ -58,6 +58,11 @@ SPAN_WARN_TOL = 1e-6
 # Largest deviation of the indefinite Gram from diag(sigma) that sign_pattern
 # still reports as J-orthonormal.
 J_ORTHONORMAL_TOL = 1e-6
+# Rayleigh-quotient refinement of the step-halving eigenvalues: the most
+# iteration steps per level, and the rounding slack of each residual bracket
+# in units of eps * ||T||_1.
+RQI_STEPS = 6
+BRACKET_SLACK = 16.0
 
 
 @dataclass(frozen=True)
@@ -334,15 +339,116 @@ def _halfline_eigs(v_half: np.ndarray, h: float, parity: str, count: int):
     else:
         vec = np.vstack([np.zeros(count), vec])
     # Deterministic sign and full-line normalization (norm^2 = 2h sum u^2
-    # with the half-weight at 0 already absorbed by the substitution).
-    for k in range(count):
-        u = vec[:, k]
-        lead = u[np.argmax(np.abs(u))]
-        if lead < 0:
-            u *= -1.0
-        norm_sq = 2.0 * h * (np.sum(u * u) - (0.5 * u[0] * u[0] if parity == "even" else 0.0))
-        vec[:, k] = u / np.sqrt(norm_sq)
-    return w, vec
+    # with the half-weight at 0 already absorbed by the substitution).  Each
+    # vector is a contiguous row here, so its sum takes the order of a
+    # one-dimensional np.sum.
+    rows = vec.T.copy()
+    lead = rows[np.arange(count), np.argmax(np.abs(rows), axis=1)]
+    rows[lead < 0] *= -1.0
+    norm_sq = np.sum(rows * rows, axis=1)
+    if parity == "even":
+        norm_sq -= 0.5 * rows[:, 0] * rows[:, 0]
+    rows /= np.sqrt(2.0 * h * norm_sq)[:, None]
+    return w, rows.T
+
+
+def _prolong(vec: np.ndarray, parity: str) -> np.ndarray:
+    """Half-line samples on step h (columns of vec), linearly interpolated
+    onto step h/2 as rows of the unknowns of `_halfline_tridiagonal` there."""
+    points, count = vec.shape
+    fine = np.empty((count, 2 * points))
+    fine[:, 0::2] = vec.T
+    fine[:, 1:-1:2] = 0.5 * (vec[:-1] + vec[1:]).T
+    fine[:, -1] = 0.5 * vec[-1]          # the Dirichlet value 0 at |x| = L
+    if parity == "even":
+        fine[:, 0] /= np.sqrt(2.0)       # back to the symmetrized w_0 = u_0 / sqrt(2)
+        return fine
+    return fine[:, 1:]                   # the odd problem has no unknown at x = 0
+
+
+def _rayleigh_brackets(d: np.ndarray, e: np.ndarray, x: np.ndarray, slack: float):
+    """(sigma, r) per row of the start vectors x: the Rayleigh quotient and
+    residual norm of the best Rayleigh-quotient iterate for the tridiagonal
+    (d, e), or None when a solve breaks down.  A level stops iterating once
+    its residual is within slack, and at the latest after RQI_STEPS solves."""
+    from scipy.linalg.lapack import dgtsv    # deferred, as in _halfline_eigs
+
+    sigma = np.full(x.shape[0], np.nan)
+    r_best = np.full(x.shape[0], np.inf)
+    levels = np.arange(x.shape[0])
+    for step in range(RQI_STEPS + 1):
+        xs = x[levels]
+        xs /= np.linalg.norm(xs, axis=1)[:, None]
+        tx = d * xs
+        tx[:, :-1] += e * xs[:, 1:]
+        tx[:, 1:] += e * xs[:, :-1]
+        q = np.einsum("ij,ij->i", xs, tx)
+        tx -= q[:, None] * xs
+        r = np.sqrt(np.einsum("ij,ij->i", tx, tx))
+        better = r < r_best[levels]
+        sigma[levels[better]], r_best[levels[better]] = q[better], r[better]
+        keep = r_best[levels] > slack
+        if step == RQI_STEPS or not np.any(keep):
+            return sigma, r_best
+        for j, shift, v in zip(levels[keep], q[keep], xs[keep]):
+            *_, y, info = dgtsv(e, d - shift, e, v[:, None], overwrite_d=1, overwrite_b=1)
+            if info:
+                return None
+            x[j] = y[:, 0]
+        levels = levels[keep]
+
+
+def _halved_step_eigs(v_fine: np.ndarray, h: float, parity: str, vec: np.ndarray):
+    """(eigenvalues, radii): the lowest vec.shape[1] eigenvalues of the
+    `_halfline_tridiagonal` operator T on step h, refined from the coarse
+    eigenvectors `vec` of `_halfline_eigs` on step 2h.
+
+    Rayleigh-quotient iteration starts from the prolonged vectors.  By the
+    residual theorem an eigenvalue lies within radius r + BRACKET_SLACK *
+    eps * ||T||_1 of each Rayleigh quotient.  When these k brackets are
+    disjoint and one Sturm count finds exactly k eigenvalues up to the top
+    of the last, bracket j holds the j-th lowest eigenvalue.  Otherwise, or
+    when a solve breaks down, the eigenvalues come from bisection and radii
+    is None.
+    """
+    from scipy.linalg import eigh_tridiagonal         # deferred, as in _halfline_eigs
+    from scipy.linalg.lapack import dstebz
+
+    d, e = _halfline_tridiagonal(v_fine, h, parity)
+    count = vec.shape[1]
+    off = np.zeros(d.size)
+    off[:-1] += np.abs(e)
+    off[1:] += np.abs(e)
+    slack = BRACKET_SLACK * np.finfo(float).eps * np.max(np.abs(d) + off)
+    brackets = _rayleigh_brackets(d, e, _prolong(vec, parity), slack)
+    if brackets is not None:
+        order = np.argsort(brackets[0])
+        sigma, radius = brackets[0][order], brackets[1][order] + slack
+        lo, hi = sigma - radius, sigma + radius
+        if np.all(np.isfinite(hi)) and np.all(lo[1:] > hi[:-1]):
+            floor = np.min(d - off) - 1.0             # below the Gershgorin floor
+            # A tolerance wider than (floor, hi[-1]] makes dstebz count, not bisect.
+            found, *_, info = dstebz(d, e, 1, floor, hi[-1], 0, 0,
+                                     2.0 * (hi[-1] - floor), "E")
+            if info == 0 and found == count:
+                return sigma, radius
+    return eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                            select_range=(0, count - 1)), None
+
+
+def halfline_levels(beta: float, grid: UniformGrid, count: int):
+    """The half-line solves of `anharmonic_family`, for the even and then
+    the odd parity: (w, u, w_fine, radii) with (w, u) the lowest `count`
+    eigenpairs of `_halfline_eigs` on the grid, and w_fine the eigenvalues
+    on its halved step with their certified radii (`_halved_step_eigs`)."""
+    h, half = grid.step, grid.nodes // 2
+    v_half = np.abs(h * np.arange(half)) ** beta
+    v_half2 = np.abs(0.5 * h * np.arange(2 * half)) ** beta
+    levels = []
+    for parity in ("even", "odd"):
+        w, u = _halfline_eigs(v_half, h, parity, count)
+        levels.append((w, u, *_halved_step_eigs(v_half2, 0.5 * h, parity, u)))
+    return levels
 
 
 @dataclass(frozen=True)
@@ -381,9 +487,11 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
 
     g_n are finite-difference eigenfunctions of -d^2/dx^2 + |x|^beta,
     computed on the half line with explicit even/odd boundary conditions so
-    each one has exact parity; a Richardson step-halving solve estimates
-    the eigenvalue discretization error.  p must be a bounded odd weight
-    from BUILTIN_WEIGHTS.
+    each one has exact parity.  The Richardson step-halving estimate of the
+    eigenvalue discretization error, |lambda_h - lambda_{h/2}| / 3, reads
+    the eigenvalues on the halved step from the coarse eigenpairs refined
+    there (`_halved_step_eigs`).  p must be a bounded odd weight from
+    BUILTIN_WEIGHTS.
     """
     if not 2.0 < beta < np.inf:
         raise ValueError("beta must exceed 2 and be finite")
@@ -400,20 +508,10 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
     h = grid.step
     m = grid.nodes
     half = m // 2
-    v_half = np.abs(h * np.arange(half)) ** beta
-
+    # The coarse eigenpairs give g_n; refined on the halved step, they give
+    # the Richardson estimate of the eigenvalue discretization error.
     count = n_max + 2
-    w_even, u_even = _halfline_eigs(v_half, h, "even", count)
-    w_odd, u_odd = _halfline_eigs(v_half, h, "odd", count)
-
-    # Richardson step-halving estimate of the eigenvalue error: the
-    # eigenvalues alone on the doubled grid.
-    from scipy.linalg import eigh_tridiagonal   # deferred, as in _halfline_eigs
-
-    v_half2 = np.abs(0.5 * h * np.arange(2 * half)) ** beta
-    lowest = {"eigvals_only": True, "select": "i", "select_range": (0, count - 1)}
-    w_even2 = eigh_tridiagonal(*_halfline_tridiagonal(v_half2, 0.5 * h, "even"), **lowest)
-    w_odd2 = eigh_tridiagonal(*_halfline_tridiagonal(v_half2, 0.5 * h, "odd"), **lowest)
+    (w_even, u_even, w_even2, _), (w_odd, u_odd, w_odd2, _) = halfline_levels(beta, grid, count)
 
     # Merge the branches by eigenvalue.  The odd branch comes first, so on an
     # exact tie the stable sort orders levels by (eigenvalue, parity, index).

@@ -49,6 +49,7 @@ from .extensions import (
 )
 from .gmetric import GMetric, g_inner, jg_product, metric_report
 from .quasibasis import (
+    UniformGrid,
     anharmonic_family,
     biorthogonal_gram,
     c_action,
@@ -56,6 +57,7 @@ from .quasibasis import (
     eigen_residual,
     expansion,
     h_gram_in_g,
+    halfline_levels,
     metric_gram,
     shifted_family,
     sign_pattern,
@@ -607,8 +609,21 @@ def _check_quasibasis_anharmonic(rng) -> str:
     rep = expansion(fam, target)
     if rep.g_errors[-1] > EXPANSION_TOL or np.any(np.diff(rep.g_errors) > MONOTONE_SLACK):
         raise AssertionError("in-span anharmonic expansion failed")
+    # The refined step-halving eigenvalues against bisection, each within its
+    # certified bracket, on a grid where the bisection takes a few ms.
+    grid = UniformGrid(8.0, 1024)
+    count = fam.n_max + 2
+    worst = 0.0
+    for parity, (_, _, fine, radii) in zip(("even", "odd"), halfline_levels(4.0, grid, count)):
+        if radii is None:
+            raise AssertionError(f"{parity} step-halving eigenvalues fell back to bisection")
+        gap = np.abs(fine - oracles.halved_step_bisection(4.0, grid, parity, count))
+        worst = max(worst, float(np.max(gap / radii)))
+    if worst > 1.0:
+        raise AssertionError(f"step-halving eigenvalue {worst:.2f} radii from bisection")
     return (f"beta = 4 family: Gram dev {offdiag:.1e}, weighted Gram dev {dev:.1e}, "
-            f"max residual {np.max(residuals):.1e}")
+            f"max residual {np.max(residuals):.1e}, step-halving eigenvalues within "
+            f"{worst:.2f} bracket radii of bisection")
 
 
 def _float_edge_values() -> list[float]:

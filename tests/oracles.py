@@ -12,6 +12,7 @@ imported rather than restated.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import hermite as npherm
@@ -19,6 +20,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from kreinlab._linalg import RANK_RCOND, STRUCT_TOL
 from kreinlab.gmetric import KERNEL_RCOND
+from kreinlab.quasibasis import _halfline_tridiagonal
 
 FEAS_SLACK = 1e-12
 
@@ -222,6 +224,51 @@ def quartic_reference_eigenvalues(count: int, half_width: float = 8.0,
     coarse = grid_eigs(nodes)
     fine = grid_eigs(2 * nodes)
     return fine + (fine - coarse) / 3.0
+
+
+def halfline_eigs_loop(v_half, h: float, parity: str, count: int):
+    """The coarse half-line eigenpairs with each eigenvector signed and
+    normalized on the full line in its own loop pass, as
+    `quasibasis._halfline_eigs` does for all of them at once."""
+    w, vec = eigh_tridiagonal(*_halfline_tridiagonal(v_half, h, parity),
+                              select="i", select_range=(0, count - 1))
+    if parity == "even":
+        vec = vec.copy()
+        vec[0] *= np.sqrt(2.0)
+    else:
+        vec = np.vstack([np.zeros(count), vec])
+    for k in range(count):
+        u = vec[:, k]
+        lead = u[np.argmax(np.abs(u))]
+        if lead < 0:
+            u *= -1.0
+        norm_sq = 2.0 * h * (np.sum(u * u) - (0.5 * u[0] * u[0] if parity == "even" else 0.0))
+        vec[:, k] = u / np.sqrt(norm_sq)
+    return w, vec
+
+
+def exact_count_below(d, e, c: float) -> int:
+    """How many eigenvalues of the symmetric tridiagonal (d, e) lie below c,
+    in exact arithmetic on the stored floats.
+
+    Every float is a dyadic rational, so scaling by the largest denominator
+    makes d - c and e integral, and the leading principal minors of T - cI
+    follow from their three-term recurrence in integers.  Their sign
+    changes count the eigenvalues below c (Sturm).
+    """
+    scale = max(Fraction(v).denominator for v in (*d, *e, c))
+    shifted = [int((Fraction(v) - Fraction(c)) * scale) for v in d]
+    squares = [int(Fraction(v) * scale) ** 2 for v in e]
+    prev, cur = 1, shifted[0]
+    changes = int(cur < 0)
+    for dk, ek2 in zip(shifted[1:], squares):
+        if cur == 0:
+            raise ValueError("c is an eigenvalue of a leading principal submatrix")
+        prev, cur = cur, dk * cur - ek2 * prev
+        changes += (cur < 0) != (prev < 0)
+    if cur == 0:
+        raise ValueError("c is an eigenvalue")
+    return changes
 
 
 def halfline_merge_loop(even, odd, even_fine, odd_fine, n_max: int):

@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 import oracles as ref
+from kreinlab import oracles
 from kreinlab.errors import (
     FrequencyBandError,
     GridResolutionError,
@@ -425,20 +427,27 @@ def test_anharmonic_tanh_weight():
 
 
 def test_anharmonic_richardson_solves_are_eigenvalues_only(monkeypatch):
-    # the two coarse solves need eigenvectors for g_n; the two step-halving
-    # solves feed only the eigenvalue error estimate
-    solve = scipy.linalg.eigh_tridiagonal
-    with_vectors = []
+    # the two coarse solves need eigenvectors for g_n and are the only
+    # eigh_tridiagonal calls; the step-halving eigenvalues are refined from
+    # them, with one Sturm count per parity and no bisection
+    solve, count = scipy.linalg.eigh_tridiagonal, scipy.linalg.lapack.dstebz
+    calls = []
 
-    def counting(*args, **kwargs):
-        out = solve(*args, **kwargs)
-        with_vectors.append(isinstance(out, tuple))
+    def counting_solve(d, e, **kwargs):
+        out = solve(d, e, **kwargs)
+        calls.append(("eigh_tridiagonal", d.size, isinstance(out, tuple)))
         return out
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    def counting_count(d, e, *args):
+        calls.append(("dstebz", d.size, args[0]))
+        return count(d, e, *args)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting_solve)
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", counting_count)
     anharmonic_family(4.0, "tanh", n_max=3, grid=UniformGrid(8.0, 1024))
-    assert len(with_vectors) == 4
-    assert with_vectors.count(True) == 2
+    # the odd problems drop the unknown at x = 0; range 1 is RANGE='V'
+    assert sorted(calls) == [("dstebz", 1023, 1), ("dstebz", 1024, 1),
+                             ("eigh_tridiagonal", 511, True), ("eigh_tridiagonal", 512, True)]
 
 
 @pytest.mark.parametrize("beta, weight, n_max", [(4.0, "x_over_1px2", 6), (3.0, "tanh", 9)])
@@ -447,19 +456,120 @@ def test_anharmonic_merge_matches_loop_reference(beta, weight, n_max):
     # loop of the reference computes, bit for bit
     grid = UniformGrid(8.0, 1024)
     fam = anharmonic_family(beta, weight, n_max=n_max, grid=grid)
-    h, half, count = grid.step, grid.nodes // 2, n_max + 2
-    v_half = np.abs(h * np.arange(half)) ** beta
-    v_fine = np.abs(0.5 * h * np.arange(2 * half)) ** beta
-    even, odd, (w_even_fine, _), (w_odd_fine, _) = (
-        qb._halfline_eigs(v, step, parity, count)
-        for v, step, parity in ((v_half, h, "even"), (v_half, h, "odd"),
-                                (v_fine, 0.5 * h, "even"), (v_fine, 0.5 * h, "odd")))
-    eigs, parities, richardson, g = ref.halfline_merge_loop(even, odd, w_even_fine,
-                                                            w_odd_fine, n_max)
+    (w_even, u_even, w_even_fine, _), (w_odd, u_odd, w_odd_fine, _) = qb.halfline_levels(
+        beta, grid, n_max + 2)
+    eigs, parities, richardson, g = ref.halfline_merge_loop(
+        (w_even, u_even), (w_odd, u_odd), w_even_fine, w_odd_fine, n_max)
     assert np.array_equal(fam.eigenvalues, eigs)
     assert np.array_equal(fam.g_parities, parities)
     assert np.array_equal(fam.richardson_error, richardson)
     assert np.array_equal(fam.g, g)
+
+
+# (beta, n_max) of the perfbench quasibasis_grid anharmonic families (the
+# weight does not enter g or the eigenvalues), then of the two verify checks
+POOL_LEVELS = [(3.0, 8), (3.0, 16), (4.0, 8), (4.0, 16)]
+VERIFY_LEVELS = [(4.0, 6), (4.0, 5)]
+
+
+@pytest.mark.parametrize("beta, n_max", POOL_LEVELS)
+def test_anharmonic_g_matches_the_per_column_normalization(beta, n_max):
+    # the array normalization of the coarse eigenvectors is the per-column
+    # loop's, bit for bit
+    grid = qb.ANHARMONIC_GRID
+    fam = anharmonic_family(beta, "tanh", n_max=n_max)
+    h, half, count = grid.step, grid.nodes // 2, n_max + 2
+    v_half = np.abs(h * np.arange(half)) ** beta
+    even, odd = (ref.halfline_eigs_loop(v_half, h, parity, count) for parity in ("even", "odd"))
+    *_, g = ref.halfline_merge_loop(even, odd, np.zeros(count), np.zeros(count), n_max)
+    assert fam.g.tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("beta, n_max", POOL_LEVELS + VERIFY_LEVELS)
+def test_step_halving_eigenvalues_agree_with_bisection(beta, n_max):
+    # the certificate holds on the default grid (no fallback), and each
+    # refined eigenvalue lies within its bracket of the bisection value
+    grid, count = qb.ANHARMONIC_GRID, n_max + 2
+    for parity, (_, _, fine, radii) in zip(("even", "odd"), qb.halfline_levels(beta, grid, count)):
+        assert radii is not None, parity
+        gap = np.abs(fine - oracles.halved_step_bisection(beta, grid, parity, count))
+        assert np.all(gap <= 1e-9) and np.all(gap <= radii), parity
+
+
+def test_step_halving_falls_back_on_an_under_resolved_grid():
+    # 256 nodes at n_max 16: the certificate fails for both parities, and
+    # the family's Richardson errors come from the bisection values
+    grid, n_max = UniformGrid(8.0, 256), 16
+    fam = anharmonic_family(6.0, "x_over_1px2", n_max=n_max, grid=grid)
+    (w_even, u_even, fine_even, radii_even), (w_odd, u_odd, fine_odd, radii_odd) = (
+        qb.halfline_levels(6.0, grid, n_max + 2))
+    assert radii_even is None and radii_odd is None
+    bisected = [oracles.halved_step_bisection(6.0, grid, parity, n_max + 2)
+                for parity in ("even", "odd")]
+    assert np.array_equal(fine_even, bisected[0]) and np.array_equal(fine_odd, bisected[1])
+    _, _, richardson, _ = ref.halfline_merge_loop((w_even, u_even), (w_odd, u_odd),
+                                                  *bisected, n_max)
+    assert np.array_equal(fam.richardson_error, richardson)
+
+
+@pytest.mark.parametrize("nodes, beta, n_max", [(64, 2.5, 6), (64, 4.0, 6), (128, 4.0, 10),
+                                                (256, 3.0, 10)])
+def test_step_halving_brackets_hold_their_eigenvalues(nodes, beta, n_max):
+    # exact Sturm counts of the stored halved-step matrix: certified bracket
+    # j holds the j-th lowest eigenvalue and no other; without the rounding
+    # slack, the odd problem of (64, 4.0, 6) certifies a bracket that holds
+    # none.  A parity that fails the certificate returns the bisection values.
+    grid, count = UniformGrid(8.0, nodes), n_max + 2
+    h = 0.5 * grid.step
+    v_half2 = np.abs(h * np.arange(nodes)) ** beta
+    for parity, (_, _, fine, radii) in zip(("even", "odd"), qb.halfline_levels(beta, grid, count)):
+        if radii is None:
+            assert np.array_equal(fine, oracles.halved_step_bisection(beta, grid, parity, count))
+            continue
+        d, e = qb._halfline_tridiagonal(v_half2, h, parity)
+        for j in range(count):
+            assert ref.exact_count_below(d, e, fine[j] - radii[j]) == j, (parity, j)
+            assert ref.exact_count_below(d, e, fine[j] + radii[j]) == j + 1, (parity, j)
+
+
+@pytest.fixture(scope="module")
+def halfline_1024():
+    """(v_half, v_half2, h) of the beta = 4 problem on a 1024-node grid."""
+    grid = UniformGrid(8.0, 1024)
+    h = grid.step
+    return (np.abs(h * np.arange(512)) ** 4.0, np.abs(0.5 * h * np.arange(1024)) ** 4.0, h)
+
+
+@pytest.mark.parametrize("parity", ("even", "odd"))
+def test_step_halving_falls_back_on_bad_starts(halfline_1024, parity):
+    # starts shifted up one level converge to levels 1..5, and the Sturm
+    # count finds 6 eigenvalues up to the top bracket; duplicated starts give
+    # overlapping brackets.  Both fall back to the bisection values.
+    v_half, v_half2, h = halfline_1024
+    _, u = qb._halfline_eigs(v_half, h, parity, 6)
+    bisected = oracles.halved_step_bisection(4.0, UniformGrid(8.0, 1024), parity, 5)
+    fine, radii = qb._halved_step_eigs(v_half2, 0.5 * h, parity, u[:, :5])
+    assert radii is not None and np.all(np.abs(fine - bisected) <= radii)
+    for starts in (u[:, 1:], u[:, [0, 0, 1, 2, 3]]):
+        fine, radii = qb._halved_step_eigs(v_half2, 0.5 * h, parity, starts)
+        assert radii is None
+        assert np.array_equal(fine, bisected)
+
+
+def test_step_halving_falls_back_when_a_solve_breaks_down(halfline_1024, monkeypatch):
+    v_half, v_half2, h = halfline_1024
+    _, u = qb._halfline_eigs(v_half, h, "even", 5)
+    solve = scipy.linalg.lapack.dgtsv
+
+    def breaking(*args, **kwargs):
+        *out, _ = solve(*args, **kwargs)
+        return (*out, 1)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", breaking)
+    fine, radii = qb._halved_step_eigs(v_half2, 0.5 * h, "even", u)
+    assert radii is None
+    assert np.array_equal(fine, oracles.halved_step_bisection(4.0, UniformGrid(8.0, 1024),
+                                                              "even", 5))
 
 
 def test_parity_mixing_refusal(monkeypatch):
