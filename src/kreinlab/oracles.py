@@ -13,7 +13,9 @@ Sequence-model sweep: the n x n truncation (Xi from the eigenpairs of T,
 the preimage by least squares, `density_test` and `uniqueness_sup`), where
 `sequence_model.truncated_density_sweep` reads the block structure.
 Step-halving eigenvalues: bisection on the halved step, where
-`quasibasis.halfline_levels` refines the coarse eigenpairs.
+`quasibasis.halfline_levels` refines the coarse eigenpairs.  Anharmonic
+levels: n_max + 2 per parity before the merge, where
+`quasibasis.anharmonic_family` solves only the levels the merge keeps.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from ._linalg import (CONTRACTION_SLACK, STRUCT_TOL, as_matrix, cayley_spectrum,
                       psd_clamp)
 from .errors import CayleyUndefinedError, InvariantViolation
 from .extensions import any_sa_extension, density_test, j_symmetrize
-from .quasibasis import _halfline_tridiagonal
+from .quasibasis import _halfline_tridiagonal, halfline_levels, merge_levels
 from .sequence_model import SequenceModelSpec, TruncationSample, build_model, series_terms
 
 
@@ -130,3 +132,9 @@ def halved_step_bisection(beta: float, grid, parity: str, count: int) -> np.ndar
     v_half2 = np.abs(h * np.arange(grid.nodes)) ** beta
     return eigh_tridiagonal(*_halfline_tridiagonal(v_half2, h, parity), eigvals_only=True,
                             select="i", select_range=(0, count - 1))
+
+
+def full_range_levels(beta: float, grid, n_max: int):
+    """(eigenvalues, parities, Richardson errors, g rows) of the anharmonic
+    family from n_max + 2 levels per parity, merged as the family merges."""
+    return merge_levels(halfline_levels(beta, grid, (n_max + 2, n_max + 2)), n_max)

@@ -398,6 +398,24 @@ def _rayleigh_brackets(d: np.ndarray, e: np.ndarray, x: np.ndarray, slack: float
         levels = levels[keep]
 
 
+def _gershgorin(d: np.ndarray, e: np.ndarray):
+    """(lower Gershgorin bound, ||T||_1) of the symmetric tridiagonal (d, e)."""
+    off = np.zeros(d.size)
+    off[:-1] += np.abs(e)
+    off[1:] += np.abs(e)
+    return np.min(d - off), np.max(np.abs(d) + off)
+
+
+def _count_up_to(d: np.ndarray, e: np.ndarray, floor: float, top: float):
+    """How many eigenvalues of the tridiagonal (d, e) lie in (floor, top], by
+    one `dstebz` Sturm count, or None when dstebz reports a failure."""
+    from scipy.linalg.lapack import dstebz           # deferred, as in _halfline_eigs
+
+    # A tolerance wider than (floor, top] makes dstebz count, not bisect.
+    found, *_, info = dstebz(d, e, 1, floor, top, 0, 0, 2.0 * (top - floor), "E")
+    return found if info == 0 else None
+
+
 def _halved_step_eigs(v_fine: np.ndarray, h: float, parity: str, vec: np.ndarray):
     """(eigenvalues, radii): the lowest vec.shape[1] eigenvalues of the
     `_halfline_tridiagonal` operator T on step h, refined from the coarse
@@ -412,43 +430,93 @@ def _halved_step_eigs(v_fine: np.ndarray, h: float, parity: str, vec: np.ndarray
     is None.
     """
     from scipy.linalg import eigh_tridiagonal         # deferred, as in _halfline_eigs
-    from scipy.linalg.lapack import dstebz
 
     d, e = _halfline_tridiagonal(v_fine, h, parity)
     count = vec.shape[1]
-    off = np.zeros(d.size)
-    off[:-1] += np.abs(e)
-    off[1:] += np.abs(e)
-    slack = BRACKET_SLACK * np.finfo(float).eps * np.max(np.abs(d) + off)
+    low, norm = _gershgorin(d, e)
+    slack = BRACKET_SLACK * np.finfo(float).eps * norm
     brackets = _rayleigh_brackets(d, e, _prolong(vec, parity), slack)
     if brackets is not None:
         order = np.argsort(brackets[0])
         sigma, radius = brackets[0][order], brackets[1][order] + slack
         lo, hi = sigma - radius, sigma + radius
-        if np.all(np.isfinite(hi)) and np.all(lo[1:] > hi[:-1]):
-            floor = np.min(d - off) - 1.0             # below the Gershgorin floor
-            # A tolerance wider than (floor, hi[-1]] makes dstebz count, not bisect.
-            found, *_, info = dstebz(d, e, 1, floor, hi[-1], 0, 0,
-                                     2.0 * (hi[-1] - floor), "E")
-            if info == 0 and found == count:
-                return sigma, radius
+        if (np.all(np.isfinite(hi)) and np.all(lo[1:] > hi[:-1])
+                and _count_up_to(d, e, low - 1.0, hi[-1]) == count):
+            return sigma, radius
     return eigh_tridiagonal(d, e, eigvals_only=True, select="i",
                             select_range=(0, count - 1)), None
 
 
-def halfline_levels(beta: float, grid: UniformGrid, count: int):
+def merged_counts(n_max: int) -> tuple[int, int]:
+    """(even, odd) level counts among the n_max + 1 lowest levels when the
+    levels alternate in parity from an even ground state."""
+    return (n_max + 2) // 2, (n_max + 1) // 2
+
+
+def halfline_levels(beta: float, grid: UniformGrid, counts):
     """The half-line solves of `anharmonic_family`, for the even and then
-    the odd parity: (w, u, w_fine, radii) with (w, u) the lowest `count`
-    eigenpairs of `_halfline_eigs` on the grid, and w_fine the eigenvalues
-    on its halved step with their certified radii (`_halved_step_eigs`)."""
+    the odd parity: (w, u, w_fine, radii) with (w, u) the lowest counts[0]
+    even / counts[1] odd eigenpairs of `_halfline_eigs` on the grid, and
+    w_fine the eigenvalues on its halved step with their certified radii
+    (`_halved_step_eigs`).  A parity with count 0 solves nothing."""
     h, half = grid.step, grid.nodes // 2
     v_half = np.abs(h * np.arange(half)) ** beta
     v_half2 = np.abs(0.5 * h * np.arange(2 * half)) ** beta
     levels = []
-    for parity in ("even", "odd"):
+    for parity, count in zip(("even", "odd"), counts):
+        if count == 0:
+            levels.append((np.empty(0), np.empty((v_half.size, 0)), np.empty(0), np.empty(0)))
+            continue
         w, u = _halfline_eigs(v_half, h, parity, count)
         levels.append((w, u, *_halved_step_eigs(v_half2, 0.5 * h, parity, u)))
     return levels
+
+
+def merge_certified(beta: float, grid: UniformGrid, levels) -> bool:
+    """Whether the coarse levels of `halfline_levels` are, for each parity,
+    every level of that parity up to the highest of them all: one Sturm
+    count per parity over (Gershgorin floor - 1, top + BRACKET_SLACK * eps *
+    ||T||_1] must find exactly the levels solved.  The slack makes a level
+    that rounding could put below the top fail the certificate."""
+    v_half = np.abs(grid.step * np.arange(grid.nodes // 2)) ** beta
+    top = np.max(np.concatenate([w for w, *_ in levels]))
+    for parity, (w, *_) in zip(("even", "odd"), levels):
+        d, e = _halfline_tridiagonal(v_half, grid.step, parity)
+        low, norm = _gershgorin(d, e)
+        if _count_up_to(d, e, low - 1.0, top + BRACKET_SLACK * np.finfo(float).eps * norm) != w.size:
+            return False
+    return True
+
+
+def merge_levels(levels, n_max: int):
+    """(eigenvalues, parities, Richardson errors, g rows) of the n_max + 1
+    lowest levels of the half-line solves `levels` (`halfline_levels`).
+
+    The branches are merged by eigenvalue.  The odd branch comes first, so
+    on an exact tie the stable sort orders levels by (eigenvalue, parity,
+    index).  Levels closer than 1e-8 relative are refused.
+    """
+    (w_even, u_even, w_even2, _), (w_odd, u_odd, w_odd2, _) = levels
+    w_all = np.concatenate([w_odd, w_even])
+    order = np.argsort(w_all, kind="stable")[: n_max + 1]
+    eigs = w_all[order]
+    gaps = np.diff(eigs)
+    if np.any(gaps < 1e-8 * np.maximum(1.0, np.abs(eigs[1:]))):
+        raise ParityMixingError(
+            "even/odd eigenvalue branches are too close to separate reliably"
+        )
+    parities = np.where(order < w_odd.size, -1, 1)
+    richardson = np.abs(w_all - np.concatenate([w_odd2, w_even2]))[order] / 3.0
+
+    # Map half-line solutions onto the full grid, with the Dirichlet value
+    # 0 at |x| = L in the last column.
+    half = u_even.shape[0]
+    u_rows = np.zeros((n_max + 1, half + 1))
+    u_rows[:, :half] = np.hstack([u_odd, u_even])[:, order].T
+    offset = np.arange(2 * half) - half
+    g = np.take(u_rows, np.abs(offset), axis=1)
+    g[parities < 0] *= np.sign(offset)
+    return eigs, parities, richardson, g
 
 
 @dataclass(frozen=True)
@@ -487,17 +555,19 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
 
     g_n are finite-difference eigenfunctions of -d^2/dx^2 + |x|^beta,
     computed on the half line with explicit even/odd boundary conditions so
-    each one has exact parity.  The Richardson step-halving estimate of the
-    eigenvalue discretization error, |lambda_h - lambda_{h/2}| / 3, reads
-    the eigenvalues on the halved step from the coarse eigenpairs refined
-    there (`_halved_step_eigs`).  p must be a bounded odd weight from
-    BUILTIN_WEIGHTS.
+    each one has exact parity.  Only the levels the merge keeps are solved
+    (`merged_counts`), when `merge_certified` shows they are the lowest;
+    otherwise each parity solves n_max + 2.  The Richardson step-halving
+    estimate of the eigenvalue discretization error,
+    |lambda_h - lambda_{h/2}| / 3, reads the eigenvalues on the halved step
+    from the coarse eigenpairs refined there (`_halved_step_eigs`).  p must
+    be a bounded odd weight from BUILTIN_WEIGHTS.
     """
     if not 2.0 < beta < np.inf:
         raise ValueError("beta must exceed 2 and be finite")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if n_max + 2 > grid.nodes // 2 - 1:      # eigenpairs needed per parity vs held
+    if n_max + 2 > grid.nodes // 2 - 1:      # fallback eigenpairs per parity vs held
         raise ValueError(f"n_max {n_max} is too large for the {grid.nodes}-node grid: its odd "
                          f"half-line problem holds {grid.nodes // 2 - 1} eigenpairs, so n_max "
                          f"must be at most {grid.nodes // 2 - 3}")
@@ -506,33 +576,12 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
     p, p1, p2 = BUILTIN_WEIGHTS[p_name]()
     x = grid.points()
     h = grid.step
-    m = grid.nodes
-    half = m // 2
     # The coarse eigenpairs give g_n; refined on the halved step, they give
     # the Richardson estimate of the eigenvalue discretization error.
-    count = n_max + 2
-    (w_even, u_even, w_even2, _), (w_odd, u_odd, w_odd2, _) = halfline_levels(beta, grid, count)
-
-    # Merge the branches by eigenvalue.  The odd branch comes first, so on an
-    # exact tie the stable sort orders levels by (eigenvalue, parity, index).
-    w_all = np.concatenate([w_odd, w_even])
-    order = np.argsort(w_all, kind="stable")[: n_max + 1]
-    eigs = w_all[order]
-    gaps = np.diff(eigs)
-    if np.any(gaps < 1e-8 * np.maximum(1.0, np.abs(eigs[1:]))):
-        raise ParityMixingError(
-            "even/odd eigenvalue branches are too close to separate reliably"
-        )
-    parities = np.where(order < count, -1, 1)
-    richardson = np.abs(w_all - np.concatenate([w_odd2, w_even2]))[order] / 3.0
-
-    # Map half-line solutions onto the full grid, with the Dirichlet value
-    # 0 at |x| = L in the last column.
-    u_rows = np.zeros((n_max + 1, half + 1))
-    u_rows[:, :half] = np.hstack([u_odd, u_even])[:, order].T
-    offset = np.arange(m) - half
-    g = np.take(u_rows, np.abs(offset), axis=1)
-    g[parities < 0] *= np.sign(offset)
+    levels = halfline_levels(beta, grid, merged_counts(n_max))
+    if not merge_certified(beta, grid, levels):
+        levels = halfline_levels(beta, grid, (n_max + 2, n_max + 2))
+    eigs, parities, richardson, g = merge_levels(levels, n_max)
 
     # Odd weight and growth envelope |p^(k)| <= C (1+x^2)^{(alpha-k)/2},
     # alpha < beta/2 + 1, checked numerically on the grid.

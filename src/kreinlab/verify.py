@@ -58,6 +58,8 @@ from .quasibasis import (
     expansion,
     h_gram_in_g,
     halfline_levels,
+    merge_certified,
+    merged_counts,
     metric_gram,
     shifted_family,
     sign_pattern,
@@ -108,6 +110,9 @@ C_ROUTE_TOL = 1e-6
 WEIGHTED_GRAM_TOL = 1e-10
 ANHARMONIC_RESIDUAL_TOL = 1e-4
 RICHARDSON_TOL = 1e-4
+# The family's trimmed level solves against n_max + 2 per parity: eigenvalues
+# and g rows.
+LEVELS_TOL = 1e-9
 # In-span expansions: final metric error, and the rise between steps that
 # still counts as monotone.
 EXPANSION_TOL = 1e-8
@@ -609,12 +614,25 @@ def _check_quasibasis_anharmonic(rng) -> str:
     rep = expansion(fam, target)
     if rep.g_errors[-1] > EXPANSION_TOL or np.any(np.diff(rep.g_errors) > MONOTONE_SLACK):
         raise AssertionError("in-span anharmonic expansion failed")
-    # The refined step-halving eigenvalues against bisection, each within its
-    # certified bracket, on a grid where the bisection takes a few ms.
+    # On a grid where the bisections take a few ms: the family against
+    # n_max + 2 levels per parity, then its refined step-halving eigenvalues
+    # against bisection, each within its certified bracket.
     grid = UniformGrid(8.0, 1024)
-    count = fam.n_max + 2
+    counts = merged_counts(fam.n_max)
+    levels = halfline_levels(4.0, grid, counts)
+    if not merge_certified(4.0, grid, levels):
+        raise AssertionError(f"the merge of {counts} (even, odd) levels is not certified")
+    small = anharmonic_family(4.0, "x_over_1px2", n_max=fam.n_max, grid=grid)
+    eigs, parities, _, g = oracles.full_range_levels(4.0, grid, fam.n_max)
+    if np.any(small.g_parities != parities):
+        raise AssertionError("parities differ from the full-range levels")
+    g *= np.sign(np.sum(small.g * g, axis=1))[:, None]
+    level_dev = max(float(np.max(np.abs(small.eigenvalues - eigs))),
+                    float(np.max(np.abs(small.g - g))))
+    if level_dev > LEVELS_TOL:
+        raise AssertionError(f"levels deviate from the full-range levels by {level_dev:.3e}")
     worst = 0.0
-    for parity, (_, _, fine, radii) in zip(("even", "odd"), halfline_levels(4.0, grid, count)):
+    for parity, count, (_, _, fine, radii) in zip(("even", "odd"), counts, levels):
         if radii is None:
             raise AssertionError(f"{parity} step-halving eigenvalues fell back to bisection")
         gap = np.abs(fine - oracles.halved_step_bisection(4.0, grid, parity, count))
@@ -622,7 +640,8 @@ def _check_quasibasis_anharmonic(rng) -> str:
     if worst > 1.0:
         raise AssertionError(f"step-halving eigenvalue {worst:.2f} radii from bisection")
     return (f"beta = 4 family: Gram dev {offdiag:.1e}, weighted Gram dev {dev:.1e}, "
-            f"max residual {np.max(residuals):.1e}, step-halving eigenvalues within "
+            f"max residual {np.max(residuals):.1e}, levels within {level_dev:.1e} of "
+            f"n_max + 2 per parity, step-halving eigenvalues within "
             f"{worst:.2f} bracket radii of bisection")
 
 

@@ -281,10 +281,9 @@ def halfline_merge_loop(even, odd, even_fine, odd_fine, n_max: int):
     each g row is mapped onto the full grid on its own.
     """
     (w_even, u_even), (w_odd, u_odd) = even, odd
-    count = w_even.size
     half = u_even.shape[0]
-    merged = sorted([(w_even[k], 1, k) for k in range(count)]
-                    + [(w_odd[k], -1, k) for k in range(count)])[: n_max + 1]
+    merged = sorted([(w_even[k], 1, k) for k in range(w_even.size)]
+                    + [(w_odd[k], -1, k) for k in range(w_odd.size)])[: n_max + 1]
     eigs = np.array([t[0] for t in merged])
     parities = np.array([t[1] for t in merged])
     richardson = np.array([

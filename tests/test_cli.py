@@ -196,6 +196,18 @@ def test_quasi_basis_hermite_outputs(tmp_path):
     assert len(res_lines) == 1 + 7
 
 
+def test_quasi_basis_anharmonic_ground_state_only(tmp_path):
+    # n_max 0 merges one even level and solves no odd one
+    out = tmp_path / "out"
+    rc = run_cli(["quasi-basis", "anharmonic", "--beta", "4", "--nmax", "0",
+                  "--output-dir", out])
+    assert rc == 0
+    report = load(out / "quasi_basis_report.json")
+    assert report["parities"] == [1]
+    assert report["weighted_gram_deviation"] < 1e-12
+    assert report["eigenvalues"][0] == pytest.approx(1.0603620904, abs=2e-6)
+
+
 def test_quasi_basis_anharmonic_outputs(tmp_path):
     out = tmp_path / "out"
     rc = run_cli(["quasi-basis", "anharmonic", "--beta", "4", "--nmax", "4",

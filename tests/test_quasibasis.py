@@ -428,14 +428,17 @@ def test_anharmonic_tanh_weight():
 
 def test_anharmonic_richardson_solves_are_eigenvalues_only(monkeypatch):
     # the two coarse solves need eigenvectors for g_n and are the only
-    # eigh_tridiagonal calls; the step-halving eigenvalues are refined from
-    # them, with one Sturm count per parity and no bisection
+    # eigh_tridiagonal calls, each for the 2 levels of its parity that the
+    # merge keeps at n_max 3; one Sturm count per parity certifies the merge
+    # on the coarse problems, and the step-halving eigenvalues are refined
+    # from the coarse vectors, with one Sturm count per parity and no
+    # bisection
     solve, count = scipy.linalg.eigh_tridiagonal, scipy.linalg.lapack.dstebz
     calls = []
 
     def counting_solve(d, e, **kwargs):
         out = solve(d, e, **kwargs)
-        calls.append(("eigh_tridiagonal", d.size, isinstance(out, tuple)))
+        calls.append(("eigh_tridiagonal", d.size, isinstance(out, tuple), out[0].size))
         return out
 
     def counting_count(d, e, *args):
@@ -446,8 +449,10 @@ def test_anharmonic_richardson_solves_are_eigenvalues_only(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dstebz", counting_count)
     anharmonic_family(4.0, "tanh", n_max=3, grid=UniformGrid(8.0, 1024))
     # the odd problems drop the unknown at x = 0; range 1 is RANGE='V'
-    assert sorted(calls) == [("dstebz", 1023, 1), ("dstebz", 1024, 1),
-                             ("eigh_tridiagonal", 511, True), ("eigh_tridiagonal", 512, True)]
+    assert sorted(calls) == [("dstebz", 511, 1), ("dstebz", 512, 1),
+                             ("dstebz", 1023, 1), ("dstebz", 1024, 1),
+                             ("eigh_tridiagonal", 511, True, 2),
+                             ("eigh_tridiagonal", 512, True, 2)]
 
 
 @pytest.mark.parametrize("beta, weight, n_max", [(4.0, "x_over_1px2", 6), (3.0, "tanh", 9)])
@@ -457,7 +462,7 @@ def test_anharmonic_merge_matches_loop_reference(beta, weight, n_max):
     grid = UniformGrid(8.0, 1024)
     fam = anharmonic_family(beta, weight, n_max=n_max, grid=grid)
     (w_even, u_even, w_even_fine, _), (w_odd, u_odd, w_odd_fine, _) = qb.halfline_levels(
-        beta, grid, n_max + 2)
+        beta, grid, qb.merged_counts(n_max))
     eigs, parities, richardson, g = ref.halfline_merge_loop(
         (w_even, u_even), (w_odd, u_odd), w_even_fine, w_odd_fine, n_max)
     assert np.array_equal(fam.eigenvalues, eigs)
@@ -478,34 +483,104 @@ def test_anharmonic_g_matches_the_per_column_normalization(beta, n_max):
     # loop's, bit for bit
     grid = qb.ANHARMONIC_GRID
     fam = anharmonic_family(beta, "tanh", n_max=n_max)
-    h, half, count = grid.step, grid.nodes // 2, n_max + 2
+    h, half, counts = grid.step, grid.nodes // 2, qb.merged_counts(n_max)
     v_half = np.abs(h * np.arange(half)) ** beta
-    even, odd = (ref.halfline_eigs_loop(v_half, h, parity, count) for parity in ("even", "odd"))
-    *_, g = ref.halfline_merge_loop(even, odd, np.zeros(count), np.zeros(count), n_max)
+    even, odd = (ref.halfline_eigs_loop(v_half, h, parity, count)
+                 for parity, count in zip(("even", "odd"), counts))
+    *_, g = ref.halfline_merge_loop(even, odd, np.zeros(counts[0]), np.zeros(counts[1]), n_max)
     assert fam.g.tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("nodes, beta, n_max", [(8192, beta, n_max) for beta, n_max
+                                                in POOL_LEVELS + VERIFY_LEVELS] + [(16, 4.0, 5)])
+def test_merge_certificate_holds_by_exact_sturm_counts(nodes, beta, n_max):
+    # exact Sturm counts of the stored coarse matrices: each parity has
+    # exactly the levels solved for it at or below the top merged level plus
+    # the certificate's slack, so the merge keeps the n_max + 1 lowest
+    # levels.  On 16 nodes at n_max 5 the next even level lies 9e-10 above
+    # the top (odd) one.
+    grid = UniformGrid(8.0, nodes)
+    counts = qb.merged_counts(n_max)
+    levels = qb.halfline_levels(beta, grid, counts)
+    assert qb.merge_certified(beta, grid, levels)
+    top = max(w[-1] for w, *_ in levels)
+    v_half = np.abs(grid.step * np.arange(nodes // 2)) ** beta
+    for parity, count in zip(("even", "odd"), counts):
+        d, e = qb._halfline_tridiagonal(v_half, grid.step, parity)
+        slack = qb.BRACKET_SLACK * np.finfo(float).eps * qb._gershgorin(d, e)[1]
+        assert ref.exact_count_below(d, e, top + slack) == count, parity
+
+
+def test_merge_falls_back_to_the_full_range_levels(monkeypatch):
+    # a coarse solve that drops the lowest even level fails the certificate
+    # at the counts the merge keeps; the family then solves n_max + 2 per
+    # parity and is the full-range oracle's, bit for bit
+    grid, n_max = UniformGrid(8.0, 16), 5
+    solve = qb._halfline_eigs
+
+    def dropping(v_half, h, parity, count):
+        if parity == "odd" or count == n_max + 2:
+            return solve(v_half, h, parity, count)
+        w, u = solve(v_half, h, parity, count + 1)
+        return w[1:], u[:, 1:]
+
+    monkeypatch.setattr(qb, "_halfline_eigs", dropping)
+    assert not qb.merge_certified(4.0, grid, qb.halfline_levels(4.0, grid, qb.merged_counts(n_max)))
+    fam = anharmonic_family(4.0, "x_over_1px2", n_max=n_max, grid=grid)
+    eigs, parities, richardson, g = oracles.full_range_levels(4.0, grid, n_max)
+    assert np.array_equal(fam.eigenvalues, eigs)
+    assert np.array_equal(fam.g_parities, parities)
+    assert np.array_equal(fam.richardson_error, richardson)
+    assert np.array_equal(fam.g, g)
+
+
+@pytest.mark.parametrize("n_max, solved", [(0, [("even", 1)]),
+                                           (1, [("even", 1), ("odd", 1)])])
+def test_anharmonic_lowest_levels(monkeypatch, n_max, solved):
+    # n_max 0 solves no odd level; both families agree with the full-range
+    # oracle and are J-orthonormal
+    grid = UniformGrid(8.0, 1024)
+    solve, calls = qb._halfline_eigs, []
+
+    def recording(v_half, h, parity, count):
+        calls.append((parity, count))
+        return solve(v_half, h, parity, count)
+
+    monkeypatch.setattr(qb, "_halfline_eigs", recording)
+    fam = anharmonic_family(4.0, "x_over_1px2", n_max=n_max, grid=grid)
+    assert calls == solved
+    eigs, parities, _, _ = oracles.full_range_levels(4.0, grid, n_max)
+    np.testing.assert_allclose(fam.eigenvalues, eigs, rtol=0, atol=1e-9)
+    assert np.array_equal(fam.g_parities, parities)
+    assert np.array_equal(fam.g_parities, [1, -1][: n_max + 1])
+    assert np.max(np.abs(weighted_gram(fam) - np.eye(n_max + 1))) < 1e-12
 
 
 @pytest.mark.parametrize("beta, n_max", POOL_LEVELS + VERIFY_LEVELS)
 def test_step_halving_eigenvalues_agree_with_bisection(beta, n_max):
-    # the certificate holds on the default grid (no fallback), and each
-    # refined eigenvalue lies within its bracket of the bisection value
-    grid, count = qb.ANHARMONIC_GRID, n_max + 2
-    for parity, (_, _, fine, radii) in zip(("even", "odd"), qb.halfline_levels(beta, grid, count)):
-        assert radii is not None, parity
-        gap = np.abs(fine - oracles.halved_step_bisection(beta, grid, parity, count))
-        assert np.all(gap <= 1e-9) and np.all(gap <= radii), parity
+    # the certificate holds on the default grid (no fallback) at the counts
+    # the merge keeps and at the n_max + 2 of its fallback, and each refined
+    # eigenvalue lies within its bracket of the bisection value
+    grid = qb.ANHARMONIC_GRID
+    for counts in (qb.merged_counts(n_max), (n_max + 2, n_max + 2)):
+        levels = qb.halfline_levels(beta, grid, counts)
+        for parity, count, (_, _, fine, radii) in zip(("even", "odd"), counts, levels):
+            assert radii is not None, (parity, count)
+            gap = np.abs(fine - oracles.halved_step_bisection(beta, grid, parity, count))
+            assert np.all(gap <= 1e-9) and np.all(gap <= radii), (parity, count)
 
 
 def test_step_halving_falls_back_on_an_under_resolved_grid():
-    # 256 nodes at n_max 16: the certificate fails for both parities, and
+    # 256 nodes at n_max 40: the certificate fails for both parities, and
     # the family's Richardson errors come from the bisection values
-    grid, n_max = UniformGrid(8.0, 256), 16
+    grid, n_max = UniformGrid(8.0, 256), 40
+    counts = qb.merged_counts(n_max)
     fam = anharmonic_family(6.0, "x_over_1px2", n_max=n_max, grid=grid)
     (w_even, u_even, fine_even, radii_even), (w_odd, u_odd, fine_odd, radii_odd) = (
-        qb.halfline_levels(6.0, grid, n_max + 2))
+        qb.halfline_levels(6.0, grid, counts))
     assert radii_even is None and radii_odd is None
-    bisected = [oracles.halved_step_bisection(6.0, grid, parity, n_max + 2)
-                for parity in ("even", "odd")]
+    bisected = [oracles.halved_step_bisection(6.0, grid, parity, count)
+                for parity, count in zip(("even", "odd"), counts)]
     assert np.array_equal(fine_even, bisected[0]) and np.array_equal(fine_odd, bisected[1])
     _, _, richardson, _ = ref.halfline_merge_loop((w_even, u_even), (w_odd, u_odd),
                                                   *bisected, n_max)
@@ -516,20 +591,24 @@ def test_step_halving_falls_back_on_an_under_resolved_grid():
                                                 (256, 3.0, 10)])
 def test_step_halving_brackets_hold_their_eigenvalues(nodes, beta, n_max):
     # exact Sturm counts of the stored halved-step matrix: certified bracket
-    # j holds the j-th lowest eigenvalue and no other; without the rounding
-    # slack, the odd problem of (64, 4.0, 6) certifies a bracket that holds
-    # none.  A parity that fails the certificate returns the bisection values.
-    grid, count = UniformGrid(8.0, nodes), n_max + 2
+    # j holds the j-th lowest eigenvalue and no other, at the counts the merge
+    # keeps and at the n_max + 2 of its fallback; without the rounding slack,
+    # the odd problem of (64, 4.0, 6) certifies a bracket that holds none.
+    # A parity that fails the certificate returns the bisection values.
+    grid = UniformGrid(8.0, nodes)
     h = 0.5 * grid.step
     v_half2 = np.abs(h * np.arange(nodes)) ** beta
-    for parity, (_, _, fine, radii) in zip(("even", "odd"), qb.halfline_levels(beta, grid, count)):
-        if radii is None:
-            assert np.array_equal(fine, oracles.halved_step_bisection(beta, grid, parity, count))
-            continue
-        d, e = qb._halfline_tridiagonal(v_half2, h, parity)
-        for j in range(count):
-            assert ref.exact_count_below(d, e, fine[j] - radii[j]) == j, (parity, j)
-            assert ref.exact_count_below(d, e, fine[j] + radii[j]) == j + 1, (parity, j)
+    for counts in (qb.merged_counts(n_max), (n_max + 2, n_max + 2)):
+        levels = qb.halfline_levels(beta, grid, counts)
+        for parity, count, (_, _, fine, radii) in zip(("even", "odd"), counts, levels):
+            if radii is None:
+                assert np.array_equal(
+                    fine, oracles.halved_step_bisection(beta, grid, parity, count))
+                continue
+            d, e = qb._halfline_tridiagonal(v_half2, h, parity)
+            for j in range(count):
+                assert ref.exact_count_below(d, e, fine[j] - radii[j]) == j, (parity, j)
+                assert ref.exact_count_below(d, e, fine[j] + radii[j]) == j + 1, (parity, j)
 
 
 @pytest.fixture(scope="module")
