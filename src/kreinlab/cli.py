@@ -343,7 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="extension interval, case and sampled X-extensions")
     common(p, True)
     p.add_argument("--tol", type=float, default=None,
-                   help="override the structural tolerance of the extension interval")
+                   help="override the tolerance of the interval-order check "
+                        "(T_M - T_mu positive semidefinite)")
     p.add_argument("--samples", type=int, default=3,
                    help="number of projection/random X samples in the report")
 

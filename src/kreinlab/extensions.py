@@ -7,19 +7,22 @@ self-adjoint extension is a contraction iff its corner C lies in
     [C_min, C_max] = [-I + B (I + A)^{-1} B*,  I - B (I - A)^{-1} B*]
 
 (Krein's extremal extensions in the Schur-complement form of Ando-Nishio
-and Davis-Kahan-Weinberger).  Delta = T_M - T_mu = E W E* with W = C_max -
-C_min, so with W = V diag(w) V*, T_mu is a rank-m update of T_M, the defect
-space M = ran Delta is spanned by columns of EV, and Delta^{1/2} is
-diag(sqrt w) on them.  Extensions T = T_mu + Delta^{1/2} X Delta^{1/2} are
-parametrized by 0 <= X <= I on M, and T anticommutes with J iff X solves
+and Davis-Kahan-Weinberger).  E is J-invariant, and split as [E+ | E-] so
+that E* J E = J_E = diag(I, -I), J T0 = -T0 J gives C_min = -J_E C_max J_E:
+Delta = T_M - T_mu = E W E* with W = 2 diag(C_++, C_--).  So with the
+eigenpairs (w, V) of W's blocks, T_mu is a rank-m update of T_M, the defect
+space M = ran Delta is spanned by columns of EV, where J = diag(I_p, -I_q)
+and Delta^{1/2} = diag(sqrt w).  Extensions T = T_mu + Delta^{1/2} X
+Delta^{1/2} are parametrized by 0 <= X <= I on M, and T anticommutes with J
+iff X solves
 
     X = J (I - X) J   (restricted to M),
 
 while T is extremal iff X is a projection.  Both verdicts are decided on
 the m x m X, and ||T_mu||, ||T_M|| <= 1 is read from the block data
 (endpoint_excess_bound) whenever that bound decides it.  The n x n checks
-(||J T + T J||, interval membership, T extends T0, the endpoint 2-norms) run
-in `verify`, the metric-rank criterion in `kreinlab.oracles`.
+(||J T + T J||, interval membership, T extends T0, the endpoint 2-norms,
+the J split) run in `verify`, the metric-rank criterion in `kreinlab.oracles`.
 """
 from __future__ import annotations
 
@@ -59,13 +62,17 @@ ENDPOINT_ROUNDING = 8
 
 
 def _completion(t0: PartialContraction):
-    """Block form of T0: [D | E], A, B, the corner bounds C_min, C_max and
-    the larger Frobenius residual ||(I +/- A) Z - B*|| of the two solves
-    Z = (I +/- A)^{-1} B* that give the corners."""
+    """Block form of T0: [D | E] with E = D(T0)^perp split by the eigh of
+    E* J E into p columns in H_+, then those in H_-; p, A, B, the corner
+    bounds C_min, C_max and the larger Frobenius residual ||(I +/- A) Z - B*||
+    of the two solves Z = (I +/- A)^{-1} B* that give the corners."""
     d, e = t0.domain, t0.complement
     dt0d = d.conj().T @ t0.action       # the symmetry test of duality_test
     if not is_self_adjoint(dt0d):
         raise InvariantViolation("extension theory needs a symmetric T0")
+    j_e, v = np.linalg.eigh(hermitize(e.conj().T @ (t0.space.j @ e)))
+    e = e @ v[:, ::-1]                   # the +1 eigenvectors first
+    p = int(np.sum(j_e > 0))
     a = hermitize(dt0d)
     b = e.conj().T @ t0.action
     bh = b.conj().T
@@ -77,7 +84,7 @@ def _completion(t0: PartialContraction):
                    np.linalg.norm(i_minus_a @ z_minus - bh))
     c_min = hermitize(-eye_e + b @ z_plus)
     c_max = hermitize(eye_e - b @ z_minus)
-    return np.hstack([d, e]), a, b, c_min, c_max, float(residual)
+    return np.hstack([d, e]), p, a, b, c_min, c_max, float(residual)
 
 
 def _assemble(basis: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -88,7 +95,7 @@ def _assemble(basis: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) ->
 def any_sa_extension(t0: PartialContraction) -> np.ndarray:
     """Some self-adjoint contractive extension of T0: the interval midpoint,
     completed with the corner (C_min + C_max)/2."""
-    basis, a, b, c_min, c_max, _ = _completion(t0)
+    basis, _, a, b, c_min, c_max, _ = _completion(t0)
     t = _assemble(basis, a, b, 0.5 * (c_min + c_max))
     check_residual("completed midpoint is not a contraction", t, 1.0 + CONTRACTION_SLACK)
     return t
@@ -115,15 +122,13 @@ class ExtensionInterval:
     t0: PartialContraction
     t_mu: np.ndarray
     t_m: np.ndarray
-    # Mb (n x m): eigenvectors of Delta = T_M - T_mu spanning the defect, each
-    # with its largest-modulus entry real and positive; Delta^{1/2} Mb =
-    # Mb diag(defect_scale).
+    # Mb (n x m): eigenvectors of Delta = T_M - T_mu spanning the defect, the
+    # p in H_+ first, then the q in H_-, each group by ascending eigenvalue
+    # and each column with its largest-modulus entry real and positive;
+    # Delta^{1/2} Mb = Mb diag(defect_scale).
     defect_basis: np.ndarray = field(repr=False)
     defect_scale: np.ndarray = field(repr=False)
     signature: tuple[int, int]
-    # J compressed to the defect, Mb* J Mb (hermitized): the J of the
-    # equation X = J(I - X)J, which krein_interval forms to read the signature.
-    j_on_defect: np.ndarray = field(repr=False)
     # epsilon with ||T_mu||_2, ||T_M||_2 <= 1 + epsilon: endpoint_excess_bound
     # when it is at most RESULT_TOL, else RESULT_TOL, which the n x n 2-norms
     # were then checked against.
@@ -133,9 +138,15 @@ class ExtensionInterval:
     def defect_dim(self) -> int:
         return self.defect_basis.shape[1]
 
+    @property
+    def j_on_defect(self) -> np.ndarray:
+        """Mb* J Mb = diag(I_p, -I_q), the J of the equation X = J(I - X)J."""
+        p, q = self.signature
+        return np.diag(np.r_[np.ones(p), -np.ones(q)])
+
 
 def endpoint_excess_bound(t0: PartialContraction, solve_residual: float,
-                          w: np.ndarray) -> float:
+                          mirror_residual: float, w: np.ndarray) -> float:
     """epsilon with ||T_mu||_2, ||T_M||_2 <= 1 + epsilon, from the block data.
 
     With Z = (I +/- A)^{-1} B* computed with residual R = (I +/- A) Z - B*,
@@ -143,47 +154,53 @@ def endpoint_excess_bound(t0: PartialContraction, solve_residual: float,
     endpoint) with respect to I -/+ A are, in exact arithmetic,
     B (I - A)^{-1} R and W + B (I + A)^{-1} R, and mirrored for K_mu.  A and
     B are compressions of T0, so ||B|| ||(I +/- A)^{-1}|| <= ||T0|| / (1 -
-    ||T0||), and a Schur complement >= -s I gives I -/+ K >= -s I.  To the
-    resulting bound on ||K|| - 1 come the orthonormality slack of [D | E]
-    (STRUCT_TOL, which PartialContraction holds ||D* D - I|| to; E is
-    Householder-orthonormal) and a calibrated allowance for the rounding of
-    the corner products and of the assembly, ENDPOINT_ROUNDING n u.  The
-    bound is infinite when ||T0|| >= 1 and R != 0.
+    ||T0||), and a Schur complement >= -s I gives I -/+ K >= -s I; K_mu's
+    corner -J_E C_max J_E, mirror_residual from C_min in Frobenius norm,
+    moves each by at most that.  To the resulting bound on ||K|| - 1 come the
+    orthonormality slack of [D | E] (STRUCT_TOL, which PartialContraction
+    holds ||D* D - I|| to) and a calibrated allowance for the rounding of the
+    corner products and of the assembly, ENDPOINT_ROUNDING n u.  The bound is
+    infinite when ||T0|| >= 1 and R != 0.
     """
     solve_term = 0.0
     if solve_residual:
         gap = 1.0 - t0.norm
         solve_term = t0.norm * solve_residual / gap if gap > 0 else np.inf
     rounding = ENDPOINT_ROUNDING * t0.space.dim * np.finfo(float).eps
-    return solve_term + max(0.0, -float(w.min(initial=0.0))) + STRUCT_TOL + rounding
+    negative = max(0.0, -float(w.min(initial=0.0)))
+    return solve_term + mirror_residual + negative + STRUCT_TOL + rounding
 
 
 def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> ExtensionInterval:
     """Extreme extensions T_mu, T_M by block completion of T0.
 
-    T_M is assembled from the corner C_max; T_mu, the defect basis and
-    Delta^{1/2} come from the eigenpairs (w, V) of W = C_max - C_min.  The
-    endpoints are contractions by endpoint_excess_bound; only when that bound
-    exceeds RESULT_TOL (near ||T0|| = 1) are their n x n 2-norms taken.
+    T_M has the corner C_max and T_mu the mirrored -J_E C_max J_E, so W =
+    2 diag(C_++, C_--) exactly; T_mu, the defect basis and Delta^{1/2} come
+    from the eigenpairs of its blocks, and tol bounds W's negative ones.
+    Inside an eigenvalue repeated within one block the basis is eigh's
+    choice.  The endpoints are contractions by endpoint_excess_bound; only
+    when it exceeds RESULT_TOL (near ||T0|| = 1) are their 2-norms taken.
     """
-    space = t0.space
-    basis, a, b, c_min, c_max, solve_residual = _completion(t0)
+    basis, p, a, b, c_min, c_max, solve_residual = _completion(t0)
     t_m = _assemble(basis, a, b, c_max)
 
-    w, v = np.linalg.eigh(hermitize(c_max - c_min))
+    e = basis[:, t0.domain_dim:]
+    w_plus, v_plus = np.linalg.eigh(2.0 * c_max[:p, :p])
+    w_minus, v_minus = np.linalg.eigh(2.0 * c_max[p:, p:])
+    w = np.concatenate([w_plus, w_minus])
     if w.min(initial=0.0) < -tol:
         raise InvariantViolation("interval order failed: T_M - T_mu not PSD")
-    u = t0.complement @ v                  # eigenvectors of T_M - T_mu = E W E*
+    u = np.hstack([e[:, :p] @ v_plus, e[:, p:] @ v_minus])   # eigenvectors of Delta
     t_mu = hermitize(t_m - (u * w) @ u.conj().T)
     top = w.max(initial=0.0)
     keep = (w > DEFECT_RCOND * top) & (top > DEFECT_FLOOR)
     mb = u[:, keep]
     lead = mb[np.abs(mb).argmax(axis=0), np.arange(mb.shape[1])]
     mb = mb * (lead.conj() / np.abs(lead))
-    scale = np.sqrt(w[keep])
 
-    # Structural invariants of the endpoint pair.
-    excess = endpoint_excess_bound(t0, solve_residual, w)
+    signs = np.concatenate([np.ones(p), -np.ones(len(w) - p)])
+    mirror = float(np.linalg.norm(c_min + signs[:, None] * c_max * signs))
+    excess = endpoint_excess_bound(t0, solve_residual, mirror, w)
     certified = excess <= RESULT_TOL
     for endpoint in (t_mu, t_m):
         check_residual("interval endpoint does not extend T0",
@@ -191,19 +208,9 @@ def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> Extension
         if not certified:
             check_residual("interval endpoint is not a contraction", endpoint,
                            1.0 + RESULT_TOL)
-    if not certified:
-        excess = RESULT_TOL
-    check_residual("J T_mu != -T_M J", space.j @ t_mu + t_m @ space.j, tol, scale=t_m)
-
-    jm = mb.conj().T @ space.j @ mb
-    check_residual("defect space is not J-invariant", space.j @ mb - mb @ jm, RESULT_TOL)
-    j_on_defect = hermitize(jm)
-    ev = np.linalg.eigvalsh(j_on_defect)
-    if np.abs(np.abs(ev) - 1.0).max(initial=0.0) > RESULT_TOL:
-        raise InvariantViolation("J does not restrict to a symmetry of the defect")
-    p = int(np.sum(ev > 0))
-    return ExtensionInterval(t0, t_mu, t_m, mb, scale, (p, mb.shape[1] - p), j_on_defect,
-                             excess)
+    return ExtensionInterval(t0, t_mu, t_m, mb, np.sqrt(w[keep]),
+                             (int(keep[:p].sum()), int(keep[p:].sum())),
+                             excess if certified else RESULT_TOL)
 
 
 def classify_case(interval: ExtensionInterval) -> str:
@@ -249,44 +256,25 @@ def solve_x_equation(interval: ExtensionInterval, seed: int | None = None,
                      n_projection_samples: int = 1) -> XSolutionSet:
     """Describe the solution family of X = J(I-X)J on the defect space.
 
-    X = I/2 always solves.  Orthogonal-projection solutions exist iff the
-    defect signature is balanced (p = q); they are projections onto
-    hypermaximal neutral subspaces M_1 built by pairing +1 and -1
-    eigenvectors of J restricted to the defect, and a seed samples
-    alternative pairings (there are infinitely many for p = q >= 1).
+    With J = diag(I_p, -I_q) the equation says that both diagonal blocks of X
+    are I/2, so X = I/2 always solves.  Projection solutions exist iff p = q:
+    X = [[I, U], [U*, I]]/2 with U unitary projects onto the hypermaximal
+    neutral span of [I; U*].  U = I, or sampled from a seed (there are
+    infinitely many for p >= 1).
     """
     m = interval.defect_dim
     if m == 0:
         raise ValueError("the defect space is trivial; the extension is unique")
-    jm = interval.j_on_defect
-    elementary = 0.5 * np.eye(m)
     p, q = interval.signature
-    projections: list[np.ndarray] = []
-    if p == q:
-        w, v = np.linalg.eigh(jm)
-        u_minus = v[:, :q]
-        u_plus = v[:, q:]
-        pairings = [(np.eye(p), np.eye(q))]
-        if seed is not None and n_projection_samples > 0:
-            rng = np.random.default_rng(seed)
-            pairings = [
-                (random_unitary(rng, p), random_unitary(rng, q))
-                for _ in range(n_projection_samples)
-            ]
-        for v_plus, v_minus in pairings:
-            m1 = (u_plus @ v_plus + jm @ (u_minus @ v_minus)) / np.sqrt(2.0)
-            x = hermitize(m1 @ m1.conj().T)
-            projections.append(x)
-        note = "projection solutions onto hypermaximal neutral subspaces (infinitely many)"
-    else:
-        note = "no projection solutions: defect signature is unbalanced"
-    for x in [elementary, *projections]:
-        if x_equation_residual(x, jm) > STRUCT_TOL:
-            raise InvariantViolation("constructed X does not solve the equation")
-        ev = np.linalg.eigvalsh(hermitize(x))
-        if ev[0] < -STRUCT_TOL or ev[-1] > 1.0 + STRUCT_TOL:
-            raise InvariantViolation("constructed X leaves [0, I]")
-    return XSolutionSet(elementary, p == q, projections, (p, q), note)
+    eye = np.eye(p)
+    unitaries = [eye] if p == q else []
+    if unitaries and seed is not None and n_projection_samples > 0:
+        rng = np.random.default_rng(seed)
+        unitaries = [random_unitary(rng, p) for _ in range(n_projection_samples)]
+    projections = [0.5 * np.block([[eye, u], [u.conj().T, eye]]) for u in unitaries]
+    note = ("projection solutions onto hypermaximal neutral subspaces (infinitely many)"
+            if p == q else "no projection solutions: defect signature is unbalanced")
+    return XSolutionSet(0.5 * np.eye(m), p == q, projections, (p, q), note)
 
 
 @dataclass

@@ -278,15 +278,16 @@ def _check_endpoints_vs_completion(rng) -> str:
     worst_anti = 0.0
     worst_excess = -np.inf
     worst_bound = 0.0
-    for _ in range(8):
-        sp = random_signature_space(rng)
-        t0 = random_partial_contraction(rng, sp)
+    problems = [random_partial_contraction(rng, random_signature_space(rng)) for _ in range(8)]
+    # The 32-pair model gives W one eigenvalue on both signs.
+    problems.append(build_model(SequenceModelSpec(0.9, "both_constraints", 32)).t0)
+    for t0 in problems:
         interval = krein_interval(t0)
         o_min, o_max = oracles.sqrt_projection_endpoints(t0)
         worst = max(worst, operator_norm(interval.t_mu - o_min),
                     operator_norm(interval.t_m - o_max))
         worst_anti = max(worst_anti, operator_norm(
-            sp.j @ interval.t_mu + interval.t_m @ sp.j))
+            t0.space.j @ interval.t_mu + interval.t_m @ t0.space.j))
         excess = max(operator_norm(interval.t_mu), operator_norm(interval.t_m)) - 1.0
         if excess > RESULT_TOL:
             raise AssertionError(f"interval endpoint is not a contraction: "
@@ -305,23 +306,27 @@ def _check_endpoints_vs_completion(rng) -> str:
 
 
 def _check_defect_complement(rng) -> str:
+    # krein_interval splits the defect basis along J without checking it.
     worst = 0.0
     for _ in range(6):
         sp = random_signature_space(rng)
         t0 = random_partial_contraction(rng, sp)
         interval = krein_interval(t0)
         comp = orthonormal_complement(t0.domain)
-        mb = interval.defect_basis
+        mb, jm = interval.defect_basis, interval.j_on_defect
         if mb.shape[1] != comp.shape[1]:
             raise AssertionError("defect dimension differs from codim D(T0)")
-        worst = max(worst, operator_norm(mb @ mb.conj().T - comp @ comp.conj().T))
         ev = np.linalg.eigvalsh(hermitize(comp.conj().T @ sp.j @ comp))
         sig = (int(np.sum(ev > 0)), int(np.sum(ev < 0)))
         if sig != interval.signature:
             raise AssertionError(f"defect signature {interval.signature} != {sig}")
+        if not np.array_equal(jm, np.diag(np.r_[np.ones(sig[0]), -np.ones(sig[1])])):
+            raise AssertionError("J on the defect is not diag(I_p, -I_q)")
+        worst = max(worst, operator_norm(mb @ mb.conj().T - comp @ comp.conj().T),
+                    operator_norm(sp.j @ mb - mb @ jm))
     if worst > RESULT_TOL:
-        raise AssertionError(f"defect/complement distance {worst:.3e}")
-    return "defect space = D(T0)-perp with matching J-signature (strong-contraction seeds)"
+        raise AssertionError(f"defect basis is {worst:.3e} from a J-split basis of D(T0)-perp")
+    return f"defect space = D(T0)-perp, J-split (residual {worst:.2e}; strong-contraction seeds)"
 
 
 def _check_anticommute_equivalence(rng) -> str:
@@ -361,9 +366,10 @@ def _check_anticommute_equivalence(rng) -> str:
 
 def _check_x_solutions(rng) -> str:
     n_proj = 0
-    for _ in range(6):
-        sp = random_signature_space(rng)
-        t0 = random_partial_contraction(rng, sp)
+    # The random problems seldom have a balanced defect signature; the model does.
+    balanced = build_model(SequenceModelSpec(1.25, "both_constraints", 8)).t0
+    for k in range(7):
+        t0 = balanced if k == 6 else random_partial_contraction(rng, random_signature_space(rng))
         interval = krein_interval(t0)
         jm = interval.j_on_defect
         sols = solve_x_equation(interval, seed=int(rng.integers(2 ** 31)),
@@ -379,6 +385,9 @@ def _check_x_solutions(rng) -> str:
             n_proj += 1
             if operator_norm(x @ x - x) > STRUCT_TOL:
                 raise AssertionError("projection solution is not a projection")
+            ev = np.linalg.eigvalsh(hermitize(x))
+            if ev[0] < -STRUCT_TOL or ev[-1] > 1.0 + STRUCT_TOL:
+                raise AssertionError("projection solution leaves [0, I]")
     return f"elementary, affine and {n_proj} projection solutions all verified"
 
 

@@ -22,6 +22,7 @@ from kreinlab import (
     krein_interval,
     max_subspaces,
     solve_x_equation,
+    symmetrize_solution,
     x_equation_residual,
 )
 from kreinlab._linalg import RESULT_TOL, hermitize, orthonormal_columns, random_unitary
@@ -220,7 +221,8 @@ def test_inaccurate_solve_falls_back_to_the_endpoint_norms(monkeypatch, tmp_path
 @pytest.mark.parametrize("problem", ["dense_96", "model_128_pairs"])
 def test_interval_takes_no_svd(monkeypatch, problem):
     # the endpoint bound replaces the two n x n norms: with D(T0)^perp
-    # cached, krein_interval factors only m x m matrices besides its 2 solves
+    # cached, krein_interval factors only J_E (m x m) and the two J blocks of
+    # W (m_+ and m_- square) besides its 2 solves
     if problem == "dense_96":
         t0 = dense_problem(np.random.default_rng(7401), 96)
     else:
@@ -238,9 +240,11 @@ def test_interval_takes_no_svd(monkeypatch, problem):
             monkeypatch.setattr(module, name, counter(name, getattr(module, name)))
     iv = krein_interval(t0)
     d, m = t0.domain_dim, iv.defect_dim
-    assert m == t0.space.dim - d
-    assert sorted(counted) == [("eigh", (m, m)), ("eigvalsh", (m, m)),
-                               ("solve", (d, d)), ("solve", (d, d))]
+    m_plus, m_minus = iv.signature
+    assert m == t0.space.dim - d and m_plus + m_minus == m
+    assert sorted(counted) == sorted([("eigh", (m, m)), ("eigh", (m_plus, m_plus)),
+                                      ("eigh", (m_minus, m_minus)),
+                                      ("solve", (d, d)), ("solve", (d, d))])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -426,12 +430,13 @@ def test_extension_from_x_matches_dense_square_root(seed):
 
 def test_realized_extension_is_stable_under_domain_rounding():
     # The same D(T0) given by a basis 1e-15 away gives the same T for the
-    # same X: the defect coordinates are Delta's eigenvectors with fixed
-    # phases, which move by rounding over the eigengap, not by an arbitrary
-    # rotation of a re-orthonormalized basis.  The domain has codimension
-    # 16 < dim D(T0), so that Delta has simple eigenvalues (a larger
-    # codimension gives Delta the eigenvalue 2 on ker B*, where the
-    # coordinates are eigh's choice).
+    # same X: the defect coordinates are Delta's eigenvectors in H_+, then in
+    # H_-, with fixed phases, which move by rounding over the eigengap within
+    # their J block, not by an arbitrary rotation of a re-orthonormalized
+    # basis.  The domain has codimension 16 < dim D(T0), so that Delta has
+    # simple eigenvalues within each block (a larger codimension gives Delta
+    # the eigenvalue 2 on ker B*, where the coordinates inside a block are
+    # still eigh's choice).
     rng = np.random.default_rng(1601)
     space = random_signature_space(rng, 64)
     t_full = random_anticommuting_contraction(rng, space)
@@ -446,7 +451,101 @@ def test_realized_extension_is_stable_under_domain_rounding():
     assert iv_moved.defect_dim == iv.defect_dim == 16
     x = random_x(rng, iv.defect_dim)
     assert opnorm(extension_from_x(iv_moved, x).t - extension_from_x(iv, x).t) <= 1e-9
-    assert np.diff(iv.defect_scale ** 2).min() > 1e-6
+    p = iv.signature[0]
+    for block in (iv.defect_scale[:p], iv.defect_scale[p:]):
+        assert np.diff(block ** 2).min() > 1e-6
+
+
+@pytest.mark.parametrize("variant", ["both_constraints", "chi_plus_zero"])
+@pytest.mark.parametrize("delta", [0.9, 1.25])
+def test_model_defect_basis_follows_the_j_split(variant, delta):
+    # In both_constraints W has one eigenvalue on both signs.  The defect
+    # basis is split along H_+ (+) H_- before W is diagonalized, so J is
+    # exactly diag(I_p, -I_q) on it, and a domain basis 1e-15 away (on the
+    # domain's own support, so that it stays J-invariant) gives the same T(X)
+    inst = build_model(SequenceModelSpec(delta, variant, 64))
+    iv = krein_interval(inst.t0)
+    p, q = iv.signature
+    signs = np.r_[np.ones(p), -np.ones(q)]
+    assert np.array_equal(iv.j_on_defect, np.diag(signs))
+    for col, sign in zip(iv.defect_basis.T, signs):
+        assert np.linalg.norm(inst.space.j @ col - sign * col) <= 1e-13
+    rng = np.random.default_rng(1603)
+    domain = inst.t0.domain
+    noise = (rng.standard_normal(domain.shape) + 1j * rng.standard_normal(domain.shape)) \
+        * (domain != 0)
+    moved = np.linalg.qr(domain + 1e-15 * noise)[0]
+    iv_moved = krein_interval(PartialContraction(inst.space, moved, inst.t @ moved))
+    assert iv_moved.signature == iv.signature
+    x = random_x(rng, iv.defect_dim)
+    assert opnorm(extension_from_x(iv_moved, x).t - extension_from_x(iv, x).t) <= 1e-12
+
+
+def test_solve_x_equation_takes_no_factorization(monkeypatch):
+    # the projection solutions are [[I, U], [U*, I]]/2 in the J-split defect
+    # basis: no eigh, eigvalsh or SVD, with or without a seed
+    ivs = [krein_interval(dense_problem(np.random.default_rng(7402), 32)),
+           krein_interval(half_contraction(np.diag([1.0, -1.0])))]
+    assert [classify_case(iv) for iv in ivs] == ["B", "C"]
+    counted = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        def count(a, *args, _name=name, _real=getattr(np.linalg._linalg, name), **kwargs):
+            counted.append(_name)
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg._linalg, name, count)
+        monkeypatch.setattr(np.linalg, name, count)
+    for iv in ivs:
+        for seed in (None, 5):
+            sols = solve_x_equation(iv, seed=seed, n_projection_samples=3)
+            assert len(sols.projections) == (0 if iv.signature[0] != iv.signature[1]
+                                             else 1 if seed is None else 3)
+    assert counted == []
+
+
+def j_invariant_problem(seed, n, mirrored):
+    # a random J-invariant problem of dimension n; a mirrored one has
+    # dimension 2k, k = n // 2, J = diag(I_k, -I_k), T = [[0, K], [K, 0]] with K Hermitian and the
+    # same domain block in H_+ and H_-, all rotated by one unitary, so that
+    # swapping the halves maps the problem to itself and each eigenvalue of
+    # W appears on both signs
+    rng = np.random.default_rng(seed)
+    if not mirrored:
+        return random_partial_contraction(rng, random_signature_space(rng, n))
+    k = n // 2
+    a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    herm = hermitize(a)
+    herm *= 0.9 * float(rng.uniform(0.3, 1.0)) / opnorm(herm)
+    zero = np.zeros((k, k))
+    t = np.block([[zero, herm], [herm, zero]])
+    d = int(rng.integers(0, k))
+    v = random_unitary(rng, k)[:, :d]
+    domain = np.block([[v, np.zeros((k, d))], [np.zeros((k, d)), v]])
+    rot = random_unitary(rng, 2 * k)
+    space = SignatureSpace(hermitize((rot * np.r_[np.ones(k), -np.ones(k)]) @ rot.conj().T))
+    t = hermitize(rot @ t @ rot.conj().T)
+    return PartialContraction(space, rot @ domain, t @ (rot @ domain))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12), mirrored=st.booleans())
+def test_interval_structure_on_random_j_invariant_problems(seed, n, mirrored):
+    t0 = j_invariant_problem(seed, n, mirrored)
+    iv = krein_interval(t0)
+    p, q = iv.signature
+    if mirrored:
+        assert p == q and np.allclose(iv.defect_scale[:p], iv.defect_scale[p:], atol=1e-10)
+    j = t0.space.j
+    assert np.linalg.eigvalsh(iv.t_m - iv.t_mu)[0] >= -1e-10
+    assert opnorm(j @ iv.t_mu + iv.t_m @ j) <= 1e-10
+    t_min, t_max = sqrt_projection_endpoints(t0)
+    assert opnorm(iv.t_mu - t_min) <= 1e-8 and opnorm(iv.t_m - t_max) <= 1e-8
+    m = iv.defect_dim
+    rng = np.random.default_rng(seed)
+    for _ in range(3 if m else 0):
+        x = random_x(rng, m)
+        for sample in (x, symmetrize_solution(x, iv.j_on_defect)):
+            choice = extension_from_x(iv, sample)
+            assert choice.anticommuting == (opnorm(j @ choice.t + choice.t @ j) <= 1e-10)
 
 
 def test_extension_from_x_decomposes_only_x(monkeypatch):
