@@ -46,8 +46,6 @@ from .extensions import (
     MaximalDualPair,
     XSolutionSet,
     any_sa_extension,
-    cayley,
-    cayley_inverse,
     classify_case,
     density_test,
     extension_from_x,

@@ -13,8 +13,8 @@ PSD_CLAMP = 1e-12
 STRUCT_TOL = 1e-10
 # Slack allowed above 1 when checking that a matrix is a contraction.
 CONTRACTION_SLACK = 1e-10
-# Tolerance for identities of computed results: interval endpoints, realized
-# extensions and the metric symmetry J_G.
+# Tolerance for identities of computed results: interval endpoints and
+# realized extensions.
 RESULT_TOL = 1e-8
 
 

@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -67,29 +66,25 @@ _MIN_N = 2 ** (FIT_POINTS + 1)
 _MAX_N = MAX_PAIRS
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: Path | None
-    output_dir: Path
-    seed: int
-    tolerance: float | None
-    extras: dict = field(default_factory=dict)
-
-    def validate(self) -> None:
-        if self.input_path is not None and not self.input_path.is_file():
-            raise ValueError(f"input file not found: {self.input_path}")
-        if self.tolerance is not None and not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
-        if self.seed < 0:
-            raise ValueError("--seed must be non-negative")
-        if self.extras.get("samples", 0) < 0:
-            raise ValueError("--samples must be non-negative")
-        if self.extras.get("n_limit", _MIN_N) < _MIN_N:
-            raise ValueError(f"--N must be at least {_MIN_N}")
-        if self.extras.get("n_limit", _MAX_N) > _MAX_N:
-            raise ValueError(f"--N must be at most {_MAX_N}")
-        self.output_dir.mkdir(parents=True, exist_ok=True)
+def _validate(args: argparse.Namespace) -> None:
+    """Refuse malformed options with a ValueError (exit 2) before any handler
+    runs, then create the output directory."""
+    path = getattr(args, "input", None)
+    if path is not None and not path.is_file():
+        raise ValueError(f"input file not found: {path}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+    if args.seed < 0:
+        raise ValueError("--seed must be non-negative")
+    if getattr(args, "samples", 0) < 0:
+        raise ValueError("--samples must be non-negative")
+    n_limit = getattr(args, "n_limit", _MIN_N)
+    if n_limit < _MIN_N:
+        raise ValueError(f"--N must be at least {_MIN_N}")
+    if n_limit > _MAX_N:
+        raise ValueError(f"--N must be at most {_MAX_N}")
+    args.output_dir.mkdir(parents=True, exist_ok=True)
 
 
 def _write(path: Path, text: str) -> None:
@@ -112,26 +107,23 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     _write(path, "\n".join(lines) + "\n")
 
 
-def _load_problem(config: RunConfig):
-    data = json.loads(config.input_path.read_text())
-    return problem_from_obj(data)
+def _load_problem(args: argparse.Namespace):
+    return problem_from_obj(json.loads(args.input.read_text()))
 
 
-def _cmd_extend(config: RunConfig) -> int:
-    t0 = _load_problem(config)
-    tol_kw = {} if config.tolerance is None else {"tol": config.tolerance}
+def _cmd_extend(args: argparse.Namespace) -> int:
+    t0 = _load_problem(args)
+    tol_kw = {} if args.tol is None else {"tol": args.tol}
     interval = krein_interval(t0, **tol_kw)
     case = classify_case(interval)
     samples = []
     m = interval.defect_dim
     if m:
-        n_samples = config.extras.get("samples", 3)
-        sols = solve_x_equation(interval, seed=config.seed,
-                                n_projection_samples=n_samples)
+        sols = solve_x_equation(interval, seed=args.seed, n_projection_samples=args.samples)
         labeled = [("elementary", sols.elementary)]
         labeled += [(f"projection_{i}", x) for i, x in enumerate(sols.projections)]
-        rng = np.random.default_rng(config.seed)
-        labeled += [(f"random_{i}", random_x(rng, m)) for i in range(n_samples)]
+        rng = np.random.default_rng(args.seed)
+        labeled += [(f"random_{i}", random_x(rng, m)) for i in range(args.samples)]
         for label, x in labeled:
             choice = extension_from_x(interval, x)
             ext = extremality_test(t0, choice)
@@ -152,12 +144,12 @@ def _cmd_extend(config: RunConfig) -> int:
         "case": case,
         "X_samples": samples,
     }
-    _write(config.output_dir / "extend_report.json", dumps_report(report))
+    _write(args.output_dir / "extend_report.json", dumps_report(report))
     return 0
 
 
-def _cmd_solve_x(config: RunConfig) -> int:
-    t0 = _load_problem(config)
+def _cmd_solve_x(args: argparse.Namespace) -> int:
+    t0 = _load_problem(args)
     interval = krein_interval(t0)
     if interval.defect_dim == 0:
         report = {
@@ -167,8 +159,7 @@ def _cmd_solve_x(config: RunConfig) -> int:
             "solutions": [],
         }
     else:
-        sols = solve_x_equation(interval, seed=config.seed,
-                                n_projection_samples=config.extras.get("samples", 3))
+        sols = solve_x_equation(interval, seed=args.seed, n_projection_samples=args.samples)
         report = {
             "defect_dim": interval.defect_dim,
             "signature": list(sols.signature),
@@ -179,20 +170,19 @@ def _cmd_solve_x(config: RunConfig) -> int:
             "affine_family": "every solution pair X, I-X spans a segment of solutions"
                              " (1-a) X + a (I-X), a in [0, 1]",
         }
-    _write(config.output_dir / "solve_x_report.json", dumps_report(report))
+    _write(args.output_dir / "solve_x_report.json", dumps_report(report))
     return 0
 
 
 _VARIANTS = {"both": "both_constraints", "chi-plus-zero": "chi_plus_zero"}
 
 
-def _cmd_classify_model(config: RunConfig) -> int:
-    variant = _VARIANTS[config.extras["variant"]]
-    spec = SequenceModelSpec(config.extras["delta"], variant)
-    exponent = int(math.floor(math.log2(config.extras["n_limit"])))
+def _cmd_classify_model(args: argparse.Namespace) -> int:
+    spec = SequenceModelSpec(args.delta, _VARIANTS[args.variant])
+    exponent = int(math.floor(math.log2(args.n_limit)))
     diag = xi_preimage_diagnostic(spec, max_exponent=exponent)
     pred = defect_prediction(spec)
-    csv_path = config.output_dir / "partial_sums.csv"
+    csv_path = args.output_dir / "partial_sums.csv"
     _write_csv(csv_path, ["N", "partial_sum"],
                list(zip(diag.dyadic_n, diag.partial_sums)))
     report = {
@@ -207,28 +197,26 @@ def _cmd_classify_model(config: RunConfig) -> int:
             "signature": list(pred.signature),
         },
     }
-    _write(config.output_dir / "classify_model_report.json", dumps_report(report))
+    _write(args.output_dir / "classify_model_report.json", dumps_report(report))
     return 0
 
 
 # quasi-basis family -> (default grid, constructor from the options and grid)
 _FAMILIES = {
     "hermite": (HERMITE_GRID,
-                lambda ex, grid: shifted_family(ex["a"], ex["nmax"], grid)),
+                lambda args, grid: shifted_family(args.a, args.nmax, grid)),
     "anharmonic": (ANHARMONIC_GRID,
-                   lambda ex, grid: anharmonic_family(ex["beta"], ex["weight"],
-                                                      ex["nmax"], grid)),
+                   lambda args, grid: anharmonic_family(args.beta, args.weight,
+                                                        args.nmax, grid)),
 }
 
 
-def _cmd_quasi_basis(config: RunConfig) -> int:
-    extras = config.extras
-    n_max = extras["nmax"]
-    default, build = _FAMILIES[extras["family"]]
-    half_width, nodes = extras.get("half_width"), extras.get("nodes")
-    grid = UniformGrid(default.half_width if half_width is None else half_width,
-                       default.nodes if nodes is None else nodes)
-    fam = build(extras, grid)
+def _cmd_quasi_basis(args: argparse.Namespace) -> int:
+    n_max = args.nmax
+    default, build = _FAMILIES[args.family]
+    grid = UniformGrid(default.half_width if args.half_width is None else args.half_width,
+                       default.nodes if args.nodes is None else args.nodes)
+    fam = build(args, grid)
     sigma, offdiag, j_orthonormal = sign_pattern(fam)
     ig = indefinite_gram(fam)
     mg = metric_gram(fam)
@@ -264,26 +252,26 @@ def _cmd_quasi_basis(config: RunConfig) -> int:
         report["weighted_gram_deviation"] = metric_dev
         report["max_richardson_error"] = float(np.max(fam.richardson_error))
     idx = range(n_max + 1)
-    _write_csv(config.output_dir / "indefinite_gram.csv", ["m", "n", "re", "im"],
+    _write_csv(args.output_dir / "indefinite_gram.csv", ["m", "n", "re", "im"],
                [(m, n, ig[m, n].real, ig[m, n].imag) for m in idx for n in idx])
-    _write_csv(config.output_dir / "metric_gram.csv", ["m", "n", "re", "im"],
+    _write_csv(args.output_dir / "metric_gram.csv", ["m", "n", "re", "im"],
                [(m, n, mg[m, n].real, mg[m, n].imag) for m in idx for n in idx])
-    _write_csv(config.output_dir / "residuals.csv",
+    _write_csv(args.output_dir / "residuals.csv",
                ["n", "eigenvalue", "eigen_residual",
                 "expansion_error_metric", "expansion_error_mapped"],
                [(n, lam[n], residuals[n], rep.g_errors[n], rep.plain_errors[n])
                 for n in idx])
-    _write(config.output_dir / "quasi_basis_report.json", dumps_report(report))
+    _write(args.output_dir / "quasi_basis_report.json", dumps_report(report))
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    results = run_verification(seed=config.seed)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    results = run_verification(seed=args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name} ({r.seconds:.2f}s): {r.detail}")
-    report = verification_report(results, config.seed)
-    _write(config.output_dir / "verify_report.json", dumps_report(report))
+    report = verification_report(results, args.seed)
+    _write(args.output_dir / "verify_report.json", dumps_report(report))
     return 0 if report["passed"] else 3
 
 
@@ -294,25 +282,6 @@ _HANDLERS = {
     "quasi-basis": _cmd_quasi_basis,
     "verify": _cmd_verify,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a validated run; map failures onto the documented exit codes."""
-    try:
-        config.validate()
-        return _HANDLERS[config.command](config)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return 2
-    except ResolutionError as exc:
-        print(f"error: resolution refusal: {exc}", file=sys.stderr)
-        return 4
-    except KreinLabError as exc:
-        print(f"error: invariant violation: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -382,22 +351,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    known = {"command", "input", "output_dir", "seed", "tol"}
-    extras = {k: v for k, v in vars(args).items() if k not in known}
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        output_dir=args.output_dir,
-        seed=args.seed,
-        tolerance=getattr(args, "tol", None),
-        extras=extras,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Parse and validate the options, dispatch, and map failures onto the
+    documented exit codes."""
     args = _build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    try:
+        _validate(args)
+        return _HANDLERS[args.command](args)
+    except json.JSONDecodeError as exc:
+        print(f"error: malformed JSON: {exc}", file=sys.stderr)
+        return 2
+    except ResolutionError as exc:
+        print(f"error: resolution refusal: {exc}", file=sys.stderr)
+        return 4
+    except KreinLabError as exc:
+        print(f"error: invariant violation: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

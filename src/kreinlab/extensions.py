@@ -38,7 +38,6 @@ from ._linalg import (
     as_matrix,
     cayley_spectrum,
     check_residual,
-    from_spectrum,
     hermitize,
     is_self_adjoint,
     operator_norm,
@@ -259,16 +258,17 @@ def solve_x_equation(interval: ExtensionInterval, seed: int | None = None,
     With J = diag(I_p, -I_q) the equation says that both diagonal blocks of X
     are I/2, so X = I/2 always solves.  Projection solutions exist iff p = q:
     X = [[I, U], [U*, I]]/2 with U unitary projects onto the hypermaximal
-    neutral span of [I; U*].  U = I, or sampled from a seed (there are
-    infinitely many for p >= 1).
+    neutral span of [I; U*].  U = I, or n_projection_samples of them sampled
+    from a seed (there are infinitely many for p >= 1); none when
+    n_projection_samples is 0.
     """
     m = interval.defect_dim
     if m == 0:
         raise ValueError("the defect space is trivial; the extension is unique")
     p, q = interval.signature
     eye = np.eye(p)
-    unitaries = [eye] if p == q else []
-    if unitaries and seed is not None and n_projection_samples > 0:
+    unitaries = [eye] if p == q and n_projection_samples > 0 else []
+    if unitaries and seed is not None:
         rng = np.random.default_rng(seed)
         unitaries = [random_unitary(rng, p) for _ in range(n_projection_samples)]
     projections = [0.5 * np.block([[eye, u], [u.conj().T, eye]]) for u in unitaries]
@@ -312,22 +312,6 @@ def extension_from_x(interval: ExtensionInterval, x) -> ExtensionChoice:
     anticommuting = x_resid <= STRUCT_TOL
     extremal = bool(operator_norm(x @ x - x) <= STRUCT_TOL) if m else True
     return ExtensionChoice(x, t, anticommuting, extremal, x_resid)
-
-
-def cayley(t) -> np.ndarray:
-    """G = (I - T)(I + T)^{-1} of a self-adjoint contraction, spectral form."""
-    w, v = np.linalg.eigh(hermitize(as_matrix(t)))
-    return from_spectrum(v, cayley_spectrum(w))
-
-
-def cayley_inverse(g) -> np.ndarray:
-    """T = (I - G)(I + G)^{-1} of a PSD matrix; inverse of `cayley`."""
-    g = hermitize(as_matrix(g))
-    w, v = np.linalg.eigh(g)
-    if w[0] < -STRUCT_TOL:
-        raise InvariantViolation("metric operator must be positive semidefinite")
-    w = np.clip(w, 0.0, None)
-    return from_spectrum(v, (1.0 - w) / (1.0 + w))
 
 
 @dataclass(frozen=True)

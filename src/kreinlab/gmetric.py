@@ -2,8 +2,10 @@
 
 G = (I - T)(I + T)^{-1} induces the positive product (f, g)_G = (Gf, g); the
 images L_+/- = (I + T) H_+/- are G-orthogonal and define the symmetry
-J_G = (I + T) J (I + T)^{-1}.  The indefinite products agree: [f, g]_G =
-(G J_G f, g) = [f, g].  g_inner and jg_product take one route each;
+J_G = (I + T) J (I + T)^{-1} = J G, since J T J = -T gives (I + T) J =
+J (I - T).  As J G J = G^{-1}, J_G^2 = I and G J_G = J hold up to the
+anticommutation residual; `verify` measures them relative to cond G.  The
+indefinite products agree: [f, g]_G = (G J_G f, g) = [f, g].  g_inner and jg_product take one route each;
 metric_report measures them against GMetric.split_inners, which splits all
 its probes with one solve, and the ambient [f, g].
 """
@@ -15,7 +17,6 @@ import numpy as np
 
 from ._linalg import (
     CONTRACTION_SLACK,
-    RESULT_TOL,
     STRUCT_TOL,
     as_matrix,
     cayley_spectrum,
@@ -56,19 +57,13 @@ class GMetric:
         g_values = cayley_spectrum(w)  # raises CayleyUndefinedError when -1 in spec(T)
         g = from_spectrum(v, g_values)
         xi = from_spectrum(v, np.sqrt(psd_clamp(1.0 - w * w)))
-        n = space.dim
-        eye_plus_t = np.eye(n) + t
-        j_g = eye_plus_t @ space.j @ np.linalg.inv(eye_plus_t)
+        j_g = space.j @ g
         top = float(g_values.max())
         kernel_mask = g_values <= KERNEL_RCOND * max(top, 1.0)
         degenerate = bool(kernel_mask.any())
         kernel = v[:, kernel_mask]
         cond = float("inf") if degenerate else float(top / g_values.min())
-        m = cls(space, t, g, xi, j_g, degenerate, kernel, cond)
-        # J_G is an involution and G J_G = J (the two indefinite products agree).
-        check_residual("J_G failed to be an involution", j_g @ j_g - np.eye(n), RESULT_TOL)
-        check_residual("G J_G != J: metric products disagree", g @ j_g - space.j, RESULT_TOL)
-        return m
+        return cls(space, t, g, xi, j_g, degenerate, kernel, cond)
 
     def _measurable(self, *vectors) -> list[np.ndarray]:
         """The vectors as complex arrays, refused when they have components

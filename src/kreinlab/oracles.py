@@ -16,6 +16,8 @@ Step-halving eigenvalues: bisection on the halved step, where
 `quasibasis.halfline_levels` refines the coarse eigenpairs.  Anharmonic
 levels: n_max + 2 per parity before the merge, where
 `quasibasis.anharmonic_family` solves only the levels the merge keeps.
+Cayley inverse: T = (I - G)(I + G)^{-1} from the eigenpairs of G, where
+`GMetric.from_contraction` builds G from those of T.
 """
 from __future__ import annotations
 
@@ -80,6 +82,17 @@ def rank_extremality(t0, t) -> bool | None:
         s = np.linalg.svd(gh_fu, compute_uv=False)
         rank_gf = int(np.sum(s * s > STRUCT_TOL * top))
     return rank_gf == rank_g
+
+
+def cayley_inverse(g) -> np.ndarray:
+    """T = (I - G)(I + G)^{-1} of a PSD matrix G; inverse of the Cayley
+    transform G = (I - T)(I + T)^{-1}."""
+    g = hermitize(as_matrix(g))
+    w, v = np.linalg.eigh(g)
+    if w[0] < -STRUCT_TOL:
+        raise InvariantViolation("metric operator must be positive semidefinite")
+    w = np.clip(w, 0.0, None)
+    return from_spectrum(v, (1.0 - w) / (1.0 + w))
 
 
 def uniqueness_sup(t0, g) -> float:

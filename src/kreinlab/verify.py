@@ -36,8 +36,6 @@ from .angular import (
 )
 from .errors import CayleyUndefinedError
 from .extensions import (
-    cayley,
-    cayley_inverse,
     classify_case,
     density_test,
     extension_from_x,
@@ -90,7 +88,7 @@ from .spaces import (
 ROUTE_TOL = 1e-8
 # An action whose asymmetry exceeds this must fail the duality test.
 ASYMMETRY_FLOOR = 1e-8
-# Cayley round trip: cayley_inverse(cayley(T)) = T.
+# Cayley round trip: the oracle inverse of the production G returns T.
 ROUNDTRIP_TOL = 1e-10
 # Relative gap between the structured and dense sweeps (preimage norm, sup).
 SWEEP_REL_TOL = 1e-9
@@ -421,20 +419,20 @@ def _check_extremality_routes(rng) -> str:
 def _check_cayley_roundtrip(rng) -> str:
     worst = 0.0
     for _ in range(8):
-        n = int(rng.integers(2, 7))
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        t = hermitize(a + a.conj().T)
-        t *= 0.95 * float(rng.uniform(0.2, 1.0)) / max(operator_norm(t), 1e-12)
-        worst = max(worst, operator_norm(cayley_inverse(cayley(t)) - t))
+        sp = random_signature_space(rng)
+        t = random_anticommuting_contraction(rng, sp, norm_cap=0.95)
+        g = GMetric.from_contraction(sp, t).g
+        worst = max(worst, operator_norm(oracles.cayley_inverse(g) - t))
     if worst > ROUNDTRIP_TOL:
         raise AssertionError(f"Cayley roundtrip residual {worst:.3e}")
     try:
-        cayley(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        GMetric.from_contraction(SignatureSpace(np.diag([1.0, -1.0])),
+                                 np.array([[0.0, 1.0], [1.0, 0.0]]))
     except CayleyUndefinedError:
         pass
     else:
-        raise AssertionError("cayley accepted a contraction with -1 in the spectrum")
-    return f"cayley_inverse(cayley(T)) = T (residual {worst:.2e}); -1 rejected"
+        raise AssertionError("GMetric accepted a contraction with -1 in the spectrum")
+    return f"cayley_inverse(G) = T (residual {worst:.2e}); -1 rejected"
 
 
 def _check_gmetric(rng) -> str:
@@ -447,9 +445,12 @@ def _check_gmetric(rng) -> str:
         res = report["agreement_residuals"]
         worst = max(worst, res["inner_decomposition"] / max(1.0, metric.cond),
                     res["jg_vs_ambient"], res["xi_norm_identity"])
-        # J G = G^{-1} J for anticommuting T.
-        worst = max(worst, operator_norm(
-            sp.j @ metric.g - np.linalg.solve(metric.g, sp.j)) / metric.cond)
+        # J G = G^{-1} J for anticommuting T, so J_G = J G is an involution
+        # and G J_G = J; each residual grows with ||G||^2 = cond G.
+        j_g = metric.j_g
+        for residual in (sp.j @ metric.g - np.linalg.solve(metric.g, sp.j),
+                         j_g @ j_g - np.eye(sp.dim), metric.g @ j_g - sp.j):
+            worst = max(worst, operator_norm(residual) / metric.cond)
         f = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
         g = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
         # Second routes on the same (f, g): the split along L_+/- and [f, g].
@@ -703,12 +704,12 @@ _CHECKS = {
     "angular.duality": _check_angular_duality,
     "angular.roundtrip": _check_angular_roundtrip,
     "extensions.anticommute_equivalence": _check_anticommute_equivalence,
-    "extensions.cayley_roundtrip": _check_cayley_roundtrip,
     "extensions.defect_is_domain_complement": _check_defect_complement,
     "extensions.endpoints_vs_completion": _check_endpoints_vs_completion,
     "extensions.extremality_routes": _check_extremality_routes,
     "extensions.t_half_instance": _check_t_half,
     "extensions.x_solutions": _check_x_solutions,
+    "gmetric.cayley_roundtrip": _check_cayley_roundtrip,
     "gmetric.consistency": _check_gmetric,
     "model.classification_table": _check_model_table,
     "model.divergence_verdicts": _check_model_divergence,

@@ -21,6 +21,7 @@ import pytest
 
 import kreinlab.verify
 from kreinlab.cli import main
+from kreinlab.sequence_model import SequenceModelSpec, build_model
 from kreinlab.serialize import matrix_from_obj, matrix_to_obj
 from kreinlab.verify import thread_cap
 
@@ -110,6 +111,21 @@ def test_solve_x_report_unbalanced_defect(tmp_path, half_problem):
                                [[0.5]], atol=1e-12)
     assert report["projection_exists"] is False
     assert report["projections"] == []
+
+
+def test_zero_samples_report_only_the_elementary_x(tmp_path):
+    t0 = build_model(SequenceModelSpec(1.25, "both_constraints", 8)).t0
+    problem = write_problem(tmp_path / "model.json", t0.space.j, t0.domain, t0.action)
+    out = tmp_path / "out"
+    for command in ("extend", "solve-x"):
+        assert run_cli([command, "--input", problem, "--samples", "0", "--seed", "3",
+                        "--output-dir", out]) == 0
+    extend = load(out / "extend_report.json")
+    assert extend["case"] == "B"
+    assert [s["label"] for s in extend["X_samples"]] == ["elementary"]
+    solve_x = load(out / "solve_x_report.json")
+    assert solve_x["projection_exists"] is True
+    assert solve_x["projections"] == []
 
 
 def test_solve_x_trivial_defect(tmp_path):

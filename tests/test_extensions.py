@@ -11,8 +11,6 @@ from kreinlab import (
     PartialContraction,
     SignatureSpace,
     any_sa_extension,
-    cayley,
-    cayley_inverse,
     classify_case,
     density_test,
     extension_from_x,
@@ -27,8 +25,8 @@ from kreinlab import (
 )
 from kreinlab._linalg import RESULT_TOL, hermitize, orthonormal_columns, random_unitary
 from kreinlab.cli import main
-from kreinlab.errors import CayleyUndefinedError, InvariantViolation
-from kreinlab.oracles import rank_extremality, sqrt_projection_endpoints
+from kreinlab.errors import InvariantViolation
+from kreinlab.oracles import cayley_inverse, rank_extremality, sqrt_projection_endpoints
 from kreinlab.sequence_model import SequenceModelSpec, build_model
 from kreinlab.serialize import matrix_to_obj
 from kreinlab.verify import (
@@ -377,6 +375,19 @@ def test_x_solutions_balanced_signature(j2):
         seen.append(complex(y[0, 1]))
     # sampled pairings produce genuinely different projections
     assert len({np.round(z, 6) for z in seen}) > 1
+
+
+def test_zero_projection_samples_give_no_projection():
+    # The balanced 8-pair model has projection solutions; asking for none of
+    # them returns none, with or without a seed, and still says they exist.
+    iv = krein_interval(build_model(SequenceModelSpec(1.25, "both_constraints", 8)).t0)
+    assert iv.signature[0] == iv.signature[1]
+    for seed in (None, 3):
+        sols = solve_x_equation(iv, seed=seed, n_projection_samples=0)
+        assert sols.projections == []
+        assert sols.projection_exists
+        np.testing.assert_allclose(sols.elementary, 0.5 * np.eye(iv.defect_dim), atol=0)
+    assert len(solve_x_equation(iv, seed=3, n_projection_samples=2).projections) == 2
 
 
 def test_x_solutions_unbalanced_signature(j2):
@@ -905,25 +916,21 @@ def test_interval_and_density_share_one_complement(monkeypatch):
 # -------------------------------------------------------------------- Cayley
 
 def test_cayley_closed_forms():
-    np.testing.assert_allclose(cayley(np.zeros((2, 2))), np.eye(2), atol=1e-14)
+    swap = SignatureSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    got = GMetric.from_contraction(swap, np.zeros((2, 2))).g
+    np.testing.assert_allclose(got, np.eye(2), atol=1e-14)
     t = 0.4
-    got = cayley(np.diag([t, -t]).astype(complex))
+    got = GMetric.from_contraction(swap, np.diag([t, -t]).astype(complex)).g
     want = np.diag([(1 - t) / (1 + t), (1 + t) / (1 - t)])
     np.testing.assert_allclose(got, want, atol=1e-14)
-
-
-def test_cayley_undefined_at_unit():
-    with pytest.raises(CayleyUndefinedError):
-        cayley(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_cayley_roundtrip(seed):
     rng = np.random.default_rng(900 + seed)
     space = random_signature_space(rng)
-    from kreinlab.verify import random_anticommuting_contraction
     t = random_anticommuting_contraction(rng, space)
-    g = cayley(t)
+    g = GMetric.from_contraction(space, t).g
     np.testing.assert_allclose(cayley_inverse(g), t, atol=1e-10)
     # J G = G^{-1} J for anticommuting T
     j = space.j

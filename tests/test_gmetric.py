@@ -138,6 +138,33 @@ def test_degenerate_metric_is_reachable_and_guarded():
     assert all(np.isfinite(v) for v in rep["agreement_residuals"].values())
 
 
+def test_metric_symmetry_does_not_depend_on_the_basis():
+    # T = [[0, a], [a, 0]] anticommutes with J = diag(1, -1); in the swap basis
+    # it is diag(a, -a).  Both are accepted up to where G degenerates, with the
+    # same verdicts; one ulp of an eigenvalue moves cond by about ulp / (1 - a).
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    for gap in (1e-3, 1e-4, 1e-5, 1e-7):
+        a = 1.0 - gap
+        m = metric_for(np.diag([1.0, -1.0]), a * swap)
+        ref = metric_for(swap, np.diag([a, -a]))
+        assert m.degenerate == ref.degenerate == (gap == 1e-7)
+        assert m.kernel.shape == ref.kernel.shape
+        assert m.cond == pytest.approx(ref.cond, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_metric_symmetry_is_j_times_g(seed):
+    # J_G = (I + T) J (I + T)^{-1}, formed here with an inverse, equals J G
+    rng = np.random.default_rng(1200 + seed)
+    for dim, cap in zip((2, 5, 12, 24, 64, 96), (0.5, 0.9, 0.99, 0.999, 0.99, 0.999)):
+        space = random_signature_space(rng, dim)
+        t = random_anticommuting_contraction(rng, space, norm_cap=cap)
+        m = GMetric.from_contraction(space, t)
+        eye_plus_t = np.eye(dim) + m.t
+        want = eye_plus_t @ space.j @ np.linalg.inv(eye_plus_t)
+        assert np.linalg.norm(m.j_g - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
+
+
 def test_metric_report_decomposes_all_probes_at_once(monkeypatch, rng):
     # The 2 * REPORT_PROBES probe vectors go through one decompose: one solve
     # with I + T and one P+/- pair (16 of each when every probe had its own).

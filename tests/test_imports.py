@@ -1,4 +1,4 @@
-"""Six small AST checks on ``src/kreinlab`` in place of a linter.
+"""Seven small AST checks on ``src/kreinlab`` in place of a linter.
 
 Unused imports: the names bound by ``import`` and ``from ... import``
 statements in each module, and in each test module under ``tests/``, must
@@ -20,6 +20,8 @@ suite ``verify.py`` (whose checks report residuals) may write one.
 Oracles stay out of production: ``kreinlab.oracles`` holds second routes
 that production decides another way, so no module except ``verify.py``
 may import it.
+
+No matrix inverse: no module calls ``np.linalg.inv``.
 
 One complement per problem: D(T0)^perp is ``PartialContraction.complement``,
 so ``orthonormal_complement`` is called only in ``angular.py`` (that
@@ -239,7 +241,7 @@ def test_oracle_import_detector():
                    "from kreinlab.oracles import sqrt_projection_endpoints\n",
                    "import kreinlab.oracles\n"):
         assert imports_oracles(source), source
-    for source in ("from . import extensions\n", "from .extensions import cayley\n",
+    for source in ("from . import extensions\n", "from .extensions import krein_interval\n",
                    "import oracles\n", "from kreinlab import verify\n"):
         assert not imports_oracles(source), source
 
@@ -270,6 +272,13 @@ def test_domain_complement_is_taken_only_by_the_property():
     found = [path.name for path in sorted(PACKAGE.glob("*.py"))
              if calls_to(path.read_text(), "orthonormal_complement")]
     assert found == ["angular.py", "verify.py"]
+
+
+def test_no_module_inverts_a_matrix():
+    # Every inverse is a solve, a factorization or a spectral form.
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if calls_to(path.read_text(), "inv")]
+    assert found == []
 
 
 def uncalled_functions(source: str, callers: list[str]) -> list[str]:
