@@ -18,7 +18,6 @@ import numpy as np
 from .errors import KreinLabError, ResolutionError
 from .extensions import (
     classify_case,
-    density_test,
     extension_from_x,
     extremality_test,
     krein_interval,
@@ -134,7 +133,8 @@ def _cmd_extend(args: argparse.Namespace) -> int:
                 "anticommuting": choice.anticommuting,
                 "extremal": ext.extremal,
                 "cayley_defined": ext.cayley_defined,
-                "domain_dense_in_energetic_space": density_test(t0, choice.t),
+                # extremal iff dense (Arlinskii-Hassi-Sebestyen-de Snoo)
+                "domain_dense_in_energetic_space": ext.extremal,
             })
     report = {
         "T_mu": matrix_to_obj(interval.t_mu),

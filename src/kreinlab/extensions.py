@@ -18,11 +18,12 @@ iff X solves
 
     X = J (I - X) J   (restricted to M),
 
-while T is extremal iff X is a projection.  Both verdicts are decided on
-the m x m X, and ||T_mu||, ||T_M|| <= 1 is read from the block data
-(endpoint_excess_bound) whenever that bound decides it.  The n x n checks
-(||J T + T J||, interval membership, T extends T0, the endpoint 2-norms,
-the J split) run in `verify`, the metric-rank criterion in `kreinlab.oracles`.
+while T is extremal (so D(T0) is dense in its energetic space) iff X is a
+projection.  These verdicts are decided on the m x m X, and ||T_mu||,
+||T_M|| <= 1 is read from the block data (endpoint_excess_bound) whenever
+that bound decides it.  The n x n checks (||J T + T J||, interval
+membership, T extends T0, the endpoint 2-norms, the J split, density_test)
+run in `verify`, the metric-rank criterion in `kreinlab.oracles`.
 """
 from __future__ import annotations
 
@@ -221,19 +222,20 @@ def classify_case(interval: ExtensionInterval) -> str:
     return "B" if p == q else "C"
 
 
-def x_equation_residual(x, j_defect) -> float:
-    """|| X - J (I - X) J || on the defect space."""
-    x = as_matrix(x)
-    j = as_matrix(j_defect)
-    return operator_norm(x - j @ (np.eye(x.shape[0]) - x) @ j)
+def symmetrize_solution(x, signature) -> np.ndarray:
+    """Project any 0 <= X <= I onto a solution of X = J(I-X)J, with J =
+    diag(I_p, -I_q) for the signature (p, q): (X + J(I-X)J)/2 keeps the
+    off-diagonal blocks of X and sets both diagonal blocks to I/2, so it
+    always solves the equation and stays in [0, I]."""
+    x = hermitize(as_matrix(x))
+    plus = np.arange(x.shape[0]) < signature[0]
+    return np.where(plus[:, None] == plus[None, :], 0.5 * np.eye(x.shape[0]), x)
 
 
-def symmetrize_solution(x, j_defect) -> np.ndarray:
-    """Project any 0 <= X <= I onto a solution of X = J(I-X)J:
-    (X + J(I-X)J)/2 always solves the equation and stays in [0, I]."""
-    x = as_matrix(x)
-    j = as_matrix(j_defect)
-    return hermitize(0.5 * (x + j @ (np.eye(x.shape[0]) - x) @ j))
+def x_equation_residual(x, signature) -> float:
+    """|| X - J (I - X) J || = || diag(2 X_++ - I, 2 X_-- - I) || for a
+    Hermitian X, that is twice its distance from symmetrize_solution(X)."""
+    return 2.0 * operator_norm(as_matrix(x) - symmetrize_solution(x, signature))
 
 
 @dataclass
@@ -294,7 +296,8 @@ def extension_from_x(interval: ExtensionInterval, x) -> ExtensionChoice:
     lies in the interval and extends T0 since Y is orthogonal to D(T0).
 
     Both verdicts are read from X alone: T anticommutes with J iff X solves
-    X = J(I - X)J, and T is extremal iff X is a projection.
+    X = J(I - X)J, and T is extremal iff X is a projection, which the
+    eigenvalues of X decide: ||X^2 - X||_2 = max |lambda^2 - lambda|.
     """
     m = interval.defect_dim
     x = as_matrix(x)
@@ -308,10 +311,9 @@ def extension_from_x(interval: ExtensionInterval, x) -> ExtensionChoice:
     y = interval.defect_basis * interval.defect_scale
     t = hermitize(interval.t_mu + y @ x @ y.conj().T)
 
-    x_resid = x_equation_residual(x, interval.j_on_defect) if m else 0.0
-    anticommuting = x_resid <= STRUCT_TOL
-    extremal = bool(operator_norm(x @ x - x) <= STRUCT_TOL) if m else True
-    return ExtensionChoice(x, t, anticommuting, extremal, x_resid)
+    x_resid = x_equation_residual(x, interval.signature)
+    extremal = bool(np.max(np.abs(ev * ev - ev), initial=0.0) <= STRUCT_TOL)
+    return ExtensionChoice(x, t, x_resid <= STRUCT_TOL, extremal, x_resid)
 
 
 @dataclass(frozen=True)
@@ -382,12 +384,13 @@ def max_subspaces(space: SignatureSpace, t) -> MaximalDualPair:
 def density_test(t0: PartialContraction, t) -> bool:
     """True iff ran(Xi) cap D(T0)^perp = {0} for Xi = sqrt(I - T^2).
 
-    This is the finite-dimensional rendering of density of the domain in
-    the energetic space of the extension.
+    The n x n rendering of density of the domain in the energetic space:
+    `extend` reads it from X (extremal iff dense), `verify` checks with this.
     """
     w, v = np.linalg.eigh(hermitize(as_matrix(t)))
     xi_sq = 1.0 - w * w                  # the eigenvalues of Xi^2 = I - T^2
-    ran = v[:, xi_sq > RANK_RCOND * max(float(xi_sq.max()), 0.0)]
+    # The cut is floored at 1 >= xi^2: rounding where T^2 = I is no range.
+    ran = v[:, xi_sq > RANK_RCOND * max(float(xi_sq.max()), 1.0)]
     comp = t0.complement
     if comp.shape[1] == 0 or ran.shape[1] == 0:
         return True

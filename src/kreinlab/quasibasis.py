@@ -3,8 +3,8 @@
 Two frozen family types are built on a uniform symmetric grid.  Both
 subclass `FunctionFamily`, which holds the samples of f_0..f_n_max and of
 their orthonormal reference g_n, the eigenvalues lambda_n of H f_n =
-lambda_n f_n, and the signs sign Re [f_n, f_n], measured once at
-construction:
+lambda_n f_n, and, measured once at construction, the rows H f_n, the
+indefinite Gram [f_m, f_n] and the signs sign Re [f_n, f_n]:
 
 * `ShiftedHermiteFamily` (`shifted_family`; a = 0 is the unshifted
   Hermite reference): f_n(x) = g_n(x + i a), where g_n are the
@@ -17,14 +17,13 @@ construction:
   (beta > 2), solved on the half line per parity, and p a bounded odd
   weight exponent; the metric weight is e^{-2p(x)}.
 
-Each type supplies only what differs, on whole row stacks: `metric_rows`
-(the two row stacks whose product, times `measure`, is the metric product),
-`half_metric` (e^{Q/2}), `metric` (e^{Q}) and `apply_h` (H f_n for all n).
-These and the `eigenvalues` field are read directly.  The Grams
-(`indefinite_gram`, `metric_gram` for either type), the C-routes, H in the
-metric and the expansion are written once on top of them, with one
-transform per row stack; `parity_apply` is the reflection u(x) -> u(-x)
-behind the indefinite product.
+Each type supplies only what differs, on whole row stacks: the data hf
+and the hooks `metric_rows` (the two row stacks whose product, times
+`measure`, is the metric product), `half_metric` (e^{Q/2}) and `metric`
+(e^{Q}).  The Grams (`indefinite_gram` reads the measured one, `metric_gram`
+the hooks), the C-routes, H in the metric and the expansion are written
+once on top of them, with one transform per row stack; `parity_apply` is
+the reflection u(x) -> u(-x) behind the indefinite product.
 
 Every Fourier-side quantity is gated by an explicit frequency-band check:
 the exponential weight amplifies unresolved tails, so results are refused
@@ -95,10 +94,10 @@ ANHARMONIC_GRID = UniformGrid(8.0, 8192)
 class FunctionFamily:
     """Grid samples of a family f_0..f_n_max and its reference g_n.
 
-    Each family type supplies metric_rows(rows, label) -> (L, R) with
-    (u, v)_G = measure * sum L u conj(R v) row by row (a "{}" in label takes
-    the index of the first refused row), half_metric(u) = e^{Q/2} u,
-    metric(u) = e^{Q} u and apply_h(), the rows H f_0..H f_n_max.
+    The data are f, g, hf, j_gram and signs (hf and j_gram read-only).  The
+    hooks are metric_rows(rows, label) -> (L, R) with (u, v)_G = measure *
+    sum L u conj(R v) row by row (a "{}" in label takes the index of the
+    first refused row), half_metric(u) = e^{Q/2} u and metric(u) = e^{Q} u.
     """
     kind: ClassVar[str]
     x: np.ndarray
@@ -110,7 +109,16 @@ class FunctionFamily:
     g_parities: np.ndarray         # +/-1 parity of each g_n
     eigenvalues: np.ndarray        # lambda_n with H f_n = lambda_n f_n
     measure: float                 # quadrature weight of the metric product
-    signs: np.ndarray              # sign Re [f_n, f_n]
+    hf: np.ndarray = field(repr=False)                  # H f_n, (n_max+1, M) complex
+    j_gram: np.ndarray = field(init=False, repr=False)  # [f_m, f_n] = step (P f) f*
+    signs: np.ndarray = field(init=False)               # sign Re [f_n, f_n]
+
+    def __post_init__(self):
+        gram = self.step * (parity_apply(self.f) @ self.f.conj().T)
+        gram.setflags(write=False)
+        self.hf.setflags(write=False)
+        object.__setattr__(self, "j_gram", gram)
+        object.__setattr__(self, "signs", np.sign(np.real(np.diag(gram))))
 
     @property
     def nodes(self) -> int:
@@ -139,11 +147,6 @@ def parity_apply(u) -> np.ndarray:
     return np.take(u, (-np.arange(m)) % m, axis=-1)
 
 
-def _signs(f: np.ndarray) -> np.ndarray:
-    """sign Re [f_n, f_n], from the diagonal of the indefinite Gram alone."""
-    return np.sign(np.real(np.sum(parity_apply(f) * f.conj(), axis=1)))
-
-
 def frequencies(fam: FunctionFamily) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(fam.nodes, d=fam.step)
 
@@ -168,7 +171,6 @@ class ShiftedHermiteFamily(FunctionFamily):
     kind = "shifted_hermite"
     a: float
     band: float                    # every weighted spectrum lives in |xi| <= band
-    f_ext: np.ndarray = field(repr=False)    # f_0..f_{n_max+2}, for H f_n
 
     def _weighted_hat(self, rows, power: float, label: str) -> np.ndarray:
         """e^{power a xi} u^ on the band (zero outside) for every row u, in
@@ -202,17 +204,17 @@ class ShiftedHermiteFamily(FunctionFamily):
     def metric(self, u) -> np.ndarray:
         return inverse_fourier(self, self._weighted_hat(u, 2.0, "c_action_multiplier"))
 
-    def apply_h(self) -> np.ndarray:
-        """Analytic derivative identities on the Hermite table."""
-        tab = self.f_ext
-        n = np.arange(self.n_max + 1.0)[:, None]
-        # In place, one temporary stack at a time: -u'' + (x^2 + 2iax) u.
-        out = -(2.0 * n + 1.0) / 2.0 * tab[:-2]
-        out[2:] += np.sqrt(n[2:] * (n[2:] - 1.0)) / 2.0 * tab[:-4]
-        out += np.sqrt((n + 1.0) * (n + 2.0)) / 2.0 * tab[2:]
-        np.negative(out, out=out)
-        out += (self.x ** 2 + 2j * self.a * self.x) * tab[:-2]
-        return out
+
+def _hermite_hf(tab: np.ndarray, x: np.ndarray, a: float) -> np.ndarray:
+    """H f_n from the table f_0..f_{n_max+2}, by the derivative identities."""
+    n = np.arange(tab.shape[0] - 2.0)[:, None]
+    # In place, one temporary stack at a time: -u'' + (x^2 + 2iax) u.
+    out = -(2.0 * n + 1.0) / 2.0 * tab[:-2]
+    out[2:] += np.sqrt(n[2:] * (n[2:] - 1.0)) / 2.0 * tab[:-4]
+    out += np.sqrt((n + 1.0) * (n + 2.0)) / 2.0 * tab[2:]
+    np.negative(out, out=out)
+    out += (x ** 2 + 2j * a * x) * tab[:-2]
+    return out
 
 
 def shifted_family(a: float, n_max: int,
@@ -254,22 +256,20 @@ def shifted_family(a: float, n_max: int,
         raise GridResolutionError(
             f"grid under-resolved: reference Gram residual {resid:.2e}"
         )
-    f_ext = _hermite_table(n_rows, x + 1j * a)
-    f = f_ext[: n_max + 1].copy()
+    tab = _hermite_table(n_rows, x + 1j * a)
     return ShiftedHermiteFamily(
         x=x,
         step=grid.step,
         half_width=grid.half_width,
         n_max=n_max,
-        f=f,
+        f=tab[: n_max + 1].copy(),
         g=g,
         g_parities=np.array([(-1) ** n for n in range(n_max + 1)]),
         eigenvalues=1.0 + 2.0 * np.arange(n_max + 1, dtype=float) + float(a) ** 2,
         measure=2.0 * np.pi / (grid.nodes * grid.step),
-        signs=_signs(f),
+        hf=_hermite_hf(tab, x, float(a)),
         a=float(a),
         band=float(band),
-        f_ext=f_ext,
     )
 
 
@@ -538,15 +538,23 @@ class AnharmonicFamily(FunctionFamily):
     def metric(self, u) -> np.ndarray:
         return np.exp(-2.0 * self.p_funcs[0](self.x)) * u
 
-    def apply_h(self) -> np.ndarray:
-        """The finite-difference conjugated operator on every row."""
-        p, p1, p2 = self.p_funcs
-        f = self.f
-        h = self.step
-        d2 = (np.roll(f, 1, axis=1) - 2.0 * f + np.roll(f, -1, axis=1)) / (h * h)
-        d1 = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * h)
-        v = np.abs(self.x) ** self.beta
-        return -d2 + (v + p2(self.x) - p1(self.x) ** 2) * f + 2.0 * p1(self.x) * d1
+
+def _anharmonic_hf(f: np.ndarray, x: np.ndarray, h: float, beta: float, p1, p2) -> np.ndarray:
+    """H f_n for every row: the finite-difference conjugated operator
+    -u'' + (|x|^beta + p'' - p'^2) u + 2 p' u'."""
+    # In place, one temporary stack at a time, in the one-expression order.
+    out = np.roll(f, 1, axis=1)
+    out -= 2.0 * f
+    out += np.roll(f, -1, axis=1)
+    out /= h * h
+    np.negative(out, out=out)
+    out += (np.abs(x) ** beta + p2(x) - p1(x) ** 2) * f
+    d1 = np.roll(f, -1, axis=1)
+    d1 -= np.roll(f, 1, axis=1)
+    d1 /= 2.0 * h
+    d1 *= 2.0 * p1(x)
+    out += d1
+    return out
 
 
 def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
@@ -608,7 +616,7 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
         g_parities=parities,
         eigenvalues=eigs,
         measure=h,
-        signs=_signs(f),
+        hf=_anharmonic_hf(f, x, h, float(beta), p1, p2),
         beta=float(beta),
         p_name=p_name,
         p_funcs=(p, p1, p2),
@@ -631,8 +639,8 @@ def metric_norm(fam: FunctionFamily, u) -> float:
 
 
 def indefinite_gram(fam: FunctionFamily) -> np.ndarray:
-    """Matrix of [f_m, f_n] = integral f_m(-x) conj(f_n(x)) dx."""
-    return fam.step * (parity_apply(fam.f) @ fam.f.conj().T)
+    """Matrix of [f_m, f_n] = integral f_m(-x) conj(f_n(x)) dx (read-only)."""
+    return fam.j_gram
 
 
 def sign_pattern(fam: FunctionFamily):
@@ -641,7 +649,7 @@ def sign_pattern(fam: FunctionFamily):
     The family is J-orthonormal when the indefinite Gram is diag(sigma)
     within J_ORTHONORMAL_TOL.  Measured, never assumed.
     """
-    dev = float(np.max(np.abs(indefinite_gram(fam) - np.diag(fam.signs))))
+    dev = float(np.max(np.abs(fam.j_gram - np.diag(fam.signs))))
     return fam.signs, dev, dev <= J_ORTHONORMAL_TOL
 
 
@@ -661,8 +669,7 @@ def weighted_gram(fam: FunctionFamily) -> np.ndarray:
 def eigen_residual(fam: FunctionFamily) -> tuple[np.ndarray, np.ndarray]:
     """Relative residuals ||H f_n - lambda_n f_n|| / ||f_n|| per index."""
     lam = fam.eigenvalues.copy()
-    defect = fam.apply_h()
-    defect -= lam[:, None] * fam.f
+    defect = fam.hf - lam[:, None] * fam.f
     residuals = np.array([quad_norm(fam, d) / quad_norm(fam, f)
                           for d, f in zip(defect, fam.f)])
     return lam, residuals
@@ -742,12 +749,11 @@ def h_gram_in_g(fam: FunctionFamily) -> np.ndarray:
     """A[m, n] = (H f_n, f_m)_G: Hermitian and diagonal when H is symmetric
     in the metric product on the span."""
     _, right = fam.metric_rows(fam.f, "h_gram(f_{})")
-    left, _ = fam.metric_rows(fam.apply_h(), "h_gram(Hf_{})")
+    left, _ = fam.metric_rows(fam.hf, "h_gram(Hf_{})")
     return fam.measure * (left @ right.conj().T).T
 
 
 def biorthogonal_gram(fam: FunctionFamily) -> np.ndarray:
-    """(f_m, gamma_n) with gamma_n = sigma_n J f_n; the identity when the
-    family is J-orthonormal."""
-    flipped = parity_apply(fam.f)
-    return fam.step * (fam.f @ np.conj(flipped.T)) * fam.signs[None, :]
+    """(f_m, gamma_n) with gamma_n = sigma_n J f_n, that is j_gram* diag(sigma);
+    the identity when the family is J-orthonormal."""
+    return fam.j_gram.conj().T * fam.signs[None, :]

@@ -217,7 +217,7 @@ def truncated_density_sweep(spec: SequenceModelSpec,
       (sum w alpha)^2 / sum w when chi_+ constrains the domain; that
       difference is summed as sum w (alpha - mean_w alpha)^2;
     - density_test's rule on the diagonal Xi: ran Xi is the pairs with
-      xi_n > RANK_RCOND max xi, and as the columns of E have disjoint
+      xi_n > RANK_RCOND max(max xi, 1), and as the columns of E have disjoint
       supports, the cosine between ran Xi and E is the largest norm of chi_+/-
       restricted to them, that is, of the profile c on those pairs.
     """
@@ -237,7 +237,7 @@ def truncated_density_sweep(spec: SequenceModelSpec,
             sup = float(w @ (a - (w @ a) / norm_sq_matrix) ** 2)
         else:
             sup = float(w @ (a * a))
-        keep = xi > RANK_RCOND * xi.max()
+        keep = xi > RANK_RCOND * max(xi.max(), 1.0)
         dense = math.sqrt(float(np.sum(c_sq[keep]))) < 1.0 - STRUCT_TOL
         coeff_norm_sq = float(np.sum(np.arange(1, n + 1, dtype=float) ** (-2 * spec.delta)))
         norm_sq_series = float(np.sum(series_terms(spec.delta, n))) / coeff_norm_sq

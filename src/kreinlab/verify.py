@@ -334,12 +334,11 @@ def _check_anticommute_equivalence(rng) -> str:
         t0 = random_partial_contraction(rng, sp)
         interval = krein_interval(t0)
         m = interval.defect_dim
-        jm = interval.j_on_defect
         mb = interval.defect_basis
         samples = [0.5 * np.eye(m), np.zeros((m, m)), np.eye(m)]
         for _ in range(12):
             x = random_x(rng, m)
-            samples.extend([x, symmetrize_solution(x, jm)])
+            samples.extend([x, symmetrize_solution(x, interval.signature)])
         for x in samples:
             # extension_from_x reads the verdict from the X-equation residual.
             choice = extension_from_x(interval, x)
@@ -369,7 +368,6 @@ def _check_x_solutions(rng) -> str:
     for k in range(7):
         t0 = balanced if k == 6 else random_partial_contraction(rng, random_signature_space(rng))
         interval = krein_interval(t0)
-        jm = interval.j_on_defect
         sols = solve_x_equation(interval, seed=int(rng.integers(2 ** 31)),
                                 n_projection_samples=3)
         if sols.projection_exists != (interval.signature[0] == interval.signature[1]):
@@ -377,7 +375,7 @@ def _check_x_solutions(rng) -> str:
         for x0 in [sols.elementary, *sols.projections]:
             for alpha in (0.0, 0.25, 1.0):
                 xa = sols.affine(x0, alpha)
-                if x_equation_residual(xa, jm) > STRUCT_TOL:
+                if x_equation_residual(xa, interval.signature) > STRUCT_TOL:
                     raise AssertionError("affine family left the solution set")
         for x in sols.projections:
             n_proj += 1
@@ -407,13 +405,16 @@ def _check_extremality_routes(rng) -> str:
             if rank != (result.extremal if result.cayley_defined else None):
                 raise AssertionError(
                     f"extremality routes disagree (projection {result.extremal}, rank {rank})")
+            if density_test(t0, choice.t) != choice.extremal:
+                raise AssertionError(
+                    f"density on T disagrees with the projection verdict {choice.extremal}")
             if result.cayley_defined:
                 n_checked += 1
                 if result.extremal != (operator_norm(x @ x - x) <= STRUCT_TOL):
                     raise AssertionError("projection criterion mislabeled a sample")
     if n_checked == 0:
         raise AssertionError("no sample had a defined Cayley transform")
-    return f"projection and rank extremality criteria agree on {n_checked} samples"
+    return f"projection and rank criteria agree on {n_checked} samples, density on all"
 
 
 def _check_cayley_roundtrip(rng) -> str:

@@ -7,12 +7,17 @@ formats one value per call, one eigendecomposition per function of a
 matrix.  None of it shares an algorithm with the package routines it
 cross-checks, so agreement between the two routes is evidence rather than
 tautology; where a verdict must agree, the package's thresholds are
-imported rather than restated.
+imported rather than restated.  The exception is the per-call Gram, the
+biorthogonal product and the two H f bodies: they are the routes that a
+quasi-basis family's measured `j_gram` and `hf` replaced, kept to show that
+the stored data are the same numbers.
 """
 
+import importlib.util
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import hermite as npherm
@@ -20,9 +25,19 @@ from scipy.linalg import eigh_tridiagonal
 
 from kreinlab._linalg import RANK_RCOND, STRUCT_TOL
 from kreinlab.gmetric import KERNEL_RCOND
-from kreinlab.quasibasis import _halfline_tridiagonal
+from kreinlab.quasibasis import _halfline_tridiagonal, _hermite_table, parity_apply
 
 FEAS_SLACK = 1e-12
+
+
+def perfbench_gen():
+    """The benchmark's seeded input generator `perfbench/gen.py`, loaded by
+    path (it is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def complement_basis(basis: np.ndarray) -> np.ndarray:
@@ -397,3 +412,37 @@ def reference_dumps_report(obj) -> str:
     _reference_encode(obj, parts)
     parts.append("\n")
     return "".join(parts)
+
+
+def indefinite_gram_product(f, step) -> np.ndarray:
+    """[f_m, f_n] = step (P f) f*, the product a reader formed on every call
+    before the family measured its Gram once."""
+    return step * (parity_apply(f) @ f.conj().T)
+
+
+def biorthogonal_product(f, step, signs) -> np.ndarray:
+    """(f_m, sigma_n J f_n) as its own product of f with P f."""
+    return step * (f @ np.conj(parity_apply(f).T)) * signs[None, :]
+
+
+def hermite_apply_h(a: float, x, n_max: int) -> np.ndarray:
+    """H f_n of the shifted Hermite family from its n_max + 3 row table, on a
+    table of its own."""
+    tab = _hermite_table(n_max + 3, x + 1j * a)
+    n = np.arange(n_max + 1.0)[:, None]
+    out = -(2.0 * n + 1.0) / 2.0 * tab[:-2]
+    out[2:] += np.sqrt(n[2:] * (n[2:] - 1.0)) / 2.0 * tab[:-4]
+    out += np.sqrt((n + 1.0) * (n + 2.0)) / 2.0 * tab[2:]
+    np.negative(out, out=out)
+    out += (x ** 2 + 2j * a * x) * tab[:-2]
+    return out
+
+
+def anharmonic_apply_h(f, x, h: float, beta: float, p_funcs) -> np.ndarray:
+    """The finite-difference conjugated operator on every row, as one
+    expression."""
+    _, p1, p2 = p_funcs
+    d2 = (np.roll(f, 1, axis=1) - 2.0 * f + np.roll(f, -1, axis=1)) / (h * h)
+    d1 = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * h)
+    v = np.abs(x) ** beta
+    return -d2 + (v + p2(x) - p1(x) ** 2) * f + 2.0 * p1(x) * d1

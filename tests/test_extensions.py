@@ -365,7 +365,7 @@ def test_x_solutions_balanced_signature(j2):
     seen = []
     for x in sols.projections:
         assert opnorm(x @ x - x) < 1e-10
-        assert x_equation_residual(x, jm) < 1e-10
+        assert x_equation_residual(x, iv.signature) < 1e-10
         # in the eigenbasis of J every projection solution has the closed
         # form [[1/2, z], [z~, 1/2]] with |z| = 1/2
         y = v.conj().T @ x @ v
@@ -410,13 +410,13 @@ def test_x_elementary_and_affine_closure(seed):
     if iv.defect_dim == 0:
         pytest.skip("trivial defect")
     sols = solve_x_equation(iv, seed=seed, n_projection_samples=2)
-    jm = iv.j_on_defect
-    assert x_equation_residual(sols.elementary, jm) < 1e-12
+    sig = iv.signature
+    assert x_equation_residual(sols.elementary, sig) < 1e-12
     m = iv.defect_dim
     for x0 in [sols.elementary, *sols.projections]:
-        assert x_equation_residual(np.eye(m) - x0, jm) < 1e-10
+        assert x_equation_residual(np.eye(m) - x0, sig) < 1e-10
         for alpha in (0.0, 0.25, 0.5, 0.9, 1.0):
-            assert x_equation_residual(sols.affine(x0, alpha), jm) < 1e-10
+            assert x_equation_residual(sols.affine(x0, alpha), sig) < 1e-10
 
 
 def test_extension_from_x_endpoints_and_midpoint(j2):
@@ -554,7 +554,7 @@ def test_interval_structure_on_random_j_invariant_problems(seed, n, mirrored):
     rng = np.random.default_rng(seed)
     for _ in range(3 if m else 0):
         x = random_x(rng, m)
-        for sample in (x, symmetrize_solution(x, iv.j_on_defect)):
+        for sample in (x, symmetrize_solution(x, iv.signature)):
             choice = extension_from_x(iv, sample)
             assert choice.anticommuting == (opnorm(j @ choice.t + choice.t @ j) <= 1e-10)
 
@@ -861,21 +861,17 @@ def test_density_degenerate_xi(j2):
     assert density_test(t0, t)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
-       norm_cap=st.floats(0.9, 1.0))
-def test_density_equals_extremality_on_realized_extensions(seed, n, norm_cap):
+def _assert_density_equals_extremality(rng, seed, space, t_full):
     # A self-adjoint contractive extension is extremal iff D(T0) is dense in
     # its energetic space (Arlinskii-Hassi-Sebestyen-de Snoo 2001): the
     # density test on T agrees with the projection verdict on X.
-    rng = np.random.default_rng(seed)
-    space = random_signature_space(rng, n)
-    t_full = random_anticommuting_contraction(rng, space, norm_cap=norm_cap)
     t0 = random_partial_contraction(rng, space, t_full)
     iv = krein_interval(t0)
     m = iv.defect_dim
-    sols = solve_x_equation(iv, seed=seed, n_projection_samples=2)
-    xs = [sols.elementary, *sols.projections, np.eye(m), np.zeros((m, m)), random_x(rng, m)]
+    xs = [np.zeros((0, 0))]              # at ||T0|| = 1 the defect may be trivial
+    if m:
+        sols = solve_x_equation(iv, seed=seed, n_projection_samples=2)
+        xs = [sols.elementary, *sols.projections, np.eye(m), np.zeros((m, m)), random_x(rng, m)]
     if m > 1:
         # A random rank-k projection: extremal, but off the X-equation.
         k = int(rng.integers(1, m))
@@ -886,6 +882,74 @@ def test_density_equals_extremality_on_realized_extensions(seed, n, norm_cap):
     for x in xs:
         choice = extension_from_x(iv, x)
         assert density_test(t0, choice.t) == choice.extremal
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
+       norm_cap=st.floats(0.9, 1.0))
+def test_density_equals_extremality_on_realized_extensions(seed, n, norm_cap):
+    rng = np.random.default_rng(seed)
+    space = random_signature_space(rng, n)
+    t_full = random_anticommuting_contraction(rng, space, norm_cap=norm_cap)
+    _assert_density_equals_extremality(rng, seed, space, t_full)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
+       gap=st.sampled_from((1e-9, 0.0)))
+def test_density_equals_extremality_at_unit_norm(seed, n, gap):
+    # The same identity with ||T|| scaled to exactly 1 - 1e-9 or 1: T^2 is
+    # then I to rounding on the near-unit directions, and the range cut of
+    # Xi must not count that rounding as range.
+    rng = np.random.default_rng(seed)
+    space = random_signature_space(rng, n)
+    t_full = random_anticommuting_contraction(rng, space)
+    t_full *= (1.0 - gap) / opnorm(t_full)
+    _assert_density_equals_extremality(rng, seed, space, t_full)
+
+
+def test_density_floor_on_the_empty_domain(tmp_path, j2):
+    # With D(T0) = {0} a projection X gives T^2 = I: xi^2 = [8.9e-16,
+    # -4.4e-16] is all rounding, so ran Xi is {0} and the domain is dense,
+    # as the projection verdict says; extend reports the same.
+    t0 = empty_domain_contraction(j2)
+    iv = krein_interval(t0)
+    sols = solve_x_equation(iv, seed=0, n_projection_samples=3)
+    for x in sols.projections:
+        choice = extension_from_x(iv, x)
+        assert choice.extremal and density_test(t0, choice.t)
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"J": matrix_to_obj(t0.space.j),
+                                   "T0_domain": matrix_to_obj(t0.domain),
+                                   "T0_action": matrix_to_obj(t0.action)}))
+    assert main(["extend", "--input", str(problem), "--output-dir", str(tmp_path)]) == 0
+    samples = json.loads((tmp_path / "extend_report.json").read_text())["X_samples"]
+    projections = [s for s in samples if s["label"].startswith("projection")]
+    assert len(projections) == 3
+    assert all(s["domain_dense_in_energetic_space"] for s in projections)
+    assert [s["domain_dense_in_energetic_space"] for s in samples] == \
+        [s["extremal"] for s in samples]
+
+
+def test_extend_reads_density_from_x(tmp_path, monkeypatch):
+    # On the benchmark's first n = 64 problem, extend takes one n x n
+    # eigvalsh per realized extension (cayley_defined) and no n x n eigh:
+    # density is read from X, not from an eigendecomposition of T.
+    gen = ref.perfbench_gen()
+    prob = gen.extension_problem(1, 0)["problem"]
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({key: gen.matrix_obj(m) for key, m in prob.items()}))
+    n = prob["J"].shape[0]
+    counted = []
+    for name in ("eigh", "eigvalsh"):
+        def count(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            if np.shape(a) == (n, n):
+                counted.append(_name)
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, count)
+    argv = ["extend", "--input", str(problem), "--output-dir", str(tmp_path), "--seed", "1"]
+    assert main(argv) == 0
+    assert counted == ["eigvalsh"] * 7
 
 
 def test_interval_and_density_share_one_complement(monkeypatch):

@@ -125,6 +125,67 @@ def test_family_is_frozen_with_measured_signs(request, name):
         fam.signs = -fam.signs
     assert all(getattr(fam, f.name) is not None for f in dataclasses.fields(fam))
     np.testing.assert_array_equal(fam.signs, np.sign(np.diag(indefinite_gram(fam)).real))
+    # The measured Gram and H f are shared with every reader, so read-only.
+    for data in (fam.j_gram, fam.hf, indefinite_gram(fam)):
+        assert not data.flags.writeable
+        with pytest.raises(ValueError):
+            data[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("name", ("fam_half", "fam_anh"))
+def test_readers_build_no_gram_and_no_hf(request, monkeypatch, name):
+    # The indefinite Gram and H f are measured once, at construction: with
+    # the reflection and both H f builders refusing, every reader of them
+    # still returns.
+    fam = request.getfixturevalue(name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reader rebuilt a quantity measured at construction")
+
+    for builder in ("parity_apply", "_hermite_hf", "_anharmonic_hf"):
+        monkeypatch.setattr(qb, builder, refuse)
+    sign_pattern(fam)
+    indefinite_gram(fam)
+    biorthogonal_gram(fam)
+    eigen_residual(fam)
+    h_gram_in_g(fam)
+
+
+# (a, n_max, half-width, nodes) of the perfbench quasibasis_grid Hermite
+# families, then of the verify family; (beta, weight, n_max, nodes) of the
+# anharmonic ones, then of the verify families.
+HERMITE_DATA = [(0.25, 12, 12.0, 4096), (0.25, 24, 14.0, 4096), (0.25, 40, 20.0, 8192),
+                (0.5, 8, 12.0, 4096), (0.5, 12, 12.0, 4096), (0.5, 16, 12.0, 4096),
+                (0.4, 8, 12.0, 4096)]
+ANHARMONIC_DATA = [(beta, weight, n_max, 8192) for beta in (3.0, 4.0)
+                   for weight in ("x_over_1px2", "tanh") for n_max in (8, 16)]
+ANHARMONIC_DATA += [(4.0, "x_over_1px2", 6, 8192), (4.0, "tanh", 5, 8192),
+                    (4.0, "x_over_1px2", 6, 1024)]
+
+
+def _assert_data_match_the_per_call_products(fam, hf):
+    # The Gram and H f are the per-call products of the readers they
+    # replace, bit for bit.  The biorthogonal Gram, now j_gram* diag(sigma),
+    # takes the product in the other operand order, which BLAS may round
+    # differently: measured 3.4e-15 at most on the Hermite families, 0 on
+    # the anharmonic ones.
+    assert fam.j_gram.tobytes() == ref.indefinite_gram_product(fam.f, fam.step).tobytes()
+    assert fam.hf.tobytes() == hf.tobytes()
+    bio = ref.biorthogonal_product(fam.f, fam.step, fam.signs)
+    assert np.max(np.abs(biorthogonal_gram(fam) - bio)) <= 1e-14 * max(1.0, np.max(np.abs(bio)))
+
+
+@pytest.mark.parametrize("a, n_max, half_width, nodes", HERMITE_DATA)
+def test_hermite_data_match_the_per_call_products(a, n_max, half_width, nodes):
+    fam = shifted_family(a, n_max, UniformGrid(half_width, nodes))
+    _assert_data_match_the_per_call_products(fam, ref.hermite_apply_h(fam.a, fam.x, n_max))
+
+
+@pytest.mark.parametrize("beta, weight, n_max, nodes", ANHARMONIC_DATA)
+def test_anharmonic_data_match_the_per_call_products(beta, weight, n_max, nodes):
+    fam = anharmonic_family(beta, weight, n_max, UniformGrid(8.0, nodes))
+    _assert_data_match_the_per_call_products(
+        fam, ref.anharmonic_apply_h(fam.f, fam.x, fam.step, fam.beta, fam.p_funcs))
 
 
 # ------------------------------------------------------------ indefinite Gram
@@ -393,8 +454,7 @@ def test_anharmonic_c_multiplier_route(fam_anh):
 def test_anharmonic_h_gram_in_g(beta, weight, n_max):
     fam = anharmonic_family(beta, weight, n_max=n_max)
     a = h_gram_in_g(fam)
-    hf = fam.apply_h()
-    want = ref.weighted_h_gram(fam.x, fam.step, fam.p_funcs[0], hf, fam.f)
+    want = ref.weighted_h_gram(fam.x, fam.step, fam.p_funcs[0], fam.hf, fam.f)
     assert np.max(np.abs(a - want)) <= 1e-12 * np.max(np.abs(want))
     # H is symmetric in the metric product up to the h^2 discretization
     # floor, and f_n are its eigenfunctions
