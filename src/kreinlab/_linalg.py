@@ -49,18 +49,23 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def check_residual(message: str, a: np.ndarray, bound: float, scale=None) -> None:
+def check_residual(message: str, a: np.ndarray, bound: float, scale=None) -> float:
     """Raise InvariantViolation(message) unless ||a||_2 <= bound, times
     max(1, ||scale||_2) if a scale is given.  As ||a||_2 <= ||a||_F, the SVDs
     are taken only when the Frobenius norm exceeds bound; the message may
-    print the 2-norm as {residual}."""
-    if a.size == 0 or np.linalg.norm(a) <= bound:
-        return
+    print the 2-norm as {residual}.  Returns the norm that passed, an upper
+    bound on ||a||_2."""
+    if a.size == 0:
+        return 0.0
+    residual = float(np.linalg.norm(a))
+    if residual <= bound:
+        return residual
     residual = operator_norm(a)
     if scale is not None:
         bound *= max(1.0, operator_norm(scale))
     if residual > bound:
         raise InvariantViolation(message.format(residual=residual))
+    return residual
 
 
 def is_self_adjoint(a: np.ndarray) -> bool:

@@ -55,8 +55,9 @@ class PartialContraction:
         n, d = domain.shape
         if n != space.dim or action.shape != (n, d):
             raise InvariantViolation("domain/action shapes do not match the space")
-        check_residual("domain basis must be orthonormal",
-                       domain.conj().T @ domain - np.eye(d), STRUCT_TOL)
+        # ||D* D - I||, kept for the bounds that assume an orthonormal D.
+        self.domain_residual = check_residual("domain basis must be orthonormal",
+                                              domain.conj().T @ domain - np.eye(d), STRUCT_TOL)
         self.space = space
         self.domain = domain
         self.action = action

@@ -19,10 +19,14 @@ iff X solves
     X = J (I - X) J   (restricted to M),
 
 while T is extremal (so D(T0) is dense in its energetic space) iff X is a
-projection.  These verdicts are decided on the m x m X, and ||T_mu||,
-||T_M|| <= 1 is read from the block data (endpoint_excess_bound) whenever
-that bound decides it.  The n x n checks (||J T + T J||, interval
-membership, T extends T0, the endpoint 2-norms, the J split, density_test)
+projection, and -1 is outside the spectrum of T (the Cayley transform is
+defined) iff the defect fills D(T0)^perp and X is nonsingular.  These
+verdicts are decided on the m x m X; ||T_mu||, ||T_M|| <= 1
+(endpoint_excess_bound) and -1 outside the spectrum of T
+(ExtensionInterval.cayley_bounds) are read from the block data whenever
+their bounds decide them, and from n x n spectra otherwise.  The n x n
+checks (||J T + T J||, interval membership, T extends T0, the endpoint
+2-norms, the J split, density_test, eigvalsh(T) against the Cayley bounds)
 run in `verify`, the metric-rank criterion in `kreinlab.oracles`.
 """
 from __future__ import annotations
@@ -37,7 +41,6 @@ from ._linalg import (
     RESULT_TOL,
     STRUCT_TOL,
     as_matrix,
-    cayley_spectrum,
     check_residual,
     hermitize,
     is_self_adjoint,
@@ -46,7 +49,7 @@ from ._linalg import (
     random_unitary,
 )
 from .angular import PartialContraction
-from .errors import CayleyUndefinedError, InvariantViolation
+from .errors import InvariantViolation
 from .spaces import NEUTRAL_TOL, SignatureSpace, Subspace, fundamental_bases
 
 # Eigenvalues of T_M - T_mu above this (relative to the largest) span the
@@ -59,13 +62,20 @@ DEFECT_FLOOR = 1e-10
 # assemble an n x n endpoint and the rank-m update between the endpoints.
 # Calibrated, not proven: the measured ||T||_2 - 1 stayed below 4.7 n u.
 ENDPOINT_ROUNDING = 8
+# Rounding allowance of ExtensionInterval.cayley_bounds, in units of n times
+# the machine epsilon, for assembling T_mu and T and for eigvalsh(T).
+# Calibrated, not proven: the computed 1 + lambda_min(T) stayed within 3 n u
+# of the unwidened bounds (test_cayley_bounds_bracket_the_spectrum).
+CAYLEY_ROUNDING = 16
 
 
 def _completion(t0: PartialContraction):
     """Block form of T0: [D | E] with E = D(T0)^perp split by the eigh of
     E* J E into p columns in H_+, then those in H_-; p, A, B, the corner
-    bounds C_min, C_max and the larger Frobenius residual ||(I +/- A) Z - B*||
-    of the two solves Z = (I +/- A)^{-1} B* that give the corners."""
+    bounds C_min, C_max, the larger Frobenius residual ||(I +/- A) Z - B*||
+    of the two solves Z = (I +/- A)^{-1} B* that give the corners, and
+    ||Z_+||_F, which bounds the Gram I + Z_+* Z_+ of the kernel basis
+    E - D Z_+ of I + T_mu."""
     d, e = t0.domain, t0.complement
     dt0d = d.conj().T @ t0.action       # the symmetry test of duality_test
     if not is_self_adjoint(dt0d):
@@ -84,7 +94,8 @@ def _completion(t0: PartialContraction):
                    np.linalg.norm(i_minus_a @ z_minus - bh))
     c_min = hermitize(-eye_e + b @ z_plus)
     c_max = hermitize(eye_e - b @ z_minus)
-    return np.hstack([d, e]), p, a, b, c_min, c_max, float(residual)
+    return (np.hstack([d, e]), p, a, b, c_min, c_max, float(residual),
+            float(np.linalg.norm(z_plus)))
 
 
 def _assemble(basis: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -95,7 +106,7 @@ def _assemble(basis: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) ->
 def any_sa_extension(t0: PartialContraction) -> np.ndarray:
     """Some self-adjoint contractive extension of T0: the interval midpoint,
     completed with the corner (C_min + C_max)/2."""
-    basis, _, a, b, c_min, c_max, _ = _completion(t0)
+    basis, _, a, b, c_min, c_max, _, _ = _completion(t0)
     t = _assemble(basis, a, b, 0.5 * (c_min + c_max))
     check_residual("completed midpoint is not a contraction", t, 1.0 + CONTRACTION_SLACK)
     return t
@@ -133,6 +144,12 @@ class ExtensionInterval:
     # when it is at most RESULT_TOL, else RESULT_TOL, which the n x n 2-norms
     # were then checked against.
     excess_bound: float
+    # An upper bound on ||I + Z_+* Z_+||, the Gram of the kernel basis
+    # E - D Z_+ of I + T_mu, and the widening of cayley_bounds for the
+    # distance of a computed T from its exact model and for eigvalsh's
+    # rounding.
+    kernel_gram: float = field(repr=False)
+    cayley_slack: float = field(repr=False)
 
     @property
     def defect_dim(self) -> int:
@@ -143,6 +160,45 @@ class ExtensionInterval:
         """Mb* J Mb = diag(I_p, -I_q), the J of the equation X = J(I - X)J."""
         p, q = self.signature
         return np.diag(np.r_[np.ones(p), -np.ones(q)])
+
+    def cayley_bounds(self, x_low: float, x_high: float) -> tuple[float, float]:
+        """Bounds (lower, upper) on 1 + lambda_min(T) for the computed T =
+        T_mu + Y X Y*, from the extreme eigenvalues x_low <= x_high of X.
+
+        I + T_mu vanishes on K = ran(E - D Z_+), whose dimension is the
+        codimension k of D(T0), and is at least gamma = 1 - ||T0|| on K^perp:
+        its nonzero part is F (I + A) F* with F = D + E Z_+*, F* F >= I and
+        I + A >= 1 - ||T0||.  With H = Y X Y* >= 0 and mu = lambda_min(Kh* H
+        Kh) for an orthonormal basis Kh of K,
+
+            mu gamma / (gamma + ||H||) <= 1 + lambda_min(T) <= mu.
+
+        The upper bound is the Rayleigh quotient on K.  The lower one holds on
+        the plane spanned by the K and K^perp parts of the lowest eigenvector,
+        where the compression has determinant at least mu gamma and largest
+        eigenvalue at most gamma + ||H||.  Kh* Y = G^{-1/2} V S, with G = I +
+        Z_+* Z_+ <= kernel_gram I, V S the E-coordinates of Y (orthonormal
+        columns V, S = diag(defect_scale)), so when the defect fills K
+        (defect_dim = k) Ostrowski's theorem puts mu in [x_low s_min^2 /
+        kernel_gram, x_low s_max^2], and otherwise mu = 0; ||H|| <= x_high
+        s_max^2.  So -1 is in the spectrum
+        of T iff defect_dim < k or X is singular.  Both bounds are widened by
+        cayley_slack; with k = 0 there is no kernel, mu = inf and the bounds
+        are (gamma, inf).
+        """
+        gap = 1.0 - self.t0.norm
+        if self.t0.is_full_domain:
+            return gap - self.cayley_slack, float("inf")
+        w = self.defect_scale ** 2
+        top = float(w.max(initial=0.0))
+        mu_high = x_low * top
+        lower = min(x_low, 0.0) * top       # I + T >= x_low Y Y* when x_low < 0
+        if self.defect_dim < self.t0.space.dim - self.t0.domain_dim:
+            mu_high = 0.0                   # H is singular on K
+        elif x_low > 0.0 and gap > 0.0:
+            mu_low = x_low * float(w.min()) / self.kernel_gram
+            lower = mu_low * gap / (gap + x_high * top)
+        return float(lower - self.cayley_slack), float(max(mu_high, 0.0) + self.cayley_slack)
 
 
 def endpoint_excess_bound(t0: PartialContraction, solve_residual: float,
@@ -162,13 +218,20 @@ def endpoint_excess_bound(t0: PartialContraction, solve_residual: float,
     corner products and of the assembly, ENDPOINT_ROUNDING n u.  The bound is
     infinite when ||T0|| >= 1 and R != 0.
     """
-    solve_term = 0.0
-    if solve_residual:
-        gap = 1.0 - t0.norm
-        solve_term = t0.norm * solve_residual / gap if gap > 0 else np.inf
     rounding = ENDPOINT_ROUNDING * t0.space.dim * np.finfo(float).eps
     negative = max(0.0, -float(w.min(initial=0.0)))
-    return solve_term + mirror_residual + negative + STRUCT_TOL + rounding
+    return (_solve_term(t0, solve_residual) + mirror_residual + negative + STRUCT_TOL
+            + rounding)
+
+
+def _solve_term(t0: PartialContraction, solve_residual: float) -> float:
+    """||T0|| ||R|| / (1 - ||T0||), the distance a corner solve residual R
+    puts between a computed corner and the exact one; infinite when ||T0||
+    >= 1 and R != 0."""
+    if not solve_residual:
+        return 0.0
+    gap = 1.0 - t0.norm
+    return t0.norm * solve_residual / gap if gap > 0 else np.inf
 
 
 def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> ExtensionInterval:
@@ -181,7 +244,7 @@ def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> Extension
     choice.  The endpoints are contractions by endpoint_excess_bound; only
     when it exceeds RESULT_TOL (near ||T0|| = 1) are their 2-norms taken.
     """
-    basis, p, a, b, c_min, c_max, solve_residual = _completion(t0)
+    basis, p, a, b, c_min, c_max, solve_residual, z_norm = _completion(t0)
     t_m = _assemble(basis, a, b, c_max)
 
     e = basis[:, t0.domain_dim:]
@@ -202,6 +265,10 @@ def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> Extension
     mirror = float(np.linalg.norm(c_min + signs[:, None] * c_max * signs))
     excess = endpoint_excess_bound(t0, solve_residual, mirror, w)
     certified = excess <= RESULT_TOL
+    # The exact kernel E - D Z_+ moves with the solve residual, the mirrored
+    # corner and D's departure from orthonormality (twice ||D* D - I||).
+    cayley_slack = (_solve_term(t0, solve_residual) + mirror + 2.0 * t0.domain_residual
+                    + CAYLEY_ROUNDING * t0.space.dim * np.finfo(float).eps)
     for endpoint in (t_mu, t_m):
         check_residual("interval endpoint does not extend T0",
                        endpoint @ t0.domain - t0.action, RESULT_TOL)
@@ -210,7 +277,7 @@ def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> Extension
                            1.0 + RESULT_TOL)
     return ExtensionInterval(t0, t_mu, t_m, mb, np.sqrt(w[keep]),
                              (int(keep[:p].sum()), int(keep[p:].sum())),
-                             excess if certified else RESULT_TOL)
+                             excess if certified else RESULT_TOL, 1.0 + z_norm ** 2, cayley_slack)
 
 
 def classify_case(interval: ExtensionInterval) -> str:
@@ -288,6 +355,19 @@ class ExtensionChoice:
     anticommuting: bool
     extremal: bool
     x_residual: float
+    cayley_bounds: tuple[float, float]   # on 1 + lambda_min(T), ExtensionInterval.cayley_bounds
+
+    @property
+    def cayley_certificate(self) -> bool | None:
+        """Whether -1 is outside the spectrum of T, by the threshold
+        1 + lambda_min(T) >= STRUCT_TOL of cayley_spectrum, when both Cayley
+        bounds lie on one side of it; None when they straddle it."""
+        lower, upper = self.cayley_bounds
+        if lower > STRUCT_TOL:
+            return True
+        if upper < STRUCT_TOL:
+            return False
+        return None
 
 
 def extension_from_x(interval: ExtensionInterval, x) -> ExtensionChoice:
@@ -297,7 +377,8 @@ def extension_from_x(interval: ExtensionInterval, x) -> ExtensionChoice:
 
     Both verdicts are read from X alone: T anticommutes with J iff X solves
     X = J(I - X)J, and T is extremal iff X is a projection, which the
-    eigenvalues of X decide: ||X^2 - X||_2 = max |lambda^2 - lambda|.
+    eigenvalues of X decide: ||X^2 - X||_2 = max |lambda^2 - lambda|.  Their
+    extremes also give the Cayley bounds.
     """
     m = interval.defect_dim
     x = as_matrix(x)
@@ -313,7 +394,8 @@ def extension_from_x(interval: ExtensionInterval, x) -> ExtensionChoice:
 
     x_resid = x_equation_residual(x, interval.signature)
     extremal = bool(np.max(np.abs(ev * ev - ev), initial=0.0) <= STRUCT_TOL)
-    return ExtensionChoice(x, t, x_resid <= STRUCT_TOL, extremal, x_resid)
+    bounds = interval.cayley_bounds(*((ev[0], ev[-1]) if m else (0.0, 0.0)))
+    return ExtensionChoice(x, t, x_resid <= STRUCT_TOL, extremal, x_resid, bounds)
 
 
 @dataclass(frozen=True)
@@ -327,14 +409,16 @@ def extremality_test(t0: PartialContraction, choice: ExtensionChoice) -> Extrema
     (choice.extremal), and cayley_defined says whether -1 is outside the
     spectrum of T, so that G = (I - T)(I + T)^{-1} exists.
 
-    t0 is not read.  The metric-rank route (G^{1/2} (I + T) D(T0) spans
-    G^{1/2} H) is the independent check `kreinlab.oracles.rank_extremality`.
+    cayley_defined is choice.cayley_certificate, read from X; only when the
+    Cayley bounds straddle the threshold does eigvalsh(T) decide, the route
+    `kreinlab.oracles.spectral_cayley_defined` keeps.  t0 is not read.  The
+    metric-rank route (G^{1/2} (I + T) D(T0) spans G^{1/2} H) is the
+    independent check `kreinlab.oracles.rank_extremality`.
     """
-    try:
-        cayley_spectrum(np.linalg.eigvalsh(hermitize(choice.t)))
-    except CayleyUndefinedError:
-        return ExtremalityResult(choice.extremal, False)
-    return ExtremalityResult(choice.extremal, True)
+    defined = choice.cayley_certificate
+    if defined is None:
+        defined = bool(np.min(1.0 + np.linalg.eigvalsh(hermitize(choice.t))) >= STRUCT_TOL)
+    return ExtremalityResult(choice.extremal, defined)
 
 
 @dataclass

@@ -8,7 +8,9 @@ Endpoints: for any anticommuting self-adjoint contractive extension T of T0,
 with Q_1/Q_2 the projections onto the orthogonal complements of
 sqrt(I+T) D(T0) and sqrt(I-T) D(T0); unlike `extensions.krein_interval`,
 no block completion is involved.  Extremality: the metric-rank criterion,
-where `extensions.extremality_test` asks whether X is a projection.
+where `extensions.extremality_test` asks whether X is a projection.  Cayley
+transform defined: eigvalsh(T), where `extremality_test` reads the Cayley
+bounds of X and takes eigvalsh(T) only when they straddle the threshold.
 Sequence-model sweep: the n x n truncation (Xi from the eigenpairs of T,
 the preimage by least squares, `density_test` and `uniqueness_sup`), where
 `sequence_model.truncated_density_sweep` reads the block structure.
@@ -54,6 +56,16 @@ def sqrt_projection_endpoints(t0, seed=None):
         u = orthonormal_columns(s @ t0.domain)
         corrections.append(hermitize(s @ (eye - u @ u.conj().T) @ s))
     return hermitize(t - corrections[0]), hermitize(t + corrections[1])
+
+
+def spectral_cayley_defined(t) -> bool:
+    """Whether -1 is outside the spectrum of T, 1 + lambda_min(T) >=
+    STRUCT_TOL, from eigvalsh(T)."""
+    try:
+        cayley_spectrum(np.linalg.eigvalsh(hermitize(as_matrix(t))))
+    except CayleyUndefinedError:
+        return False
+    return True
 
 
 def rank_extremality(t0, t) -> bool | None:

@@ -1,11 +1,17 @@
 """JSON wire formats.
 
 Matrices travel as {"rows": r, "cols": c, "re": [...], "im": [...]} with
-row-major flat float lists.  Reports are emitted with a deterministic
+row-major flat float sequences: `matrix_to_obj` gives 1-d float64 arrays,
+`matrix_from_obj` takes those or the JSON lists of a file, and the shape
+fields are non-negative integers.  Reports are emitted with a deterministic
 encoder: keys sorted, floats always printed with 17 significant digits, so
-identical inputs give byte-identical files.  A list, tuple or array of
-Python floats is formatted and joined in one pass; long ones take a
-vectorized digit route that gives the text of "%.17g" value by value.
+identical inputs give byte-identical files; `json.dumps` refuses the arrays,
+so a matrix object is written with `dumps_report`.  A float array, or a
+list or tuple of Python floats, is formatted and joined in one pass; long
+ones take a vectorized digit route that gives the text of "%.17g" value by
+value.  When the magnitudes of a square matrix object's re or im are
+mirror-symmetric (every hermitized matrix), that route computes the digits
+of the upper triangle only.
 """
 from __future__ import annotations
 
@@ -18,6 +24,7 @@ import numpy as np
 
 
 def matrix_to_obj(m) -> dict:
+    """Matrix object of m, with re and im as new row-major float64 arrays."""
     m = np.asarray(m, dtype=complex)
     if m.ndim == 1:
         m = m.reshape(-1, 1)
@@ -26,13 +33,14 @@ def matrix_to_obj(m) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "re": m.real.ravel().tolist(),
-        "im": m.imag.ravel().tolist(),
+        "re": m.real.flatten(),
+        "im": m.imag.flatten(),
     }
 
 
 def _flat_floats(values, name: str) -> np.ndarray:
-    arr = None
+    """A JSON list or 1-d array of real numbers (no bool), as floats."""
+    arr = values if isinstance(values, np.ndarray) else None
     if isinstance(values, list):
         try:
             arr = np.asarray(values)
@@ -43,16 +51,23 @@ def _flat_floats(values, name: str) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
+def _shape_field(obj: dict, name: str) -> int:
+    value = obj[name]
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"malformed matrix object: {name!r} must be a non-negative integer")
+    return int(value)
+
+
 def matrix_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix object must be a JSON object")
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _shape_field(obj, "rows"), _shape_field(obj, "cols")
         re, im = obj["re"], obj["im"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     re, im = _flat_floats(re, "re"), _flat_floats(im, "im")
-    if rows < 0 or cols < 0 or re.size != rows * cols or im.size != rows * cols:
+    if re.size != rows * cols or im.size != rows * cols:
         raise ValueError("matrix object has inconsistent shape fields")
     re, im = re.reshape(rows, cols), im.reshape(rows, cols)
     return re + 1j * im
@@ -80,21 +95,21 @@ def problem_from_obj(obj):
 
 
 # Float sequences at least this long take the vectorized route of
-# `_bulk_block`; shorter ones cost less through "%.17g" per value (the two
+# `_digit_rows`; shorter ones cost less through "%.17g" per value (the two
 # routes cost the same at 128-160 floats on a 2-CPU x86-64 host).
 _BULK_MIN = 160
 # Floats per block of the vectorized route, which bounds its temporaries.
 _BLOCK = 4096
 # Distance from a rounding tie, or from a decade end, below which an element
-# of the vectorized route is formatted per value instead (see `_bulk_block`).
+# of the vectorized route is formatted per value instead (see `_digit_rows`).
 _TIE_MARGIN = 0.02
 # Decimal exponents k = floor(log10 |x|) of the finite nonzero doubles.
 _K_MIN, _K_MAX = -324, 308
 # Layout buffer: seven 8-byte words per float (see `_tables`).
 _ROW = 56
-# Offsets in the word table: 100 heads (sign x prefix x d0), then 10000
-# digit quads, 10000 stripped quads and two tail words per k.
-_QUADS, _STRIPPED, _TAILS = 100, 10100, 20100
+# Offsets in the word table: 50 heads (prefix x d0), then 10000 digit
+# quads, 10000 stripped quads and two tail words per k.
+_QUADS, _STRIPPED, _TAILS = 50, 10050, 20050
 
 
 def _tokens(values) -> list[str]:
@@ -103,16 +118,42 @@ def _tokens(values) -> list[str]:
     return [t if "." in t or "e" in t else t + ".0" for t in map("%.17g".__mod__, values)]
 
 
-def _fmt_floats(values) -> str:
+def _fmt_floats(values, side: int | None = None) -> str:
     """", "-joined text of floats, 17 significant digits each.  Every float
-    sequence of a report goes through here, and scalars through `_fmt_float`."""
+    sequence of a report goes through here, and scalars through `_fmt_float`.
+
+    The vectorized route lays out the text of each magnitude in a row of
+    `_ROW` bytes (`_digit_rows`) and writes the sign into the row's first
+    byte.  With side = n the values are a row-major n x n matrix; when their
+    magnitudes are exactly mirror-symmetric, the rows of the upper triangle
+    are computed once and each mirrored entry copies its twin's row, at the
+    cost of a table of n (n + 1) / 2 rows.
+    """
     x = np.asarray(values, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("non-finite float in report")
     tables = _tables() if x.size >= _BULK_MIN else None
     if tables is None:
         return ", ".join(_tokens(x.tolist()))
-    blocks = [_bulk_block(x[i:i + _BLOCK], tables) for i in range(0, x.size, _BLOCK)]
+    a = np.abs(x)
+    table = None
+    if side is not None and x.size == side * side:
+        square = a.reshape(side, side)
+        if np.array_equal(square, square.T):
+            upper = np.triu_indices(side)
+            half = square[upper]
+            table = np.concatenate([_digit_rows(half[i:i + _BLOCK], tables)
+                                    for i in range(0, half.size, _BLOCK)])
+            twin = np.empty((side, side), dtype=np.intp)
+            twin[upper] = twin.T[upper] = np.arange(half.size)
+            twin = twin.ravel()
+    sign = np.signbit(x).astype(np.uint8) * np.uint8(ord("-"))
+    blocks = []
+    for lo in range(0, x.size, _BLOCK):
+        hi = lo + _BLOCK
+        rows = _digit_rows(a[lo:hi], tables) if table is None else table[twin[lo:hi]]
+        rows[:, 0] = sign[lo:hi]
+        blocks.append(rows.tobytes().translate(None, b"\0"))
     return b"".join(blocks)[:-2].decode("ascii")        # without the last ", "
 
 
@@ -153,8 +194,9 @@ def _tables() -> _Tables | None:
 
     A float is laid out in seven words, and the NUL bytes are dropped when
     the text is joined:
-    - word 0 (head): the sign, the "0.", "0.0", "0.00" or "0.000" prefix of
-      fixed notation with k < 0, the leading digit d0 and its slot;
+    - word 0 (head): the sign slot (NUL in the table; `_fmt_floats` writes
+      the sign), the "0.", "0.0", "0.00" or "0.000" prefix of fixed notation
+      with k < 0, the leading digit d0 and its slot;
     - words 1-4 (quads): the digits d1..d16, each followed by a slot.  The
       quads after the last nonzero digit come from the stripped table, whose
       trailing zeros are NUL;
@@ -168,8 +210,8 @@ def _tables() -> _Tables | None:
         return None
     ks = range(_K_MIN, _K_MAX + 1)
     fixed = np.array([-4 <= k < 17 for k in ks])
-    heads = [sign + ("0." + "0" * (c - 1) if c else "").ljust(5, "\0") + str(d) + "\0"
-             for sign in ("\0", "-") for c in range(5) for d in range(10)]
+    heads = ["\0" + ("0." + "0" * (c - 1) if c else "").ljust(5, "\0") + str(d) + "\0"
+             for c in range(5) for d in range(10)]
     tails = [("0\0, " if k == 16 else "\0\0, ") if f else f"\0\0e{k:+03d}, "
              for k, f in zip(ks, fixed)]
     words = np.zeros(_TAILS + 2 * len(ks), dtype=np.uint64)
@@ -199,11 +241,13 @@ def _tables() -> _Tables | None:
     return tables
 
 
-def _bulk_block(x: np.ndarray, tb: _Tables) -> bytes:
-    """ASCII text of a block of finite floats, each followed by ", ".
+def _digit_rows(a: np.ndarray, tb: _Tables) -> np.ndarray:
+    """Layout rows (a.size x `_ROW` bytes, NUL-padded) of the ASCII text of
+    nonnegative finite floats, each followed by ", ", with the first byte of
+    every row, the sign slot, left NUL.
 
-    With k = floor(log10 |x|), y = |x| 10**(16 - k) lies in [1e16, 1e17),
-    and the 17 significant digits of x are those of the integer nearest to
+    With k = floor(log10 a), y = a 10**(16 - k) lies in [1e16, 1e17),
+    and the 17 significant digits of a are those of the integer nearest to
     y.  y is computed in longdouble: the table entry and the product each
     add at most 2**-64 relative error, so the computed y is within
     1e17 * 2**-63 < 0.011 of the exact one, and rint gives the correctly
@@ -212,10 +256,8 @@ def _bulk_block(x: np.ndarray, tb: _Tables) -> bytes:
     (where rounding, or a log10 rounded across a power of ten, moves k),
     are formatted per value.
     """
-    a = np.abs(x)
     zero = a == 0.0
-    a[zero] = 1.0
-    kk = np.floor(np.log10(a)).astype(np.intp) - _K_MIN
+    kk = np.floor(np.log10(np.where(zero, 1.0, a))).astype(np.intp) - _K_MIN
     y = a.astype(np.longdouble) * tb.pow10[kk]
     d = np.rint(y)
     slow = ((np.abs((y - d).astype(float)) >= 0.5 - _TIE_MARGIN)
@@ -230,8 +272,8 @@ def _bulk_block(x: np.ndarray, tb: _Tables) -> bytes:
     q1, r = np.divmod(r, 10 ** 12)
     q2, r = np.divmod(r, 10 ** 8)
     q3, q4 = np.divmod(r, 10 ** 4)
-    idx = np.empty((x.size, 7), dtype=np.intp)
-    idx[:, 0] = tb.head[kk] + 50 * np.signbit(x) + q0
+    idx = np.empty((a.size, 7), dtype=np.intp)
+    idx[:, 0] = tb.head[kk] + q0
     # A quad is stripped when every quad after it is zero.
     idx[:, 4] = _STRIPPED + q4
     z = q4 == 0
@@ -252,12 +294,21 @@ def _bulk_block(x: np.ndarray, tb: _Tables) -> bytes:
     text = rows.view(np.uint8)
     text.reshape(-1)[has_dot * _ROW + dot[has_dot]] = ord(".")
     if slow.any():
-        tokens = [t + ", " for t in _tokens(x[slow].tolist())]
-        text[slow] = np.array(tokens, dtype=f"S{_ROW}").view(np.uint8).reshape(-1, _ROW)
-    return text.tobytes().translate(None, b"\0")
+        tokens = [t + ", " for t in _tokens(a[slow].tolist())]
+        width = _ROW - 1
+        text[slow, 1:] = np.array(tokens, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    return text
 
 
-def _encode(obj: Any, parts: list[str]) -> None:
+def _matrix_side(obj: dict) -> int | None:
+    """n when obj has the shape fields of an n x n matrix object."""
+    n = obj.get("rows")
+    return n if type(n) is int and n == obj.get("cols") else None
+
+
+def _encode(obj: Any, parts: list[str], side: int | None = None) -> None:
+    """Append the report text of obj to parts; side is the order of the
+    square matrix object whose "re" or "im" obj is."""
     if obj is None or isinstance(obj, (bool, np.bool_)):
         parts.append(json.dumps(bool(obj)) if obj is not None else "null")
     elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
@@ -267,6 +318,7 @@ def _encode(obj: Any, parts: list[str]) -> None:
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     elif isinstance(obj, dict):
+        n = _matrix_side(obj)
         parts.append("{")
         for i, key in enumerate(sorted(obj)):
             if not isinstance(key, str):
@@ -274,10 +326,10 @@ def _encode(obj: Any, parts: list[str]) -> None:
             if i:
                 parts.append(", ")
             parts.append(json.dumps(key) + ": ")
-            _encode(obj[key], parts)
+            _encode(obj[key], parts, n if key in ("re", "im") else None)
         parts.append("}")
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 1:
-        parts += ("[", _fmt_floats(obj), "]")
+        parts += ("[", _fmt_floats(obj, side), "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         parts.append("[")

@@ -388,19 +388,28 @@ def _check_x_solutions(rng) -> str:
 
 
 def _check_extremality_routes(rng) -> str:
-    n_checked = 0
+    n_checked = n_samples = n_fallback = 0
     for _ in range(6):
         sp = random_signature_space(rng)
         t0 = random_partial_contraction(rng, sp)
         interval = krein_interval(t0)
         m = interval.defect_dim
-        xs = [0.5 * np.eye(m)]
+        xs = [0.5 * np.eye(m), np.zeros((m, m))]     # X = 0: T = T_mu, -1 in its spectrum
         sols = solve_x_equation(interval, seed=int(rng.integers(2 ** 31)))
         xs.extend(sols.projections)
         xs.extend(random_x(rng, m) for _ in range(4))
         for x in xs:
             choice = extension_from_x(interval, x)
             result = extremality_test(t0, choice)
+            n_samples += 1
+            spectral = oracles.spectral_cayley_defined(choice.t)
+            if choice.cayley_certificate is None:
+                n_fallback += 1
+            elif choice.cayley_certificate != spectral:
+                raise AssertionError(f"the Cayley certificate from X disagrees with eigvalsh(T)"
+                                     f" (bounds {choice.cayley_bounds})")
+            if result.cayley_defined != spectral:
+                raise AssertionError("cayley_defined disagrees with eigvalsh(T)")
             rank = oracles.rank_extremality(t0, choice.t)
             if rank != (result.extremal if result.cayley_defined else None):
                 raise AssertionError(
@@ -414,7 +423,9 @@ def _check_extremality_routes(rng) -> str:
                     raise AssertionError("projection criterion mislabeled a sample")
     if n_checked == 0:
         raise AssertionError("no sample had a defined Cayley transform")
-    return f"projection and rank criteria agree on {n_checked} samples, density on all"
+    return (f"projection and rank criteria agree on {n_checked} samples, density on all;"
+            f" the Cayley certificate from X matches eigvalsh(T) on {n_samples - n_fallback}"
+            f" of {n_samples} ({n_fallback} fallbacks)")
 
 
 def _check_cayley_roundtrip(rng) -> str:
@@ -697,6 +708,13 @@ def _check_serialize(rng) -> str:
     expected = ", ".join(t if "." in t or "e" in t else t + ".0" for t in texts)
     if dumps_report({"v": values}) != '{"v": [' + expected + "]}\n":
         raise AssertionError("bulk float text differs from per-value %.17g")
+    # A Hermitian matrix object formats the digits of its upper triangle once
+    # and mirrors them; its text must be that of the same floats as lists.
+    herm = matrix_to_obj(hermitize(rng.standard_normal((16, 16))
+                                   + 1j * rng.standard_normal((16, 16))))
+    as_lists = {**herm, "re": herm["re"].tolist(), "im": herm["im"].tolist()}
+    if dumps_report(herm) != dumps_report(as_lists):
+        raise AssertionError("mirrored text of a Hermitian matrix differs from its list text")
     return "serialization deterministic and lossless"
 
 

@@ -22,7 +22,7 @@ import pytest
 import kreinlab.verify
 from kreinlab.cli import main
 from kreinlab.sequence_model import SequenceModelSpec, build_model
-from kreinlab.serialize import matrix_from_obj, matrix_to_obj
+from kreinlab.serialize import dumps_report, matrix_from_obj, matrix_to_obj
 from kreinlab.verify import thread_cap
 
 
@@ -32,7 +32,7 @@ def write_problem(path, j, domain, action):
         "T0_domain": matrix_to_obj(np.asarray(domain, dtype=complex)),
         "T0_action": matrix_to_obj(np.asarray(action, dtype=complex)),
     }
-    path.write_text(json.dumps(obj))
+    path.write_text(dumps_report(obj))
     return path
 
 
@@ -348,7 +348,7 @@ def test_exit_code_2_missing_input(tmp_path, capsys):
 
 def test_exit_code_2_missing_problem_key(tmp_path, capsys):
     path = tmp_path / "incomplete.json"
-    path.write_text(json.dumps({"J": matrix_to_obj(np.eye(2))}))
+    path.write_text(dumps_report({"J": matrix_to_obj(np.eye(2))}))
     rc = run_cli(["extend", "--input", path, "--output-dir", tmp_path / "o"])
     assert rc == 2
     assert "missing key" in capsys.readouterr().err
@@ -376,6 +376,19 @@ def test_exit_code_2_matrix_fields_not_flat_lists(tmp_path, capsys, value):
     rc = run_cli(["extend", "--input", path, "--output-dir", tmp_path / "o"])
     assert rc == 2
     assert "malformed matrix object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", (2.9, 2.0, "2", True, -2, None),
+                         ids=("fraction", "integral-float", "string", "bool", "negative", "null"))
+def test_exit_code_2_shape_field_not_an_integer(tmp_path, half_problem, capsys, value):
+    # A 2 x 1 domain whose "rows" is not a non-negative JSON integer; 2.9
+    # used to be truncated to 2 and the run to exit 0.
+    obj = json.loads(half_problem.read_text())
+    obj["T0_domain"]["rows"] = value
+    half_problem.write_text(json.dumps(obj))
+    rc = run_cli(["extend", "--input", half_problem, "--output-dir", tmp_path / "o"])
+    assert rc == 2
+    assert "'rows' must be a non-negative integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ("-1", "inf"))

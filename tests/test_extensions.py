@@ -28,7 +28,7 @@ from kreinlab.cli import main
 from kreinlab.errors import InvariantViolation
 from kreinlab.oracles import cayley_inverse, rank_extremality, sqrt_projection_endpoints
 from kreinlab.sequence_model import SequenceModelSpec, build_model
-from kreinlab.serialize import matrix_to_obj
+from kreinlab.serialize import dumps_report, matrix_to_obj
 from kreinlab.verify import (
     random_anticommuting_contraction,
     random_partial_contraction,
@@ -209,9 +209,9 @@ def test_inaccurate_solve_falls_back_to_the_endpoint_norms(monkeypatch, tmp_path
     with pytest.raises(InvariantViolation, match="not a contraction"):
         krein_interval(t0)
     problem = tmp_path / "problem.json"
-    problem.write_text(json.dumps({"J": matrix_to_obj(t0.space.j),
-                                   "T0_domain": matrix_to_obj(t0.domain),
-                                   "T0_action": matrix_to_obj(t0.action)}))
+    problem.write_text(dumps_report({"J": matrix_to_obj(t0.space.j),
+                                     "T0_domain": matrix_to_obj(t0.domain),
+                                     "T0_action": matrix_to_obj(t0.action)}))
     assert main(["extend", "--input", str(problem), "--output-dir", str(tmp_path)]) == 3
     assert not (tmp_path / "extend_report.json").exists()
 
@@ -745,16 +745,16 @@ def test_one_eigendecomposition_of_t_per_call(monkeypatch, call):
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, count)
     run()
-    # extremality_test needs only the eigenvalues of T
-    assert counted == [{"extremality_test": "eigvalsh"}.get(call, "eigh")]
+    # extremality_test reads cayley_defined from X: no n x n decomposition
+    assert counted == {"extremality_test": []}.get(call, ["eigh"])
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_extension_verdicts_decompose_t_once(monkeypatch, seed):
-    # extension_from_x and extremality_test decide anticommutation and
-    # extremality on X; the one decomposition of an n-row operand is the
-    # eigvalsh of T behind cayley_defined.  Wrapping numpy.linalg._linalg
-    # also counts the SVD inside norm(., 2).
+    # extension_from_x and extremality_test decide anticommutation,
+    # extremality and cayley_defined on X: no decomposition of an n-row
+    # operand, the elementary X and both Cayley verdicts included.  Wrapping
+    # numpy.linalg._linalg also counts the SVD inside norm(., 2).
     rng = np.random.default_rng(820 + seed)
     n = 12
     space = random_signature_space(rng, n)
@@ -775,8 +775,126 @@ def test_extension_verdicts_decompose_t_once(monkeypatch, seed):
     for x in xs:
         counted.clear()
         defined.add(extremality_test(t0, extension_from_x(iv, x)).cayley_defined)
-        assert counted == ["eigvalsh"]
+        assert counted == []
     assert defined == {True, False}
+
+
+def unit_norm_problem(seed, n, cap):
+    # a random problem with ||T0|| scaled to exactly cap
+    rng = np.random.default_rng(seed)
+    space = random_signature_space(rng, n)
+    t0 = random_partial_contraction(rng, space)
+    return rng, PartialContraction(space, t0.domain, t0.action * (cap / opnorm(t0.action)))
+
+
+def x_with_low_eigenvalue(rng, m, low):
+    # a random 0 <= X <= I whose smallest eigenvalue is low
+    q = random_unitary(rng, m)
+    ev = rng.uniform(0.2, 1.0, m)
+    ev[0] = low
+    return hermitize((q * ev) @ q.conj().T)
+
+
+@pytest.mark.parametrize("case", ("unit-norm", "x-at-threshold"))
+def test_cayley_fallback_takes_one_eigvalsh(monkeypatch, case):
+    # When the Cayley bounds straddle STRUCT_TOL, eigvalsh(T) decides: with
+    # ||T0|| = 1 the gap of I + T_mu vanishes, so a nonsingular X is not
+    # certified; an X whose smallest eigenvalue sits at the threshold is not
+    # certified either way.
+    if case == "unit-norm":
+        rng, t0 = unit_norm_problem(4, 8, 1.0)
+        iv = krein_interval(t0)
+        x = 0.5 * np.eye(iv.defect_dim)
+    else:
+        t0 = dense_problem(np.random.default_rng(7403), 16)
+        iv = krein_interval(t0)
+        top = float(np.max(iv.defect_scale)) ** 2
+        x = x_with_low_eigenvalue(np.random.default_rng(7404), iv.defect_dim, 2e-10 / top)
+    n = t0.space.dim
+    choice = extension_from_x(iv, x)
+    assert choice.cayley_certificate is None
+    counted = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def count(a, *args, _name=name, _real=getattr(np.linalg._linalg, name), **kwargs):
+            if np.shape(a)[0] == n:
+                counted.append(_name)
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg._linalg, name, count)
+        monkeypatch.setattr(np.linalg, name, count)
+    res = extremality_test(t0, choice)
+    assert counted == ["eigvalsh"]
+    monkeypatch.undo()
+    assert res.cayley_defined == ref.multi_eigh_route(t0.domain, choice.t, x)["cayley_defined"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cayley_bounds_cover_a_non_orthonormal_domain(seed):
+    # PartialContraction accepts ||D* D - I|| up to STRUCT_TOL; the bounds
+    # widen by twice the measured departure and still bracket 1 +
+    # lambda_min(T), with the verdict of eigvalsh(T).
+    rng = np.random.default_rng(7410 + seed)
+    space = random_signature_space(rng, int(rng.integers(3, 12)))
+    t = random_anticommuting_contraction(rng, space)
+    domain = random_partial_contraction(rng, space, t_full=t).domain
+    noise = rng.standard_normal(domain.shape) + 1j * rng.standard_normal(domain.shape)
+    domain = domain + 1e-11 * noise / opnorm(noise)
+    t0 = PartialContraction(space, domain, t @ domain)
+    assert 1e-12 < t0.domain_residual <= 1e-10
+    iv = krein_interval(t0)
+    m = iv.defect_dim
+    for x in [np.zeros((m, m)), 0.5 * np.eye(m), random_x(rng, m)]:
+        choice = extension_from_x(iv, x)
+        lower, upper = choice.cayley_bounds
+        assert lower <= 1.0 + np.linalg.eigvalsh(choice.t)[0] <= upper
+        assert extremality_test(t0, choice).cayley_defined == \
+            ref.multi_eigh_route(t0.domain, choice.t, x)["cayley_defined"]
+
+def kernel_mu(iv, x):
+    # mu = lambda_min(Kh* Y X Y* Kh) for an orthonormal basis Kh of ker(I +
+    # T_mu) = ran(E - D (I + A)^{-1} B*), built by QR, and ||Y X Y*||
+    t0 = iv.t0
+    d, e = t0.domain, t0.complement
+    a = d.conj().T @ t0.action
+    z = np.linalg.solve(np.eye(a.shape[0]) + a, (e.conj().T @ t0.action).conj().T)
+    kh = np.linalg.qr(e - d @ z)[0]
+    y = iv.defect_basis * iv.defect_scale
+    h = y @ x @ y.conj().T
+    mu = np.linalg.eigvalsh(hermitize(kh.conj().T @ h @ kh))[0] if kh.shape[1] else np.inf
+    return mu, opnorm(h) if h.size else 0.0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
+       cap=st.sampled_from((0.9, 1 - 1e-6, 1 - 1e-9, 1.0)),
+       low=st.sampled_from((0.0, 1e-16, 1e-12, 1e-10, 1e-8, 1e-4)))
+def test_cayley_bounds_bracket_the_spectrum(seed, n, cap, low):
+    # mu gamma / (gamma + ||Y X Y*||) <= 1 + lambda_min(T) <= mu with gamma =
+    # 1 - ||T0||, to rounding; the bounds of extension_from_x, which add
+    # CAYLEY_ROUNDING n u and the block residuals, bracket the computed
+    # 1 + lambda_min(T); and cayley_defined is the multi-eigh oracle's, by
+    # certificate or by fallback.  Near-unit T0 and near-singular X.
+    rng, t0 = unit_norm_problem(seed, n, cap)
+    iv = krein_interval(t0)
+    m = iv.defect_dim
+    rounding = 16 * n * np.finfo(float).eps
+    xs = [np.zeros((0, 0))]
+    if m:
+        xs = [x_with_low_eigenvalue(rng, m, low), 0.5 * np.eye(m),
+              *solve_x_equation(iv, seed=seed, n_projection_samples=1).projections]
+    for x in xs:
+        choice = extension_from_x(iv, x)
+        shifted = 1.0 + np.linalg.eigvalsh(choice.t)[0]
+        lower, upper = choice.cayley_bounds
+        assert lower <= shifted <= upper
+        mu, h = kernel_mu(iv, x)
+        gap = 1.0 - t0.norm
+        assert shifted <= mu + rounding
+        if gap > 0 and np.isfinite(mu):
+            assert mu * gap / (gap + h) <= shifted + rounding
+        want = ref.multi_eigh_route(t0.domain, choice.t, choice.x)["cayley_defined"]
+        assert extremality_test(t0, choice).cayley_defined == want
+        if choice.cayley_certificate is not None:
+            assert choice.cayley_certificate == want
 
 
 # ---------------------------------------------------------------- subspaces
@@ -919,9 +1037,9 @@ def test_density_floor_on_the_empty_domain(tmp_path, j2):
         choice = extension_from_x(iv, x)
         assert choice.extremal and density_test(t0, choice.t)
     problem = tmp_path / "problem.json"
-    problem.write_text(json.dumps({"J": matrix_to_obj(t0.space.j),
-                                   "T0_domain": matrix_to_obj(t0.domain),
-                                   "T0_action": matrix_to_obj(t0.action)}))
+    problem.write_text(dumps_report({"J": matrix_to_obj(t0.space.j),
+                                     "T0_domain": matrix_to_obj(t0.domain),
+                                     "T0_action": matrix_to_obj(t0.action)}))
     assert main(["extend", "--input", str(problem), "--output-dir", str(tmp_path)]) == 0
     samples = json.loads((tmp_path / "extend_report.json").read_text())["X_samples"]
     projections = [s for s in samples if s["label"].startswith("projection")]
@@ -932,9 +1050,9 @@ def test_density_floor_on_the_empty_domain(tmp_path, j2):
 
 
 def test_extend_reads_density_from_x(tmp_path, monkeypatch):
-    # On the benchmark's first n = 64 problem, extend takes one n x n
-    # eigvalsh per realized extension (cayley_defined) and no n x n eigh:
-    # density is read from X, not from an eigendecomposition of T.
+    # On the benchmark's first n = 64 problem, extend takes no n x n eigh
+    # or eigvalsh: density and cayley_defined of its 7 realized extensions
+    # are read from X, not from an eigendecomposition of T.
     gen = ref.perfbench_gen()
     prob = gen.extension_problem(1, 0)["problem"]
     problem = tmp_path / "problem.json"
@@ -949,7 +1067,7 @@ def test_extend_reads_density_from_x(tmp_path, monkeypatch):
         monkeypatch.setattr(np.linalg, name, count)
     argv = ["extend", "--input", str(problem), "--output-dir", str(tmp_path), "--seed", "1"]
     assert main(argv) == 0
-    assert counted == ["eigvalsh"] * 7
+    assert counted == []
 
 
 def test_interval_and_density_share_one_complement(monkeypatch):

@@ -16,6 +16,7 @@ from kreinlab.serialize import (
     matrix_to_obj,
     problem_from_obj,
 )
+from kreinlab.verify import _float_edge_values
 from oracles import reference_dumps_report
 
 # Floats whose text is easy to get wrong: signed zero, integral values (".0"
@@ -301,3 +302,119 @@ def test_power_of_ten_table_is_correctly_rounded():
     for k, entry in zip(range(_K_MIN, _K_MAX + 1), tables.pow10):
         exact = Fraction(10) ** (16 - k)
         assert abs(Fraction(*entry.as_integer_ratio()) - exact) <= exact / 2 ** 64
+
+
+# ------------------------------------------------- array-valued matrix objects
+
+EDGE_VALUES = np.array(_float_edge_values())
+
+
+def as_lists(obj: dict) -> dict:
+    """The matrix object with its re/im arrays as JSON lists."""
+    return {**obj, "re": obj["re"].tolist(), "im": obj["im"].tolist()}
+
+
+def edge_matrix(seed: int, n: int, kind: str) -> np.ndarray:
+    """An n x n (n x (n + 1) when non-square) complex matrix of edge floats:
+    Hermitian, anti-Hermitian, Hermitian with one entry one ulp off its
+    mirror, or non-square.  The mirrored ones hold 0.0 / -0.0 pairs and a
+    -0.0 on the diagonal."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        return EDGE_VALUES[rng.integers(0, EDGE_VALUES.size, size=shape)]
+    if kind == "non-square":
+        return draw((n, n + 1)) + 1j * draw((n, n + 1))
+    upper = np.triu(draw((n, n)))
+    sym = upper + np.triu(upper, 1).T
+    skew = np.triu(draw((n, n)), 1)
+    skew = skew - skew.T
+    i, j = rng.integers(0, n, size=(2, max(1, n // 2)))
+    sym[i, j], sym[j, i] = 0.0, -0.0
+    skew[i, j], skew[j, i] = -0.0, 0.0
+    sym[i, i] = -0.0
+    m = sym + 1j * skew if kind != "anti-hermitian" else skew + 1j * sym
+    if kind == "one-ulp":
+        m[0, n - 1] = complex(np.nextafter(m[0, n - 1].real, np.inf), m[0, n - 1].imag)
+    return m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 24),
+       kind=st.sampled_from(("hermitian", "anti-hermitian", "one-ulp", "non-square")))
+def test_array_matrix_objects_match_their_list_form(seed, n, kind):
+    # Array-valued re/im are formatted without a list round trip, mirrored
+    # magnitudes once per pair; the text is the reference encoder's text of
+    # the same object with lists.  One ulp off the mirror, the mirror must
+    # not apply: "%.17g" tells every two doubles apart.
+    obj = matrix_to_obj(edge_matrix(seed, n, kind))
+    assert isinstance(obj["re"], np.ndarray) and obj["re"].dtype == np.float64
+    report = {"m": obj, "ms": [obj, obj]}
+    assert dumps_report(report) == reference_dumps_report(
+        {"m": as_lists(obj), "ms": [as_lists(obj)] * 2})
+
+
+def test_mirrored_matrix_formats_the_upper_triangle_once(monkeypatch):
+    # 20 x 20 Hermitian: 210 digit rows each for re and im instead of 400;
+    # one ulp off the mirror, all 400 rows of re are computed.
+    formatted = []
+    digit_rows = serialize._digit_rows
+    monkeypatch.setattr(serialize, "_digit_rows",
+                        lambda a, tb: formatted.append(a.size) or digit_rows(a, tb))
+    for kind, rows in (("hermitian", 210), ("one-ulp", 400)):
+        formatted.clear()
+        obj = matrix_to_obj(edge_matrix(3, 20, kind))
+        assert dumps_report({"re": obj["re"]}) == reference_dumps_report({"re": obj["re"]})
+        assert sum(formatted) == 400
+        formatted.clear()
+        assert dumps_report(obj) == reference_dumps_report(as_lists(obj))
+        assert sum(formatted) == rows + 210
+
+
+@pytest.mark.parametrize("kind", ("hermitian", "non-square"))
+def test_matrix_roundtrip_of_edge_values_is_bit_exact(kind):
+    m = edge_matrix(11, 9, kind)
+    back = matrix_from_obj(matrix_to_obj(m))
+    assert back.shape == m.shape
+    assert back.view(np.uint64).tobytes() == m.view(np.uint64).tobytes()
+    back = matrix_from_obj(as_lists(matrix_to_obj(m)))
+    assert back.view(np.uint64).tobytes() == m.view(np.uint64).tobytes()
+
+
+def test_matrix_to_obj_copies():
+    m = np.eye(2)
+    obj = matrix_to_obj(m)
+    m[0, 0] = 5.0
+    assert obj["re"].tolist() == [1.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("value", (np.zeros((1, 1)), np.array([True]), np.array([1.0], dtype=object),
+                                   np.array([1.0 + 0j])),
+                         ids=("2-d", "bool", "object", "complex"))
+def test_matrix_from_obj_refuses_non_real_arrays(value):
+    good = {"rows": 1, "cols": 1, "re": np.array([1.0]), "im": np.array([0])}
+    assert matrix_from_obj(good) == 1.0
+    for field in ("re", "im"):
+        with pytest.raises(ValueError, match="^malformed matrix object: '(re|im)' must be a flat "
+                                             "list of numbers$"):
+            matrix_from_obj({**good, field: value})
+
+
+def test_nan_inside_an_array_matrix_is_refused():
+    m = np.eye(2)
+    m[1, 0] = np.nan
+    with pytest.raises(ValueError, match="^non-finite float in report$"):
+        dumps_report({"m": matrix_to_obj(m)})
+    with pytest.raises(ValueError, match="^problem matrix J has non-finite entries$"):
+        problem_from_obj({"J": matrix_to_obj(m), "T0_domain": matrix_to_obj(np.eye(2)[:, :1]),
+                          "T0_action": matrix_to_obj(np.zeros((2, 1)))})
+
+
+@pytest.mark.parametrize("value", (2.9, 2.0, "2", True, -2, None),
+                         ids=("fraction", "integral-float", "string", "bool", "negative", "null"))
+def test_matrix_shape_fields_must_be_integers(value):
+    good = {"rows": 2, "cols": 1, "re": [1.0, 0.0], "im": [0.0, 0.0]}
+    for field in ("rows", "cols"):
+        with pytest.raises(ValueError, match=f"^malformed matrix object: '{field}' must be a "
+                                             "non-negative integer$"):
+            matrix_from_obj({**good, field: value})

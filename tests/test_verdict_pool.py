@@ -63,6 +63,8 @@ def _problem_rows(gen, seed: int, index: int, item) -> list:
     for label, x in labeled:
         choice = extension_from_x(iv, x)
         ext = extremality_test(t0, choice)
+        # Every pooled Cayley verdict is certified from X, with no eigvalsh(T).
+        assert choice.cayley_certificate is ext.cayley_defined
         rows.append(["x", seed, index, label, *map(bool, (
             choice.anticommuting, ext.extremal, ext.cayley_defined, density_test(t0, choice.t)))])
     return rows
