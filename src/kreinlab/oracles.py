@@ -14,10 +14,12 @@ bounds of X and takes eigvalsh(T) only when they straddle the threshold.
 Sequence-model sweep: the n x n truncation (Xi from the eigenpairs of T,
 the preimage by least squares, `density_test` and `uniqueness_sup`), where
 `sequence_model.truncated_density_sweep` reads the block structure.
-Step-halving eigenvalues: bisection on the halved step, where
-`quasibasis.halfline_levels` refines the coarse eigenpairs.  Anharmonic
-levels: n_max + 2 per parity before the merge, where
-`quasibasis.anharmonic_family` solves only the levels the merge keeps.
+Anharmonic levels: bisection of the whole half-line problem on the grid's
+step, where `quasibasis.halfline_levels` bisects a 2**COARSENING times
+coarser copy and refines the prolonged eigenvectors; bisection on the halved
+step, where it refines the grid's eigenpairs there; and n_max + 2 levels per
+parity before the merge, where `quasibasis.anharmonic_family` solves only
+the levels the merge keeps.
 Cayley inverse: T = (I - G)(I + G)^{-1} from the eigenpairs of G, where
 `GMetric.from_contraction` builds G from those of T.
 """
@@ -30,7 +32,7 @@ from ._linalg import (CONTRACTION_SLACK, STRUCT_TOL, as_matrix, cayley_spectrum,
                       psd_clamp)
 from .errors import CayleyUndefinedError, InvariantViolation
 from .extensions import any_sa_extension, density_test, j_symmetrize
-from .quasibasis import _halfline_tridiagonal, halfline_levels, merge_levels
+from .quasibasis import _full_line, _halfline_tridiagonal, merge_levels
 from .sequence_model import SequenceModelSpec, TruncationSample, build_model, series_terms
 
 
@@ -147,10 +149,25 @@ def dense_density_sweep(spec, exponents) -> list[TruncationSample]:
     return out
 
 
+def grid_step_bisection(beta: float, grid, parity: str, count: int):
+    """(eigenvalues, half-line samples) of the lowest `count` levels of the
+    half-line operator of `parity` on the step of `grid`, by bisection of the
+    whole tridiagonal, signed and normalized as `quasibasis._halfline_eigs`
+    signs and normalizes its own."""
+    # Deferred, as in quasibasis: the CLI imports this module through verify.
+    from scipy.linalg import eigh_tridiagonal
+
+    h = grid.step
+    v_half = np.abs(h * np.arange(grid.nodes // 2)) ** beta
+    w, vec = eigh_tridiagonal(*_halfline_tridiagonal(v_half, h, parity),
+                              select="i", select_range=(0, count - 1))
+    return w, _full_line(vec, h, parity)
+
+
 def halved_step_bisection(beta: float, grid, parity: str, count: int) -> np.ndarray:
     """The lowest `count` eigenvalues of the half-line operator of `parity`
     on the halved step of `grid`, by bisection of the whole tridiagonal."""
-    # Deferred, as in quasibasis: the CLI imports this module through verify.
+    # Deferred, as in grid_step_bisection.
     from scipy.linalg import eigh_tridiagonal
 
     h = 0.5 * grid.step
@@ -161,5 +178,10 @@ def halved_step_bisection(beta: float, grid, parity: str, count: int) -> np.ndar
 
 def full_range_levels(beta: float, grid, n_max: int):
     """(eigenvalues, parities, Richardson errors, g rows) of the anharmonic
-    family from n_max + 2 levels per parity, merged as the family merges."""
-    return merge_levels(halfline_levels(beta, grid, (n_max + 2, n_max + 2)), n_max)
+    family from n_max + 2 levels per parity, each bisected on the grid's
+    step and on its halved step, merged as the family merges."""
+    levels = []
+    for parity in ("even", "odd"):
+        w, u = grid_step_bisection(beta, grid, parity, n_max + 2)
+        levels.append((w, u, None, halved_step_bisection(beta, grid, parity, n_max + 2), None))
+    return merge_levels(levels, n_max)

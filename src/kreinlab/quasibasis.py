@@ -15,7 +15,11 @@ indefinite Gram [f_m, f_n] and the signs sign Re [f_n, f_n]:
 * `AnharmonicFamily` (`anharmonic_family`): f_n = e^{p(x)} g_n with g_n
   the finite-difference eigenfunctions of H0 = -d^2/dx^2 + |x|^beta
   (beta > 2), solved on the half line per parity, and p a bounded odd
-  weight exponent; the metric weight is e^{-2p(x)}.
+  weight exponent; the metric weight is e^{-2p(x)}.  Each parity's levels
+  are bisected on a 2**COARSENING times coarser copy of its half-line
+  problem and refined on the grid by Rayleigh-quotient iteration, under a
+  residual-bracket and Sturm-count certificate, with bisection of the whole
+  problem as the fallback.
 
 Each type supplies only what differs, on whole row stacks: the data hf
 and the hooks `metric_rows` (the two row stacks whose product, times
@@ -54,14 +58,34 @@ BAND_MARGIN = 8.0
 BAND_EDGE_REL = 1e-9
 # Span-projection residual above which c_action warns.
 SPAN_WARN_TOL = 1e-6
+# Grid rows per block of the QR in span_residual.  One QR of the whole
+# 8192 x 42 matrix of a Hermite n_max 40 family (numpy copies it twice)
+# raised the quasibasis_grid peak RSS by 9 MB.  With one BLAS thread, best of
+# 7, blocks of 1024 rows took 11 ms there, against 15 ms for the one QR and
+# 18 ms for least squares, and at most 3.3 ms on the other benchmark families.
+SPAN_QR_ROWS = 1024
 # Largest deviation of the indefinite Gram from diag(sigma) that sign_pattern
 # still reports as J-orthonormal.
 J_ORTHONORMAL_TOL = 1e-6
-# Rayleigh-quotient refinement of the step-halving eigenvalues: the most
-# iteration steps per level, and the rounding slack of each residual bracket
-# in units of eps * ||T||_1.
+# Rayleigh-quotient refinement of the anharmonic levels, on the grid's step
+# and on the halved step: the most iteration steps per level, and the
+# rounding slack of each residual bracket in units of eps * ||T||_1.
 RQI_STEPS = 6
 BRACKET_SLACK = 16.0
+# The anharmonic levels are bisected on a copy of each half-line problem with
+# a 2**COARSENING times larger step and refined on the family's own step
+# (`_halfline_eigs`), but only when that copy has at least
+# max(COARSE_MIN_POINTS, COARSE_POINTS_PER_LEVEL * count) half-line points.
+# Measured with one BLAS thread on the default grid, both parities, best of
+# 9: 18-19 -> 9-11 ms per family at n_max 8 and 33-35 -> 16-18 ms at n_max 16
+# (beta 3 and 4), against bisection of the whole problem; one more halving
+# saved at most 3 ms and leaves a 1024-node grid under the size floor.  Over
+# nodes {256, 1024, 2048, 8192} x beta {2.5, 3, 4, 6} x n_max {0, 1, 4, 8,
+# 16, 24, 40} (208 parity solves), 60 were under the floor, 138 certified and
+# 10 fell back, all on 1024 or 2048 nodes with 9-21 levels.
+COARSENING = 3
+COARSE_MIN_POINTS = 64
+COARSE_POINTS_PER_LEVEL = 4
 
 
 @dataclass(frozen=True)
@@ -324,57 +348,100 @@ def _halfline_tridiagonal(v_half: np.ndarray, h: float, parity: str):
     return 2.0 * inv_h2 + v_half[1:], np.full(v_half.size - 2, -inv_h2)
 
 
-def _halfline_eigs(v_half: np.ndarray, h: float, parity: str, count: int):
-    """Lowest eigenpairs of the `_halfline_tridiagonal` operator, with the
-    eigenvectors as half-line samples normalized on the full line."""
-    # Deferred: importing scipy.linalg costs more than numpy itself, and only
-    # the anharmonic family reaches this solver.
-    from scipy.linalg import eigh_tridiagonal
-
-    w, vec = eigh_tridiagonal(*_halfline_tridiagonal(v_half, h, parity),
-                              select="i", select_range=(0, count - 1))
+def _full_line(vec: np.ndarray, h: float, parity: str) -> np.ndarray:
+    """Half-line samples (columns) of the `_halfline_tridiagonal` unknowns
+    (columns of vec), signed so that the largest entry is positive and
+    normalized on the full line."""
     if parity == "even":
         vec = vec.copy()
         vec[0] *= np.sqrt(2.0)           # undo the substitution: u_0 = sqrt(2) w_0
     else:
-        vec = np.vstack([np.zeros(count), vec])
-    # Deterministic sign and full-line normalization (norm^2 = 2h sum u^2
-    # with the half-weight at 0 already absorbed by the substitution).  Each
-    # vector is a contiguous row here, so its sum takes the order of a
-    # one-dimensional np.sum.
+        vec = np.vstack([np.zeros(vec.shape[1]), vec])
+    # Full-line norm^2 = 2h sum u^2, with the half-weight at 0 already
+    # absorbed by the substitution.  Each vector is a contiguous row here, so
+    # its sum takes the order of a one-dimensional np.sum.
     rows = vec.T.copy()
-    lead = rows[np.arange(count), np.argmax(np.abs(rows), axis=1)]
+    lead = rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)]
     rows[lead < 0] *= -1.0
     norm_sq = np.sum(rows * rows, axis=1)
     if parity == "even":
         norm_sq -= 0.5 * rows[:, 0] * rows[:, 0]
     rows /= np.sqrt(2.0 * h * norm_sq)[:, None]
-    return w, rows.T
+    return rows.T
 
 
-def _prolong(vec: np.ndarray, parity: str) -> np.ndarray:
+def _halfline_eigs(v_half: np.ndarray, h: float, parity: str, count: int):
+    """(eigenvalues, vectors, radii): the lowest `count` eigenpairs of the
+    `_halfline_tridiagonal` operator T on step h, with the eigenvectors as
+    half-line samples normalized on the full line (`_full_line`).
+
+    The levels are bisected on the copy of the problem with step
+    2**COARSENING * h, whose potential v_half[::2**COARSENING] holds the
+    same samples.  The coarse eigenvectors, prolonged to step h, are refined
+    on T and certified by `_rayleigh_brackets`, and one QR orthonormalizes
+    them: with the sqrt(2) substitution, Euclidean orthogonality of the
+    unknowns is orthogonality on the full line.  When the coarse copy has
+    fewer than max(COARSE_MIN_POINTS, COARSE_POINTS_PER_LEVEL * count)
+    points or the certificate fails, T itself is bisected and radii is None.
+    """
+    # Deferred: importing scipy.linalg costs more than numpy itself, and only
+    # the anharmonic family reaches this solver.
+    from scipy.linalg import eigh_tridiagonal
+
+    d, e = _halfline_tridiagonal(v_half, h, parity)
+    stride = 2 ** COARSENING
+    if v_half.size // stride >= max(COARSE_MIN_POINTS, COARSE_POINTS_PER_LEVEL * count):
+        _, vec = eigh_tridiagonal(*_halfline_tridiagonal(v_half[::stride], stride * h, parity),
+                                  select="i", select_range=(0, count - 1))
+        # _full_line turns the coarse unknowns into the samples _prolong reads.
+        starts = _prolong(_full_line(vec, stride * h, parity), parity, COARSENING)
+        levels = _rayleigh_brackets(d, e, starts)
+        if levels is not None:
+            w, radii, rows = levels
+            return w, _full_line(np.linalg.qr(rows.T)[0], h, parity), radii
+    w, vec = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
+    return w, _full_line(vec, h, parity), None
+
+
+def _prolong(vec: np.ndarray, parity: str, times: int) -> np.ndarray:
     """Half-line samples on step h (columns of vec), linearly interpolated
-    onto step h/2 as rows of the unknowns of `_halfline_tridiagonal` there."""
-    points, count = vec.shape
-    fine = np.empty((count, 2 * points))
-    fine[:, 0::2] = vec.T
-    fine[:, 1:-1:2] = 0.5 * (vec[:-1] + vec[1:]).T
-    fine[:, -1] = 0.5 * vec[-1]          # the Dirichlet value 0 at |x| = L
+    onto step h / 2**times as rows of the unknowns of `_halfline_tridiagonal`
+    there."""
+    fine = vec.T
+    for _ in range(times):
+        coarse = fine
+        fine = np.empty((coarse.shape[0], 2 * coarse.shape[1]))
+        fine[:, 0::2] = coarse
+        fine[:, 1:-1:2] = 0.5 * (coarse[:, :-1] + coarse[:, 1:])
+        fine[:, -1] = 0.5 * coarse[:, -1]    # the Dirichlet value 0 at |x| = L
     if parity == "even":
         fine[:, 0] /= np.sqrt(2.0)       # back to the symmetrized w_0 = u_0 / sqrt(2)
         return fine
     return fine[:, 1:]                   # the odd problem has no unknown at x = 0
 
 
-def _rayleigh_brackets(d: np.ndarray, e: np.ndarray, x: np.ndarray, slack: float):
-    """(sigma, r) per row of the start vectors x: the Rayleigh quotient and
-    residual norm of the best Rayleigh-quotient iterate for the tridiagonal
-    (d, e), or None when a solve breaks down.  A level stops iterating once
-    its residual is within slack, and at the latest after RQI_STEPS solves."""
+def _rayleigh_brackets(d: np.ndarray, e: np.ndarray, x: np.ndarray):
+    """(sigma, radius, vectors): the lowest x.shape[0] eigenvalues of the
+    tridiagonal T = (d, e) in ascending order with their certified radii and
+    unit approximate eigenvectors (rows), refined from the start vectors (the
+    rows of x), or None.
+
+    Rayleigh-quotient iteration runs from each row.  A level stops iterating
+    once its residual is within slack = BRACKET_SLACK * eps * ||T||_1, and
+    at the latest after RQI_STEPS solves; it keeps its best iterate, with
+    Rayleigh quotient sigma and residual r.  By the residual theorem an
+    eigenvalue lies within radius r + slack of sigma.  When these k brackets
+    are disjoint and one Sturm count finds exactly k eigenvalues up to the
+    top of the last, bracket j holds the j-th lowest eigenvalue.  None when
+    they do not, or when a solve breaks down.
+    """
     from scipy.linalg.lapack import dgtsv    # deferred, as in _halfline_eigs
 
+    low, norm = _gershgorin(d, e)
+    slack = BRACKET_SLACK * np.finfo(float).eps * norm
     sigma = np.full(x.shape[0], np.nan)
     r_best = np.full(x.shape[0], np.inf)
+    best = np.empty_like(x)
     levels = np.arange(x.shape[0])
     for step in range(RQI_STEPS + 1):
         xs = x[levels]
@@ -387,15 +454,23 @@ def _rayleigh_brackets(d: np.ndarray, e: np.ndarray, x: np.ndarray, slack: float
         r = np.sqrt(np.einsum("ij,ij->i", tx, tx))
         better = r < r_best[levels]
         sigma[levels[better]], r_best[levels[better]] = q[better], r[better]
+        best[levels[better]] = xs[better]
         keep = r_best[levels] > slack
         if step == RQI_STEPS or not np.any(keep):
-            return sigma, r_best
+            break
         for j, shift, v in zip(levels[keep], q[keep], xs[keep]):
             *_, y, info = dgtsv(e, d - shift, e, v[:, None], overwrite_d=1, overwrite_b=1)
             if info:
                 return None
             x[j] = y[:, 0]
         levels = levels[keep]
+    order = np.argsort(sigma)
+    sigma, radius = sigma[order], r_best[order] + slack
+    lo, hi = sigma - radius, sigma + radius
+    if (np.all(np.isfinite(hi)) and np.all(lo[1:] > hi[:-1])
+            and _count_up_to(d, e, low - 1.0, hi[-1]) == sigma.size):
+        return sigma, radius, best[order]
+    return None
 
 
 def _gershgorin(d: np.ndarray, e: np.ndarray):
@@ -418,33 +493,19 @@ def _count_up_to(d: np.ndarray, e: np.ndarray, floor: float, top: float):
 
 def _halved_step_eigs(v_fine: np.ndarray, h: float, parity: str, vec: np.ndarray):
     """(eigenvalues, radii): the lowest vec.shape[1] eigenvalues of the
-    `_halfline_tridiagonal` operator T on step h, refined from the coarse
-    eigenvectors `vec` of `_halfline_eigs` on step 2h.
-
-    Rayleigh-quotient iteration starts from the prolonged vectors.  By the
-    residual theorem an eigenvalue lies within radius r + BRACKET_SLACK *
-    eps * ||T||_1 of each Rayleigh quotient.  When these k brackets are
-    disjoint and one Sturm count finds exactly k eigenvalues up to the top
-    of the last, bracket j holds the j-th lowest eigenvalue.  Otherwise, or
-    when a solve breaks down, the eigenvalues come from bisection and radii
-    is None.
+    `_halfline_tridiagonal` operator on step h, refined by
+    `_rayleigh_brackets` from the eigenvectors `vec` of `_halfline_eigs` on
+    step 2h, prolonged.  When the certificate fails, the eigenvalues come
+    from bisection and radii is None.
     """
     from scipy.linalg import eigh_tridiagonal         # deferred, as in _halfline_eigs
 
     d, e = _halfline_tridiagonal(v_fine, h, parity)
-    count = vec.shape[1]
-    low, norm = _gershgorin(d, e)
-    slack = BRACKET_SLACK * np.finfo(float).eps * norm
-    brackets = _rayleigh_brackets(d, e, _prolong(vec, parity), slack)
-    if brackets is not None:
-        order = np.argsort(brackets[0])
-        sigma, radius = brackets[0][order], brackets[1][order] + slack
-        lo, hi = sigma - radius, sigma + radius
-        if (np.all(np.isfinite(hi)) and np.all(lo[1:] > hi[:-1])
-                and _count_up_to(d, e, low - 1.0, hi[-1]) == count):
-            return sigma, radius
+    levels = _rayleigh_brackets(d, e, _prolong(vec, parity, 1))
+    if levels is not None:
+        return levels[:2]
     return eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                            select_range=(0, count - 1)), None
+                            select_range=(0, vec.shape[1] - 1)), None
 
 
 def merged_counts(n_max: int) -> tuple[int, int]:
@@ -455,20 +516,22 @@ def merged_counts(n_max: int) -> tuple[int, int]:
 
 def halfline_levels(beta: float, grid: UniformGrid, counts):
     """The half-line solves of `anharmonic_family`, for the even and then
-    the odd parity: (w, u, w_fine, radii) with (w, u) the lowest counts[0]
-    even / counts[1] odd eigenpairs of `_halfline_eigs` on the grid, and
-    w_fine the eigenvalues on its halved step with their certified radii
-    (`_halved_step_eigs`).  A parity with count 0 solves nothing."""
+    the odd parity: (w, u, radii, w_fine, fine_radii) with (w, u) the lowest
+    counts[0] even / counts[1] odd eigenpairs of `_halfline_eigs` on the
+    grid and their certified radii, and w_fine the eigenvalues on its halved
+    step with theirs (`_halved_step_eigs`).  A parity with count 0 solves
+    nothing."""
     h, half = grid.step, grid.nodes // 2
     v_half = np.abs(h * np.arange(half)) ** beta
     v_half2 = np.abs(0.5 * h * np.arange(2 * half)) ** beta
     levels = []
     for parity, count in zip(("even", "odd"), counts):
         if count == 0:
-            levels.append((np.empty(0), np.empty((v_half.size, 0)), np.empty(0), np.empty(0)))
+            levels.append((np.empty(0), np.empty((v_half.size, 0)), np.empty(0),
+                           np.empty(0), np.empty(0)))
             continue
-        w, u = _halfline_eigs(v_half, h, parity, count)
-        levels.append((w, u, *_halved_step_eigs(v_half2, 0.5 * h, parity, u)))
+        w, u, radii = _halfline_eigs(v_half, h, parity, count)
+        levels.append((w, u, radii, *_halved_step_eigs(v_half2, 0.5 * h, parity, u)))
     return levels
 
 
@@ -496,7 +559,7 @@ def merge_levels(levels, n_max: int):
     on an exact tie the stable sort orders levels by (eigenvalue, parity,
     index).  Levels closer than 1e-8 relative are refused.
     """
-    (w_even, u_even, w_even2, _), (w_odd, u_odd, w_odd2, _) = levels
+    (w_even, u_even, _, w_even2, _), (w_odd, u_odd, _, w_odd2, _) = levels
     w_all = np.concatenate([w_odd, w_even])
     order = np.argsort(w_all, kind="stable")[: n_max + 1]
     eigs = w_all[order]
@@ -563,7 +626,8 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
 
     g_n are finite-difference eigenfunctions of -d^2/dx^2 + |x|^beta,
     computed on the half line with explicit even/odd boundary conditions so
-    each one has exact parity.  Only the levels the merge keeps are solved
+    each one has exact parity, from a coarser copy refined on the grid
+    (`_halfline_eigs`).  Only the levels the merge keeps are solved
     (`merged_counts`), when `merge_certified` shows they are the lowest;
     otherwise each parity solves n_max + 2.  The Richardson step-halving
     estimate of the eigenvalue discretization error,
@@ -676,13 +740,22 @@ def eigen_residual(fam: FunctionFamily) -> tuple[np.ndarray, np.ndarray]:
 
 
 def span_residual(fam: FunctionFamily, u) -> float:
-    """Relative distance of u from span{f_0..f_n_max} in the plain norm."""
+    """Relative distance of u from span{f_0..f_n_max} in the plain norm:
+    |R[k, k]| / ||u|| from the R factor of the QR of [f_0 .. f_n_max | u],
+    the norm of the part of u orthogonal to the span, with no cancellation.
+
+    R is built over blocks of SPAN_QR_ROWS grid rows, each block's QR taking
+    the R so far as its first rows (tall-skinny QR), so that no copy of the
+    whole M x (k + 1) matrix is made."""
     u = np.asarray(u, dtype=complex)
     nrm = np.linalg.norm(u)
     if nrm == 0.0:
         return 0.0
-    coeffs = np.linalg.lstsq(fam.f.T, u, rcond=None)[0]
-    return float(np.linalg.norm(u - fam.f.T @ coeffs) / nrm)
+    r = np.empty((0, fam.f.shape[0] + 1), dtype=complex)
+    for start in range(0, u.size, SPAN_QR_ROWS):
+        rows = slice(start, start + SPAN_QR_ROWS)
+        r = np.linalg.qr(np.vstack([r, np.column_stack([fam.f[:, rows].T, u[rows]])]), mode="r")
+    return float(abs(r[-1, -1]) / nrm)
 
 
 def c_action(fam: FunctionFamily, u) -> np.ndarray:

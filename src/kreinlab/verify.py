@@ -637,8 +637,11 @@ def _check_quasibasis_anharmonic(rng) -> str:
     if rep.g_errors[-1] > EXPANSION_TOL or np.any(np.diff(rep.g_errors) > MONOTONE_SLACK):
         raise AssertionError("in-span anharmonic expansion failed")
     # On a grid where the bisections take a few ms: the family against
-    # n_max + 2 levels per parity, then its refined step-halving eigenvalues
-    # against bisection, each within its certified bracket.
+    # n_max + 2 levels per parity; its levels on the grid's step against
+    # bisection there, each eigenvalue within its certified radius (or equal
+    # to bisection where the parity fell back to it) and each vector within
+    # LEVELS_TOL; its refined step-halving eigenvalues against bisection,
+    # each within its certified radius.
     grid = UniformGrid(8.0, 1024)
     counts = merged_counts(fam.n_max)
     levels = halfline_levels(4.0, grid, counts)
@@ -653,18 +656,34 @@ def _check_quasibasis_anharmonic(rng) -> str:
                     float(np.max(np.abs(small.g - g))))
     if level_dev > LEVELS_TOL:
         raise AssertionError(f"levels deviate from the full-range levels by {level_dev:.3e}")
-    worst = 0.0
-    for parity, count, (_, _, fine, radii) in zip(("even", "odd"), counts, levels):
+    grid_worst = vec_dev = worst = 0.0
+    fell_back = 0
+    for parity, count, (w, u, radii, fine, fine_radii) in zip(("even", "odd"), counts, levels):
+        w_bisected, u_bisected = oracles.grid_step_bisection(4.0, grid, parity, count)
+        gap = np.abs(w - w_bisected)
         if radii is None:
+            fell_back += 1
+            if np.any(gap > 0.0):
+                raise AssertionError(f"{parity} fallback differs from bisection")
+        else:
+            grid_worst = max(grid_worst, float(np.max(gap / radii)))
+        vec_dev = max(vec_dev, float(np.max(np.abs(u - u_bisected))))
+        if fine_radii is None:
             raise AssertionError(f"{parity} step-halving eigenvalues fell back to bisection")
         gap = np.abs(fine - oracles.halved_step_bisection(4.0, grid, parity, count))
-        worst = max(worst, float(np.max(gap / radii)))
+        worst = max(worst, float(np.max(gap / fine_radii)))
+    if grid_worst > 1.0:
+        raise AssertionError(f"grid-step eigenvalue {grid_worst:.2f} radii from bisection")
+    if vec_dev > LEVELS_TOL:
+        raise AssertionError(f"grid-step vectors deviate from bisection by {vec_dev:.3e}")
     if worst > 1.0:
         raise AssertionError(f"step-halving eigenvalue {worst:.2f} radii from bisection")
     return (f"beta = 4 family: Gram dev {offdiag:.1e}, weighted Gram dev {dev:.1e}, "
             f"max residual {np.max(residuals):.1e}, levels within {level_dev:.1e} of "
-            f"n_max + 2 per parity, step-halving eigenvalues within "
-            f"{worst:.2f} bracket radii of bisection")
+            f"n_max + 2 per parity, grid-step eigenvalues within {grid_worst:.2f} bracket "
+            f"radii and vectors within {vec_dev:.1e} of bisection ({fell_back} of 2 "
+            f"parities fell back), step-halving eigenvalues within {worst:.2f} bracket "
+            f"radii of bisection")
 
 
 def _float_edge_values() -> list[float]:

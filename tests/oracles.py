@@ -16,7 +16,6 @@ the stored data are the same numbers.
 import importlib.util
 import json
 import math
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from kreinlab._linalg import RANK_RCOND, STRUCT_TOL
 from kreinlab.gmetric import KERNEL_RCOND
-from kreinlab.quasibasis import _halfline_tridiagonal, _hermite_table, parity_apply
+from kreinlab.quasibasis import _hermite_table, parity_apply
 
 FEAS_SLACK = 1e-12
 
@@ -241,12 +240,11 @@ def quartic_reference_eigenvalues(count: int, half_width: float = 8.0,
     return fine + (fine - coarse) / 3.0
 
 
-def halfline_eigs_loop(v_half, h: float, parity: str, count: int):
-    """The coarse half-line eigenpairs with each eigenvector signed and
-    normalized on the full line in its own loop pass, as
-    `quasibasis._halfline_eigs` does for all of them at once."""
-    w, vec = eigh_tridiagonal(*_halfline_tridiagonal(v_half, h, parity),
-                              select="i", select_range=(0, count - 1))
+def full_line_loop(vec, h: float, parity: str):
+    """The half-line unknowns (columns of vec) back to samples, each signed
+    and normalized on the full line in its own loop pass, as
+    `quasibasis._full_line` does for all of them at once."""
+    count = vec.shape[1]
     if parity == "even":
         vec = vec.copy()
         vec[0] *= np.sqrt(2.0)
@@ -259,7 +257,7 @@ def halfline_eigs_loop(v_half, h: float, parity: str, count: int):
             u *= -1.0
         norm_sq = 2.0 * h * (np.sum(u * u) - (0.5 * u[0] * u[0] if parity == "even" else 0.0))
         vec[:, k] = u / np.sqrt(norm_sq)
-    return w, vec
+    return vec
 
 
 def exact_count_below(d, e, c: float) -> int:
@@ -270,16 +268,31 @@ def exact_count_below(d, e, c: float) -> int:
     makes d - c and e integral, and the leading principal minors of T - cI
     follow from their three-term recurrence in integers.  Their sign
     changes count the eigenvalues below c (Sturm).
+
+    The recurrence stops early where the rest of T - cI is positive
+    definite: once the pivot p_k = minor_{k+1} / minor_k is at least |e_k|
+    and every later row i is strictly diagonally dominant, d_i - c >
+    |e_{i-1}| + |e_i|, each later pivot p_i >= d_i - c - e_{i-1}^2 / p_{i-1}
+    >= d_i - c - |e_{i-1}| exceeds |e_i| in turn, so no sign change follows.
     """
-    scale = max(Fraction(v).denominator for v in (*d, *e, c))
-    shifted = [int((Fraction(v) - Fraction(c)) * scale) for v in d]
-    squares = [int(Fraction(v) * scale) ** 2 for v in e]
+    ratios = [float(v).as_integer_ratio() for v in (*d, *e, c)]
+    scale = max(den for _, den in ratios)
+    num = [n * (scale // den) for n, den in ratios]
+    size = len(d)
+    shifted = [v - num[-1] for v in num[:size]]
+    offs = [abs(v) for v in num[size:-1]] + [0]
+    # dominant[k]: rows k.. of T - cI are strictly diagonally dominant.
+    dominant = [True] * (size + 1)
+    for k in range(size - 1, -1, -1):
+        dominant[k] = dominant[k + 1] and shifted[k] > (offs[k - 1] if k else 0) + offs[k]
     prev, cur = 1, shifted[0]
     changes = int(cur < 0)
-    for dk, ek2 in zip(shifted[1:], squares):
+    for k in range(1, size):
         if cur == 0:
             raise ValueError("c is an eigenvalue of a leading principal submatrix")
-        prev, cur = cur, dk * cur - ek2 * prev
+        if dominant[k] and (cur > 0) == (prev > 0) and abs(cur) >= offs[k - 1] * abs(prev):
+            return changes
+        prev, cur = cur, shifted[k] * cur - offs[k - 1] ** 2 * prev
         changes += (cur < 0) != (prev < 0)
     if cur == 0:
         raise ValueError("c is an eigenvalue")
@@ -446,3 +459,15 @@ def anharmonic_apply_h(f, x, h: float, beta: float, p_funcs) -> np.ndarray:
     d1 = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2.0 * h)
     v = np.abs(x) ** beta
     return -d2 + (v + p2(x) - p1(x) ** 2) * f + 2.0 * p1(x) * d1
+
+
+def span_residual_lstsq(fam, u) -> float:
+    """Relative distance of u from span{f_0..f_n_max} as the residual of the
+    least-squares fit of u by the family, where `quasibasis.span_residual`
+    reads it from one R factor."""
+    u = np.asarray(u, dtype=complex)
+    nrm = np.linalg.norm(u)
+    if nrm == 0.0:
+        return 0.0
+    coeffs = np.linalg.lstsq(fam.f.T, u, rcond=None)[0]
+    return float(np.linalg.norm(u - fam.f.T @ coeffs) / nrm)

@@ -278,3 +278,6 @@ def test_verification_suite_passes():
         failed = [r.name for r in results if not r.passed]
         assert not failed, f"failing checks: {failed}"
         assert len(results) >= 15
+        # the 1024-node anharmonic family takes the coarse route in both parities
+        detail = next(r.detail for r in results if r.name == "quasibasis.anharmonic")
+        assert "(0 of 2 parities fell back)" in detail

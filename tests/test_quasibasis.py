@@ -36,7 +36,7 @@ from kreinlab.quasibasis import (
 )
 
 import kreinlab.quasibasis as qb
-from kreinlab.verify import EXPANSION_TOL, MONOTONE_SLACK
+from kreinlab.verify import EXPANSION_TOL, LEVELS_TOL, MONOTONE_SLACK
 
 
 @pytest.fixture(scope="module")
@@ -487,12 +487,13 @@ def test_anharmonic_tanh_weight():
 
 
 def test_anharmonic_richardson_solves_are_eigenvalues_only(monkeypatch):
-    # the two coarse solves need eigenvectors for g_n and are the only
-    # eigh_tridiagonal calls, each for the 2 levels of its parity that the
-    # merge keeps at n_max 3; one Sturm count per parity certifies the merge
-    # on the coarse problems, and the step-halving eigenvalues are refined
-    # from the coarse vectors, with one Sturm count per parity and no
-    # bisection
+    # the only eigh_tridiagonal calls are the eigenvector bisections of the
+    # 2**COARSENING times coarser copies (64 half-line points on a 1024-node
+    # grid), one per parity for the 2 levels the merge keeps at n_max 3; none
+    # runs on the grid's own 512 / 511 rows.  On the grid, one Sturm count
+    # per parity certifies the refined levels and one the merge, and the
+    # step-halving eigenvalues are refined from the grid's vectors, with one
+    # Sturm count per parity and no bisection
     solve, count = scipy.linalg.eigh_tridiagonal, scipy.linalg.lapack.dstebz
     calls = []
 
@@ -509,10 +510,12 @@ def test_anharmonic_richardson_solves_are_eigenvalues_only(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dstebz", counting_count)
     anharmonic_family(4.0, "tanh", n_max=3, grid=UniformGrid(8.0, 1024))
     # the odd problems drop the unknown at x = 0; range 1 is RANGE='V'
-    assert sorted(calls) == [("dstebz", 511, 1), ("dstebz", 512, 1),
+    assert qb.COARSENING == 3
+    assert sorted(calls) == [("dstebz", 511, 1), ("dstebz", 511, 1),
+                             ("dstebz", 512, 1), ("dstebz", 512, 1),
                              ("dstebz", 1023, 1), ("dstebz", 1024, 1),
-                             ("eigh_tridiagonal", 511, True, 2),
-                             ("eigh_tridiagonal", 512, True, 2)]
+                             ("eigh_tridiagonal", 63, True, 2),
+                             ("eigh_tridiagonal", 64, True, 2)]
 
 
 @pytest.mark.parametrize("beta, weight, n_max", [(4.0, "x_over_1px2", 6), (3.0, "tanh", 9)])
@@ -521,7 +524,7 @@ def test_anharmonic_merge_matches_loop_reference(beta, weight, n_max):
     # loop of the reference computes, bit for bit
     grid = UniformGrid(8.0, 1024)
     fam = anharmonic_family(beta, weight, n_max=n_max, grid=grid)
-    (w_even, u_even, w_even_fine, _), (w_odd, u_odd, w_odd_fine, _) = qb.halfline_levels(
+    (w_even, u_even, _, w_even_fine, _), (w_odd, u_odd, _, w_odd_fine, _) = qb.halfline_levels(
         beta, grid, qb.merged_counts(n_max))
     eigs, parities, richardson, g = ref.halfline_merge_loop(
         (w_even, u_even), (w_odd, u_odd), w_even_fine, w_odd_fine, n_max)
@@ -538,15 +541,30 @@ VERIFY_LEVELS = [(4.0, 6), (4.0, 5)]
 
 
 @pytest.mark.parametrize("beta, n_max", POOL_LEVELS)
-def test_anharmonic_g_matches_the_per_column_normalization(beta, n_max):
-    # the array normalization of the coarse eigenvectors is the per-column
-    # loop's, bit for bit
+def test_anharmonic_g_matches_the_per_column_normalization(monkeypatch, beta, n_max):
+    # the array normalization of the grid's eigenvectors is the per-column
+    # loop's on the same raw vectors (the refined, orthonormalized unknowns
+    # of each parity), bit for bit
     grid = qb.ANHARMONIC_GRID
+    normalize, solve = qb._full_line, qb._halfline_eigs
+    raw, solved = [], []
+
+    def recording_normalize(vec, h, parity):
+        if h == grid.step:                   # not the coarse copy's samples
+            raw.append(vec.copy())
+        return normalize(vec, h, parity)
+
+    def recording_solve(*args):
+        solved.append(solve(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(qb, "_full_line", recording_normalize)
+    monkeypatch.setattr(qb, "_halfline_eigs", recording_solve)
     fam = anharmonic_family(beta, "tanh", n_max=n_max)
-    h, half, counts = grid.step, grid.nodes // 2, qb.merged_counts(n_max)
-    v_half = np.abs(h * np.arange(half)) ** beta
-    even, odd = (ref.halfline_eigs_loop(v_half, h, parity, count)
-                 for parity, count in zip(("even", "odd"), counts))
+    assert len(raw) == len(solved) == 2 and all(radii is not None for *_, radii in solved)
+    even, odd = ((w, ref.full_line_loop(vec, grid.step, parity))
+                 for (w, *_), vec, parity in zip(solved, raw, ("even", "odd")))
+    counts = qb.merged_counts(n_max)
     *_, g = ref.halfline_merge_loop(even, odd, np.zeros(counts[0]), np.zeros(counts[1]), n_max)
     assert fam.g.tobytes() == g.tobytes()
 
@@ -581,8 +599,8 @@ def test_merge_falls_back_to_the_full_range_levels(monkeypatch):
     def dropping(v_half, h, parity, count):
         if parity == "odd" or count == n_max + 2:
             return solve(v_half, h, parity, count)
-        w, u = solve(v_half, h, parity, count + 1)
-        return w[1:], u[:, 1:]
+        w, u, radii = solve(v_half, h, parity, count + 1)
+        return w[1:], u[:, 1:], radii
 
     monkeypatch.setattr(qb, "_halfline_eigs", dropping)
     assert not qb.merge_certified(4.0, grid, qb.halfline_levels(4.0, grid, qb.merged_counts(n_max)))
@@ -624,7 +642,7 @@ def test_step_halving_eigenvalues_agree_with_bisection(beta, n_max):
     grid = qb.ANHARMONIC_GRID
     for counts in (qb.merged_counts(n_max), (n_max + 2, n_max + 2)):
         levels = qb.halfline_levels(beta, grid, counts)
-        for parity, count, (_, _, fine, radii) in zip(("even", "odd"), counts, levels):
+        for parity, count, (*_, fine, radii) in zip(("even", "odd"), counts, levels):
             assert radii is not None, (parity, count)
             gap = np.abs(fine - oracles.halved_step_bisection(beta, grid, parity, count))
             assert np.all(gap <= 1e-9) and np.all(gap <= radii), (parity, count)
@@ -636,7 +654,7 @@ def test_step_halving_falls_back_on_an_under_resolved_grid():
     grid, n_max = UniformGrid(8.0, 256), 40
     counts = qb.merged_counts(n_max)
     fam = anharmonic_family(6.0, "x_over_1px2", n_max=n_max, grid=grid)
-    (w_even, u_even, fine_even, radii_even), (w_odd, u_odd, fine_odd, radii_odd) = (
+    (w_even, u_even, _, fine_even, radii_even), (w_odd, u_odd, _, fine_odd, radii_odd) = (
         qb.halfline_levels(6.0, grid, counts))
     assert radii_even is None and radii_odd is None
     bisected = [oracles.halved_step_bisection(6.0, grid, parity, count)
@@ -660,7 +678,7 @@ def test_step_halving_brackets_hold_their_eigenvalues(nodes, beta, n_max):
     v_half2 = np.abs(h * np.arange(nodes)) ** beta
     for counts in (qb.merged_counts(n_max), (n_max + 2, n_max + 2)):
         levels = qb.halfline_levels(beta, grid, counts)
-        for parity, count, (_, _, fine, radii) in zip(("even", "odd"), counts, levels):
+        for parity, count, (*_, fine, radii) in zip(("even", "odd"), counts, levels):
             if radii is None:
                 assert np.array_equal(
                     fine, oracles.halved_step_bisection(beta, grid, parity, count))
@@ -685,7 +703,7 @@ def test_step_halving_falls_back_on_bad_starts(halfline_1024, parity):
     # count finds 6 eigenvalues up to the top bracket; duplicated starts give
     # overlapping brackets.  Both fall back to the bisection values.
     v_half, v_half2, h = halfline_1024
-    _, u = qb._halfline_eigs(v_half, h, parity, 6)
+    _, u, _ = qb._halfline_eigs(v_half, h, parity, 6)
     bisected = oracles.halved_step_bisection(4.0, UniformGrid(8.0, 1024), parity, 5)
     fine, radii = qb._halved_step_eigs(v_half2, 0.5 * h, parity, u[:, :5])
     assert radii is not None and np.all(np.abs(fine - bisected) <= radii)
@@ -697,7 +715,7 @@ def test_step_halving_falls_back_on_bad_starts(halfline_1024, parity):
 
 def test_step_halving_falls_back_when_a_solve_breaks_down(halfline_1024, monkeypatch):
     v_half, v_half2, h = halfline_1024
-    _, u = qb._halfline_eigs(v_half, h, "even", 5)
+    _, u, _ = qb._halfline_eigs(v_half, h, "even", 5)
     solve = scipy.linalg.lapack.dgtsv
 
     def breaking(*args, **kwargs):
@@ -711,12 +729,147 @@ def test_step_halving_falls_back_when_a_solve_breaks_down(halfline_1024, monkeyp
                                                               "even", 5))
 
 
+# ---------------------------------------- grid-step levels from a coarser copy
+
+# (nodes, beta, n_max, parities expected to fall back): the pool and verify
+# families, verify's 1024-node family, then grids whose coarse copy is too
+# small for the levels (512 and 256 nodes) or fails the certificate.
+GRID_STEP_CASES = ([(8192, beta, n_max, ()) for beta, n_max in POOL_LEVELS + VERIFY_LEVELS]
+                   + [(1024, 4.0, 6, ()), (1024, 2.5, 8, ()), (1024, 6.0, 16, ("even",)),
+                      (512, 4.0, 4, ("even", "odd")), (256, 3.0, 8, ("even", "odd"))])
+
+
+@pytest.mark.parametrize("nodes, beta, n_max, fallback", GRID_STEP_CASES)
+def test_grid_step_brackets_hold_their_eigenvalues(nodes, beta, n_max, fallback):
+    # exact Sturm counts of the stored grid-step matrix: each certified
+    # bracket of the levels refined from the 2**COARSENING times coarser copy
+    # holds the j-th lowest eigenvalue and no other.  A parity that falls
+    # back returns bisection's levels, bit for bit.
+    grid = UniformGrid(8.0, nodes)
+    v_half = np.abs(grid.step * np.arange(nodes // 2)) ** beta
+    for parity, count in zip(("even", "odd"), qb.merged_counts(n_max)):
+        w, u, radii = qb._halfline_eigs(v_half, grid.step, parity, count)
+        assert (radii is None) == (parity in fallback), parity
+        if radii is None:
+            w_bisected, u_bisected = oracles.grid_step_bisection(beta, grid, parity, count)
+            assert np.array_equal(w, w_bisected) and np.array_equal(u, u_bisected)
+            continue
+        d, e = qb._halfline_tridiagonal(v_half, grid.step, parity)
+        for j in range(count):
+            assert ref.exact_count_below(d, e, w[j] - radii[j]) == j, (parity, j)
+            assert ref.exact_count_below(d, e, w[j] + radii[j]) == j + 1, (parity, j)
+
+
+@pytest.mark.parametrize("parity", ("even", "odd"))
+def test_grid_step_levels_fall_back_on_bad_starts(halfline_1024, monkeypatch, parity):
+    # coarse eigenvectors shifted up one level refine to levels 1..5, and the
+    # Sturm count finds 6 eigenvalues up to the top bracket; duplicated ones
+    # give overlapping brackets.  Both fall back to bisection, bit for bit.
+    v_half, _, h = halfline_1024
+    w_bisected, u_bisected = oracles.grid_step_bisection(4.0, UniformGrid(8.0, 1024), parity, 5)
+    w, _, radii = qb._halfline_eigs(v_half, h, parity, 5)
+    assert radii is not None and np.all(np.abs(w - w_bisected) <= radii)
+    solve = scipy.linalg.eigh_tridiagonal
+    for columns in ([1, 2, 3, 4, 5], [0, 0, 1, 2, 3]):
+        def bad_starts(d, e, **kwargs):
+            if d.size > 64:                  # the grid's own problem
+                return solve(d, e, **kwargs)
+            w, vec = solve(d, e, select="i", select_range=(0, 5))
+            return w[columns], vec[:, columns]
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", bad_starts)
+        w, u, radii = qb._halfline_eigs(v_half, h, parity, 5)
+        assert radii is None
+        assert np.array_equal(w, w_bisected) and np.array_equal(u, u_bisected)
+
+
+def test_grid_step_levels_fall_back_when_a_solve_breaks_down(halfline_1024, monkeypatch):
+    v_half, _, h = halfline_1024
+    solve = scipy.linalg.lapack.dgtsv
+
+    def breaking(*args, **kwargs):
+        *out, _ = solve(*args, **kwargs)
+        return (*out, 1)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", breaking)
+    w, u, radii = qb._halfline_eigs(v_half, h, "even", 5)
+    assert radii is None
+    w_bisected, u_bisected = oracles.grid_step_bisection(4.0, UniformGrid(8.0, 1024), "even", 5)
+    assert np.array_equal(w, w_bisected) and np.array_equal(u, u_bisected)
+
+
+@pytest.mark.parametrize("nodes, count", [(512, 1), (1024, 17)])
+def test_grid_step_levels_bisect_when_the_coarse_copy_is_too_small(monkeypatch, nodes, count):
+    # 512 nodes leave 32 coarse points, under COARSE_MIN_POINTS; 1024 nodes
+    # leave 64, under COARSE_POINTS_PER_LEVEL * 17.  No coarse copy is
+    # solved, and the levels are bisection's, bit for bit.
+    grid = UniformGrid(8.0, nodes)
+    v_half = np.abs(grid.step * np.arange(nodes // 2)) ** 4.0
+    solve, sizes = scipy.linalg.eigh_tridiagonal, []
+
+    def recording(d, e, **kwargs):
+        sizes.append(d.size)
+        return solve(d, e, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
+    w, u, radii = qb._halfline_eigs(v_half, grid.step, "odd", count)
+    assert radii is None and sizes == [nodes // 2 - 1]
+    w_bisected, u_bisected = oracles.grid_step_bisection(4.0, grid, "odd", count)
+    assert np.array_equal(w, w_bisected) and np.array_equal(u, u_bisected)
+
+
+@pytest.fixture(scope="module")
+def pool_families():
+    """The 14 `quasibasis_grid` families of perfbench seed 20261017, each
+    with the coefficients of its seeded in-span vector."""
+    out = []
+    for item in ref.perfbench_gen().quasibasis_pool(20261017):
+        if item["kind"] == "hermite":
+            fam = shifted_family(item["a"], item["n_max"],
+                                 UniformGrid(item["half_width"], item["nodes"]))
+        else:
+            fam = anharmonic_family(item["beta"], item["weight"], item["n_max"])
+        out.append((fam, item["coeff"]))
+    return out
+
+
+def test_pool_anharmonic_levels_agree_with_bisection(pool_families):
+    # the 8 anharmonic pool families against n_max + 2 bisected levels per
+    # parity: the same parities, eigenvalues and g within LEVELS_TOL, and a
+    # weighted Gram within 1e-12 of I
+    anharmonic = [fam for fam, _ in pool_families if isinstance(fam, qb.AnharmonicFamily)]
+    assert len(anharmonic) == 8
+    for fam in anharmonic:
+        eigs, parities, _, g = oracles.full_range_levels(fam.beta, qb.ANHARMONIC_GRID, fam.n_max)
+        assert np.array_equal(fam.g_parities, parities)
+        assert np.max(np.abs(fam.eigenvalues - eigs)) <= LEVELS_TOL
+        assert np.max(np.abs(fam.g - g)) <= LEVELS_TOL
+        assert np.max(np.abs(weighted_gram(fam) - np.eye(fam.n_max + 1))) < 1e-12
+
+
+def test_span_residual_agrees_with_least_squares(pool_families):
+    # the R factor against the least-squares fit on the 14 pool families: in
+    # span both are rounding (at most 3e-15 measured); off span, on a fixed
+    # Gaussian and on the in-span vector plus 1e-8 noise, they agree to
+    # 7 significant digits
+    rng = np.random.default_rng(1017)
+    for fam, coeff in pool_families:
+        u = fam.f.T @ coeff
+        assert qb.span_residual(fam, u) <= 1e-14
+        assert ref.span_residual_lstsq(fam, u) <= 1e-14
+        noise = 1e-8 * np.linalg.norm(u) / np.sqrt(fam.nodes) * rng.standard_normal(fam.nodes)
+        for v in (np.exp(-fam.x ** 2).astype(complex), u + noise):
+            want = ref.span_residual_lstsq(fam, v)
+            assert abs(qb.span_residual(fam, v) - want) <= 1e-7 * want
+    assert qb.span_residual(fam, np.zeros(fam.nodes)) == 0.0
+
+
 def test_parity_mixing_refusal(monkeypatch):
     def degenerate_eigs(v_half, h, parity, count):
         w = 1.0 + np.arange(count, dtype=float)      # identical per parity
         vec = np.full((v_half.size if parity == "even" else v_half.size, count),
                       1.0 / np.sqrt(v_half.size))
-        return w, vec
+        return w, vec, None
 
     monkeypatch.setattr(qb, "_halfline_eigs", degenerate_eigs)
     with pytest.raises(ParityMixingError):
