@@ -45,12 +45,10 @@ from .extensions import (
     ExtremalityResult,
     MaximalDualPair,
     XSolutionSet,
-    any_sa_extension,
     classify_case,
     density_test,
     extension_from_x,
     extremality_test,
-    j_symmetrize,
     krein_interval,
     max_subspaces,
     solve_x_equation,
@@ -63,7 +61,6 @@ from .gmetric import (
     g_inner,
     jg_product,
     metric_report,
-    xi_norm_identity_residual,
 )
 from .sequence_model import (
     DefectPrediction,

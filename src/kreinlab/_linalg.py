@@ -7,8 +7,6 @@ from .errors import CayleyUndefinedError, InvariantViolation
 
 # Relative singular-value cutoff for all rank / orthonormalization decisions.
 RANK_RCOND = 1e-12
-# Eigenvalues of nominally-PSD matrices in [-PSD_CLAMP, 0) are clamped to 0.
-PSD_CLAMP = 1e-12
 # Tolerance for structural identities (involution, anticommutation, ...).
 STRUCT_TOL = 1e-10
 # Slack allowed above 1 when checking that a matrix is a contraction.
@@ -79,15 +77,6 @@ def is_self_adjoint(a: np.ndarray) -> bool:
 def from_spectrum(v: np.ndarray, values: np.ndarray) -> np.ndarray:
     """V diag(values) V* for the eigenvectors V of a Hermitian matrix."""
     return hermitize((v * values) @ v.conj().T)
-
-
-def psd_clamp(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a nominally PSD matrix, those in [-PSD_CLAMP max(1, largest), 0)
-    set to 0; anything more negative means it was not PSD and is an error."""
-    low = float(w.min(initial=0.0))
-    if low < -PSD_CLAMP * max(1.0, float(w.max(initial=0.0))):
-        raise InvariantViolation(f"matrix is not PSD (min eigenvalue {low:.3e})")
-    return np.clip(w, 0.0, None)
 
 
 def cayley_spectrum(w: np.ndarray) -> np.ndarray:

@@ -103,29 +103,6 @@ def _assemble(basis: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) ->
     return hermitize(basis @ np.block([[a, b.conj().T], [b, c]]) @ basis.conj().T)
 
 
-def any_sa_extension(t0: PartialContraction) -> np.ndarray:
-    """Some self-adjoint contractive extension of T0: the interval midpoint,
-    completed with the corner (C_min + C_max)/2."""
-    basis, _, a, b, c_min, c_max, _, _ = _completion(t0)
-    t = _assemble(basis, a, b, 0.5 * (c_min + c_max))
-    check_residual("completed midpoint is not a contraction", t, 1.0 + CONTRACTION_SLACK)
-    return t
-
-
-def j_symmetrize(space: SignatureSpace, t_prime,
-                 t0: PartialContraction | None = None) -> np.ndarray:
-    """T = (T' - J T' J)/2: anticommutes with J exactly, stays a contraction,
-    and still extends T0 whenever T' does (the domain is J-invariant)."""
-    t_prime = as_matrix(t_prime)
-    if not is_self_adjoint(t_prime):
-        raise InvariantViolation("input to j_symmetrize must be self-adjoint")
-    check_residual("input to j_symmetrize must be a contraction", t_prime,
-                   1.0 + CONTRACTION_SLACK)
-    if t0 is not None:
-        check_residual("input does not extend T0", t_prime @ t0.domain - t0.action, STRUCT_TOL)
-    return hermitize(0.5 * (t_prime - space.j @ t_prime @ space.j))
-
-
 @dataclass
 class ExtensionInterval:
     """Operator interval of self-adjoint contractive extensions."""
@@ -444,7 +421,10 @@ def max_subspaces(space: SignatureSpace, t) -> MaximalDualPair:
     For ||T|| = 1 individual image directions may become neutral (or
     collapse); they are reported rather than silently classified.
     """
-    t = hermitize(as_matrix(t))
+    t = as_matrix(t)
+    if not is_self_adjoint(t):
+        raise InvariantViolation("T must be self-adjoint")
+    t = hermitize(t)
     check_residual("T must anticommute with J", space.j @ t + t @ space.j, STRUCT_TOL)
     check_residual("T must be a contraction", t, 1.0 + CONTRACTION_SLACK)
     eye = np.eye(space.dim)

@@ -7,10 +7,12 @@ Endpoints: for any anticommuting self-adjoint contractive extension T of T0,
 
 with Q_1/Q_2 the projections onto the orthogonal complements of
 sqrt(I+T) D(T0) and sqrt(I-T) D(T0); unlike `extensions.krein_interval`,
-no block completion is involved.  Extremality: the metric-rank criterion,
-where `extensions.extremality_test` asks whether X is a projection.  Cayley
-transform defined: eigvalsh(T), where `extremality_test` reads the Cayley
-bounds of X and takes eigvalsh(T) only when they straddle the threshold.
+no block completion is involved (the default seed is the midpoint of that
+interval, and the endpoints do not depend on the seed).  Extremality: the
+metric-rank criterion, where `extensions.extremality_test` asks whether X
+is a projection.  Cayley transform defined: eigvalsh(T), where
+`extremality_test` reads the Cayley bounds of X and takes eigvalsh(T) only
+when they straddle the threshold.
 Sequence-model sweep: the n x n truncation (Xi from the eigenpairs of T,
 the preimage by least squares, `density_test` and `uniqueness_sup`), where
 `sequence_model.truncated_density_sweep` reads the block structure.
@@ -22,35 +24,56 @@ parity before the merge, where `quasibasis.anharmonic_family` solves only
 the levels the merge keeps.
 Cayley inverse: T = (I - G)(I + G)^{-1} from the eigenpairs of G, where
 `GMetric.from_contraction` builds G from those of T.
+Metric products: (f, g)_G as [f_+, g_+] - [f_-, g_-] over the split of f
+and g along L_+/- = (I + T) H_+/-, the G-norm of (I + T) x as ||Xi x|| with
+Xi = sqrt(I - T^2) from its own eigh of T, and [f, g]_G as the ambient
+[f, g], where `gmetric.g_inner` and `gmetric.jg_product` read G and J_G.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ._linalg import (CONTRACTION_SLACK, STRUCT_TOL, as_matrix, cayley_spectrum,
-                      check_residual, from_spectrum, hermitize, orthonormal_columns,
-                      psd_clamp)
+                      check_residual, from_spectrum, hermitize, orthonormal_columns)
 from .errors import CayleyUndefinedError, InvariantViolation
-from .extensions import any_sa_extension, density_test, j_symmetrize
+from .extensions import density_test, krein_interval
+from .gmetric import GMetric, g_inner, jg_product
 from .quasibasis import _full_line, _halfline_tridiagonal, merge_levels
 from .sequence_model import SequenceModelSpec, TruncationSample, build_model, series_terms
+from .spaces import fundamental_projections, indefinite_product
+
+# Random probe pairs on which metric_agreement measures route agreement.
+AGREEMENT_PROBES = 8
+# Eigenvalues of nominally-PSD matrices in [-PSD_CLAMP, 0) are clamped to 0.
+PSD_CLAMP = 1e-12
+
+
+def psd_clamp(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a nominally PSD matrix, those in [-PSD_CLAMP max(1, largest), 0)
+    set to 0; anything more negative means it was not PSD and is an error."""
+    low = float(w.min(initial=0.0))
+    if low < -PSD_CLAMP * max(1.0, float(w.max(initial=0.0))):
+        raise InvariantViolation(f"matrix is not PSD (min eigenvalue {low:.3e})")
+    return np.clip(w, 0.0, None)
 
 
 def sqrt_projection_endpoints(t0, seed=None):
     """(t_mu, t_m) ambient endpoint extensions via square-root corrections.
 
     seed may supply any anticommuting self-adjoint contractive extension of
-    T0; the default is the J-symmetrized interval midpoint.
+    T0; the default is the midpoint (T_mu + T_M)/2 of `krein_interval`,
+    which anticommutes because J T_mu J = -T_M.  Either seed must pass the
+    same three checks.
     """
     space = t0.space
     if seed is None:
-        t = j_symmetrize(space, any_sa_extension(t0), t0)
-    else:
-        t = hermitize(as_matrix(seed))
-        check_residual("seed extension must anticommute with J",
-                       space.j @ t + t @ space.j, STRUCT_TOL)
-        check_residual("seed does not extend T0", t @ t0.domain - t0.action, STRUCT_TOL)
-        check_residual("seed extension is not a contraction", t, 1.0 + CONTRACTION_SLACK)
+        interval = krein_interval(t0)
+        seed = 0.5 * (interval.t_mu + interval.t_m)
+    t = hermitize(as_matrix(seed))
+    check_residual("seed extension must anticommute with J",
+                   space.j @ t + t @ space.j, STRUCT_TOL)
+    check_residual("seed does not extend T0", t @ t0.domain - t0.action, STRUCT_TOL)
+    check_residual("seed extension is not a contraction", t, 1.0 + CONTRACTION_SLACK)
     eye = np.eye(space.dim)
     corrections = []
     for w, v in (np.linalg.eigh(hermitize(eye + t)), np.linalg.eigh(hermitize(eye - t))):
@@ -129,6 +152,73 @@ def uniqueness_sup(t0, g) -> float:
     return float(np.real(np.vdot(vec, vec)))
 
 
+def xi_operator(t) -> np.ndarray:
+    """Xi = sqrt(I - T^2) of a Hermitian contraction T, from eigh(T)."""
+    w, v = np.linalg.eigh(t)
+    return from_spectrum(v, np.sqrt(psd_clamp(1.0 - w * w)))
+
+
+def decompose(metric: GMetric, f) -> tuple[np.ndarray, np.ndarray]:
+    """Split f, a vector or an (n, k) stack of columns, along
+    (I + T) H_+ (+) (I + T) H_-, with one solve for the whole stack.  The
+    products are taken column by column, so each column has the bits of
+    its own split."""
+    f = np.asarray(f, dtype=complex)
+    eye_plus_t = np.eye(metric.space.dim) + metric.t
+    x = np.linalg.solve(eye_plus_t, f.reshape(metric.space.dim, -1))
+    p_plus, p_minus = fundamental_projections(metric.space)
+    plus = np.array([eye_plus_t @ (p_plus @ c) for c in x.T]).T
+    minus = np.array([eye_plus_t @ (p_minus @ c) for c in x.T]).T
+    return (plus, minus) if f.ndim == 2 else (plus[:, 0], minus[:, 0])
+
+
+def split_inner(metric: GMetric, f, g) -> complex:
+    """[f_+, g_+] - [f_-, g_-] over one `decompose` of [f, g]: the second
+    route to (f, g)_G."""
+    return split_inners(metric, np.column_stack([f, g]))[0]
+
+
+def split_inners(metric: GMetric, probes) -> list[complex]:
+    """`split_inner` of each column pair (f_i, g_i) = (probes[:, 2i],
+    probes[:, 2i + 1]) of an (n, 2k) stack, over one `decompose`."""
+    plus, minus = decompose(metric, probes)
+    return [indefinite_product(metric.space, plus[:, i], plus[:, i + 1])
+            - indefinite_product(metric.space, minus[:, i], minus[:, i + 1])
+            for i in range(0, plus.shape[1], 2)]
+
+
+def xi_norm_identity_residual(metric: GMetric, x) -> float:
+    """The largest | ||(I+T)x||_G - ||Xi x|| | over x, a vector or an (n, k)
+    stack of columns: the G-norm of f = (I+T)x equals ||Xi x||."""
+    x = np.asarray(x, dtype=complex).reshape(metric.space.dim, -1)
+    f = (np.eye(metric.space.dim) + metric.t) @ x
+    lhs = np.sqrt(np.clip(np.real(np.sum(f.conj() * (metric.g @ f), axis=0)), 0.0, None))
+    rhs = np.linalg.norm(xi_operator(metric.t) @ x, axis=0)
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+
+
+def metric_agreement(metric: GMetric, seed: int) -> dict:
+    """The largest disagreement of each second route on AGREEMENT_PROBES
+    random pairs (f, g), drawn from seed and projected off ker G: g_inner
+    against split_inners, jg_product against the ambient [f, g], and
+    xi_norm_identity_residual on the f."""
+    rng = np.random.default_rng(seed)
+    n = metric.space.dim
+    probes = np.column_stack([rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                              for _ in range(2 * AGREEMENT_PROBES)])   # f_1, g_1, f_2, ...
+    if metric.degenerate and metric.kernel.shape[1]:
+        probes = probes - metric.kernel @ (metric.kernel.conj().T @ probes)
+    pairs = [(probes[:, i], probes[:, i + 1]) for i in range(0, probes.shape[1], 2)]
+    split = split_inners(metric, probes)
+    return {
+        "inner_decomposition": max(abs(g_inner(metric, f, g) - s)
+                                   for (f, g), s in zip(pairs, split)),
+        "jg_vs_ambient": max(abs(jg_product(metric, f, g) - indefinite_product(metric.space, f, g))
+                             for f, g in pairs),
+        "xi_norm_identity": xi_norm_identity_residual(metric, probes[:, ::2]),
+    }
+
+
 def dense_density_sweep(spec, exponents) -> list[TruncationSample]:
     """`truncated_density_sweep` on the built 2N x 2N model at each N = 2^e."""
     out = []
@@ -137,9 +227,7 @@ def dense_density_sweep(spec, exponents) -> list[TruncationSample]:
         sub = SequenceModelSpec(spec.delta, spec.variant, n)
         inst = build_model(sub)
         chi = inst.chi_minus
-        w, v = np.linalg.eigh(inst.t)
-        xi = from_spectrum(v, np.sqrt(psd_clamp(1.0 - w * w)))
-        pre, *_ = np.linalg.lstsq(xi, chi, rcond=None)
+        pre, *_ = np.linalg.lstsq(xi_operator(inst.t), chi, rcond=None)
         norm_sq_matrix = float(np.real(np.vdot(pre, pre)))
         coeff_norm_sq = float(np.sum(np.arange(1, n + 1, dtype=float) ** (-2 * sub.delta)))
         norm_sq_series = float(np.sum(series_terms(sub.delta, n))) / coeff_norm_sq

@@ -10,23 +10,23 @@ from kreinlab import (
     GMetric,
     PartialContraction,
     SignatureSpace,
-    any_sa_extension,
     classify_case,
     density_test,
     extension_from_x,
     extremality_test,
     fundamental_bases,
-    j_symmetrize,
     krein_interval,
     max_subspaces,
     solve_x_equation,
     symmetrize_solution,
     x_equation_residual,
 )
+from kreinlab import gmetric
 from kreinlab._linalg import RESULT_TOL, hermitize, orthonormal_columns, random_unitary
 from kreinlab.cli import main
 from kreinlab.errors import InvariantViolation
-from kreinlab.oracles import cayley_inverse, rank_extremality, sqrt_projection_endpoints
+from kreinlab.oracles import (cayley_inverse, rank_extremality, sqrt_projection_endpoints,
+                              xi_operator)
 from kreinlab.sequence_model import SequenceModelSpec, build_model
 from kreinlab.serialize import dumps_report, matrix_to_obj
 from kreinlab.verify import (
@@ -50,36 +50,6 @@ def empty_domain_contraction(j2):
     space = SignatureSpace(j2)
     empty = np.zeros((2, 0), dtype=complex)
     return PartialContraction(space, empty, empty.copy())
-
-
-# --------------------------------------------------------- seed completions
-
-def test_any_sa_extension_full_domain_is_identity_map(j2):
-    space = SignatureSpace(j2)
-    t = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-    t0 = PartialContraction(space, np.eye(2, dtype=complex), t)
-    np.testing.assert_allclose(any_sa_extension(t0), t, atol=1e-12)
-
-
-def test_any_sa_extension_midpoint(j2):
-    # admissible corner interval is [-3/4, 3/4]; the midpoint completion is 0
-    got = any_sa_extension(half_contraction(j2))
-    np.testing.assert_allclose(got, [[0.0, 0.5], [0.5, 0.0]], atol=1e-9)
-
-
-def test_any_sa_extension_empty_domain(j2):
-    np.testing.assert_allclose(any_sa_extension(empty_domain_contraction(j2)),
-                               np.zeros((2, 2)), atol=1e-12)
-
-
-def test_j_symmetrize_cases(j2):
-    space = SignatureSpace(j2)
-    anti = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-    np.testing.assert_allclose(j_symmetrize(space, anti), anti, atol=1e-14)
-    for c in (-0.7, -0.2, 0.3, 0.74):
-        t_prime = np.array([[0.0, 0.5], [0.5, c]], dtype=complex)
-        np.testing.assert_allclose(j_symmetrize(space, t_prime), anti, atol=1e-14)
-    np.testing.assert_allclose(j_symmetrize(space, j2), np.zeros((2, 2)), atol=1e-14)
 
 
 # ----------------------------------------------------------- Krein interval
@@ -721,7 +691,7 @@ def test_one_eigh_route_matches_multi_eigh_oracle(seed, n):
             assert metric.degenerate == want["degenerate"]
             assert metric.kernel.shape[1] == want["kernel_dim"]
             assert opnorm(metric.g - want["g"]) <= RESULT_TOL
-            assert opnorm(metric.xi - want["xi"]) <= RESULT_TOL
+            assert opnorm(xi_operator(metric.t) - want["xi"]) <= RESULT_TOL
 
 
 @pytest.mark.parametrize("call", ("extremality_test", "density_test",
@@ -744,9 +714,14 @@ def test_one_eigendecomposition_of_t_per_call(monkeypatch, call):
                 counted.append(_name)
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, count)
+    spectra = []
+    monkeypatch.setattr(gmetric, "from_spectrum", lambda v, values, _real=gmetric.from_spectrum:
+                        spectra.append(values) or _real(v, values))
     run()
     # extremality_test reads cayley_defined from X: no n x n decomposition
     assert counted == {"extremality_test": []}.get(call, ["eigh"])
+    # GMetric forms one function of T from those eigenpairs, G
+    assert len(spectra) == (call == "GMetric.from_contraction")
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -905,6 +880,12 @@ def test_max_subspaces_zero(j2):
     np.testing.assert_allclose(np.abs(pair.l_plus.basis), [[1.0], [0.0]], atol=1e-12)
     np.testing.assert_allclose(np.abs(pair.l_minus.basis), [[0.0], [1.0]], atol=1e-12)
     assert not pair.degenerate
+
+
+def test_max_subspaces_refuses_a_t_that_is_not_self_adjoint(j2):
+    # the Hermitian part [[0, 1/4], [1/4, 0]] would pass every other check
+    with pytest.raises(InvariantViolation, match="self-adjoint"):
+        max_subspaces(SignatureSpace(j2), [[0.0, 0.5], [0.0, 0.0]])
 
 
 def test_max_subspaces_half(j2):

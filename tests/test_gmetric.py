@@ -10,10 +10,10 @@ from kreinlab import (
     jg_product,
     max_subspaces,
     metric_report,
-    xi_norm_identity_residual,
 )
-from kreinlab import gmetric
+from kreinlab import oracles
 from kreinlab.errors import CayleyUndefinedError, InvariantViolation
+from kreinlab.oracles import decompose, metric_agreement, split_inner, xi_norm_identity_residual
 from kreinlab.verify import random_anticommuting_contraction, random_signature_space
 
 T_HALF = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
@@ -95,6 +95,12 @@ def test_unit_norm_contraction_fails_loudly(j2):
         metric_for(j2, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
 
 
+def test_refuses_a_t_that_is_not_self_adjoint(j2):
+    # the Hermitian part [[0, 1/4], [1/4, 0]] would pass every other check
+    with pytest.raises(InvariantViolation, match="self-adjoint"):
+        metric_for(j2, np.array([[0.0, 0.5], [0.0, 0.0]]))
+
+
 def test_contraction_check_reads_the_eigenvalues(monkeypatch):
     # ||T|| = max |eigenvalue| of the one eigh: 1 - 1e-9 is accepted and
     # 1 + 1e-9 refused, as a non-contraction also when the eigenvalue beyond
@@ -114,11 +120,13 @@ def test_contraction_check_reads_the_eigenvalues(monkeypatch):
 
 def test_metric_report_structure(j2):
     m = metric_for(j2, T_HALF)
-    rep = metric_report(m, seed=5)
+    rep = metric_report(m)
+    assert rep.keys() == {"cond_G", "degenerate"}
     assert not rep["degenerate"]
     assert rep["cond_G"] == pytest.approx(9.0)
+    agreement = metric_agreement(m, 5)
     for key in ("inner_decomposition", "jg_vs_ambient", "xi_norm_identity"):
-        assert rep["agreement_residuals"][key] < 1e-10
+        assert agreement[key] < 1e-10
 
 
 def test_degenerate_metric_is_reachable_and_guarded():
@@ -133,9 +141,9 @@ def test_degenerate_metric_is_reachable_and_guarded():
     for product in (g_inner, jg_product):
         with pytest.raises(ValueError, match=r"ker\(G\)"):
             product(m, e1, e1)
-    rep = metric_report(m, seed=5)
+    rep = metric_report(m)
     assert rep["degenerate"] and rep["cond_G"] == np.inf
-    assert all(np.isfinite(v) for v in rep["agreement_residuals"].values())
+    assert all(np.isfinite(v) for v in metric_agreement(m, 5).values())
 
 
 def test_metric_symmetry_does_not_depend_on_the_basis():
@@ -166,21 +174,22 @@ def test_metric_symmetry_is_j_times_g(seed):
 
 
 def test_metric_report_decomposes_all_probes_at_once(monkeypatch, rng):
-    # The 2 * REPORT_PROBES probe vectors go through one decompose: one solve
-    # with I + T and one P+/- pair (16 of each when every probe had its own).
+    # The 2 * AGREEMENT_PROBES probe vectors of oracles.metric_agreement go
+    # through one decompose: one solve with I + T and one P+/- pair (16 of
+    # each when every probe had its own).
     sp = random_signature_space(rng, 12)
     m = GMetric.from_contraction(sp, random_anticommuting_contraction(rng, sp, norm_cap=0.9))
     calls = []
-    solve, projections = np.linalg.solve, gmetric.fundamental_projections
+    solve, projections = np.linalg.solve, oracles.fundamental_projections
     monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append("solve") or solve(*a))
-    monkeypatch.setattr(gmetric, "fundamental_projections",
+    monkeypatch.setattr(oracles, "fundamental_projections",
                         lambda space: calls.append("P") or projections(space))
-    rep = metric_report(m, seed=3)
+    agreement = metric_agreement(m, 3)
     assert calls == ["solve", "P"]
-    assert rep["agreement_residuals"]["inner_decomposition"] < 1e-10
+    assert agreement["inner_decomposition"] < 1e-10
     calls.clear()
     f, g = (rng.standard_normal(12) + 1j * rng.standard_normal(12) for _ in range(2))
-    split = m.split_inner(f, g)
+    split = split_inner(m, f, g)
     assert calls == ["solve", "P"]
     assert split == pytest.approx(g_inner(m, f, g), rel=1e-12)
 
@@ -189,10 +198,10 @@ def test_stacked_decompose_matches_single_vectors(rng):
     sp = random_signature_space(rng, 9)
     m = GMetric.from_contraction(sp, random_anticommuting_contraction(rng, sp, norm_cap=0.9))
     stack = rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5))
-    plus, minus = m.decompose(stack)
+    plus, minus = decompose(m, stack)
     assert plus.shape == minus.shape == (9, 5)
     np.testing.assert_allclose(plus + minus, stack, atol=1e-13)
     for i in range(5):
-        p, q = m.decompose(stack[:, i])
+        p, q = decompose(m, stack[:, i])
         np.testing.assert_allclose(plus[:, i], p, rtol=0, atol=1e-14)
         np.testing.assert_allclose(minus[:, i], q, rtol=0, atol=1e-14)

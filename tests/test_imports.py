@@ -1,4 +1,4 @@
-"""Seven small AST checks on ``src/kreinlab`` in place of a linter.
+"""Eight small AST checks on ``src/kreinlab`` in place of a linter.
 
 Unused imports: the names bound by ``import`` and ``from ... import``
 statements in each module, and in each test module under ``tests/``, must
@@ -30,6 +30,12 @@ the domain complement).
 
 No dead helpers: every top-level function of ``_linalg.py`` is called from
 another module of the package; importing it is not enough.
+
+No production code for the oracles alone: no top-level function of a
+module other than ``verify.py`` and ``oracles.py`` has ``oracles.py`` as
+its only caller in the package; such a route belongs in the oracles.  The
+exceptions are the public products that ``oracles.metric_agreement``
+measures, which are the first routes it compares its own against.
 """
 from __future__ import annotations
 
@@ -307,3 +313,23 @@ def test_linalg_helpers_are_called_from_other_modules():
     callers = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
                if path.name != "_linalg.py"]
     assert uncalled_functions((PACKAGE / "_linalg.py").read_text(), callers) == []
+
+
+# The public products that oracles.metric_agreement checks: in the package
+# only the oracles call them, as the first routes they compare against.
+MEASURED_BY_THE_ORACLES = {"g_inner", "jg_product", "indefinite_product"}
+
+
+def test_no_production_function_is_called_only_by_the_oracles():
+    oracle = (PACKAGE / "oracles.py").read_text()
+    others = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "oracles.py"]
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in ("verify.py", "oracles.py"):
+            source = path.read_text()
+            only = (set(uncalled_functions(source, others)) - MEASURED_BY_THE_ORACLES
+                    - set(uncalled_functions(source, [oracle])))
+            if only:
+                found[path.name] = sorted(only)
+    assert found == {}
