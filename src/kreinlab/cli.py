@@ -251,6 +251,8 @@ def _cmd_quasi_basis(args: argparse.Namespace) -> int:
         report["parities"] = [int(s) for s in fam.g_parities]
         report["weighted_gram_deviation"] = metric_dev
         report["max_richardson_error"] = float(np.max(fam.richardson_error))
+        report["extrapolated_eigenvalues"] = list(fam.extrapolated_eigenvalues)
+        report["max_extrapolation_error"] = float(np.max(fam.extrapolation_error))
     idx = range(n_max + 1)
     _write_csv(args.output_dir / "indefinite_gram.csv", ["m", "n", "re", "im"],
                [(m, n, ig[m, n].real, ig[m, n].imag) for m in idx for n in idx])

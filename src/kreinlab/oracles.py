@@ -19,9 +19,9 @@ the preimage by least squares, `density_test` and `uniqueness_sup`), where
 Anharmonic levels: bisection of the whole half-line problem on the grid's
 step, where `quasibasis.halfline_levels` bisects a 2**COARSENING times
 coarser copy and refines the prolonged eigenvectors; bisection on the halved
-step, where it refines the grid's eigenpairs there; and n_max + 2 levels per
-parity before the merge, where `quasibasis.anharmonic_family` solves only
-the levels the merge keeps.
+step, whose Richardson estimate checks the one that certified levels read
+from the coarse copy; and n_max + 2 levels per parity before the merge,
+where `quasibasis.anharmonic_family` solves only the levels the merge keeps.
 Cayley inverse: T = (I - G)(I + G)^{-1} from the eigenpairs of G, where
 `GMetric.from_contraction` builds G from those of T.
 Metric products: (f, g)_G as [f_+, g_+] - [f_-, g_-] over the split of f
@@ -38,7 +38,7 @@ from ._linalg import (CONTRACTION_SLACK, STRUCT_TOL, as_matrix, cayley_spectrum,
 from .errors import CayleyUndefinedError, InvariantViolation
 from .extensions import density_test, krein_interval
 from .gmetric import GMetric, g_inner, jg_product
-from .quasibasis import _full_line, _halfline_tridiagonal, merge_levels
+from .quasibasis import _full_line, _halfline_tridiagonal, merge_levels, richardson_estimates
 from .sequence_model import SequenceModelSpec, TruncationSample, build_model, series_terms
 from .spaces import fundamental_projections, indefinite_product
 
@@ -265,11 +265,14 @@ def halved_step_bisection(beta: float, grid, parity: str, count: int) -> np.ndar
 
 
 def full_range_levels(beta: float, grid, n_max: int):
-    """(eigenvalues, parities, Richardson errors, g rows) of the anharmonic
-    family from n_max + 2 levels per parity, each bisected on the grid's
-    step and on its halved step, merged as the family merges."""
+    """(eigenvalues, parities, Richardson estimates, g rows) of the
+    anharmonic family from n_max + 2 levels per parity, each bisected on the
+    grid's step and on its halved step, with the estimates of a parity that
+    fell back (`quasibasis.richardson_estimates` at s = 1/2), merged as the
+    family merges."""
     levels = []
     for parity in ("even", "odd"):
         w, u = grid_step_bisection(beta, grid, parity, n_max + 2)
-        levels.append((w, u, None, halved_step_bisection(beta, grid, parity, n_max + 2), None))
+        w_half = halved_step_bisection(beta, grid, parity, n_max + 2)
+        levels.append((w, u, None, richardson_estimates(w, w_half, 0.5)))
     return merge_levels(levels, n_max)

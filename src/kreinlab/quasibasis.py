@@ -12,14 +12,16 @@ indefinite Gram [f_m, f_n] and the signs sign Re [f_n, f_n]:
   multiplication by e^{2 a xi} on the Fourier side, and
   H = -d^2/dx^2 + x^2 + 2iax has f_n as eigenfunctions with eigenvalues
   1 + 2n + a^2;
-* `AnharmonicFamily` (`anharmonic_family`): f_n = e^{p(x)} g_n with g_n
-  the finite-difference eigenfunctions of H0 = -d^2/dx^2 + |x|^beta
-  (beta > 2), solved on the half line per parity, and p a bounded odd
-  weight exponent; the metric weight is e^{-2p(x)}.  Each parity's levels
-  are bisected on a 2**COARSENING times coarser copy of its half-line
-  problem and refined on the grid by Rayleigh-quotient iteration, under a
-  residual-bracket and Sturm-count certificate, with bisection of the whole
-  problem as the fallback.
+* `AnharmonicFamily` (`anharmonic_family`): f_n = e^{p(x)} g_n, real,
+  with g_n the finite-difference eigenfunctions of H0 = -d^2/dx^2 +
+  |x|^beta (beta > 2), solved on the half line per parity, and p a bounded
+  odd weight exponent; the metric weight is e^{-2p(x)}.  Each parity's
+  levels are bisected on a 2**COARSENING times coarser copy of its
+  half-line problem and refined on the grid by Rayleigh-quotient
+  iteration, under a residual-bracket and Sturm-count certificate, with
+  bisection of the whole problem as the fallback.  The Richardson error
+  estimate of each level and its extrapolated value are read from the
+  coarse copy's eigenvalues (`richardson_estimates`).
 
 Each type supplies only what differs, on whole row stacks: the data hf
 and the hooks `metric_rows` (the two row stacks whose product, times
@@ -67,9 +69,9 @@ SPAN_QR_ROWS = 1024
 # Largest deviation of the indefinite Gram from diag(sigma) that sign_pattern
 # still reports as J-orthonormal.
 J_ORTHONORMAL_TOL = 1e-6
-# Rayleigh-quotient refinement of the anharmonic levels, on the grid's step
-# and on the halved step: the most iteration steps per level, and the
-# rounding slack of each residual bracket in units of eps * ||T||_1.
+# Rayleigh-quotient refinement of the anharmonic levels on the grid's step:
+# the most iteration steps per level, and the rounding slack of each residual
+# bracket in units of eps * ||T||_1.
 RQI_STEPS = 6
 BRACKET_SLACK = 16.0
 # The anharmonic levels are bisected on a copy of each half-line problem with
@@ -128,12 +130,12 @@ class FunctionFamily:
     step: float
     half_width: float
     n_max: int
-    f: np.ndarray                  # (n_max+1, M) complex
+    f: np.ndarray                  # (n_max+1, M), complex or float64 (anharmonic)
     g: np.ndarray                  # (n_max+1, M) float, orthonormal reference
     g_parities: np.ndarray         # +/-1 parity of each g_n
     eigenvalues: np.ndarray        # lambda_n with H f_n = lambda_n f_n
     measure: float                 # quadrature weight of the metric product
-    hf: np.ndarray = field(repr=False)                  # H f_n, (n_max+1, M) complex
+    hf: np.ndarray = field(repr=False)                  # H f_n, (n_max+1, M), as f
     j_gram: np.ndarray = field(init=False, repr=False)  # [f_m, f_n] = step (P f) f*
     signs: np.ndarray = field(init=False)               # sign Re [f_n, f_n]
 
@@ -371,9 +373,10 @@ def _full_line(vec: np.ndarray, h: float, parity: str) -> np.ndarray:
 
 
 def _halfline_eigs(v_half: np.ndarray, h: float, parity: str, count: int):
-    """(eigenvalues, vectors, radii): the lowest `count` eigenpairs of the
-    `_halfline_tridiagonal` operator T on step h, with the eigenvectors as
-    half-line samples normalized on the full line (`_full_line`).
+    """(eigenvalues, vectors, radii, coarse eigenvalues): the lowest `count`
+    eigenpairs of the `_halfline_tridiagonal` operator T on step h, with the
+    eigenvectors as half-line samples normalized on the full line
+    (`_full_line`).
 
     The levels are bisected on the copy of the problem with step
     2**COARSENING * h, whose potential v_half[::2**COARSENING] holds the
@@ -382,7 +385,8 @@ def _halfline_eigs(v_half: np.ndarray, h: float, parity: str, count: int):
     them: with the sqrt(2) substitution, Euclidean orthogonality of the
     unknowns is orthogonality on the full line.  When the coarse copy has
     fewer than max(COARSE_MIN_POINTS, COARSE_POINTS_PER_LEVEL * count)
-    points or the certificate fails, T itself is bisected and radii is None.
+    points or the certificate fails, T itself is bisected, and radii and the
+    coarse eigenvalues are None.
     """
     # Deferred: importing scipy.linalg costs more than numpy itself, and only
     # the anharmonic family reaches this solver.
@@ -391,16 +395,17 @@ def _halfline_eigs(v_half: np.ndarray, h: float, parity: str, count: int):
     d, e = _halfline_tridiagonal(v_half, h, parity)
     stride = 2 ** COARSENING
     if v_half.size // stride >= max(COARSE_MIN_POINTS, COARSE_POINTS_PER_LEVEL * count):
-        _, vec = eigh_tridiagonal(*_halfline_tridiagonal(v_half[::stride], stride * h, parity),
-                                  select="i", select_range=(0, count - 1))
+        w_coarse, vec = eigh_tridiagonal(
+            *_halfline_tridiagonal(v_half[::stride], stride * h, parity),
+            select="i", select_range=(0, count - 1))
         # _full_line turns the coarse unknowns into the samples _prolong reads.
         starts = _prolong(_full_line(vec, stride * h, parity), parity, COARSENING)
         levels = _rayleigh_brackets(d, e, starts)
         if levels is not None:
             w, radii, rows = levels
-            return w, _full_line(np.linalg.qr(rows.T)[0], h, parity), radii
+            return w, _full_line(np.linalg.qr(rows.T)[0], h, parity), radii, w_coarse
     w, vec = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
-    return w, _full_line(vec, h, parity), None
+    return w, _full_line(vec, h, parity), None, None
 
 
 def _prolong(vec: np.ndarray, parity: str, times: int) -> np.ndarray:
@@ -491,21 +496,26 @@ def _count_up_to(d: np.ndarray, e: np.ndarray, floor: float, top: float):
     return found if info == 0 else None
 
 
-def _halved_step_eigs(v_fine: np.ndarray, h: float, parity: str, vec: np.ndarray):
-    """(eigenvalues, radii): the lowest vec.shape[1] eigenvalues of the
-    `_halfline_tridiagonal` operator on step h, refined by
-    `_rayleigh_brackets` from the eigenvectors `vec` of `_halfline_eigs` on
-    step 2h, prolonged.  When the certificate fails, the eigenvalues come
-    from bisection and radii is None.
-    """
-    from scipy.linalg import eigh_tridiagonal         # deferred, as in _halfline_eigs
+def richardson_estimates(w: np.ndarray, w_s: np.ndarray, s: float,
+                         w_2s: np.ndarray | None = None) -> np.ndarray:
+    """Rows (error estimate, extrapolated eigenvalue, its error estimate) of
+    the levels w on step h, from the same levels w_s on step s * h and, when
+    given, w_2s on step 2 s * h.
 
-    d, e = _halfline_tridiagonal(v_fine, h, parity)
-    levels = _rayleigh_brackets(d, e, _prolong(vec, parity, 1))
-    if levels is not None:
-        return levels[:2]
-    return eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                            select_range=(0, vec.shape[1] - 1)), None
+    With lambda_h = lambda + C h^2 + E h^4, the error estimate of w is
+    |w_s - w| / |s^2 - 1|, and lambda* = w + (w - w_s) / (s^2 - 1) is off by
+    -E s^2 h^4.  The same extrapolation from steps s h and 2 s h is off by
+    -4 E s^4 h^4, so their difference is 4 s^2 - 1 times the error of
+    lambda*.  Without w_2s no third level is solved, and the error estimate
+    of w stands for that of lambda*, conservatively.
+    """
+    scale = s * s - 1.0
+    error = np.abs(w_s - w) / abs(scale)
+    extrapolated = w + (w - w_s) / scale
+    if w_2s is None:
+        return np.array([error, extrapolated, error])
+    return np.array([error, extrapolated,
+                     np.abs(extrapolated - (4.0 * w_s - w_2s) / 3.0) / (4.0 * s * s - 1.0)])
 
 
 def merged_counts(n_max: int) -> tuple[int, int]:
@@ -516,22 +526,38 @@ def merged_counts(n_max: int) -> tuple[int, int]:
 
 def halfline_levels(beta: float, grid: UniformGrid, counts):
     """The half-line solves of `anharmonic_family`, for the even and then
-    the odd parity: (w, u, radii, w_fine, fine_radii) with (w, u) the lowest
+    the odd parity: (w, u, radii, estimates) with (w, u) the lowest
     counts[0] even / counts[1] odd eigenpairs of `_halfline_eigs` on the
-    grid and their certified radii, and w_fine the eigenvalues on its halved
-    step with theirs (`_halved_step_eigs`).  A parity with count 0 solves
-    nothing."""
+    grid, their certified radii, and the `richardson_estimates` of w.  A
+    certified parity reads them from its coarse copy on step 2**COARSENING
+    h and one eigenvalues-only bisection of the copy on twice that step
+    (half as many points as the coarse copy, so at least 2 * count); a
+    parity that fell back reads them from one eigenvalues-only bisection of
+    the halved step.  A parity with count 0 solves nothing."""
+    from scipy.linalg import eigh_tridiagonal         # deferred, as in _halfline_eigs
+
     h, half = grid.step, grid.nodes // 2
     v_half = np.abs(h * np.arange(half)) ** beta
-    v_half2 = np.abs(0.5 * h * np.arange(2 * half)) ** beta
+    stride = 2 ** COARSENING
     levels = []
     for parity, count in zip(("even", "odd"), counts):
         if count == 0:
             levels.append((np.empty(0), np.empty((v_half.size, 0)), np.empty(0),
-                           np.empty(0), np.empty(0)))
+                           np.empty((3, 0))))
             continue
-        w, u, radii = _halfline_eigs(v_half, h, parity, count)
-        levels.append((w, u, radii, *_halved_step_eigs(v_half2, 0.5 * h, parity, u)))
+        w, u, radii, w_coarse = _halfline_eigs(v_half, h, parity, count)
+        if w_coarse is not None:
+            w_coarser = eigh_tridiagonal(
+                *_halfline_tridiagonal(v_half[::2 * stride], 2 * stride * h, parity),
+                eigvals_only=True, select="i", select_range=(0, count - 1))
+            estimates = richardson_estimates(w, w_coarse, stride, w_coarser)
+        else:
+            v_half2 = np.abs(0.5 * h * np.arange(2 * half)) ** beta
+            w_half = eigh_tridiagonal(*_halfline_tridiagonal(v_half2, 0.5 * h, parity),
+                                      eigvals_only=True, select="i",
+                                      select_range=(0, count - 1))
+            estimates = richardson_estimates(w, w_half, 0.5)
+        levels.append((w, u, radii, estimates))
     return levels
 
 
@@ -552,14 +578,15 @@ def merge_certified(beta: float, grid: UniformGrid, levels) -> bool:
 
 
 def merge_levels(levels, n_max: int):
-    """(eigenvalues, parities, Richardson errors, g rows) of the n_max + 1
-    lowest levels of the half-line solves `levels` (`halfline_levels`).
+    """(eigenvalues, parities, estimates, g rows) of the n_max + 1 lowest
+    levels of the half-line solves `levels` (`halfline_levels`), with the
+    columns of their `richardson_estimates` in the same order.
 
     The branches are merged by eigenvalue.  The odd branch comes first, so
     on an exact tie the stable sort orders levels by (eigenvalue, parity,
     index).  Levels closer than 1e-8 relative are refused.
     """
-    (w_even, u_even, _, w_even2, _), (w_odd, u_odd, _, w_odd2, _) = levels
+    (w_even, u_even, _, est_even), (w_odd, u_odd, _, est_odd) = levels
     w_all = np.concatenate([w_odd, w_even])
     order = np.argsort(w_all, kind="stable")[: n_max + 1]
     eigs = w_all[order]
@@ -569,7 +596,7 @@ def merge_levels(levels, n_max: int):
             "even/odd eigenvalue branches are too close to separate reliably"
         )
     parities = np.where(order < w_odd.size, -1, 1)
-    richardson = np.abs(w_all - np.concatenate([w_odd2, w_even2]))[order] / 3.0
+    estimates = np.hstack([est_odd, est_even])[:, order]
 
     # Map half-line solutions onto the full grid, with the Dirichlet value
     # 0 at |x| = L in the last column.
@@ -579,27 +606,44 @@ def merge_levels(levels, n_max: int):
     offset = np.arange(2 * half) - half
     g = np.take(u_rows, np.abs(offset), axis=1)
     g[parities < 0] *= np.sign(offset)
-    return eigs, parities, richardson, g
+    return eigs, parities, estimates, g
 
 
 @dataclass(frozen=True)
 class AnharmonicFamily(FunctionFamily):
-    """f_n = e^{p} g_n for |x|^beta; the metric is the weight e^{-2p}."""
+    """f_n = e^{p} g_n for |x|^beta; the metric is the weight e^{-2p}.
+
+    eigenvalues are the levels lambda_h on the grid's step, the partners of
+    f and hf; richardson_error estimates their discretization error, and
+    extrapolated_eigenvalues are the Richardson-extrapolated levels with
+    their own error estimate extrapolation_error (`richardson_estimates`).
+    The weights e^{-2p} and e^{-p} are held read-only."""
     kind = "weighted_anharmonic"
     beta: float
     p_name: str
     p_funcs: tuple = field(repr=False)       # (p, p', p'')
     richardson_error: np.ndarray
+    extrapolated_eigenvalues: np.ndarray
+    extrapolation_error: np.ndarray
+    weight: np.ndarray = field(init=False, repr=False)        # e^{-2p}
+    half_weight: np.ndarray = field(init=False, repr=False)   # e^{-p}
+
+    def __post_init__(self):
+        super().__post_init__()
+        p = self.p_funcs[0](self.x)
+        for name, value in (("weight", np.exp(-2.0 * p)), ("half_weight", np.exp(-p))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def metric_rows(self, rows, label: str):
         """(e^{-2p} rows, rows): the weight needs no band gate."""
-        return rows * np.exp(-2.0 * self.p_funcs[0](self.x)), rows
+        return rows * self.weight, rows
 
     def half_metric(self, u) -> np.ndarray:
-        return np.exp(-self.p_funcs[0](self.x)) * np.asarray(u)
+        return self.half_weight * np.asarray(u)
 
     def metric(self, u) -> np.ndarray:
-        return np.exp(-2.0 * self.p_funcs[0](self.x)) * u
+        return self.weight * u
 
 
 def _anharmonic_hf(f: np.ndarray, x: np.ndarray, h: float, beta: float, p1, p2) -> np.ndarray:
@@ -622,21 +666,27 @@ def _anharmonic_hf(f: np.ndarray, x: np.ndarray, h: float, beta: float, p1, p2) 
 
 def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
                       grid: UniformGrid = ANHARMONIC_GRID) -> AnharmonicFamily:
-    """Weighted anharmonic family f_n = e^{p} g_n.
+    """Weighted anharmonic family f_n = e^{p} g_n, stored as float64.
 
     g_n are finite-difference eigenfunctions of -d^2/dx^2 + |x|^beta,
     computed on the half line with explicit even/odd boundary conditions so
     each one has exact parity, from a coarser copy refined on the grid
     (`_halfline_eigs`).  Only the levels the merge keeps are solved
     (`merged_counts`), when `merge_certified` shows they are the lowest;
-    otherwise each parity solves n_max + 2.  The Richardson step-halving
-    estimate of the eigenvalue discretization error,
-    |lambda_h - lambda_{h/2}| / 3, reads the eigenvalues on the halved step
-    from the coarse eigenpairs refined there (`_halved_step_eigs`).  p must
-    be a bounded odd weight from BUILTIN_WEIGHTS.
+    otherwise each parity solves n_max + 2.  Each parity is solved once on
+    the grid's step: the Richardson estimate of the discretization error of
+    lambda_h, the extrapolated levels and their error estimate are read
+    from the coarse copy's eigenvalues and one eigenvalues-only bisection of
+    a copy twice as coarse, or, where a parity fell back, of the halved
+    step (`halfline_levels`).  p must be a bounded odd weight from
+    BUILTIN_WEIGHTS, and half_width ** beta must be finite.
     """
     if not 2.0 < beta < np.inf:
         raise ValueError("beta must exceed 2 and be finite")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.float64(grid.half_width) ** beta):
+            raise ValueError(f"beta {beta} overflows the potential |x|^beta on the grid: "
+                             f"half_width {grid.half_width} ** beta is not finite")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max + 2 > grid.nodes // 2 - 1:      # fallback eigenpairs per parity vs held
@@ -648,12 +698,10 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
     p, p1, p2 = BUILTIN_WEIGHTS[p_name]()
     x = grid.points()
     h = grid.step
-    # The coarse eigenpairs give g_n; refined on the halved step, they give
-    # the Richardson estimate of the eigenvalue discretization error.
     levels = halfline_levels(beta, grid, merged_counts(n_max))
     if not merge_certified(beta, grid, levels):
         levels = halfline_levels(beta, grid, (n_max + 2, n_max + 2))
-    eigs, parities, richardson, g = merge_levels(levels, n_max)
+    eigs, parities, (richardson, extrapolated, extrapolation), g = merge_levels(levels, n_max)
 
     # Odd weight and growth envelope |p^(k)| <= C (1+x^2)^{(alpha-k)/2},
     # alpha < beta/2 + 1, checked numerically on the grid.
@@ -669,7 +717,7 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
                 f"weight derivative order {k} exceeds the admissible growth envelope",
                 stacklevel=2,
             )
-    f = (np.exp(p(x))[None, :] * g).astype(complex)
+    f = np.exp(p(x))[None, :] * g
     return AnharmonicFamily(
         x=x,
         step=h,
@@ -685,6 +733,8 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
         p_name=p_name,
         p_funcs=(p, p1, p2),
         richardson_error=richardson,
+        extrapolated_eigenvalues=extrapolated,
+        extrapolation_error=extrapolation,
     )
 
 

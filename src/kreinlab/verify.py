@@ -103,10 +103,13 @@ HERMITE_RESIDUAL_TOL = 1e-8
 H_GRAM_TOL = 1e-5
 C_ROUTE_TOL = 1e-6
 # Anharmonic family: weighted Gram against I, conjugated-operator residual,
-# Richardson eigenvalue error.
+# error estimate of the Richardson-extrapolated eigenvalues, and the relative
+# gap between the Richardson error estimate of the levels and 4/3 of their
+# difference from the halved-step bisection.
 WEIGHTED_GRAM_TOL = 1e-10
 ANHARMONIC_RESIDUAL_TOL = 1e-4
 RICHARDSON_TOL = 1e-4
+RICHARDSON_ORACLE_REL = 0.01
 # The family's trimmed level solves against n_max + 2 per parity: eigenvalues
 # and g rows.
 LEVELS_TOL = 1e-9
@@ -619,8 +622,10 @@ def _check_quasibasis_anharmonic(rng) -> str:
     lam, residuals = eigen_residual(fam)
     if np.max(residuals) > ANHARMONIC_RESIDUAL_TOL:
         raise AssertionError(f"conjugated-operator residual {np.max(residuals):.3e}")
-    if np.max(fam.richardson_error) > RICHARDSON_TOL:
-        raise AssertionError("eigenvalue discretization error too large")
+    extrapolation = float(np.max(fam.extrapolation_error))
+    if extrapolation > RICHARDSON_TOL:
+        raise AssertionError(f"max_extrapolation_error {extrapolation:.3e} exceeds "
+                             f"RICHARDSON_TOL {RICHARDSON_TOL:.0e}")
     target = fam.f[1] - 2.0 * fam.f[4]
     rep = expansion(fam, target)
     if rep.g_errors[-1] > EXPANSION_TOL or np.any(np.diff(rep.g_errors) > MONOTONE_SLACK):
@@ -629,8 +634,8 @@ def _check_quasibasis_anharmonic(rng) -> str:
     # n_max + 2 levels per parity; its levels on the grid's step against
     # bisection there, each eigenvalue within its certified radius (or equal
     # to bisection where the parity fell back to it) and each vector within
-    # LEVELS_TOL; its refined step-halving eigenvalues against bisection,
-    # each within its certified radius.
+    # LEVELS_TOL; its Richardson error estimates against 4/3 of the levels'
+    # difference from bisection on the halved step.
     grid = UniformGrid(8.0, 1024)
     counts = merged_counts(fam.n_max)
     levels = halfline_levels(4.0, grid, counts)
@@ -647,7 +652,7 @@ def _check_quasibasis_anharmonic(rng) -> str:
         raise AssertionError(f"levels deviate from the full-range levels by {level_dev:.3e}")
     grid_worst = vec_dev = worst = 0.0
     fell_back = 0
-    for parity, count, (w, u, radii, fine, fine_radii) in zip(("even", "odd"), counts, levels):
+    for parity, count, (w, u, radii, estimates) in zip(("even", "odd"), counts, levels):
         w_bisected, u_bisected = oracles.grid_step_bisection(4.0, grid, parity, count)
         gap = np.abs(w - w_bisected)
         if radii is None:
@@ -657,22 +662,21 @@ def _check_quasibasis_anharmonic(rng) -> str:
         else:
             grid_worst = max(grid_worst, float(np.max(gap / radii)))
         vec_dev = max(vec_dev, float(np.max(np.abs(u - u_bisected))))
-        if fine_radii is None:
-            raise AssertionError(f"{parity} step-halving eigenvalues fell back to bisection")
-        gap = np.abs(fine - oracles.halved_step_bisection(4.0, grid, parity, count))
-        worst = max(worst, float(np.max(gap / fine_radii)))
+        want = 4.0 / 3.0 * np.abs(w - oracles.halved_step_bisection(4.0, grid, parity, count))
+        worst = max(worst, float(np.max(np.abs(estimates[0] - want) / want)))
     if grid_worst > 1.0:
         raise AssertionError(f"grid-step eigenvalue {grid_worst:.2f} radii from bisection")
     if vec_dev > LEVELS_TOL:
         raise AssertionError(f"grid-step vectors deviate from bisection by {vec_dev:.3e}")
-    if worst > 1.0:
-        raise AssertionError(f"step-halving eigenvalue {worst:.2f} radii from bisection")
+    if worst > RICHARDSON_ORACLE_REL:
+        raise AssertionError(f"Richardson error estimates {worst:.2%} from the halved-step oracle")
     return (f"beta = 4 family: Gram dev {offdiag:.1e}, weighted Gram dev {dev:.1e}, "
-            f"max residual {np.max(residuals):.1e}, levels within {level_dev:.1e} of "
-            f"n_max + 2 per parity, grid-step eigenvalues within {grid_worst:.2f} bracket "
-            f"radii and vectors within {vec_dev:.1e} of bisection ({fell_back} of 2 "
-            f"parities fell back), step-halving eigenvalues within {worst:.2f} bracket "
-            f"radii of bisection")
+            f"max residual {np.max(residuals):.1e}, max_extrapolation_error "
+            f"{extrapolation:.1e} (RICHARDSON_TOL {RICHARDSON_TOL:.0e}), levels within "
+            f"{level_dev:.1e} of n_max + 2 per parity, grid-step eigenvalues within "
+            f"{grid_worst:.2f} bracket radii and vectors within {vec_dev:.1e} of bisection "
+            f"({fell_back} of 2 parities fell back), Richardson error estimates within "
+            f"{worst:.2%} of the halved-step oracle")
 
 
 def _float_edge_values() -> list[float]:

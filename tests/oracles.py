@@ -299,14 +299,15 @@ def exact_count_below(d, e, c: float) -> int:
     return changes
 
 
-def halfline_merge_loop(even, odd, even_fine, odd_fine, n_max: int):
-    """(eigenvalues, parities, Richardson errors, g rows) of the anharmonic
-    family from its half-line solves, one level at a time.
+def halfline_merge_loop(even, odd, even_estimates, odd_estimates, n_max: int):
+    """(eigenvalues, parities, estimates, g rows) of the anharmonic family
+    from its half-line solves, one level at a time.
 
-    `even` and `odd` are (eigenvalues, half-line vectors) on the coarse
-    grid, `even_fine` and `odd_fine` the eigenvalues on the halved step.
-    The levels are merged by sorting (eigenvalue, parity, index) tuples and
-    each g row is mapped onto the full grid on its own.
+    `even` and `odd` are (eigenvalues, half-line vectors) on the grid,
+    `even_estimates` and `odd_estimates` the rows (Richardson error,
+    extrapolated eigenvalue, its error) of those levels.  The levels are
+    merged by sorting (eigenvalue, parity, index) tuples, and each g row is
+    mapped onto the full grid on its own.
     """
     (w_even, u_even), (w_odd, u_odd) = even, odd
     half = u_even.shape[0]
@@ -314,17 +315,15 @@ def halfline_merge_loop(even, odd, even_fine, odd_fine, n_max: int):
                     + [(w_odd[k], -1, k) for k in range(w_odd.size)])[: n_max + 1]
     eigs = np.array([t[0] for t in merged])
     parities = np.array([t[1] for t in merged])
-    richardson = np.array([
-        abs((w_even if s > 0 else w_odd)[k] - (even_fine if s > 0 else odd_fine)[k]) / 3.0
-        for _, s, k in merged
-    ])
+    estimates = np.array([(even_estimates if s > 0 else odd_estimates)[:, k]
+                          for _, s, k in merged]).T
     offset = np.arange(2 * half) - half
     rows = []
     for _, s, k in merged:
         u = np.concatenate([(u_even if s > 0 else u_odd)[:, k], [0.0]])
         row = u[np.abs(offset)]
         rows.append(row * np.sign(offset) if s < 0 else row)
-    return eigs, parities, richardson, np.array(rows)
+    return eigs, parities, estimates, np.array(rows)
 
 
 def weighted_h_gram(x, step, p, hf, f) -> np.ndarray:

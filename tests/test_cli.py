@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,9 @@ def test_quasi_basis_anharmonic_outputs(tmp_path):
     assert report["indefinite_gram_offdiag"] < 1e-6
     assert report["weighted_gram_deviation"] < 1e-10
     assert report["max_richardson_error"] < 1e-3
+    assert len(report["extrapolated_eigenvalues"]) == 5
+    assert report["max_extrapolation_error"] < 1e-6
+    assert report["extrapolated_eigenvalues"][0] == pytest.approx(1.0603620904, abs=2e-9)
     assert report["eigenvalues"][0] == pytest.approx(1.0603620904, abs=2e-6)
 
 
@@ -494,6 +498,18 @@ def test_exit_code_2_anharmonic_nmax_beyond_grid(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "n_max 5000" in err and "at most 4093" in err
+
+
+def test_exit_code_2_anharmonic_beta_overflowing_the_potential(tmp_path, capsys):
+    # 8 ** 400 overflows: refused up front, naming beta and the half-width,
+    # with no overflow warning from the potential
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["quasi-basis", "anharmonic", "--beta", "400", "--nmax", "2",
+                      "--output-dir", tmp_path / "o"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "beta 400.0" in err and "half_width 8.0" in err
 
 
 # ----------------------------------------------------------- console script

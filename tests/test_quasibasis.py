@@ -433,6 +433,29 @@ def test_anharmonic_spectrum_against_reference(fam_anh):
     np.testing.assert_allclose(got, want, atol=5e-4)
 
 
+def test_anharmonic_richardson_error_is_the_error_of_the_grid_levels(fam_anh):
+    # the estimate read from the coarse copy is the error of lambda_h itself,
+    # not the 4x smaller one of lambda_{h/2}, and the extrapolated levels
+    # match the reference, which is good to about 1e-6
+    want = ref.quartic_reference_eigenvalues(9)
+    ratio = np.abs(fam_anh.eigenvalues - want) / fam_anh.richardson_error
+    assert np.all((0.95 <= ratio[2:]) & (ratio[2:] <= 1.05)), ratio
+    assert np.max(np.abs(fam_anh.extrapolated_eigenvalues - want)) < 2e-6
+    assert np.all(fam_anh.extrapolation_error < 1e-6)
+
+
+def test_anharmonic_family_is_real(fam_anh):
+    # f = e^p g is real, and so are its rows H f and its Grams; the weights
+    # are held read-only, bit for bit the expressions they replace
+    for rows in (fam_anh.f, fam_anh.hf, fam_anh.j_gram, metric_gram(fam_anh),
+                 h_gram_in_g(fam_anh)):
+        assert rows.dtype == np.float64
+    p = fam_anh.p_funcs[0](fam_anh.x)
+    assert np.array_equal(fam_anh.weight, np.exp(-2.0 * p))
+    assert np.array_equal(fam_anh.half_weight, np.exp(-p))
+    assert not fam_anh.weight.flags.writeable and not fam_anh.half_weight.flags.writeable
+
+
 def test_anharmonic_gnorm_identity(fam_anh, rng):
     # ||f||_G^2 = (e^{-2p} f, f)
     coeffs = rng.standard_normal(9)
@@ -468,6 +491,8 @@ def test_anharmonic_validation():
         anharmonic_family(2.0)          # beta must exceed 2
     with pytest.raises(ValueError):
         anharmonic_family(4.0, "no_such_weight")
+    with pytest.raises(ValueError, match=r"beta 400.0 .* half_width 8.0"):
+        anharmonic_family(400.0, n_max=2)     # 8 ** 400 overflows
 
 
 def test_anharmonic_nmax_bounded_by_the_half_line_grid():
@@ -487,20 +512,20 @@ def test_anharmonic_tanh_weight():
 
 
 def test_anharmonic_richardson_solves_are_eigenvalues_only(monkeypatch):
-    # the only eigh_tridiagonal calls are the eigenvector bisections of the
-    # 2**COARSENING times coarser copies (64 half-line points on a 1024-node
-    # grid), one per parity for the 2 levels the merge keeps at n_max 3; none
-    # runs on the grid's own 512 / 511 rows.  On the grid, one Sturm count
-    # per parity certifies the refined levels and one the merge, and the
-    # step-halving eigenvalues are refined from the grid's vectors, with one
-    # Sturm count per parity and no bisection
+    # the only eigh_tridiagonal calls are, per parity for the 2 levels the
+    # merge keeps at n_max 3, the eigenvector bisection of the
+    # 2**COARSENING times coarser copy (64 half-line points on a 1024-node
+    # grid) and the eigenvalues-only bisection of the copy twice as coarse
+    # (32 points); none runs on the grid's own 512 / 511 rows or on the
+    # halved step.  On the grid, one Sturm count per parity certifies the
+    # refined levels and one the merge
     solve, count = scipy.linalg.eigh_tridiagonal, scipy.linalg.lapack.dstebz
     calls = []
 
     def counting_solve(d, e, **kwargs):
-        out = solve(d, e, **kwargs)
-        calls.append(("eigh_tridiagonal", d.size, isinstance(out, tuple), out[0].size))
-        return out
+        calls.append(("eigh_tridiagonal", d.size, kwargs.get("eigvals_only", False),
+                      kwargs["select_range"][1] + 1))
+        return solve(d, e, **kwargs)
 
     def counting_count(d, e, *args):
         calls.append(("dstebz", d.size, args[0]))
@@ -513,9 +538,10 @@ def test_anharmonic_richardson_solves_are_eigenvalues_only(monkeypatch):
     assert qb.COARSENING == 3
     assert sorted(calls) == [("dstebz", 511, 1), ("dstebz", 511, 1),
                              ("dstebz", 512, 1), ("dstebz", 512, 1),
-                             ("dstebz", 1023, 1), ("dstebz", 1024, 1),
-                             ("eigh_tridiagonal", 63, True, 2),
-                             ("eigh_tridiagonal", 64, True, 2)]
+                             ("eigh_tridiagonal", 31, True, 2),
+                             ("eigh_tridiagonal", 32, True, 2),
+                             ("eigh_tridiagonal", 63, False, 2),
+                             ("eigh_tridiagonal", 64, False, 2)]
 
 
 @pytest.mark.parametrize("beta, weight, n_max", [(4.0, "x_over_1px2", 6), (3.0, "tanh", 9)])
@@ -524,13 +550,15 @@ def test_anharmonic_merge_matches_loop_reference(beta, weight, n_max):
     # loop of the reference computes, bit for bit
     grid = UniformGrid(8.0, 1024)
     fam = anharmonic_family(beta, weight, n_max=n_max, grid=grid)
-    (w_even, u_even, _, w_even_fine, _), (w_odd, u_odd, _, w_odd_fine, _) = qb.halfline_levels(
+    (w_even, u_even, _, est_even), (w_odd, u_odd, _, est_odd) = qb.halfline_levels(
         beta, grid, qb.merged_counts(n_max))
-    eigs, parities, richardson, g = ref.halfline_merge_loop(
-        (w_even, u_even), (w_odd, u_odd), w_even_fine, w_odd_fine, n_max)
+    eigs, parities, estimates, g = ref.halfline_merge_loop(
+        (w_even, u_even), (w_odd, u_odd), est_even, est_odd, n_max)
     assert np.array_equal(fam.eigenvalues, eigs)
     assert np.array_equal(fam.g_parities, parities)
-    assert np.array_equal(fam.richardson_error, richardson)
+    assert np.array_equal(fam.richardson_error, estimates[0])
+    assert np.array_equal(fam.extrapolated_eigenvalues, estimates[1])
+    assert np.array_equal(fam.extrapolation_error, estimates[2])
     assert np.array_equal(fam.g, g)
 
 
@@ -561,11 +589,12 @@ def test_anharmonic_g_matches_the_per_column_normalization(monkeypatch, beta, n_
     monkeypatch.setattr(qb, "_full_line", recording_normalize)
     monkeypatch.setattr(qb, "_halfline_eigs", recording_solve)
     fam = anharmonic_family(beta, "tanh", n_max=n_max)
-    assert len(raw) == len(solved) == 2 and all(radii is not None for *_, radii in solved)
+    assert len(raw) == len(solved) == 2 and all(radii is not None for _, _, radii, _ in solved)
     even, odd = ((w, ref.full_line_loop(vec, grid.step, parity))
                  for (w, *_), vec, parity in zip(solved, raw, ("even", "odd")))
     counts = qb.merged_counts(n_max)
-    *_, g = ref.halfline_merge_loop(even, odd, np.zeros(counts[0]), np.zeros(counts[1]), n_max)
+    *_, g = ref.halfline_merge_loop(even, odd, np.zeros((3, counts[0])), np.zeros((3, counts[1])),
+                                    n_max)
     assert fam.g.tobytes() == g.tobytes()
 
 
@@ -599,16 +628,19 @@ def test_merge_falls_back_to_the_full_range_levels(monkeypatch):
     def dropping(v_half, h, parity, count):
         if parity == "odd" or count == n_max + 2:
             return solve(v_half, h, parity, count)
-        w, u, radii = solve(v_half, h, parity, count + 1)
-        return w[1:], u[:, 1:], radii
+        w, u, radii, w_coarse = solve(v_half, h, parity, count + 1)
+        assert radii is None and w_coarse is None    # 16 nodes: under the size floor
+        return w[1:], u[:, 1:], radii, w_coarse
 
     monkeypatch.setattr(qb, "_halfline_eigs", dropping)
     assert not qb.merge_certified(4.0, grid, qb.halfline_levels(4.0, grid, qb.merged_counts(n_max)))
     fam = anharmonic_family(4.0, "x_over_1px2", n_max=n_max, grid=grid)
-    eigs, parities, richardson, g = oracles.full_range_levels(4.0, grid, n_max)
+    eigs, parities, estimates, g = oracles.full_range_levels(4.0, grid, n_max)
     assert np.array_equal(fam.eigenvalues, eigs)
     assert np.array_equal(fam.g_parities, parities)
-    assert np.array_equal(fam.richardson_error, richardson)
+    assert np.array_equal(fam.richardson_error, estimates[0])
+    assert np.array_equal(fam.extrapolated_eigenvalues, estimates[1])
+    assert np.array_equal(fam.extrapolation_error, estimates[2])
     assert np.array_equal(fam.g, g)
 
 
@@ -634,101 +666,6 @@ def test_anharmonic_lowest_levels(monkeypatch, n_max, solved):
     assert np.max(np.abs(weighted_gram(fam) - np.eye(n_max + 1))) < 1e-12
 
 
-@pytest.mark.parametrize("beta, n_max", POOL_LEVELS + VERIFY_LEVELS)
-def test_step_halving_eigenvalues_agree_with_bisection(beta, n_max):
-    # the certificate holds on the default grid (no fallback) at the counts
-    # the merge keeps and at the n_max + 2 of its fallback, and each refined
-    # eigenvalue lies within its bracket of the bisection value
-    grid = qb.ANHARMONIC_GRID
-    for counts in (qb.merged_counts(n_max), (n_max + 2, n_max + 2)):
-        levels = qb.halfline_levels(beta, grid, counts)
-        for parity, count, (*_, fine, radii) in zip(("even", "odd"), counts, levels):
-            assert radii is not None, (parity, count)
-            gap = np.abs(fine - oracles.halved_step_bisection(beta, grid, parity, count))
-            assert np.all(gap <= 1e-9) and np.all(gap <= radii), (parity, count)
-
-
-def test_step_halving_falls_back_on_an_under_resolved_grid():
-    # 256 nodes at n_max 40: the certificate fails for both parities, and
-    # the family's Richardson errors come from the bisection values
-    grid, n_max = UniformGrid(8.0, 256), 40
-    counts = qb.merged_counts(n_max)
-    fam = anharmonic_family(6.0, "x_over_1px2", n_max=n_max, grid=grid)
-    (w_even, u_even, _, fine_even, radii_even), (w_odd, u_odd, _, fine_odd, radii_odd) = (
-        qb.halfline_levels(6.0, grid, counts))
-    assert radii_even is None and radii_odd is None
-    bisected = [oracles.halved_step_bisection(6.0, grid, parity, count)
-                for parity, count in zip(("even", "odd"), counts)]
-    assert np.array_equal(fine_even, bisected[0]) and np.array_equal(fine_odd, bisected[1])
-    _, _, richardson, _ = ref.halfline_merge_loop((w_even, u_even), (w_odd, u_odd),
-                                                  *bisected, n_max)
-    assert np.array_equal(fam.richardson_error, richardson)
-
-
-@pytest.mark.parametrize("nodes, beta, n_max", [(64, 2.5, 6), (64, 4.0, 6), (128, 4.0, 10),
-                                                (256, 3.0, 10)])
-def test_step_halving_brackets_hold_their_eigenvalues(nodes, beta, n_max):
-    # exact Sturm counts of the stored halved-step matrix: certified bracket
-    # j holds the j-th lowest eigenvalue and no other, at the counts the merge
-    # keeps and at the n_max + 2 of its fallback; without the rounding slack,
-    # the odd problem of (64, 4.0, 6) certifies a bracket that holds none.
-    # A parity that fails the certificate returns the bisection values.
-    grid = UniformGrid(8.0, nodes)
-    h = 0.5 * grid.step
-    v_half2 = np.abs(h * np.arange(nodes)) ** beta
-    for counts in (qb.merged_counts(n_max), (n_max + 2, n_max + 2)):
-        levels = qb.halfline_levels(beta, grid, counts)
-        for parity, count, (*_, fine, radii) in zip(("even", "odd"), counts, levels):
-            if radii is None:
-                assert np.array_equal(
-                    fine, oracles.halved_step_bisection(beta, grid, parity, count))
-                continue
-            d, e = qb._halfline_tridiagonal(v_half2, h, parity)
-            for j in range(count):
-                assert ref.exact_count_below(d, e, fine[j] - radii[j]) == j, (parity, j)
-                assert ref.exact_count_below(d, e, fine[j] + radii[j]) == j + 1, (parity, j)
-
-
-@pytest.fixture(scope="module")
-def halfline_1024():
-    """(v_half, v_half2, h) of the beta = 4 problem on a 1024-node grid."""
-    grid = UniformGrid(8.0, 1024)
-    h = grid.step
-    return (np.abs(h * np.arange(512)) ** 4.0, np.abs(0.5 * h * np.arange(1024)) ** 4.0, h)
-
-
-@pytest.mark.parametrize("parity", ("even", "odd"))
-def test_step_halving_falls_back_on_bad_starts(halfline_1024, parity):
-    # starts shifted up one level converge to levels 1..5, and the Sturm
-    # count finds 6 eigenvalues up to the top bracket; duplicated starts give
-    # overlapping brackets.  Both fall back to the bisection values.
-    v_half, v_half2, h = halfline_1024
-    _, u, _ = qb._halfline_eigs(v_half, h, parity, 6)
-    bisected = oracles.halved_step_bisection(4.0, UniformGrid(8.0, 1024), parity, 5)
-    fine, radii = qb._halved_step_eigs(v_half2, 0.5 * h, parity, u[:, :5])
-    assert radii is not None and np.all(np.abs(fine - bisected) <= radii)
-    for starts in (u[:, 1:], u[:, [0, 0, 1, 2, 3]]):
-        fine, radii = qb._halved_step_eigs(v_half2, 0.5 * h, parity, starts)
-        assert radii is None
-        assert np.array_equal(fine, bisected)
-
-
-def test_step_halving_falls_back_when_a_solve_breaks_down(halfline_1024, monkeypatch):
-    v_half, v_half2, h = halfline_1024
-    _, u, _ = qb._halfline_eigs(v_half, h, "even", 5)
-    solve = scipy.linalg.lapack.dgtsv
-
-    def breaking(*args, **kwargs):
-        *out, _ = solve(*args, **kwargs)
-        return (*out, 1)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", breaking)
-    fine, radii = qb._halved_step_eigs(v_half2, 0.5 * h, "even", u)
-    assert radii is None
-    assert np.array_equal(fine, oracles.halved_step_bisection(4.0, UniformGrid(8.0, 1024),
-                                                              "even", 5))
-
-
 # ---------------------------------------- grid-step levels from a coarser copy
 
 # (nodes, beta, n_max, parities expected to fall back): the pool and verify
@@ -739,17 +676,25 @@ GRID_STEP_CASES = ([(8192, beta, n_max, ()) for beta, n_max in POOL_LEVELS + VER
                       (512, 4.0, 4, ("even", "odd")), (256, 3.0, 8, ("even", "odd"))])
 
 
+@pytest.fixture(scope="module")
+def halfline_1024():
+    """(v_half, h) of the beta = 4 problem on a 1024-node grid."""
+    grid = UniformGrid(8.0, 1024)
+    return np.abs(grid.step * np.arange(512)) ** 4.0, grid.step
+
+
 @pytest.mark.parametrize("nodes, beta, n_max, fallback", GRID_STEP_CASES)
 def test_grid_step_brackets_hold_their_eigenvalues(nodes, beta, n_max, fallback):
     # exact Sturm counts of the stored grid-step matrix: each certified
     # bracket of the levels refined from the 2**COARSENING times coarser copy
-    # holds the j-th lowest eigenvalue and no other.  A parity that falls
-    # back returns bisection's levels, bit for bit.
+    # holds the j-th lowest eigenvalue and no other, and the coarse copy's
+    # eigenvalues are returned with them.  A parity that falls back returns
+    # bisection's levels, bit for bit, and no coarse eigenvalues.
     grid = UniformGrid(8.0, nodes)
     v_half = np.abs(grid.step * np.arange(nodes // 2)) ** beta
     for parity, count in zip(("even", "odd"), qb.merged_counts(n_max)):
-        w, u, radii = qb._halfline_eigs(v_half, grid.step, parity, count)
-        assert (radii is None) == (parity in fallback), parity
+        w, u, radii, w_coarse = qb._halfline_eigs(v_half, grid.step, parity, count)
+        assert (radii is None) == (parity in fallback) == (w_coarse is None), parity
         if radii is None:
             w_bisected, u_bisected = oracles.grid_step_bisection(beta, grid, parity, count)
             assert np.array_equal(w, w_bisected) and np.array_equal(u, u_bisected)
@@ -765,9 +710,9 @@ def test_grid_step_levels_fall_back_on_bad_starts(halfline_1024, monkeypatch, pa
     # coarse eigenvectors shifted up one level refine to levels 1..5, and the
     # Sturm count finds 6 eigenvalues up to the top bracket; duplicated ones
     # give overlapping brackets.  Both fall back to bisection, bit for bit.
-    v_half, _, h = halfline_1024
+    v_half, h = halfline_1024
     w_bisected, u_bisected = oracles.grid_step_bisection(4.0, UniformGrid(8.0, 1024), parity, 5)
-    w, _, radii = qb._halfline_eigs(v_half, h, parity, 5)
+    w, _, radii, _ = qb._halfline_eigs(v_half, h, parity, 5)
     assert radii is not None and np.all(np.abs(w - w_bisected) <= radii)
     solve = scipy.linalg.eigh_tridiagonal
     for columns in ([1, 2, 3, 4, 5], [0, 0, 1, 2, 3]):
@@ -778,13 +723,13 @@ def test_grid_step_levels_fall_back_on_bad_starts(halfline_1024, monkeypatch, pa
             return w[columns], vec[:, columns]
 
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", bad_starts)
-        w, u, radii = qb._halfline_eigs(v_half, h, parity, 5)
-        assert radii is None
+        w, u, radii, w_coarse = qb._halfline_eigs(v_half, h, parity, 5)
+        assert radii is None and w_coarse is None
         assert np.array_equal(w, w_bisected) and np.array_equal(u, u_bisected)
 
 
 def test_grid_step_levels_fall_back_when_a_solve_breaks_down(halfline_1024, monkeypatch):
-    v_half, _, h = halfline_1024
+    v_half, h = halfline_1024
     solve = scipy.linalg.lapack.dgtsv
 
     def breaking(*args, **kwargs):
@@ -792,8 +737,8 @@ def test_grid_step_levels_fall_back_when_a_solve_breaks_down(halfline_1024, monk
         return (*out, 1)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", breaking)
-    w, u, radii = qb._halfline_eigs(v_half, h, "even", 5)
-    assert radii is None
+    w, u, radii, w_coarse = qb._halfline_eigs(v_half, h, "even", 5)
+    assert radii is None and w_coarse is None
     w_bisected, u_bisected = oracles.grid_step_bisection(4.0, UniformGrid(8.0, 1024), "even", 5)
     assert np.array_equal(w, w_bisected) and np.array_equal(u, u_bisected)
 
@@ -812,8 +757,8 @@ def test_grid_step_levels_bisect_when_the_coarse_copy_is_too_small(monkeypatch, 
         return solve(d, e, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recording)
-    w, u, radii = qb._halfline_eigs(v_half, grid.step, "odd", count)
-    assert radii is None and sizes == [nodes // 2 - 1]
+    w, u, radii, w_coarse = qb._halfline_eigs(v_half, grid.step, "odd", count)
+    assert radii is None and w_coarse is None and sizes == [nodes // 2 - 1]
     w_bisected, u_bisected = oracles.grid_step_bisection(4.0, grid, "odd", count)
     assert np.array_equal(w, w_bisected) and np.array_equal(u, u_bisected)
 
@@ -847,6 +792,52 @@ def test_pool_anharmonic_levels_agree_with_bisection(pool_families):
         assert np.max(np.abs(weighted_gram(fam) - np.eye(fam.n_max + 1))) < 1e-12
 
 
+def _halved_step_richardson_error(fam, grid):
+    """4/3 |lambda_h - lambda_{h/2}| per level of fam, with lambda_{h/2} from
+    the bisection of the halved step of its parity."""
+    halved = np.empty(fam.n_max + 1)
+    for parity, sign in (("even", 1), ("odd", -1)):
+        mask = fam.g_parities == sign
+        if np.any(mask):
+            halved[mask] = oracles.halved_step_bisection(fam.beta, grid, parity, np.sum(mask))
+    return 4.0 / 3.0 * np.abs(fam.eigenvalues - halved)
+
+
+def test_pool_richardson_error_agrees_with_the_halved_step_oracle(pool_families):
+    # the estimate read from the coarse copies of the 8 anharmonic pool
+    # families is within 1 % of the halved-step estimate of the error of
+    # lambda_h (at most 0.09 % measured)
+    anharmonic = [fam for fam, _ in pool_families if isinstance(fam, qb.AnharmonicFamily)]
+    for fam in anharmonic:
+        want = _halved_step_richardson_error(fam, qb.ANHARMONIC_GRID)
+        assert np.all(np.abs(fam.richardson_error - want) <= 0.01 * want)
+
+
+@pytest.mark.parametrize("nodes, beta, n_max, certified", [(16, 4.0, 5, 0), (256, 6.0, 40, 0),
+                                                           (1024, 6.0, 16, 1)])
+def test_fallback_richardson_error_agrees_with_the_halved_step_oracle(
+        monkeypatch, nodes, beta, n_max, certified):
+    # a parity that falls back reads its estimates from the halved step, and
+    # its extrapolation error is its Richardson error; on 1024 nodes the odd
+    # parity certifies and the even one falls back (0.74 % measured)
+    grid = UniformGrid(8.0, nodes)
+    solve, routes = qb._halfline_eigs, []
+
+    def recording(*args):
+        out = solve(*args)
+        routes.append(out[2] is not None)
+        return out
+
+    monkeypatch.setattr(qb, "_halfline_eigs", recording)
+    fam = anharmonic_family(beta, "x_over_1px2", n_max=n_max, grid=grid)
+    assert sum(routes) == certified and len(routes) == 2
+    want = _halved_step_richardson_error(fam, grid)
+    assert np.all(np.abs(fam.richardson_error - want) <= 0.01 * want)
+    if not certified:
+        assert np.array_equal(fam.extrapolation_error, fam.richardson_error)
+        np.testing.assert_allclose(fam.richardson_error, want, rtol=1e-12, atol=0)
+
+
 def test_span_residual_agrees_with_least_squares(pool_families):
     # the R factor against the least-squares fit on the 14 pool families: in
     # span both are rounding (at most 3e-15 measured); off span, on a fixed
@@ -869,7 +860,7 @@ def test_parity_mixing_refusal(monkeypatch):
         w = 1.0 + np.arange(count, dtype=float)      # identical per parity
         vec = np.full((v_half.size if parity == "even" else v_half.size, count),
                       1.0 / np.sqrt(v_half.size))
-        return w, vec, None
+        return w, vec, None, None
 
     monkeypatch.setattr(qb, "_halfline_eigs", degenerate_eigs)
     with pytest.raises(ParityMixingError):
