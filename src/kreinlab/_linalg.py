@@ -14,6 +14,10 @@ CONTRACTION_SLACK = 1e-10
 # Tolerance for identities of computed results: interval endpoints and
 # realized extensions.
 RESULT_TOL = 1e-8
+# Allowance of projected_complement's certificate, in units of n times the
+# machine epsilon.  Calibrated, not proven: over 2,000 random J-invariant
+# domains with n <= 40 both residuals stayed below 1.9 n u.
+COMPLEMENT_ROUNDING = 8
 
 
 def as_matrix(a) -> np.ndarray:
@@ -50,15 +54,19 @@ def operator_norm(a: np.ndarray) -> float:
 def check_residual(message: str, a: np.ndarray, bound: float, scale=None) -> float:
     """Raise InvariantViolation(message) unless ||a||_2 <= bound, times
     max(1, ||scale||_2) if a scale is given.  As ||a||_2 <= ||a||_F, the SVDs
-    are taken only when the Frobenius norm exceeds bound; the message may
-    print the 2-norm as {residual}.  Returns the norm that passed, an upper
-    bound on ||a||_2."""
+    are taken only when the Frobenius norm exceeds bound; for an exactly
+    Hermitian a (as `hermitize` returns) ||a||_2 = max |lambda| is then read
+    from eigvalsh instead.  The message may print the 2-norm as {residual}.
+    Returns the norm that passed, an upper bound on ||a||_2."""
     if a.size == 0:
         return 0.0
     residual = float(np.linalg.norm(a))
     if residual <= bound:
         return residual
-    residual = operator_norm(a)
+    if a.shape[0] == a.shape[1] and np.array_equal(a, a.conj().T):
+        residual = float(np.abs(np.linalg.eigvalsh(a)).max())
+    else:
+        residual = operator_norm(a)
     if scale is not None:
         bound *= max(1.0, operator_norm(scale))
     if residual > bound:
@@ -105,11 +113,41 @@ def orthonormal_columns(b: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return u[:, :rank]
 
 
+def projected_complement(u: np.ndarray) -> np.ndarray | None:
+    """Orthonormal basis E of ran(u)^perp for orthonormal u (n x d), from
+    the m = n - d coordinates S at which u's rows are shortest (stable
+    order: E = I when d = 0), or None when its certificate fails.
+
+    V = (I - u u*)[:, S] = I[:, S] - u u[S]* is orthonormalized by an n x m
+    QR, projected off ran(u) a second time and orthonormalized again ("twice
+    is enough": Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 2005).
+    E is accepted when ||E* E - I|| and ||u* E|| are within
+    COMPLEMENT_ROUNDING n u.  O(n d m), where a complete QR is O(n^2 d).
+    """
+    n, d = u.shape
+    m = n - d
+    s = np.argsort(np.linalg.norm(u, axis=1), kind="stable")[:m]
+    v = np.zeros((n, m), dtype=complex)
+    v[s, np.arange(m)] = 1.0
+    v = np.linalg.qr(v - u @ u[s].conj().T)[0]
+    e = np.linalg.qr(v - u @ (u.conj().T @ v))[0]
+    bound = COMPLEMENT_ROUNDING * n * np.finfo(float).eps
+    try:
+        check_residual("complement is not orthonormal", e.conj().T @ e - np.eye(m), bound)
+        check_residual("complement is not orthogonal to the span", u.conj().T @ e, bound)
+    except InvariantViolation:
+        return None
+    return e
+
+
 def orthonormal_complement(u: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the span of the
-    orthonormal (hence full-rank) columns u, from one complete QR."""
+    """Orthonormal basis of ran(u)^perp for orthonormal u: projected_complement,
+    or the last n - d columns of one complete QR where that fails."""
     u = as_matrix(u)
-    return np.linalg.qr(u, mode="complete")[0][:, u.shape[1]:]
+    e = projected_complement(u)
+    if e is None:
+        e = np.linalg.qr(u, mode="complete")[0][:, u.shape[1]:]
+    return e
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

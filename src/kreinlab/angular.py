@@ -17,7 +17,6 @@ from ._linalg import (
     finite_matrix,
     hermitize,
     is_self_adjoint,
-    operator_norm,
     orthonormal_columns,
     orthonormal_complement,
 )
@@ -47,6 +46,12 @@ class PartialContraction:
 
     domain: Euclidean-orthonormal basis of D(T0) (columns),
     action: the images T0 d_i in the ambient space (columns).
+
+    norm = sqrt(lambda_max(action* action)) = ||T0||, from a d x d eigvalsh
+    (0 when d = 0), is within a relative rounding of about d u of the SVD
+    2-norm.  Its readers take it as exact: `_solve_term` scales a residual
+    already of rounding size by it, and an error in gamma = 1 - ||T0|| moves
+    the lower Cayley bound by at most d u, inside CAYLEY_ROUNDING n u.
     """
 
     def __init__(self, space: SignatureSpace, domain, action):
@@ -61,7 +66,8 @@ class PartialContraction:
         self.space = space
         self.domain = domain
         self.action = action
-        self.norm = operator_norm(action)
+        gram = np.linalg.eigvalsh(hermitize(action.conj().T @ action)) if d else [0.0]
+        self.norm = float(np.sqrt(max(gram[-1], 0.0)))
         if self.norm > 1.0 + NEAR_UNIT_WINDOW:
             raise InvariantViolation(f"not a strong contraction: ||T0|| = {self.norm:.12g} > 1")
         self.near_unit = self.norm >= 1.0 - NEAR_UNIT_WINDOW
@@ -75,8 +81,8 @@ class PartialContraction:
 
     @cached_property
     def complement(self) -> np.ndarray:
-        """Orthonormal basis E of D(T0)^perp, taken once per problem (one QR
-        of the domain) and shared by the block completion and density_test."""
+        """Orthonormal basis E of D(T0)^perp (`orthonormal_complement`), taken
+        once per problem and shared by the block completion and density_test."""
         return orthonormal_complement(self.domain)
 
     @property

@@ -58,8 +58,8 @@ DEFECT_RCOND = 1e-8
 # Absolute floor: a difference this small means case A (no defect at all).
 DEFECT_FLOOR = 1e-10
 # Rounding allowance of endpoint_excess_bound, in units of n times the
-# machine epsilon, for the corner products B Z, the two products that
-# assemble an n x n endpoint and the rank-m update between the endpoints.
+# machine epsilon, for the corner products B Z, the products that assemble
+# T_M and the rank-m update between the endpoints.
 # Calibrated, not proven: the measured ||T||_2 - 1 stayed below 4.7 n u.
 ENDPOINT_ROUNDING = 8
 # Rounding allowance of ExtensionInterval.cayley_bounds, in units of n times
@@ -70,8 +70,8 @@ CAYLEY_ROUNDING = 16
 
 
 def _completion(t0: PartialContraction):
-    """Block form of T0: [D | E] with E = D(T0)^perp split by the eigh of
-    E* J E into p columns in H_+, then those in H_-; p, A, B, the corner
+    """Block form of T0: E = D(T0)^perp split by the eigh of E* J E into p
+    columns in H_+, then those in H_-; p, B = E* T0 D, the corner
     bounds C_min, C_max, the larger Frobenius residual ||(I +/- A) Z - B*||
     of the two solves Z = (I +/- A)^{-1} B* that give the corners, and
     ||Z_+||_F, which bounds the Gram I + Z_+* Z_+ of the kernel basis
@@ -94,13 +94,7 @@ def _completion(t0: PartialContraction):
                    np.linalg.norm(i_minus_a @ z_minus - bh))
     c_min = hermitize(-eye_e + b @ z_plus)
     c_max = hermitize(eye_e - b @ z_minus)
-    return (np.hstack([d, e]), p, a, b, c_min, c_max, float(residual),
-            float(np.linalg.norm(z_plus)))
-
-
-def _assemble(basis: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The ambient matrix [D | E] [[A, B*], [B, C]] [D | E]*."""
-    return hermitize(basis @ np.block([[a, b.conj().T], [b, c]]) @ basis.conj().T)
+    return e, p, b, c_min, c_max, float(residual), float(np.linalg.norm(z_plus))
 
 
 @dataclass
@@ -220,11 +214,13 @@ def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> Extension
     Inside an eigenvalue repeated within one block the basis is eigh's
     choice.  The endpoints are contractions by endpoint_excess_bound; only
     when it exceeds RESULT_TOL (near ||T0|| = 1) are their 2-norms taken.
+    T_M = [D | E] [[A, B*], [B, C_max]] [D | E]* is assembled from T_M D =
+    T0 D as action D* + (D B* + E C_max) E*, one n x d x n product.
     """
-    basis, p, a, b, c_min, c_max, solve_residual, z_norm = _completion(t0)
-    t_m = _assemble(basis, a, b, c_max)
+    e, p, b, c_min, c_max, solve_residual, z_norm = _completion(t0)
+    d = t0.domain
+    t_m = hermitize(t0.action @ d.conj().T + (d @ b.conj().T + e @ c_max) @ e.conj().T)
 
-    e = basis[:, t0.domain_dim:]
     w_plus, v_plus = np.linalg.eigh(2.0 * c_max[:p, :p])
     w_minus, v_minus = np.linalg.eigh(2.0 * c_max[p:, p:])
     w = np.concatenate([w_plus, w_minus])

@@ -22,6 +22,9 @@ coarser copy and refines the prolonged eigenvectors; bisection on the halved
 step, whose Richardson estimate checks the one that certified levels read
 from the coarse copy; and n_max + 2 levels per parity before the merge,
 where `quasibasis.anharmonic_family` solves only the levels the merge keeps.
+Domain complement: the last n - d columns of one complete QR of the
+domain, where `_linalg.orthonormal_complement` orthonormalizes m projected
+coordinate vectors.
 Cayley inverse: T = (I - G)(I + G)^{-1} from the eigenpairs of G, where
 `GMetric.from_contraction` builds G from those of T.
 Metric products: (f, g)_G as [f_+, g_+] - [f_-, g_-] over the split of f
@@ -81,6 +84,13 @@ def sqrt_projection_endpoints(t0, seed=None):
         u = orthonormal_columns(s @ t0.domain)
         corrections.append(hermitize(s @ (eye - u @ u.conj().T) @ s))
     return hermitize(t - corrections[0]), hermitize(t + corrections[1])
+
+
+def qr_complement(domain) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of the span of the
+    orthonormal columns of `domain`, from one complete QR."""
+    domain = as_matrix(domain)
+    return np.linalg.qr(domain, mode="complete")[0][:, domain.shape[1]:]
 
 
 def spectral_cayley_defined(t) -> bool:

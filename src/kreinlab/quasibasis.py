@@ -48,6 +48,7 @@ from .errors import (
     GridResolutionError,
     InvariantViolation,
     ParityMixingError,
+    ResolutionError,
 )
 
 # |g_n(+/-L)| must fall below this at the grid edge.
@@ -88,6 +89,13 @@ BRACKET_SLACK = 16.0
 COARSENING = 3
 COARSE_MIN_POINTS = 64
 COARSE_POINTS_PER_LEVEL = 4
+# An anharmonic beta is refused when u ||T||_1 of its half-line operators,
+# ||T||_1 <= half_width ** beta + 4 / h^2, exceeds RESOLUTION_FRACTION of
+# LEVEL_SPACING, the harmonic (beta = 2) spacing; the lowest gap grows with
+# beta.  The default grid admits beta <= 16; from 17 the ground level is
+# wrong in its first digit.
+LEVEL_SPACING = 2.0
+RESOLUTION_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -679,7 +687,9 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
     from the coarse copy's eigenvalues and one eigenvalues-only bisection of
     a copy twice as coarse, or, where a parity fell back, of the halved
     step (`halfline_levels`).  p must be a bounded odd weight from
-    BUILTIN_WEIGHTS, and half_width ** beta must be finite.
+    BUILTIN_WEIGHTS, and half_width ** beta must be finite; a beta whose
+    rounding u ||T||_1 exceeds RESOLUTION_FRACTION of LEVEL_SPACING is
+    refused with a ResolutionError before any solve.
     """
     if not 2.0 < beta < np.inf:
         raise ValueError("beta must exceed 2 and be finite")
@@ -687,6 +697,12 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
         if not np.isfinite(np.float64(grid.half_width) ** beta):
             raise ValueError(f"beta {beta} overflows the potential |x|^beta on the grid: "
                              f"half_width {grid.half_width} ** beta is not finite")
+    rounding = np.finfo(float).eps * (np.float64(grid.half_width) ** beta + 4.0 / grid.step ** 2)
+    if rounding > RESOLUTION_FRACTION * LEVEL_SPACING:
+        raise ResolutionError(
+            f"beta {beta} is not resolved in double precision on the {grid.nodes}-node grid: "
+            f"the rounding u ||T||_1 = {rounding:.3g} of its half-line operator exceeds "
+            f"{RESOLUTION_FRACTION} of the level spacing {LEVEL_SPACING}")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max + 2 > grid.nodes // 2 - 1:      # fallback eigenpairs per parity vs held

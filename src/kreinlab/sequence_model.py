@@ -90,7 +90,9 @@ def _constraint_vectors(spec: SequenceModelSpec):
 
 
 def build_model(spec: SequenceModelSpec) -> ModelInstance:
-    """Truncated model instance with the constrained angular domain."""
+    """Truncated model instance with the constrained angular domain, filled
+    from the 2 x 2 blocks: a domain column on the +/- coordinates has its T0
+    image on the -/+ coordinates, scaled by +/- i alpha."""
     n = spec.n_pairs
     dim = 2 * n
     plus, minus = np.arange(0, dim, 2), np.arange(1, dim, 2)
@@ -102,17 +104,19 @@ def build_model(spec: SequenceModelSpec) -> ModelInstance:
     space = SignatureSpace(j)
 
     coeff, chi_plus, chi_minus = _constraint_vectors(spec)
-    # Orthonormal complement of the coefficient vector inside an
-    # n-dimensional +/- coordinate block; an unconstrained block keeps all.
-    comp = np.linalg.svd(coeff.reshape(-1, 1), full_matrices=True)[0][:, 1:]
-    domain_cols = []
-    for chi, sl in ((chi_plus, np.s_[0::2]), (chi_minus, np.s_[1::2])):
-        cols = np.eye(n) if chi is None else comp
-        block = np.zeros((dim, cols.shape[1]), dtype=complex)
-        block[sl] = cols
-        domain_cols.append(block)
-    domain = np.hstack(domain_cols)
-    action = t @ domain
+    # H = I - 2 w w* / (w* w) with w = c + e_1 maps e_1 to -c (c_1 > 0), so
+    # its last n - 1 columns are an orthonormal basis of c^perp.
+    w = coeff.copy()
+    w[0] += 1.0
+    comp = np.eye(n)[:, 1:] - np.outer(w, w[1:]) * (2.0 / (w @ w))
+    blocks = [np.eye(n) if chi is None else comp for chi in (chi_plus, chi_minus)]
+    width = blocks[0].shape[1]
+    domain = np.zeros((dim, width + blocks[1].shape[1]), dtype=complex)
+    action = np.zeros_like(domain)
+    domain[plus, :width] = blocks[0]
+    action[minus, :width] = 1j * a[:, None] * blocks[0]
+    domain[minus, width:] = blocks[1]
+    action[plus, width:] = -1j * a[:, None] * blocks[1]
     t0 = PartialContraction(space, domain, action)
     return ModelInstance(spec, space, t, chi_plus, chi_minus, t0)
 

@@ -23,7 +23,7 @@ from ._linalg import (
     hermitize,
     operator_norm,
     orthonormal_columns,
-    orthonormal_complement,
+    projected_complement,
     random_unitary,
 )
 from .angular import (
@@ -89,6 +89,8 @@ ROUTE_TOL = 1e-8
 ASYMMETRY_FLOOR = 1e-8
 # Cayley round trip: the oracle inverse of the production G returns T.
 ROUNDTRIP_TOL = 1e-10
+# ||T0|| from the Gram against the SVD 2-norm, relative, in units of n u.
+GRAM_NORM_ROUNDING = 8
 # Relative gap between the structured and dense sweeps (preimage norm, sup).
 SWEEP_REL_TOL = 1e-9
 # The worked 2x2 instance against its hand-computed matrices, and its
@@ -209,7 +211,9 @@ def _check_spaces_projections(rng) -> str:
 
 
 def _check_angular_roundtrip(rng) -> str:
-    worst = 0.0
+    # The SVD 2-norm of the action is the independent route to ||T0||,
+    # which PartialContraction reads from the Gram.
+    worst = norm_gap = 0.0
     for _ in range(6):
         sp = random_signature_space(rng)
         t0 = random_partial_contraction(rng, sp, proper=False)
@@ -219,9 +223,17 @@ def _check_angular_roundtrip(rng) -> str:
         pd = t0.domain @ t0.domain.conj().T
         pb = back.domain @ back.domain.conj().T
         worst = max(worst, operator_norm(pd - pb))
+        for t in (t0, back):
+            svd_norm = operator_norm(t.action)
+            gap = abs(t.norm - svd_norm) / max(svd_norm, np.finfo(float).tiny)
+            if gap > GRAM_NORM_ROUNDING * sp.dim * np.finfo(float).eps:
+                raise AssertionError(f"||T0|| from the Gram is {gap:.3e} (relative) "
+                                     f"from the SVD 2-norm")
+            norm_gap = max(norm_gap, gap)
     if worst > ROUTE_TOL:
         raise AssertionError(f"angular roundtrip residual {worst:.3e}")
-    return f"extract/reconstruct roundtrip residual {worst:.2e}"
+    return (f"extract/reconstruct roundtrip residual {worst:.2e}; ||T0|| from the Gram "
+            f"within {norm_gap:.2e} (relative) of the SVD 2-norm")
 
 
 def _check_angular_duality(rng) -> str:
@@ -307,12 +319,18 @@ def _check_endpoints_vs_completion(rng) -> str:
 
 def _check_defect_complement(rng) -> str:
     # krein_interval splits the defect basis along J without checking it.
-    worst = 0.0
+    # The complete QR of the domain is the independent route to D(T0)^perp,
+    # which the production complement reads from projected coordinates.
+    worst = comp_gap = 0.0
+    fallbacks = 0
     for _ in range(6):
         sp = random_signature_space(rng)
         t0 = random_partial_contraction(rng, sp)
         interval = krein_interval(t0)
-        comp = orthonormal_complement(t0.domain)
+        comp = oracles.qr_complement(t0.domain)
+        fallbacks += projected_complement(t0.domain) is None
+        comp_gap = max(comp_gap, operator_norm(t0.complement @ t0.complement.conj().T
+                                               - comp @ comp.conj().T))
         mb, jm = interval.defect_basis, interval.j_on_defect
         if mb.shape[1] != comp.shape[1]:
             raise AssertionError("defect dimension differs from codim D(T0)")
@@ -326,7 +344,11 @@ def _check_defect_complement(rng) -> str:
                     operator_norm(sp.j @ mb - mb @ jm))
     if worst > RESULT_TOL:
         raise AssertionError(f"defect basis is {worst:.3e} from a J-split basis of D(T0)-perp")
-    return f"defect space = D(T0)-perp, J-split (residual {worst:.2e}; strong-contraction seeds)"
+    if comp_gap > RESULT_TOL:
+        raise AssertionError(f"D(T0)-perp is {comp_gap:.3e} from the complete QR's")
+    return (f"defect space = D(T0)-perp, J-split (residual {worst:.2e}; strong-contraction "
+            f"seeds); the complement is within {comp_gap:.2e} of the complete QR's and fell "
+            f"back to it in {fallbacks} of 6 problems")
 
 
 def _check_anticommute_equivalence(rng) -> str:

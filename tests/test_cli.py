@@ -512,6 +512,20 @@ def test_exit_code_2_anharmonic_beta_overflowing_the_potential(tmp_path, capsys)
     assert "beta 400.0" in err and "half_width 8.0" in err
 
 
+@pytest.mark.parametrize("beta", ("20", "30", "60", "200"))
+def test_exit_code_4_anharmonic_beta_the_grid_cannot_resolve(tmp_path, capsys, beta):
+    # u ||T||_1 >= u 8 ** 20 = 256 against level spacings of order 1: refused
+    # before any solve, naming beta and the rounding, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["quasi-basis", "anharmonic", "--beta", beta, "--nmax", "4",
+                      "--output-dir", tmp_path / "o"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert f"beta {float(beta)} is not resolved in double precision" in err
+    assert "of the level spacing" in err
+
+
 # ----------------------------------------------------------- console script
 
 def child_env() -> dict:

@@ -21,7 +21,7 @@ from kreinlab import (
     symmetrize_solution,
     x_equation_residual,
 )
-from kreinlab import gmetric
+from kreinlab import angular, gmetric
 from kreinlab._linalg import RESULT_TOL, hermitize, orthonormal_columns, random_unitary
 from kreinlab.cli import main
 from kreinlab.errors import InvariantViolation
@@ -913,22 +913,23 @@ def test_max_subspaces_degenerate_unit_norm(j2):
 
 
 def test_max_subspaces_orthonormalizes_each_image_once(monkeypatch):
-    # one SVD per image (I + T) H_+/- and one for the contraction check; the
-    # orthonormal result is stored as it is, not decomposed a second time
+    # one SVD per image (I + T) H_+/- and, for the contraction check of the
+    # Hermitian T, one eigvalsh in place of an SVD; the orthonormal result is
+    # stored as it is, not decomposed a second time
     rng = np.random.default_rng(1506)
     n = 24
     space = random_signature_space(rng, n)
     t = random_anticommuting_contraction(rng, space)
     counted = []
-
-    def count(a, *args, _real=np.linalg._linalg.svd, **kwargs):
-        counted.append(np.shape(a))
-        return _real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg._linalg, "svd", count)
-    monkeypatch.setattr(np.linalg, "svd", count)
+    for name in ("svd", "eigvalsh"):
+        def count(a, *args, _name=name, _real=getattr(np.linalg._linalg, name), **kwargs):
+            counted.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg._linalg, name, count)
+        monkeypatch.setattr(np.linalg, name, count)
     pair = max_subspaces(space, t)
-    assert counted == [(n, n), (n, space.plus_dim), (n, space.minus_dim)]
+    assert counted == [("eigvalsh", (n, n)), ("svd", (n, space.plus_dim)),
+                       ("svd", (n, space.minus_dim))]
     for sub, basis in zip((pair.l_plus, pair.l_minus), fundamental_bases(space)):
         u = sub.basis
         assert u.shape == basis.shape
@@ -1053,19 +1054,16 @@ def test_extend_reads_density_from_x(tmp_path, monkeypatch):
 
 def test_interval_and_density_share_one_complement(monkeypatch):
     # D(T0)^perp is taken once per problem: krein_interval and seven
-    # density tests take a single QR of the domain between them.
+    # density tests construct a single complement between them.
     rng = np.random.default_rng(1307)
     space = random_signature_space(rng, 10)
     t0 = random_partial_contraction(rng, space)
     counted = []
-    real = np.linalg._linalg.qr
 
-    def count(a, *args, **kwargs):
-        if np.shape(a) == t0.domain.shape and np.array_equal(a, t0.domain):
-            counted.append("qr")
-        return real(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg._linalg, "qr", count)
-    monkeypatch.setattr(np.linalg, "qr", count)
+    def count(u, _real=angular.orthonormal_complement):
+        counted.append(np.shape(u))
+        return _real(u)
+    monkeypatch.setattr(angular, "orthonormal_complement", count)
     iv = krein_interval(t0)
     m = iv.defect_dim
     sols = solve_x_equation(iv, seed=3, n_projection_samples=2)
@@ -1073,7 +1071,7 @@ def test_interval_and_density_share_one_complement(monkeypatch):
     xs += [random_x(rng, m) for _ in range(7 - len(xs))]
     for x in xs[:7]:
         density_test(t0, extension_from_x(iv, x).t)
-    assert counted == ["qr"]
+    assert counted == [t0.domain.shape]
 
 
 # -------------------------------------------------------------------- Cayley

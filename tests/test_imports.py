@@ -25,8 +25,9 @@ No matrix inverse: no module calls ``np.linalg.inv``.
 
 One complement per problem: D(T0)^perp is ``PartialContraction.complement``,
 so ``orthonormal_complement`` is called only in ``angular.py`` (that
-property) and in ``verify.py`` (its independent check that the defect is
-the domain complement).
+property).  The independent route, one complete QR of the domain, is
+``kreinlab.oracles.qr_complement``, which ``verify`` reads in its check
+that the defect is the domain complement.
 
 No dead helpers: every top-level function of ``_linalg.py`` is called from
 another module of the package; importing it is not enough.
@@ -277,7 +278,7 @@ def test_call_detector():
 def test_domain_complement_is_taken_only_by_the_property():
     found = [path.name for path in sorted(PACKAGE.glob("*.py"))
              if calls_to(path.read_text(), "orthonormal_complement")]
-    assert found == ["angular.py", "verify.py"]
+    assert found == ["angular.py"]
 
 
 def test_no_module_inverts_a_matrix():

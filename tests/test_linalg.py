@@ -4,7 +4,13 @@ not settle them."""
 import numpy as np
 import pytest
 
-from kreinlab._linalg import STRUCT_TOL, check_residual, is_self_adjoint, operator_norm
+from kreinlab._linalg import (
+    STRUCT_TOL,
+    check_residual,
+    is_self_adjoint,
+    operator_norm,
+    random_unitary,
+)
 from kreinlab.errors import InvariantViolation
 
 
@@ -69,3 +75,20 @@ def test_self_adjoint_verdict_matches_scaled_residual(scale, skew):
     assert expect == (skew < 1.0)
     assert is_self_adjoint(a) == expect
     assert is_self_adjoint(a + a.conj().T)
+
+
+@pytest.mark.parametrize("bound", (1e-10, 1.0 + 1e-10, 3.0))
+@pytest.mark.parametrize("factor", (1.0 - 1e-12, 1.0 + 1e-12))
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_hermitian_norm_verdict_at_the_bound(monkeypatch, bound, factor, sign):
+    # Exactly Hermitian, with ||a||_F > bound, the largest |lambda| = bound *
+    # factor on either sign: the eigvalsh route gives the SVD's verdict, and
+    # takes no SVD.
+    u = random_unitary(np.random.default_rng(11), 6)
+    ev = bound * np.array([sign * factor, -0.9 * sign, 0.8, -0.7, 0.5, 0.0])
+    a = (u * ev) @ u.conj().T
+    a = 0.5 * (a + a.conj().T)
+    assert np.linalg.norm(a) > bound
+    want = operator_norm(a) <= bound
+    monkeypatch.setattr(np.linalg._linalg, "svd", None)
+    assert passes(a, bound) == want == (factor < 1.0)

@@ -7,6 +7,7 @@ from kreinlab.sequence_model import (
     MAX_PAIRS,
     VARIANTS,
     SequenceModelSpec,
+    _profile,
     alphas,
     build_model,
     classify_analytic,
@@ -39,7 +40,9 @@ def test_single_pair_is_zero():
 
 @pytest.mark.parametrize("n", (1, 2, 7, 64))
 def test_build_model_fill_matches_the_per_pair_loop(n):
-    # the index-array fill of J and T against the per-pair loop, bit for bit
+    # the index-array fill of J and T against the per-pair loop, bit for bit;
+    # the block fill of T0 against T D, and the Householder complement of the
+    # profile against the SVD's
     a = alphas(n)
     j = np.zeros((2 * n, 2 * n))
     t = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -48,9 +51,17 @@ def test_build_model_fill_matches_the_per_pair_loop(n):
         j[ip, ip], j[im, im] = 1.0, -1.0
         t[im, ip] = 1j * a[k]
         t[ip, im] = -1j * a[k]
-    inst = build_model(SequenceModelSpec(1.25, n_pairs=n))
-    assert inst.space.j.tobytes() == SignatureSpace(j).j.tobytes()
-    assert inst.t.tobytes() == t.tobytes()
+    svd = np.linalg.svd(_profile(1.25, n).reshape(-1, 1))[0][:, 1:]
+    for variant in VARIANTS:
+        inst = build_model(SequenceModelSpec(1.25, variant, n))
+        assert inst.space.j.tobytes() == SignatureSpace(j).j.tobytes()
+        assert inst.t.tobytes() == t.tobytes()
+        d = inst.t0.domain
+        np.testing.assert_array_equal(inst.t0.action, t @ d)
+        for sl, chi in ((np.s_[0::2], inst.chi_plus), (np.s_[1::2], inst.chi_minus)):
+            block = d[sl][:, np.abs(d[sl]).max(axis=0) > 0]
+            want = np.eye(n) if chi is None else svd @ svd.T
+            assert np.abs(block @ block.conj().T - want).max() <= 1e-14
 
 
 def test_constraint_vector_profile():
