@@ -51,13 +51,12 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def check_residual(message: str, a: np.ndarray, bound: float, scale=None) -> float:
-    """Raise InvariantViolation(message) unless ||a||_2 <= bound, times
-    max(1, ||scale||_2) if a scale is given.  As ||a||_2 <= ||a||_F, the SVDs
-    are taken only when the Frobenius norm exceeds bound; for an exactly
-    Hermitian a (as `hermitize` returns) ||a||_2 = max |lambda| is then read
-    from eigvalsh instead.  The message may print the 2-norm as {residual}.
-    Returns the norm that passed, an upper bound on ||a||_2."""
+def check_residual(message: str, a: np.ndarray, bound: float) -> float:
+    """Raise InvariantViolation(message) unless ||a||_2 <= bound.  As
+    ||a||_2 <= ||a||_F, the SVD is taken only when the Frobenius norm exceeds
+    bound; for an exactly Hermitian a (as `hermitize` returns) ||a||_2 =
+    max |lambda| is then read from eigvalsh instead.  The message may print
+    the 2-norm as {residual}.  Returns the norm that passed, >= ||a||_2."""
     if a.size == 0:
         return 0.0
     residual = float(np.linalg.norm(a))
@@ -67,8 +66,6 @@ def check_residual(message: str, a: np.ndarray, bound: float, scale=None) -> flo
         residual = float(np.abs(np.linalg.eigvalsh(a)).max())
     else:
         residual = operator_norm(a)
-    if scale is not None:
-        bound *= max(1.0, operator_norm(scale))
     if residual > bound:
         raise InvariantViolation(message.format(residual=residual))
     return residual

@@ -21,7 +21,8 @@ from ._linalg import (
     orthonormal_complement,
 )
 from .errors import CayleyUndefinedError, InvariantViolation
-from .spaces import SignatureSpace, Subspace, classify_subspace, fundamental_projections
+from .spaces import (SignatureSpace, Subspace, classify_subspace, fundamental_projections,
+                     split_along_j)
 
 # Window around the contraction bound inside which equality is flagged
 # instead of rejected (truncated families legitimately approach norm 1).
@@ -100,13 +101,8 @@ class PartialContraction:
         return self.action @ self.coords(v)
 
     def domain_split(self) -> tuple[np.ndarray, np.ndarray]:
-        """Orthonormal bases of M_+ = D cap H_+ and M_- = D cap H_-."""
-        p_plus, p_minus = fundamental_projections(self.space)
-        m_plus = orthonormal_columns(p_plus @ self.domain, floor=1.0)
-        m_minus = orthonormal_columns(p_minus @ self.domain, floor=1.0)
-        if m_plus.shape[1] + m_minus.shape[1] != self.domain_dim:
-            raise InvariantViolation("domain does not split along H_+ (+) H_-")
-        return m_plus, m_minus
+        """Orthonormal bases of M_+/- = D cap H_+/-: `split_along_j` of the J-invariant D."""
+        return split_along_j(self.space, self.domain)
 
     def full_matrix(self) -> np.ndarray:
         """T0 P_D as an ambient matrix (zero on the orthogonal complement)."""
@@ -166,14 +162,8 @@ def extract_angular(space: SignatureSpace, l_plus: Subspace | None,
 
 def reconstruct_subspaces(t0: PartialContraction) -> tuple[Subspace, Subspace]:
     """L_+/- = (I + T0) M_+/- back from the angular representation."""
-    m_plus, m_minus = t0.domain_split()
-    out = []
-    for m in (m_plus, m_minus):
-        if m.shape[1] == 0:
-            out.append(Subspace.empty(t0.space.dim))
-        else:
-            out.append(Subspace(m + np.column_stack([t0.apply(m[:, k]) for k in range(m.shape[1])])))
-    return out[0], out[1]
+    return tuple(Subspace(m + t0.action @ (t0.domain.conj().T @ m))
+                 for m in t0.domain_split())
 
 
 def duality_test(t0: PartialContraction) -> bool:
@@ -224,20 +214,16 @@ def c0_operator(t0: PartialContraction) -> CSymmetryMap:
     """
     if not duality_test(t0):
         raise InvariantViolation("C0 requires a dual pair (symmetric T0)")
-    m_plus, m_minus = t0.domain_split()
-    cols = []
-    signs = []
-    for m, sgn in ((m_plus, 1.0), (m_minus, -1.0)):
-        for k in range(m.shape[1]):
-            cols.append(m[:, k] + t0.apply(m[:, k]))
-            signs.append(sgn)
-    if not cols:
+    if t0.domain_dim == 0:
         raise ValueError("empty domain has no C0")
-    f = np.column_stack(cols)
-    signs = np.asarray(signs)
+    m_plus, m_minus = t0.domain_split()
+    m = np.hstack([m_plus, m_minus])
+    f = m + t0.action @ (t0.domain.conj().T @ m)
+    signs = np.r_[np.ones(m_plus.shape[1]), -np.ones(m_minus.shape[1])]
     matrix = (f * signs) @ np.linalg.pinv(f)
     # Involution on the domain.
-    check_residual("C0^2 != I on D(C0)", matrix @ matrix @ f - f, STRUCT_TOL, scale=f)
+    check_residual("C0^2 != I on D(C0)", matrix @ matrix @ f - f,
+                   STRUCT_TOL * max(1.0, np.linalg.norm(f, 2)))
     # G0 = J C0 as a form on the domain basis: F^H J F diag(signs).
     form = (f.conj().T @ t0.space.j @ f) * signs
     if not is_self_adjoint(form):

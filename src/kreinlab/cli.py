@@ -96,9 +96,7 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     for row in rows:
         cells = []
         for v in row:
-            if isinstance(v, str):
-                cells.append(v)
-            elif isinstance(v, (int, np.integer)):
+            if isinstance(v, (int, np.integer)):
                 cells.append(str(int(v)))
             else:
                 cells.append(_fmt_float(float(v)))

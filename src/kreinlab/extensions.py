@@ -50,7 +50,7 @@ from ._linalg import (
 )
 from .angular import PartialContraction
 from .errors import InvariantViolation
-from .spaces import NEUTRAL_TOL, SignatureSpace, Subspace, fundamental_bases
+from .spaces import NEUTRAL_TOL, SignatureSpace, Subspace, fundamental_bases, split_along_j
 
 # Eigenvalues of T_M - T_mu above this (relative to the largest) span the
 # defect space; below, the direction is considered rigid.
@@ -70,19 +70,19 @@ CAYLEY_ROUNDING = 16
 
 
 def _completion(t0: PartialContraction):
-    """Block form of T0: E = D(T0)^perp split by the eigh of E* J E into p
-    columns in H_+, then those in H_-; p, B = E* T0 D, the corner
-    bounds C_min, C_max, the larger Frobenius residual ||(I +/- A) Z - B*||
-    of the two solves Z = (I +/- A)^{-1} B* that give the corners, and
-    ||Z_+||_F, which bounds the Gram I + Z_+* Z_+ of the kernel basis
-    E - D Z_+ of I + T_mu."""
+    """Block form of T0: E = D(T0)^perp split along J into p columns in H_+,
+    then those in H_-, each in reverse `split_along_j` order; p, B = E* T0 D,
+    the corner bounds C_min, C_max, the larger Frobenius residual
+    ||(I +/- A) Z - B*|| of the two solves Z = (I +/- A)^{-1} B* that give
+    the corners, and ||Z_+||_F, which bounds the Gram I + Z_+* Z_+ of the
+    kernel basis E - D Z_+ of I + T_mu."""
     d, e = t0.domain, t0.complement
     dt0d = d.conj().T @ t0.action       # the symmetry test of duality_test
     if not is_self_adjoint(dt0d):
         raise InvariantViolation("extension theory needs a symmetric T0")
-    j_e, v = np.linalg.eigh(hermitize(e.conj().T @ (t0.space.j @ e)))
-    e = e @ v[:, ::-1]                   # the +1 eigenvectors first
-    p = int(np.sum(j_e > 0))
+    e_plus, e_minus = split_along_j(t0.space, e)
+    e = np.hstack([e_plus[:, ::-1], e_minus[:, ::-1]])
+    p = e_plus.shape[1]
     a = hermitize(dt0d)
     b = e.conj().T @ t0.action
     bh = b.conj().T

@@ -182,15 +182,10 @@ def decompose(metric: GMetric, f) -> tuple[np.ndarray, np.ndarray]:
     return (plus, minus) if f.ndim == 2 else (plus[:, 0], minus[:, 0])
 
 
-def split_inner(metric: GMetric, f, g) -> complex:
-    """[f_+, g_+] - [f_-, g_-] over one `decompose` of [f, g]: the second
-    route to (f, g)_G."""
-    return split_inners(metric, np.column_stack([f, g]))[0]
-
-
 def split_inners(metric: GMetric, probes) -> list[complex]:
-    """`split_inner` of each column pair (f_i, g_i) = (probes[:, 2i],
-    probes[:, 2i + 1]) of an (n, 2k) stack, over one `decompose`."""
+    """[f_+, g_+] - [f_-, g_-], the second route to (f, g)_G, of each column
+    pair (f, g) = (probes[:, 2i], probes[:, 2i + 1]) of an (n, 2k) stack,
+    over one `decompose`."""
     plus, minus = decompose(metric, probes)
     return [indefinite_product(metric.space, plus[:, i], plus[:, i + 1])
             - indefinite_product(metric.space, minus[:, i], minus[:, i + 1])

@@ -6,10 +6,10 @@ row-major flat float sequences: `matrix_to_obj` gives 1-d float64 arrays,
 fields are non-negative integers.  Reports are emitted with a deterministic
 encoder: keys sorted, floats always printed with 17 significant digits, so
 identical inputs give byte-identical files; `json.dumps` refuses the arrays,
-so a matrix object is written with `dumps_report`.  A float array, or a
-list or tuple of Python floats, is formatted and joined in one pass; long
-ones take a vectorized digit route that gives the text of "%.17g" value by
-value.  When the magnitudes of a square matrix object's re or im are
+so a matrix object is written with `dumps_report`.  A 1-d float array is
+formatted and joined in one pass, and a long one takes a vectorized digit
+route that gives the text of "%.17g" value by value; lists and tuples go
+item by item.  When the magnitudes of a square matrix object's re or im are
 mirror-symmetric (every hermitized matrix), that route computes the digits
 of the upper triangle only.
 """
@@ -94,7 +94,7 @@ def problem_from_obj(obj):
     return PartialContraction(space, domain, action)
 
 
-# Float sequences at least this long take the vectorized route of
+# Float arrays at least this long take the vectorized route of
 # `_digit_rows`; shorter ones cost less through "%.17g" per value (the two
 # routes cost the same at 128-160 floats on a 2-CPU x86-64 host).
 _BULK_MIN = 160
@@ -119,8 +119,8 @@ def _tokens(values) -> list[str]:
 
 
 def _fmt_floats(values, side: int | None = None) -> str:
-    """", "-joined text of floats, 17 significant digits each.  Every float
-    sequence of a report goes through here, and scalars through `_fmt_float`.
+    """", "-joined text of floats, 17 significant digits each.  A report's
+    1-d float arrays go through here, and its other floats `_fmt_float`.
 
     The vectorized route lays out the text of each magnitude in a row of
     `_ROW` bytes (`_digit_rows`) and writes the sign into the row's first
@@ -333,14 +333,10 @@ def _encode(obj: Any, parts: list[str], side: int | None = None) -> None:
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         parts.append("[")
-        if seq and set(map(type, seq)) == {float}:
-            # A float list is formatted and joined in one pass.
-            parts.append(_fmt_floats(seq))
-        else:
-            for i, item in enumerate(seq):
-                if i:
-                    parts.append(", ")
-                _encode(item, parts)
+        for i, item in enumerate(seq):
+            if i:
+                parts.append(", ")
+            _encode(item, parts)
         parts.append("]")
     else:
         raise ValueError(f"cannot serialize object of type {type(obj)!r}")

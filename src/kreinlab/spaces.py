@@ -2,10 +2,10 @@
 
 A fundamental symmetry J (self-adjoint involution, J != +/-I) turns C^n into
 a Krein space with [f, g] = (Jf, g).  A `SignatureSpace` keeps J and its
-signature only; the projections P_+/- = (I +/- J)/2 and the eigenbases of
-H_+/- are formed on demand by `fundamental_projections` and
-`fundamental_bases`.  Subspaces carry Euclidean-orthonormal bases; sign
-classification happens through the indefinite Gram matrix.
+signature only; P_+/- = (I +/- J)/2, the eigenbases of H_+/- and the split
+of a J-invariant basis along J are formed on demand by `fundamental_projections`,
+`fundamental_bases` and `split_along_j`.  Subspaces carry Euclidean-orthonormal
+bases; sign classification happens through the indefinite Gram matrix.
 """
 from __future__ import annotations
 
@@ -129,10 +129,20 @@ def fundamental_projections(space: SignatureSpace) -> tuple[np.ndarray, np.ndarr
 
 
 def fundamental_bases(space: SignatureSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (H_+, H_-) of the +1 and -1 eigenspaces of J, from
-    one eigh of J per call."""
+    """Orthonormal bases (H_+, H_-) of the +1 and -1 eigenspaces of J from one
+    eigh of J per call: `split_along_j` of the whole space, without its products."""
     _, v = np.linalg.eigh(space.j)
     return v[:, space.minus_dim:], v[:, :space.minus_dim]
+
+
+def split_along_j(space: SignatureSpace, u) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (U_+, U_-) of ran u cap H_+/- for an orthonormal
+    J-invariant basis u: u V, with V the eigenvectors of u* J u by ascending
+    eigenvalue, split at the sign change."""
+    w, v = np.linalg.eigh(hermitize(u.conj().T @ (space.j @ u)))
+    uv = u @ v
+    q = int(np.sum(w < 0.0))
+    return uv[:, q:], uv[:, :q]
 
 
 @dataclass(frozen=True)

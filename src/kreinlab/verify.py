@@ -734,11 +734,11 @@ def _check_serialize(rng) -> str:
         pass
     else:
         raise AssertionError("a NaN inside a float list was serialized")
-    # A long float list takes the vectorized formatter; its text must be
+    # A long float array takes the vectorized formatter; its text must be
     # "%.17g" of each value.
     bits = rng.integers(0, 2 ** 64, size=1024, dtype=np.uint64).view(np.float64)
-    values = bits[np.isfinite(bits)].tolist() + _float_edge_values()
-    texts = [format(v, ".17g") for v in values]
+    values = np.concatenate([bits[np.isfinite(bits)], _float_edge_values()])
+    texts = [format(v, ".17g") for v in values.tolist()]
     expected = ", ".join(t if "." in t or "e" in t else t + ".0" for t in texts)
     if dumps_report({"v": values}) != '{"v": [' + expected + "]}\n":
         raise AssertionError("bulk float text differs from per-value %.17g")
@@ -816,12 +816,8 @@ def run_verification(seed: int = 0, threads: int | None = None) -> list[CheckRes
     """Run every registered check; results sorted by name, independent of
     the thread count."""
     names = sorted(_CHECKS)
-    workers = thread_cap(threads)
-    if workers <= 1:
-        return [_run_one(name, seed) for name in names]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {name: pool.submit(_run_one, name, seed) for name in names}
-        return [futures[name].result() for name in names]
+    with ThreadPoolExecutor(max_workers=thread_cap(threads)) as pool:
+        return list(pool.map(_run_one, names, [seed] * len(names)))
 
 
 def verification_report(results: list[CheckResult], seed: int) -> dict:

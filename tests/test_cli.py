@@ -526,6 +526,33 @@ def test_exit_code_4_anharmonic_beta_the_grid_cannot_resolve(tmp_path, capsys, b
     assert "of the level spacing" in err
 
 
+@pytest.mark.parametrize("half_width, step", (("1e-300", "2.44e-304"), ("1e-160", "2.44e-164"),
+                                              ("1e-150", "2.44e-154")))
+def test_exit_code_4_anharmonic_grid_step_too_fine(tmp_path, capsys, half_width, step):
+    # 4/h^2 overflows (1e-300, 1e-160: h^2 underflows to 0) or dominates
+    # u ||T||_1 (1e-150): refused naming the grid step, not beta, with no
+    # ZeroDivisionError and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["quasi-basis", "anharmonic", "--beta", "4", "--nmax", "4",
+                      "--L", half_width, "--output-dir", tmp_path / "o"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert f"the grid step h = {step} is too fine for double precision" in err
+    assert "beta" not in err and "Traceback" not in err
+
+
+def test_anharmonic_tanh_weight_on_a_wide_grid_warns_nothing(tmp_path, capsys):
+    # cosh(x)^2 overflows beyond |x| ~ 355, where p' and p'' are 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["quasi-basis", "anharmonic", "--beta", "4", "--nmax", "4",
+                      "--p", "tanh", "--L", "400", "--output-dir", tmp_path / "o"])
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert load(tmp_path / "o" / "quasi_basis_report.json")["weight"] == "tanh"
+
+
 # ----------------------------------------------------------- console script
 
 def child_env() -> dict:

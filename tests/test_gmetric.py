@@ -13,7 +13,7 @@ from kreinlab import (
 )
 from kreinlab import oracles
 from kreinlab.errors import CayleyUndefinedError, InvariantViolation
-from kreinlab.oracles import decompose, metric_agreement, split_inner, xi_norm_identity_residual
+from kreinlab.oracles import decompose, metric_agreement, split_inners, xi_norm_identity_residual
 from kreinlab.verify import random_anticommuting_contraction, random_signature_space
 
 T_HALF = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
@@ -189,7 +189,7 @@ def test_metric_report_decomposes_all_probes_at_once(monkeypatch, rng):
     assert agreement["inner_decomposition"] < 1e-10
     calls.clear()
     f, g = (rng.standard_normal(12) + 1j * rng.standard_normal(12) for _ in range(2))
-    split = split_inner(m, f, g)
+    split, = split_inners(m, np.column_stack([f, g]))
     assert calls == ["solve", "P"]
     assert split == pytest.approx(g_inner(m, f, g), rel=1e-12)
 

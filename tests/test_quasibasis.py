@@ -10,7 +10,6 @@ from kreinlab import oracles
 from kreinlab.errors import (
     FrequencyBandError,
     GridResolutionError,
-    InvariantViolation,
     ParityMixingError,
 )
 from kreinlab.quasibasis import (
@@ -865,12 +864,3 @@ def test_parity_mixing_refusal(monkeypatch):
     monkeypatch.setattr(qb, "_halfline_eigs", degenerate_eigs)
     with pytest.raises(ParityMixingError):
         anharmonic_family(4.0, "x_over_1px2", n_max=4)
-
-
-def test_even_weight_rejected(monkeypatch):
-    even = lambda x: x ** 2 / (1.0 + x ** 2)
-    d1 = lambda x: 2.0 * x / (1.0 + x ** 2) ** 2
-    d2 = lambda x: (2.0 - 6.0 * x ** 2) / (1.0 + x ** 2) ** 3
-    monkeypatch.setitem(qb.BUILTIN_WEIGHTS, "evil_even", lambda: (even, d1, d2))
-    with pytest.raises(InvariantViolation, match="odd"):
-        anharmonic_family(4.0, "evil_even", n_max=2)

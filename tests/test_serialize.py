@@ -134,8 +134,8 @@ def bulk_sized(values: list) -> list:
     return (values * (_BULK_MIN // len(values) + 1))[:_BULK_MIN + len(values)]
 
 
-# Float sequences: short ones take the per-value route, bulk-sized lists
-# and arrays the vectorized one.
+# Float sequences: lists, tuples and short arrays take the per-value route,
+# bulk-sized 1-d float arrays the vectorized one.
 long_floats = st.one_of(
     st.lists(finite, min_size=1, max_size=12).map(bulk_sized),
     st.integers(0, 2 ** 32 - 1).map(lambda seed: random_finite_patterns(
@@ -238,7 +238,7 @@ def exact_ties(seed: int) -> list:
 
 
 def test_bulk_random_bit_patterns_match_per_value(monkeypatch):
-    # 2**18 random finite doubles in lists of 4099 (blocks end mid-list).
+    # 2**18 random finite doubles in arrays of 4099 (blocks end mid-array).
     # About 4 % take the per-value route near a tie; the count guards
     # against the bulk route silently falling back for everything.
     per_value = []
@@ -246,7 +246,7 @@ def test_bulk_random_bit_patterns_match_per_value(monkeypatch):
     monkeypatch.setattr(serialize, "_tokens", lambda v: per_value.extend(v) or tokens(v))
     x = random_finite_patterns(20261018, 2 ** 18)
     for start in range(0, x.size, 4099):
-        chunk = x[start:start + 4099].tolist()
+        chunk = x[start:start + 4099]
         assert dumps_report(chunk) == reference_dumps_report(chunk)
     assert 0 < len(per_value) < 0.06 * x.size
 
@@ -256,7 +256,7 @@ def test_bulk_random_bit_patterns_match_per_value(monkeypatch):
                          ids=("powers-of-ten", "switch-points", "ties"))
 def test_bulk_edge_values_match_per_value(values):
     assert len(values) >= _BULK_MIN and {type(v) for v in values} == {float}
-    for obj in (values, np.array(values), values[::-1]):
+    for obj in (values, np.array(values), np.array(values[::-1])):
         assert dumps_report(obj) == reference_dumps_report(obj)
 
 
@@ -264,7 +264,7 @@ def test_bulk_edge_texts():
     # Ties round half to even, in the tie and per-value routes alike.
     values = bulk_sized([1234567890123456.75, 1234567890123456.25, 1e16, 1e17, 1e-5,
                          -0.0, 0.0001, 12345678901234567.0, 5e-324])
-    text = dumps_report(values)
+    text = dumps_report(np.array(values))
     assert text.startswith("[1234567890123456.8, 1234567890123456.2, 10000000000000000.0, "
                            "1e+17, 1.0000000000000001e-05, -0.0, 0.0001, "
                            "12345678901234568.0, 4.9406564584124654e-324, ")
@@ -279,8 +279,8 @@ def test_all_fallback_route_matches(monkeypatch, route):
         monkeypatch.setattr(serialize, "_tables", lambda: None)
     else:
         monkeypatch.setattr(serialize, "_TIE_MARGIN", 0.5)
-    values = (power_of_ten_neighbourhoods() + switch_points()
-              + random_finite_patterns(3, 5000).tolist())
+    values = np.array(power_of_ten_neighbourhoods() + switch_points()
+                      + random_finite_patterns(3, 5000).tolist())
     assert dumps_report(values) == reference_dumps_report(values)
 
 
@@ -291,7 +291,7 @@ def test_bulk_route_survives_a_log10_one_ulp_off(monkeypatch, toward):
     # takes the element.  A log10 one ulp off everywhere forces that case.
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
-    values = power_of_ten_neighbourhoods() + switch_points()
+    values = np.array(power_of_ten_neighbourhoods() + switch_points())
     assert dumps_report(values) == reference_dumps_report(values)
 
 
