@@ -1,8 +1,8 @@
 """Angular-operator representation of definite subspace pairs.
 
 A dual pair (L_+, L_-) of definite subspaces is stored as a partial
-contraction T0 on a J-invariant domain M_+ (+) M_-; the subspaces are
-recovered as L_+/- = (I + T0) P_+/- D(T0).
+contraction T0 on a J-invariant domain M_+ (+) M_-, stored as such (each
+domain column in H_+ or H_-); the subspaces are L_+/- = (I + T0) M_+/-.
 """
 from __future__ import annotations
 
@@ -43,16 +43,20 @@ def _domain_coords(domain: np.ndarray, v, message: str) -> np.ndarray:
 
 
 class PartialContraction:
-    """Strong contraction T0 defined on a J-invariant subspace.
+    """Strong contraction T0 on a J-invariant subspace, held as M_+ (+) M_-.
 
-    domain: Euclidean-orthonormal basis of D(T0) (columns),
-    action: the images T0 d_i in the ambient space (columns).
+    domain: Euclidean-orthonormal basis D of D(T0) whose columns lie in H_+
+    or H_- (J D = D diag(signs) within STRUCT_TOL; a mixed basis of a
+    J-invariant domain is replaced by its `split_along_j` U, action by A D* U);
+    action: the images T0 d_i (columns); signs: +1 on M_+, -1 on M_-.
 
-    norm = sqrt(lambda_max(action* action)) = ||T0||, from a d x d eigvalsh
-    (0 when d = 0), is within a relative rounding of about d u of the SVD
-    2-norm.  Its readers take it as exact: `_solve_term` scales a residual
-    already of rounding size by it, and an error in gamma = 1 - ||T0|| moves
-    the lower Cayley bound by at most d u, inside CAYLEY_ROUNDING n u.
+    As T0 maps M_+/- into H_-/+, ||A_+* A_-|| <= ||R|| ||T0|| for the columns
+    A_+/- of action on M_+/- and the anticommutation residual R = J action +
+    action diag(signs).  So norm, from the eigvalsh of the half Grams A_+* A_+
+    and A_-* A_- (0 when d = 0), has norm <= ||T0|| <= norm_bound = norm +
+    ||R|| up to a relative rounding of about d u.  `_solve_term` and the gamma
+    of `cayley_bounds` read norm_bound; d u moves the lower Cayley bound by
+    at most d u, inside CAYLEY_ROUNDING n u.
     """
 
     def __init__(self, space: SignatureSpace, domain, action):
@@ -64,21 +68,26 @@ class PartialContraction:
         # ||D* D - I||, kept for the bounds that assume an orthonormal D.
         self.domain_residual = check_residual("domain basis must be orthonormal",
                                               domain.conj().T @ domain - np.eye(d), STRUCT_TOL)
-        self.space = space
-        self.domain = domain
-        self.action = action
-        gram = np.linalg.eigvalsh(hermitize(action.conj().T @ action)) if d else [0.0]
-        self.norm = float(np.sqrt(max(gram[-1], 0.0)))
+        # sigma_j = sign Re(d_j* J d_j); the basis is adapted when J D = D diag(sigma).
+        jd = space.j @ domain
+        signs = np.where(np.einsum("ij,ij->j", domain.conj(), jd).real < 0.0, -1.0, 1.0)
+        if np.linalg.norm(jd - domain * signs) > STRUCT_TOL:
+            check_residual("domain is not J-invariant",
+                           jd - domain @ (domain.conj().T @ jd), STRUCT_TOL)
+            plus, minus = split_along_j(space, domain)
+            signs = np.repeat([1.0, -1.0], [plus.shape[1], minus.shape[1]])
+            split = np.hstack([plus, minus])
+            domain, action = split, action @ (domain.conj().T @ split)
+        self.space, self.domain, self.action, self.signs = space, domain, action, signs
+        tops = [np.linalg.eigvalsh(hermitize(a.conj().T @ a))[-1]
+                for a in (action[:, signs > 0], action[:, signs < 0]) if a.shape[1]]
+        self.norm = float(np.sqrt(max([0.0, *tops])))
         if self.norm > 1.0 + NEAR_UNIT_WINDOW:
             raise InvariantViolation(f"not a strong contraction: ||T0|| = {self.norm:.12g} > 1")
         self.near_unit = self.norm >= 1.0 - NEAR_UNIT_WINDOW
-        # J-invariance of the domain and J T0 = -T0 J on it, both from one J D.
-        jd = space.j @ domain
-        j_on_domain = domain.conj().T @ jd
-        check_residual("domain is not J-invariant", jd - domain @ j_on_domain, STRUCT_TOL)
-        check_residual("J T0 + T0 J != 0 on the domain (residual {residual:.3e})",
-                       space.j @ action + action @ j_on_domain,
-                       STRUCT_TOL * max(1.0, self.norm))
+        self.norm_bound = self.norm + check_residual(
+            "J T0 + T0 J != 0 on the domain (residual {residual:.3e})",
+            space.j @ action + action * signs, STRUCT_TOL * max(1.0, self.norm))
 
     @cached_property
     def complement(self) -> np.ndarray:
@@ -101,8 +110,8 @@ class PartialContraction:
         return self.action @ self.coords(v)
 
     def domain_split(self) -> tuple[np.ndarray, np.ndarray]:
-        """Orthonormal bases of M_+/- = D cap H_+/-: `split_along_j` of the J-invariant D."""
-        return split_along_j(self.space, self.domain)
+        """Orthonormal bases of M_+/- = D cap H_+/-: the columns of D by sign."""
+        return self.domain[:, self.signs > 0], self.domain[:, self.signs < 0]
 
     def full_matrix(self) -> np.ndarray:
         """T0 P_D as an ambient matrix (zero on the orthogonal complement)."""

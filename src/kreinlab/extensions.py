@@ -73,9 +73,11 @@ def _completion(t0: PartialContraction):
     """Block form of T0: E = D(T0)^perp split along J into p columns in H_+,
     then those in H_-, each in reverse `split_along_j` order; p, B = E* T0 D,
     the corner bounds C_min, C_max, the larger Frobenius residual
-    ||(I +/- A) Z - B*|| of the two solves Z = (I +/- A)^{-1} B* that give
-    the corners, and ||Z_+||_F, which bounds the Gram I + Z_+* Z_+ of the
-    kernel basis E - D Z_+ of I + T_mu."""
+    ||(I +/- A) Z_+/- - B*|| of Z_+/- = (I +/- A)^{-1} B*, which give the
+    corners, and ||Z_+||_F, which bounds the Gram I + Z_+* Z_+ of the
+    kernel basis E - D Z_+ of I + T_mu.  The corners share one LU: with S =
+    diag(t0.signs), A's diagonal blocks vanish, so I - A = S (I + A) S and Z_-
+    = S (I + A)^{-1} S B*; both residuals are measured against the computed A."""
     d, e = t0.domain, t0.complement
     dt0d = d.conj().T @ t0.action       # the symmetry test of duality_test
     if not is_self_adjoint(dt0d):
@@ -86,12 +88,13 @@ def _completion(t0: PartialContraction):
     a = hermitize(dt0d)
     b = e.conj().T @ t0.action
     bh = b.conj().T
+    s = t0.signs[:, None]
     eye_d, eye_e = np.eye(d.shape[1]), np.eye(e.shape[1])
-    i_plus_a, i_minus_a = eye_d + a, eye_d - a
-    z_plus = np.linalg.solve(i_plus_a, bh)
-    z_minus = np.linalg.solve(i_minus_a, bh)
+    i_plus_a = eye_d + a
+    z_plus, z_minus = np.hsplit(np.linalg.solve(i_plus_a, np.hstack([bh, s * bh])), [e.shape[1]])
+    z_minus *= s
     residual = max(np.linalg.norm(i_plus_a @ z_plus - bh),
-                   np.linalg.norm(i_minus_a @ z_minus - bh))
+                   np.linalg.norm((eye_d - a) @ z_minus - bh))
     c_min = hermitize(-eye_e + b @ z_plus)
     c_max = hermitize(eye_e - b @ z_minus)
     return e, p, b, c_min, c_max, float(residual), float(np.linalg.norm(z_plus))
@@ -155,9 +158,9 @@ class ExtensionInterval:
         s_max^2.  So -1 is in the spectrum
         of T iff defect_dim < k or X is singular.  Both bounds are widened by
         cayley_slack; with k = 0 there is no kernel, mu = inf and the bounds
-        are (gamma, inf).
+        are (gamma, inf).  gamma is read as 1 - t0.norm_bound <= 1 - ||T0||.
         """
-        gap = 1.0 - self.t0.norm
+        gap = 1.0 - self.t0.norm_bound
         if self.t0.is_full_domain:
             return gap - self.cayley_slack, float("inf")
         w = self.defect_scale ** 2
@@ -197,12 +200,12 @@ def endpoint_excess_bound(t0: PartialContraction, solve_residual: float,
 
 def _solve_term(t0: PartialContraction, solve_residual: float) -> float:
     """||T0|| ||R|| / (1 - ||T0||), the distance a corner solve residual R
-    puts between a computed corner and the exact one; infinite when ||T0||
-    >= 1 and R != 0."""
+    puts between a computed corner and the exact one, with ||T0|| read as
+    t0.norm_bound; infinite when that is >= 1 and R != 0."""
     if not solve_residual:
         return 0.0
-    gap = 1.0 - t0.norm
-    return t0.norm * solve_residual / gap if gap > 0 else np.inf
+    gap = 1.0 - t0.norm_bound
+    return t0.norm_bound * solve_residual / gap if gap > 0 else np.inf
 
 
 def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> ExtensionInterval:

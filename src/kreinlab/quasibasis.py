@@ -52,6 +52,10 @@ from .errors import (
 
 # |g_n(+/-L)| must fall below this at the grid edge.
 EDGE_TOL = 1e-14
+# max_n |g_n| at the last interior node over its peak must stay below this for
+# an anharmonic family.  Calibrated: 3.5e-5 and more where the box moves the
+# levels (beta 4, L <= 3); at most 4.6e-9 on 16-node grids (beta >= 3, n_max <= 5).
+ANHARMONIC_EDGE_RATIO = 1e-6
 # Reference (unshifted) Gram must reproduce the identity this well.
 REFERENCE_GRAM_TOL = 1e-8
 # Margin added to the classical frequency support when fixing the band.
@@ -690,7 +694,8 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
     step (`halfline_levels`).  p must be a (bounded, odd) BUILTIN_WEIGHTS
     entry, and half_width ** beta must be finite; a rounding u ||T||_1 above
     RESOLUTION_FRACTION of LEVEL_SPACING is refused before any solve with a
-    ResolutionError naming beta, or the step h where 4/h^2 dominates.
+    ResolutionError naming beta, or the step h where 4/h^2 dominates; g_n not
+    decayed at the box edge (ANHARMONIC_EDGE_RATIO) with a GridResolutionError.
     """
     if not 2.0 < beta < np.inf:
         raise ValueError("beta must exceed 2 and be finite")
@@ -723,6 +728,10 @@ def anharmonic_family(beta: float, p_name: str = "x_over_1px2", n_max: int = 8,
     if not merge_certified(beta, grid, levels):
         levels = halfline_levels(beta, grid, (n_max + 2, n_max + 2))
     eigs, parities, (richardson, extrapolated, extrapolation), g = merge_levels(levels, n_max)
+    edge = float(np.max(np.abs(g[:, -1]) / np.abs(g).max(axis=1)))
+    if edge > ANHARMONIC_EDGE_RATIO:
+        raise GridResolutionError(f"half_width {grid.half_width} too small: |g_n| at the last "
+                                  f"interior node is {edge:.2e} of its peak")
     f = np.exp(p(x))[None, :] * g
     return AnharmonicFamily(
         x=x,

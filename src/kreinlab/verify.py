@@ -89,7 +89,7 @@ ROUTE_TOL = 1e-8
 ASYMMETRY_FLOOR = 1e-8
 # Cayley round trip: the oracle inverse of the production G returns T.
 ROUNDTRIP_TOL = 1e-10
-# ||T0|| from the Gram against the SVD 2-norm, relative, in units of n u.
+# ||T0|| from the half Grams against the SVD 2-norm, relative, in units of n u.
 GRAM_NORM_ROUNDING = 8
 # Relative gap between the structured and dense sweeps (preimage norm, sup).
 SWEEP_REL_TOL = 1e-9
@@ -212,28 +212,32 @@ def _check_spaces_projections(rng) -> str:
 
 def _check_angular_roundtrip(rng) -> str:
     # The SVD 2-norm of the action is the independent route to ||T0||,
-    # which PartialContraction reads from the Gram.
+    # which PartialContraction reads from the half Grams, also after it split
+    # the same domain given in a mixed basis D Q (action A Q) along J.
     worst = norm_gap = 0.0
     for _ in range(6):
         sp = random_signature_space(rng)
         t0 = random_partial_contraction(rng, sp, proper=False)
+        q = random_unitary(rng, t0.domain_dim)
+        mixed = PartialContraction(sp, t0.domain @ q, t0.action @ q)
         lp, lm = reconstruct_subspaces(t0)
         back = extract_angular(sp, lp if lp.dim else None, lm if lm.dim else None)
-        worst = max(worst, operator_norm(t0.full_matrix() - back.full_matrix()))
+        worst = max(worst, *(operator_norm(t0.full_matrix() - t.full_matrix())
+                             for t in (back, mixed)))
         pd = t0.domain @ t0.domain.conj().T
         pb = back.domain @ back.domain.conj().T
         worst = max(worst, operator_norm(pd - pb))
-        for t in (t0, back):
+        for t in (t0, back, mixed):
             svd_norm = operator_norm(t.action)
             gap = abs(t.norm - svd_norm) / max(svd_norm, np.finfo(float).tiny)
             if gap > GRAM_NORM_ROUNDING * sp.dim * np.finfo(float).eps:
-                raise AssertionError(f"||T0|| from the Gram is {gap:.3e} (relative) "
+                raise AssertionError(f"||T0|| from the half Grams is {gap:.3e} (relative) "
                                      f"from the SVD 2-norm")
             norm_gap = max(norm_gap, gap)
     if worst > ROUTE_TOL:
         raise AssertionError(f"angular roundtrip residual {worst:.3e}")
-    return (f"extract/reconstruct roundtrip residual {worst:.2e}; ||T0|| from the Gram "
-            f"within {norm_gap:.2e} (relative) of the SVD 2-norm")
+    return (f"extract/reconstruct and mixed-basis roundtrip residual {worst:.2e}; ||T0|| from "
+            f"the half Grams within {norm_gap:.2e} (relative) of the SVD 2-norm")
 
 
 def _check_angular_duality(rng) -> str:

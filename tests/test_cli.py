@@ -542,6 +542,30 @@ def test_exit_code_4_anharmonic_grid_step_too_fine(tmp_path, capsys, half_width,
     assert "beta" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("half_width, ratio", (("1", "1.91e-03"), ("2", "1.45e-03"),
+                                               ("3", "3.47e-05")))
+def test_exit_code_4_anharmonic_box_too_short_for_the_levels(tmp_path, capsys, half_width, ratio):
+    # at --L 1 the solve gave the box's levels 2.51, 9.98, 22.4 (|x|^4 has
+    # 1.06, 3.80, 7.46) with a max eigen-residual of 989: g_n has not decayed
+    # at the edge node, and the family is refused before any report is written
+    rc = run_cli(["quasi-basis", "anharmonic", "--beta", "4", "--nmax", "4",
+                  "--L", half_width, "--output-dir", tmp_path / "o"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert (f"half_width {float(half_width)} too small: |g_n| at the last interior node "
+            f"is {ratio} of its peak") in err
+    assert not (tmp_path / "o" / "quasi_basis_report.json").exists()
+
+
+def test_anharmonic_box_long_enough_for_the_levels_is_admitted(tmp_path):
+    # --L 4 reads 5.8e-10 and its levels agree with the default grid's
+    rc = run_cli(["quasi-basis", "anharmonic", "--beta", "4", "--nmax", "4",
+                  "--L", "4", "--output-dir", tmp_path / "o"])
+    assert rc == 0
+    report = load(tmp_path / "o" / "quasi_basis_report.json")
+    assert report["max_eigen_residual"] < 1e-3
+
+
 def test_anharmonic_tanh_weight_on_a_wide_grid_warns_nothing(tmp_path, capsys):
     # cosh(x)^2 overflows beyond |x| ~ 355, where p' and p'' are 0
     with warnings.catch_warnings():

@@ -188,14 +188,15 @@ def test_inaccurate_solve_falls_back_to_the_endpoint_norms(monkeypatch, tmp_path
 
 @pytest.mark.parametrize("problem", ["dense_96", "model_128_pairs"])
 def test_interval_takes_no_svd(monkeypatch, problem):
-    # the endpoint bound replaces the two n x n norms: with D(T0)^perp
-    # cached, krein_interval factors only J_E (m x m) and the two J blocks of
-    # W (m_+ and m_- square) besides its 2 solves
+    # the endpoint bound replaces the two n x n norms: construction factors
+    # only the two half Grams (d_+ and d_- square), and with D(T0)^perp
+    # cached, krein_interval factors only J_E (m x m), the two J blocks of W
+    # (m_+ and m_- square) and one (d x d) LU shared by both corners
     if problem == "dense_96":
-        t0 = dense_problem(np.random.default_rng(7401), 96)
+        src = dense_problem(np.random.default_rng(7401), 96)
     else:
-        t0 = build_model(SequenceModelSpec(1.25, "both_constraints", 128)).t0
-    t0.complement
+        src = build_model(SequenceModelSpec(1.25, "both_constraints", 128)).t0
+    complement = src.complement
     counted = []
 
     def counter(name, real):
@@ -206,13 +207,20 @@ def test_interval_takes_no_svd(monkeypatch, problem):
     for name in ("svd", "eigh", "eigvalsh", "qr", "solve"):
         for module in (np.linalg, np.linalg._linalg):
             monkeypatch.setattr(module, name, counter(name, getattr(module, name)))
+    t0 = PartialContraction(src.space, src.domain, src.action)
+    d = t0.domain_dim
+    d_plus = int(np.sum(t0.signs > 0))
+    assert 0 < d_plus < d
+    assert sorted(counted) == sorted([("eigvalsh", (d_plus, d_plus)),
+                                      ("eigvalsh", (d - d_plus, d - d_plus))])
+    counted.clear()
+    t0.complement = complement
     iv = krein_interval(t0)
-    d, m = t0.domain_dim, iv.defect_dim
+    m = iv.defect_dim
     m_plus, m_minus = iv.signature
     assert m == t0.space.dim - d and m_plus + m_minus == m
     assert sorted(counted) == sorted([("eigh", (m, m)), ("eigh", (m_plus, m_plus)),
-                                      ("eigh", (m_minus, m_minus)),
-                                      ("solve", (d, d)), ("solve", (d, d))])
+                                      ("eigh", (m_minus, m_minus)), ("solve", (d, d))])
 
 
 @pytest.mark.parametrize("seed", range(10))

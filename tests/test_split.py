@@ -1,15 +1,23 @@
 """The one split of an orthonormal J-invariant basis along J
 (`spaces.split_along_j`) and the routes that read it: the block
-completion's E, and the domain split behind reconstruct_subspaces and
-c0_operator, each against the route it replaced."""
+completion's E, the domain split behind reconstruct_subspaces and
+c0_operator, each against the route it replaced, and PartialContraction's
+domain, held as M_+ (+) M_- (J-adapted columns) and split once when it is
+given in a mixed basis."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as ref
-from kreinlab import PartialContraction, SignatureSpace, c0_operator, reconstruct_subspaces
+from kreinlab import (PartialContraction, SignatureSpace, c0_operator, classify_case,
+                      krein_interval, reconstruct_subspaces)
+from kreinlab import angular
 from kreinlab._linalg import STRUCT_TOL, hermitize, orthonormal_columns, random_unitary
+from kreinlab.errors import InvariantViolation
 from kreinlab.extensions import _completion
+from kreinlab.sequence_model import SequenceModelSpec, build_model
+from kreinlab.serialize import matrix_to_obj, problem_from_obj
 from kreinlab.spaces import Subspace, fundamental_bases, fundamental_projections, split_along_j
 from kreinlab.verify import random_partial_contraction, random_signature_space
 
@@ -142,3 +150,100 @@ def test_c0_matches_the_per_column_route(t0):
     assert opnorm(c0.matrix - want) <= 1e-13 * max(1.0, opnorm(want))
     np.testing.assert_array_equal(c0.signs, signs)
 
+
+
+# ------------------------------------------- the adapted domain and its fallback
+
+def count_domain_splits(monkeypatch):
+    """The shapes of the bases that PartialContraction splits along J."""
+    calls = []
+    real = angular.split_along_j
+
+    def split(space, u):
+        calls.append(u.shape)
+        return real(space, u)
+    monkeypatch.setattr(angular, "split_along_j", split)
+    return calls
+
+
+def mixed(t0, seed):
+    """The same T0 given in the basis D Q with the action A Q, Q a random unitary."""
+    q = random_unitary(np.random.default_rng(seed), t0.domain_dim)
+    return PartialContraction(t0.space, t0.domain @ q, t0.action @ q)
+
+
+def test_readme_and_pool_domains_take_the_adapted_route(monkeypatch):
+    calls = count_domain_splits(monkeypatch)
+    readme = problem_from_obj({"J": matrix_to_obj(np.diag([1.0, -1.0])),
+                               "T0_domain": matrix_to_obj([[1.0], [0.0]]),
+                               "T0_action": matrix_to_obj([[0.0], [0.5]])})
+    models = [build_model(SequenceModelSpec(**spec)).t0
+              for spec in ref.perfbench_gen().model_pool(20261017)]
+    problems = [readme, *pool_problems(), *models]
+    assert len(problems) == 1 + 12 + 24
+    assert calls == []
+    for t0 in problems:
+        assert opnorm(t0.space.j @ t0.domain - t0.domain * t0.signs) <= STRUCT_TOL
+
+
+def test_mixed_basis_takes_the_fallback_and_gives_the_same_interval(monkeypatch):
+    calls = count_domain_splits(monkeypatch)
+    models = [build_model(SequenceModelSpec(delta, variant, 32)).t0
+              for delta in (0.75, 1.25) for variant in ("both_constraints", "chi_plus_zero")]
+    for k, t0 in enumerate([*pool_problems(), *models]):
+        calls.clear()
+        other = mixed(t0, k)
+        assert calls == [t0.domain.shape]
+        assert opnorm(projector(other.domain) - projector(t0.domain)) <= 1e-13
+        np.testing.assert_array_equal(np.sort(other.signs), np.sort(t0.signs))
+        want, got = krein_interval(t0), krein_interval(other)
+        assert opnorm(got.t_mu - want.t_mu) <= 1e-13
+        assert opnorm(got.t_m - want.t_m) <= 1e-13
+        assert (got.defect_dim, got.signature, classify_case(got)) == (
+            want.defect_dim, want.signature, classify_case(want))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(t0=problems, seed=st.integers(0, 2 ** 31))
+def test_domain_split_matches_split_along_j(t0, seed):
+    for t in (t0, mixed(t0, seed)):
+        for mine, want in zip(t.domain_split(), angular.split_along_j(t.space, t.domain)):
+            assert mine.shape == want.shape
+            assert opnorm(projector(mine) - projector(want)) <= 1e-12
+
+
+SPACE4 = SignatureSpace(np.diag([1.0, 1.0, -1.0, -1.0]))
+ROTATION = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+E = np.eye(4)
+
+
+def refusal_case(kind, ratio, basis):
+    """(domain, action) on span{e1, e3} of J = diag(1, 1, -1, -1) whose
+    invariance or anticommutation residual is ratio * STRUCT_TOL: e1 tilted
+    by t = ratio * STRUCT_TOL / 2 towards e4 with T0 = 0, or T0 e1 = e3 / 2 +
+    t e2, T0 e3 = e1 / 2; given in those columns or mixed by a rotation."""
+    t = ratio * STRUCT_TOL / 2.0
+    if kind == "invariance":
+        domain = np.column_stack([(E[0] + t * E[3]) / np.hypot(1.0, t), E[2]])
+        action = np.zeros((4, 2))
+    else:
+        domain = E[:, [0, 2]]
+        action = np.column_stack([0.5 * E[2] + t * E[1], 0.5 * E[0]])
+    if basis == "mixed":
+        domain, action = domain @ ROTATION, action @ ROTATION
+    return domain, action
+
+
+MESSAGES = {"invariance": r"^domain is not J-invariant$",
+            "anticommutation": r"^J T0 \+ T0 J != 0 on the domain \(residual 2\.000e-10\)$"}
+
+
+@pytest.mark.parametrize("basis", ("adapted", "mixed"))
+@pytest.mark.parametrize("kind", ("invariance", "anticommutation"))
+def test_refusals_keep_their_thresholds_and_messages_on_both_routes(monkeypatch, kind, basis):
+    calls = count_domain_splits(monkeypatch)
+    t0 = PartialContraction(SPACE4, *refusal_case(kind, 0.5, basis))
+    assert calls == ([] if basis == "adapted" else [(4, 2)])
+    assert t0.domain_dim == 2 and sorted(t0.signs) == [-1.0, 1.0]
+    with pytest.raises(InvariantViolation, match=MESSAGES[kind]):
+        PartialContraction(SPACE4, *refusal_case(kind, 2.0, basis))
