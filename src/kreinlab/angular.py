@@ -42,21 +42,27 @@ def _domain_coords(domain: np.ndarray, v, message: str) -> np.ndarray:
     return c
 
 
+def _gram_norm(*blocks: np.ndarray) -> float:
+    """max ||a||_2 over the blocks, from the eigvalsh of each a* a (0 for none)."""
+    tops = [np.linalg.eigvalsh(hermitize(a.conj().T @ a))[-1] for a in blocks if a.shape[1]]
+    return float(np.sqrt(max([0.0, *tops])))
+
+
 class PartialContraction:
     """Strong contraction T0 on a J-invariant subspace, held as M_+ (+) M_-.
 
-    domain: Euclidean-orthonormal basis D of D(T0) whose columns lie in H_+
-    or H_- (J D = D diag(signs) within STRUCT_TOL; a mixed basis of a
-    J-invariant domain is replaced by its `split_along_j` U, action by A D* U);
-    action: the images T0 d_i (columns); signs: +1 on M_+, -1 on M_-.
+    domain: orthonormal basis D of D(T0), each column in H_+ or H_- (J D = D
+    diag(signs) within STRUCT_TOL; a mixed basis of a J-invariant domain is
+    replaced by its `split_along_j` U, action by A D* U); action: T0 D.
 
     As T0 maps M_+/- into H_-/+, ||A_+* A_-|| <= ||R|| ||T0|| for the columns
-    A_+/- of action on M_+/- and the anticommutation residual R = J action +
-    action diag(signs).  So norm, from the eigvalsh of the half Grams A_+* A_+
-    and A_-* A_- (0 when d = 0), has norm <= ||T0|| <= norm_bound = norm +
-    ||R|| up to a relative rounding of about d u.  `_solve_term` and the gamma
-    of `cayley_bounds` read norm_bound; d u moves the lower Cayley bound by
-    at most d u, inside CAYLEY_ROUNDING n u.
+    A_+/- of action on M_+/- and R = J action + action diag(signs), so ||T0||
+    lies in [h, h + ||R||] for h = max ||A_+/-|| from the eigvalsh of the half
+    Grams (0 when d = 0).  norm is h, or ||T0|| from the d x d Gram when that
+    interval holds a threshold norm is compared with (1 +/- NEAR_UNIT_WINDOW,
+    1 - APPROACH_WINDOW).  norm <= ||T0|| <= norm_bound = norm + ||R|| up to
+    d u; `_solve_term` and the gamma of `cayley_bounds` read norm_bound (d u
+    moves the lower Cayley bound inside CAYLEY_ROUNDING n u).
     """
 
     def __init__(self, space: SignatureSpace, domain, action):
@@ -79,15 +85,18 @@ class PartialContraction:
             split = np.hstack([plus, minus])
             domain, action = split, action @ (domain.conj().T @ split)
         self.space, self.domain, self.action, self.signs = space, domain, action, signs
-        tops = [np.linalg.eigvalsh(hermitize(a.conj().T @ a))[-1]
-                for a in (action[:, signs > 0], action[:, signs < 0]) if a.shape[1]]
-        self.norm = float(np.sqrt(max([0.0, *tops])))
+        anti = space.j @ action + action * signs
+        self.norm = _gram_norm(action[:, signs > 0], action[:, signs < 0])
+        spread = float(np.linalg.norm(anti))
+        if any(self.norm <= c <= self.norm + spread
+               for c in (1.0 + NEAR_UNIT_WINDOW, 1.0 - NEAR_UNIT_WINDOW, 1.0 - APPROACH_WINDOW)):
+            self.norm = _gram_norm(action)
         if self.norm > 1.0 + NEAR_UNIT_WINDOW:
             raise InvariantViolation(f"not a strong contraction: ||T0|| = {self.norm:.12g} > 1")
         self.near_unit = self.norm >= 1.0 - NEAR_UNIT_WINDOW
         self.norm_bound = self.norm + check_residual(
             "J T0 + T0 J != 0 on the domain (residual {residual:.3e})",
-            space.j @ action + action * signs, STRUCT_TOL * max(1.0, self.norm))
+            anti, STRUCT_TOL * max(1.0, self.norm))
 
     @cached_property
     def complement(self) -> np.ndarray:

@@ -75,9 +75,10 @@ def _completion(t0: PartialContraction):
     the corner bounds C_min, C_max, the larger Frobenius residual
     ||(I +/- A) Z_+/- - B*|| of Z_+/- = (I +/- A)^{-1} B*, which give the
     corners, and ||Z_+||_F, which bounds the Gram I + Z_+* Z_+ of the
-    kernel basis E - D Z_+ of I + T_mu.  The corners share one LU: with S =
-    diag(t0.signs), A's diagonal blocks vanish, so I - A = S (I + A) S and Z_-
-    = S (I + A)^{-1} S B*; both residuals are measured against the computed A."""
+    kernel basis E - D Z_+ of I + T_mu.  The corners share one LU: Z_- = S (I
+    + A)^{-1} S B*, S = diag(t0.signs), solves (I - A + 2 A_diag) Z_- = B*,
+    A_diag the diagonal blocks of A (within the accepted anticommutation
+    residual of 0); the residuals, against the computed A, carry 2 A_diag Z_-."""
     d, e = t0.domain, t0.complement
     dt0d = d.conj().T @ t0.action       # the symmetry test of duality_test
     if not is_self_adjoint(dt0d):

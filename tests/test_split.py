@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 import oracles as ref
 from kreinlab import (PartialContraction, SignatureSpace, c0_operator, classify_case,
-                      krein_interval, reconstruct_subspaces)
-from kreinlab import angular
-from kreinlab._linalg import STRUCT_TOL, hermitize, orthonormal_columns, random_unitary
+                      definiteness_class, krein_interval, reconstruct_subspaces)
+from kreinlab import angular, extensions
+from kreinlab._linalg import RESULT_TOL, STRUCT_TOL, hermitize, orthonormal_columns, random_unitary
 from kreinlab.errors import InvariantViolation
-from kreinlab.extensions import _completion
+from kreinlab.extensions import _completion, _solve_term
 from kreinlab.sequence_model import SequenceModelSpec, build_model
 from kreinlab.serialize import matrix_to_obj, problem_from_obj
 from kreinlab.spaces import Subspace, fundamental_bases, fundamental_projections, split_along_j
@@ -173,7 +173,11 @@ def mixed(t0, seed):
 
 
 def test_readme_and_pool_domains_take_the_adapted_route(monkeypatch):
-    calls = count_domain_splits(monkeypatch)
+    # no domain split, and ||T0|| from the half Grams alone (no d x d Gram)
+    calls, grams = count_domain_splits(monkeypatch), []
+    real = angular._gram_norm
+    monkeypatch.setattr(angular, "_gram_norm", lambda *blocks: grams.append(len(blocks))
+                        or real(*blocks))
     readme = problem_from_obj({"J": matrix_to_obj(np.diag([1.0, -1.0])),
                                "T0_domain": matrix_to_obj([[1.0], [0.0]]),
                                "T0_action": matrix_to_obj([[0.0], [0.5]])})
@@ -181,7 +185,7 @@ def test_readme_and_pool_domains_take_the_adapted_route(monkeypatch):
               for spec in ref.perfbench_gen().model_pool(20261017)]
     problems = [readme, *pool_problems(), *models]
     assert len(problems) == 1 + 12 + 24
-    assert calls == []
+    assert calls == [] and grams == [2] * len(problems)
     for t0 in problems:
         assert opnorm(t0.space.j @ t0.domain - t0.domain * t0.signs) <= STRUCT_TOL
 
@@ -247,3 +251,88 @@ def test_refusals_keep_their_thresholds_and_messages_on_both_routes(monkeypatch,
     assert t0.domain_dim == 2 and sorted(t0.signs) == [-1.0, 1.0]
     with pytest.raises(InvariantViolation, match=MESSAGES[kind]):
         PartialContraction(SPACE4, *refusal_case(kind, 2.0, basis))
+
+
+E6 = np.eye(6)
+SPACE6 = SignatureSpace(np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]))
+
+
+def cross_term_case(gap, basis):
+    """(domain, action) on span{e1, e4} of J = diag(1, 1, 1, -1, -1, -1):
+    T0 e1 = e4 / 2 + v e5 + t e2 and T0 e4 = e1 / 2 + w e3 + e2 / 2, both of
+    norm 1 - gap, with t = 4e-11.  The anticommutation residual is 2 t =
+    0.8 STRUCT_TOL (accepted), and the cross term t / 2 of the Gram puts
+    ||T0||^2 at (1 - gap)^2 + 2e-11, above both half Grams."""
+    t, half = 4e-11, (1.0 - gap) ** 2
+    v, w = np.sqrt(half - 0.25 - t * t), np.sqrt(half - 0.5)
+    domain = E6[:, [0, 3]]
+    action = np.column_stack([0.5 * E6[3] + v * E6[4] + t * E6[1],
+                              0.5 * E6[0] + w * E6[2] + 0.5 * E6[1]])
+    if basis == "mixed":
+        domain, action = domain @ ROTATION, action @ ROTATION
+    return domain, action
+
+
+@pytest.mark.parametrize("basis", ("adapted", "mixed"))
+def test_a_threshold_inside_the_cross_term_is_read_from_the_full_gram(basis):
+    # ||T0|| = 1 + 8e-12 over half Grams of 1 - 2e-12: refused, as the
+    # full Gram refuses it
+    with pytest.raises(InvariantViolation, match=r"^not a strong contraction: "
+                                                 r"\|\|T0\|\| = 1\.00000000001 > 1$"):
+        PartialContraction(SPACE6, *cross_term_case(2e-12, basis))
+    # ||T0|| = 1 over 1 - 1e-11: near_unit; 1 - ||T0|| = 1e-3 - 5e-12 over
+    # 1e-3 + 5e-12: approaching the non-uniform regime
+    for gap, label, approaching in ((1e-11, "definite_not_uniform", True),
+                                    (1e-3 + 5e-12, "uniformly_definite", True)):
+        domain, action = cross_term_case(gap, basis)
+        t0 = PartialContraction(SPACE6, domain, action)
+        assert abs(t0.norm - np.linalg.norm(action, 2)) <= 1e-15
+        assert t0.norm <= t0.norm_bound <= t0.norm + 8.1e-11
+        report = definiteness_class(t0)
+        assert (report.classification, report.approaching_nonuniform) == (label, approaching)
+        assert t0.near_unit == (label == "definite_not_uniform")
+
+
+def two_solve_completion(t0):
+    """`_completion` with Z_- from its own solve of I - A, the route before
+    the corners shared one LU."""
+    e, p, b, c_min, _, _, z_norm = _completion(t0)
+    a = hermitize(t0.domain.conj().T @ t0.action)
+    eye, bh = np.eye(t0.domain_dim), b.conj().T
+    z_plus, z_minus = np.linalg.solve(eye + a, bh), np.linalg.solve(eye - a, bh)
+    residual = max(np.linalg.norm((eye + a) @ z_plus - bh),
+                   np.linalg.norm((eye - a) @ z_minus - bh))
+    return e, p, b, c_min, hermitize(np.eye(e.shape[1]) - b @ z_minus), float(residual), z_norm
+
+
+def diagonal_block_case(basis):
+    """T0 e1 = e3 / 2 + e4 / 4 + t e1, T0 e3 = e1 / 2 + e2 / 5 on span{e1,
+    e3} of J = diag(1, 1, -1, -1), t = STRUCT_TOL / 4: A = D* T0 D has the
+    diagonal block t, and the anticommutation residual is 0.5 STRUCT_TOL."""
+    domain = E[:, [0, 2]]
+    action = np.column_stack([0.5 * E[2] + 0.25 * E[3] + 0.25 * STRUCT_TOL * E[0],
+                              0.5 * E[0] + 0.2 * E[1]])
+    if basis == "mixed":
+        domain, action = domain @ ROTATION, action @ ROTATION
+    return domain, action
+
+
+@pytest.mark.parametrize("basis", ("adapted", "mixed"))
+@pytest.mark.parametrize("case", ("anticommutation", "diagonal_block"))
+def test_shared_lu_matches_the_two_solves_at_the_accepted_residual(monkeypatch, case, basis):
+    # the shared LU solves I - A + 2 diag(A_++, A_--) for Z_-: off rounding
+    # its corner moves by the measured residual, which the bounds carry
+    problem = (refusal_case("anticommutation", 0.5, basis) if case == "anticommutation"
+               else diagonal_block_case(basis))
+    t0 = PartialContraction(SPACE4, *problem)
+    got, residual = krein_interval(t0), _completion(t0)[5]
+    monkeypatch.setattr(extensions, "_completion", two_solve_completion)
+    want, old_residual = krein_interval(t0), two_solve_completion(t0)[5]
+    allowed = _solve_term(t0, residual) + _solve_term(t0, old_residual) + 1e-15
+    if case == "anticommutation":
+        assert residual <= 1e-15      # A's diagonal blocks vanish exactly
+    for mine, theirs in ((got.t_mu, want.t_mu), (got.t_m, want.t_m)):
+        assert opnorm(mine - theirs) <= allowed
+    assert max(got.excess_bound, want.excess_bound) < RESULT_TOL    # both certified
+    assert (got.defect_dim, got.signature, classify_case(got)) == (
+        want.defect_dim, want.signature, classify_case(want))
