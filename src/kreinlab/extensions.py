@@ -22,16 +22,18 @@ while T is extremal (so D(T0) is dense in its energetic space) iff X is a
 projection, and -1 is outside the spectrum of T (the Cayley transform is
 defined) iff the defect fills D(T0)^perp and X is nonsingular.  These
 verdicts are decided on the m x m X; ||T_mu||, ||T_M|| <= 1
-(endpoint_excess_bound) and -1 outside the spectrum of T
-(ExtensionInterval.cayley_bounds) are read from the block data whenever
-their bounds decide them, and from n x n spectra otherwise.  The n x n
-checks (||J T + T J||, interval membership, T extends T0, the endpoint
-2-norms, the J split, density_test, eigvalsh(T) against the Cayley bounds)
-run in `verify`, the metric-rank criterion in `kreinlab.oracles`.
+(endpoint_excess_bound), T_mu D = T_M D = T0 D (endpoint_extends_bound) and
+-1 outside the spectrum of T (ExtensionInterval.cayley_bounds) are read from
+the block data whenever their bounds decide them, and from n x n spectra
+otherwise.  The n x n checks (||J T + T J||, interval membership, ||T D - T0
+D||, the endpoint 2-norms, the J split, density_test, eigvalsh(T) against
+the Cayley bounds) run in `verify`, the metric-rank criterion in
+`kreinlab.oracles`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,10 +59,11 @@ from .spaces import NEUTRAL_TOL, SignatureSpace, Subspace, fundamental_bases, sp
 DEFECT_RCOND = 1e-8
 # Absolute floor: a difference this small means case A (no defect at all).
 DEFECT_FLOOR = 1e-10
-# Rounding allowance of endpoint_excess_bound, in units of n times the
-# machine epsilon, for the corner products B Z, the products that assemble
-# T_M and the rank-m update between the endpoints.
-# Calibrated, not proven: the measured ||T||_2 - 1 stayed below 4.7 n u.
+# Rounding allowance of endpoint_excess_bound and endpoint_extends_bound, in
+# units of n times the machine epsilon, for the corner products, the
+# assembly of T_M and the rank-m update between the endpoints.  Calibrated,
+# not proven: the measured ||T||_2 - 1 stayed below 4.7 n u, ||T D - T0 D||_2
+# below 1.2 n u.
 ENDPOINT_ROUNDING = 8
 # Rounding allowance of ExtensionInterval.cayley_bounds, in units of n times
 # the machine epsilon, for assembling T_mu and T and for eigvalsh(T).
@@ -87,6 +90,7 @@ def _completion(t0: PartialContraction):
     e = np.hstack([e_plus[:, ::-1], e_minus[:, ::-1]])
     p = e_plus.shape[1]
     a = hermitize(dt0d)
+    anti = check_residual("interval endpoint does not extend T0", dt0d - a, RESULT_TOL)
     b = e.conj().T @ t0.action
     bh = b.conj().T
     s = t0.signs[:, None]
@@ -98,16 +102,22 @@ def _completion(t0: PartialContraction):
                    np.linalg.norm((eye_d - a) @ z_minus - bh))
     c_min = hermitize(-eye_e + b @ z_plus)
     c_max = hermitize(eye_e - b @ z_minus)
-    return e, p, b, c_min, c_max, float(residual), float(np.linalg.norm(z_plus))
+    return e, p, b, c_min, c_max, float(residual), anti, float(np.linalg.norm(z_plus))
 
 
 @dataclass
 class ExtensionInterval:
-    """Operator interval of self-adjoint contractive extensions."""
+    """Operator interval of self-adjoint contractive extensions, held as the
+    factors of its endpoints; t_m and t_mu are formed on first read."""
 
     t0: PartialContraction
-    t_mu: np.ndarray
-    t_m: np.ndarray
+    # E = D(T0)^perp split along J, B = E* T0 D, the corner C_max, and the
+    # eigenpairs (w, U = E V) of Delta = T_M - T_mu = U diag(w) U*.
+    complement: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
+    c_max: np.ndarray = field(repr=False)
+    delta_vectors: np.ndarray = field(repr=False)
+    delta_values: np.ndarray = field(repr=False)
     # Mb (n x m): eigenvectors of Delta = T_M - T_mu spanning the defect, the
     # p in H_+ first, then the q in H_-, each group by ascending eigenvalue
     # and each column with its largest-modulus entry real and positive;
@@ -119,12 +129,28 @@ class ExtensionInterval:
     # when it is at most RESULT_TOL, else RESULT_TOL, which the n x n 2-norms
     # were then checked against.
     excess_bound: float
+    # ||T D - T0 D||_2 <= extends_bound for T = T_mu, T_M (endpoint_extends_bound).
+    extends_bound: float
     # An upper bound on ||I + Z_+* Z_+||, the Gram of the kernel basis
     # E - D Z_+ of I + T_mu, and the widening of cayley_bounds for the
     # distance of a computed T from its exact model and for eigvalsh's
     # rounding.
     kernel_gram: float = field(repr=False)
     cayley_slack: float = field(repr=False)
+
+    @cached_property
+    def t_m(self) -> np.ndarray:
+        """T_M = [D | E] [[A, B*], [B, C_max]] [D | E]*, assembled from T_M D =
+        T0 D as action D* + (D B* + E C_max) E*, one n x d x n product."""
+        d, e = self.t0.domain, self.complement
+        return hermitize(self.t0.action @ d.conj().T + (d @ self.b.conj().T + e @ self.c_max)
+                         @ e.conj().T)
+
+    @cached_property
+    def t_mu(self) -> np.ndarray:
+        """T_mu = T_M - U diag(w) U*, a rank-m update of T_M."""
+        u = self.delta_vectors
+        return hermitize(self.t_m - (u * self.delta_values) @ u.conj().T)
 
     @property
     def defect_dim(self) -> int:
@@ -209,29 +235,49 @@ def _solve_term(t0: PartialContraction, solve_residual: float) -> float:
     return t0.norm_bound * solve_residual / gap if gap > 0 else np.inf
 
 
+def endpoint_extends_bound(t0: PartialContraction, e: np.ndarray, b: np.ndarray,
+                           c_max: np.ndarray, anti: float, w: np.ndarray) -> float:
+    """A bound on ||T D - T0 D||_2 for T = T_mu, T_M from the factors, with no
+    n x n matrix formed.  T_M = (X + X*)/2 for X = action D* + (D B* + E
+    C_max) E*.  With P = [D | E], r = (I - P P*) action and G_a the
+    anti-Hermitian half of D* action that hermitize drops (||G_a|| <= anti),
+    X D - action = action (D* D - I) + P [B*; C_max] E* D, X* D - action =
+    -2 D G_a - r + E [B | C_max] [D* D - I; E* D] and T_mu D - T_M D = -U
+    diag(w) V* E* D.  P is square, so ||r|| <= eps ||action|| and ||P|| <= 1
+    + eps for eps = ||P* P - I|| <= max(delta, ||E* E - I||) + eta, where
+    delta = t0.domain_residual and eta = ||E* D||_F.  With beta = ||[B |
+    C_max]||_F and ||action|| <= norm_bound, both residuals are at most
+    norm_bound (delta + eps)/2 + (1 + eps)(anti + beta (eta + delta/2) +
+    max |w| eta), plus ENDPOINT_ROUNDING n u for rounding.
+    """
+    eta = float(np.linalg.norm(e.conj().T @ t0.domain))
+    delta = t0.domain_residual
+    eps = max(delta, float(np.linalg.norm(e.conj().T @ e - np.eye(e.shape[1])))) + eta
+    beta = float(np.hypot(np.linalg.norm(b), np.linalg.norm(c_max)))
+    return (t0.norm_bound * (delta + eps) / 2
+            + (1.0 + eps) * (anti + beta * (eta + delta / 2) + np.abs(w).max(initial=0.0) * eta)
+            + ENDPOINT_ROUNDING * t0.space.dim * np.finfo(float).eps)
+
+
 def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> ExtensionInterval:
-    """Extreme extensions T_mu, T_M by block completion of T0.
+    """Extreme extensions T_mu, T_M by block completion of T0, held as factors.
 
     T_M has the corner C_max and T_mu the mirrored -J_E C_max J_E, so W =
     2 diag(C_++, C_--) exactly; T_mu, the defect basis and Delta^{1/2} come
     from the eigenpairs of its blocks, and tol bounds W's negative ones.
     Inside an eigenvalue repeated within one block the basis is eigh's
-    choice.  The endpoints are contractions by endpoint_excess_bound; only
-    when it exceeds RESULT_TOL (near ||T0|| = 1) are their 2-norms taken.
-    T_M = [D | E] [[A, B*], [B, C_max]] [D | E]* is assembled from T_M D =
-    T0 D as action D* + (D B* + E C_max) E*, one n x d x n product.
+    choice.  The endpoints extend T0 by endpoint_extends_bound and are
+    contractions by endpoint_excess_bound; only when that exceeds RESULT_TOL
+    (near ||T0|| = 1) are they formed here, for their 2-norms.  Otherwise
+    only the `extend` report and extension_from_x form them.
     """
-    e, p, b, c_min, c_max, solve_residual, z_norm = _completion(t0)
-    d = t0.domain
-    t_m = hermitize(t0.action @ d.conj().T + (d @ b.conj().T + e @ c_max) @ e.conj().T)
-
+    e, p, b, c_min, c_max, solve_residual, anti, z_norm = _completion(t0)
     w_plus, v_plus = np.linalg.eigh(2.0 * c_max[:p, :p])
     w_minus, v_minus = np.linalg.eigh(2.0 * c_max[p:, p:])
     w = np.concatenate([w_plus, w_minus])
     if w.min(initial=0.0) < -tol:
         raise InvariantViolation("interval order failed: T_M - T_mu not PSD")
     u = np.hstack([e[:, :p] @ v_plus, e[:, p:] @ v_minus])   # eigenvectors of Delta
-    t_mu = hermitize(t_m - (u * w) @ u.conj().T)
     top = w.max(initial=0.0)
     keep = (w > DEFECT_RCOND * top) & (top > DEFECT_FLOOR)
     mb = u[:, keep]
@@ -246,15 +292,17 @@ def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> Extension
     # corner and D's departure from orthonormality (twice ||D* D - I||).
     cayley_slack = (_solve_term(t0, solve_residual) + mirror + 2.0 * t0.domain_residual
                     + CAYLEY_ROUNDING * t0.space.dim * np.finfo(float).eps)
-    for endpoint in (t_mu, t_m):
-        check_residual("interval endpoint does not extend T0",
-                       endpoint @ t0.domain - t0.action, RESULT_TOL)
-        if not certified:
-            check_residual("interval endpoint is not a contraction", endpoint,
-                           1.0 + RESULT_TOL)
-    return ExtensionInterval(t0, t_mu, t_m, mb, np.sqrt(w[keep]),
-                             (int(keep[:p].sum()), int(keep[p:].sum())),
-                             excess if certified else RESULT_TOL, 1.0 + z_norm ** 2, cayley_slack)
+    extends = check_residual("interval endpoint does not extend T0 (bound {residual:.3e})",
+                             np.atleast_2d(endpoint_extends_bound(t0, e, b, c_max, anti, w)),
+                             RESULT_TOL)
+    interval = ExtensionInterval(t0, e, b, c_max, u, w, mb, np.sqrt(w[keep]),
+                                 (int(keep[:p].sum()), int(keep[p:].sum())),
+                                 excess if certified else RESULT_TOL, extends,
+                                 1.0 + z_norm ** 2, cayley_slack)
+    if not certified:
+        for endpoint in (interval.t_mu, interval.t_m):
+            check_residual("interval endpoint is not a contraction", endpoint, 1.0 + RESULT_TOL)
+    return interval
 
 
 def classify_case(interval: ExtensionInterval) -> str:

@@ -13,6 +13,7 @@ metric_agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,6 @@ class GMetric:
     space: SignatureSpace
     t: np.ndarray
     g: np.ndarray
-    j_g: np.ndarray
     degenerate: bool
     kernel: np.ndarray = field(repr=False)   # orthonormal basis of ker G
     cond: float = float("inf")
@@ -57,13 +57,17 @@ class GMetric:
         check_residual("T must anticommute with J", space.j @ t + t @ space.j, STRUCT_TOL)
         g_values = cayley_spectrum(w)  # raises CayleyUndefinedError when -1 in spec(T)
         g = from_spectrum(v, g_values)
-        j_g = space.j @ g
         top = float(g_values.max())
         kernel_mask = g_values <= KERNEL_RCOND * max(top, 1.0)
         degenerate = bool(kernel_mask.any())
         kernel = v[:, kernel_mask]
         cond = float("inf") if degenerate else float(top / g_values.min())
-        return cls(space, t, g, j_g, degenerate, kernel, cond)
+        return cls(space, t, g, degenerate, kernel, cond)
+
+    @cached_property
+    def j_g(self) -> np.ndarray:
+        """J_G = J G, formed on first read."""
+        return self.space.j @ self.g
 
     def _measurable(self, *vectors) -> list[np.ndarray]:
         """The vectors as complex arrays, refused when they have components

@@ -501,7 +501,10 @@ def _gershgorin(d: np.ndarray, e: np.ndarray):
 
 def _count_up_to(d: np.ndarray, e: np.ndarray, floor: float, top: float):
     """How many eigenvalues of the tridiagonal (d, e) lie in (floor, top], by
-    one `dstebz` Sturm count, or None when dstebz reports a failure."""
+    one `dstebz` Sturm count (0 with no call when the interval is empty), or
+    None when dstebz reports a failure."""
+    if floor >= top:
+        return 0
     from scipy.linalg.lapack import dstebz           # deferred, as in _halfline_eigs
 
     # A tolerance wider than (floor, top] makes dstebz count, not bisect.

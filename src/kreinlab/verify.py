@@ -288,12 +288,13 @@ def _check_angular_c0(rng) -> str:
 
 
 def _check_endpoints_vs_completion(rng) -> str:
-    # The n x n 2-norms of the endpoints are the independent route to the
-    # bound on ||T|| - 1 that krein_interval reads from block data.
+    # The n x n 2-norms of the endpoints and of T D - T0 D are the independent
+    # routes to the bounds that krein_interval reads from block data.
     worst = 0.0
     worst_anti = 0.0
     worst_excess = -np.inf
     worst_bound = 0.0
+    worst_extends = 0.0
     problems = [random_partial_contraction(rng, random_signature_space(rng)) for _ in range(8)]
     # The 32-pair model gives W one eigenvalue on both signs.
     problems.append(build_model(SequenceModelSpec(0.9, "both_constraints", 32)).t0)
@@ -311,14 +312,20 @@ def _check_endpoints_vs_completion(rng) -> str:
         if excess > interval.excess_bound:
             raise AssertionError(f"||T|| - 1 = {excess:.3e} exceeds the bound "
                                  f"{interval.excess_bound:.3e}")
+        extends = max(operator_norm(t @ t0.domain - t0.action)
+                      for t in (interval.t_mu, interval.t_m)) / interval.extends_bound
+        if extends > 1.0:
+            raise AssertionError(f"||T D - T0 D|| exceeds {interval.extends_bound:.3e}")
         worst_excess = max(worst_excess, excess)
         worst_bound = max(worst_bound, interval.excess_bound)
+        worst_extends = max(worst_extends, extends)
     if worst > RESULT_TOL:
         raise AssertionError(f"endpoint routes disagree by {worst:.3e}")
     if worst_anti > STRUCT_TOL:
         raise AssertionError(f"J T_mu + T_M J = {worst_anti:.3e}")
     return (f"square-root and block-completion endpoints agree ({worst:.2e}); "
-            f"||T|| - 1 at most {worst_excess:.2e}, bound {worst_bound:.2e}")
+            f"||T|| - 1 at most {worst_excess:.2e}, bound {worst_bound:.2e}; "
+            f"||T D - T0 D|| at most {worst_extends:.2e} of its bound")
 
 
 def _check_defect_complement(rng) -> str:

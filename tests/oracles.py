@@ -10,7 +10,8 @@ tautology; where a verdict must agree, the package's thresholds are
 imported rather than restated.  The exception is the per-call Gram, the
 biorthogonal product and the two H f bodies: they are the routes that a
 quasi-basis family's measured `j_gram` and `hf` replaced, kept to show that
-the stored data are the same numbers.
+the stored data are the same numbers; likewise the inline assembly of both
+Krein-interval endpoints, which their first-read properties replaced.
 """
 
 import importlib.util
@@ -22,7 +23,8 @@ import numpy as np
 from numpy.polynomial import hermite as npherm
 from scipy.linalg import eigh_tridiagonal
 
-from kreinlab._linalg import RANK_RCOND, STRUCT_TOL
+from kreinlab._linalg import RANK_RCOND, STRUCT_TOL, hermitize
+from kreinlab.extensions import _completion
 from kreinlab.gmetric import KERNEL_RCOND
 from kreinlab.quasibasis import _hermite_table, parity_apply
 
@@ -63,6 +65,19 @@ def completion_matrix(domain, comp, a_blk, b_blk, corner) -> np.ndarray:
     block[:d, d:] = b_blk.conj().T
     block[d:, d:] = corner
     return basis @ block @ basis.conj().T
+
+
+def inline_endpoints(t0):
+    """(T_mu, T_M) by the expressions `krein_interval` evaluated inline on
+    every call before the endpoints were formed on first read."""
+    e, p, b, _, c_max, *_ = _completion(t0)
+    d = t0.domain
+    t_m = hermitize(t0.action @ d.conj().T + (d @ b.conj().T + e @ c_max) @ e.conj().T)
+    w_plus, v_plus = np.linalg.eigh(2.0 * c_max[:p, :p])
+    w_minus, v_minus = np.linalg.eigh(2.0 * c_max[p:, p:])
+    w = np.concatenate([w_plus, w_minus])
+    u = np.hstack([e[:, :p] @ v_plus, e[:, p:] @ v_minus])
+    return hermitize(t_m - (u * w) @ u.conj().T), t_m
 
 
 def is_contraction(t: np.ndarray, slack: float = FEAS_SLACK) -> bool:

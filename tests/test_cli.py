@@ -225,6 +225,21 @@ def test_quasi_basis_anharmonic_ground_state_only(tmp_path):
     assert report["eigenvalues"][0] == pytest.approx(1.0603620904, abs=2e-6)
 
 
+def test_quasi_basis_anharmonic_empty_sturm_interval_is_silent(tmp_path):
+    # on 16 nodes at beta 3 the odd parity solves no level and its Gershgorin
+    # floor - 1 lies above the even top: an empty Sturm interval holds no
+    # level, so the merge certificate counts 0 without calling dstebz, which
+    # would print a LAPACK parameter error
+    proc = subprocess.run(
+        [sys.executable, "-m", "kreinlab.cli", "quasi-basis", "anharmonic", "--beta", "3",
+         "--nmax", "0", "--nodes", "16", "--output-dir", str(tmp_path)],
+        capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "DSTEBZ" not in proc.stdout
+    assert load(tmp_path / "quasi_basis_report.json")["parities"] == [1]
+
+
 def test_quasi_basis_anharmonic_outputs(tmp_path):
     out = tmp_path / "out"
     rc = run_cli(["quasi-basis", "anharmonic", "--beta", "4", "--nmax", "4",

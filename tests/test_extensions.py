@@ -22,13 +22,15 @@ from kreinlab import (
     x_equation_residual,
 )
 from kreinlab import angular, gmetric
-from kreinlab._linalg import RESULT_TOL, hermitize, orthonormal_columns, random_unitary
+from kreinlab._linalg import (RESULT_TOL, hermitize, orthonormal_columns, orthonormal_complement,
+                              random_unitary)
 from kreinlab.cli import main
 from kreinlab.errors import InvariantViolation
 from kreinlab.oracles import (cayley_inverse, rank_extremality, sqrt_projection_endpoints,
                               xi_operator)
 from kreinlab.sequence_model import SequenceModelSpec, build_model
 from kreinlab.serialize import dumps_report, matrix_to_obj
+from kreinlab.spaces import split_along_j
 from kreinlab.verify import (
     random_anticommuting_contraction,
     random_partial_contraction,
@@ -221,6 +223,79 @@ def test_interval_takes_no_svd(monkeypatch, problem):
     assert m == t0.space.dim - d and m_plus + m_minus == m
     assert sorted(counted) == sorted([("eigh", (m, m)), ("eigh", (m_plus, m_plus)),
                                       ("eigh", (m_minus, m_minus)), ("solve", (d, d))])
+
+
+def codim_problem():
+    # n = 64, J = diag(I_32, -I_32), a random anticommuting contraction and
+    # a 16-dimensional J-invariant domain (8 + 8): codimension 48 > dim D(T0),
+    # and Delta has the eigenvalue 2 on ker B*
+    rng = np.random.default_rng(1601)
+    space = SignatureSpace(np.diag(np.r_[np.ones(32), -np.ones(32)]))
+    t = random_anticommuting_contraction(rng, space)
+    domain = np.hstack([orthonormal_columns(h @ (rng.standard_normal((32, 8))
+                                                 + 1j * rng.standard_normal((32, 8))))
+                        for h in fundamental_bases(space)])
+    return PartialContraction(space, domain, t @ domain)
+
+
+def rotated_complement_problem(theta):
+    # a dense problem whose complement E is D(T0)^perp for the domain with its
+    # first column turned by theta towards E's first column in H_+: E stays
+    # J-invariant and ||E* D|| is about theta
+    t0 = dense_problem(np.random.default_rng(7402), 64)
+    d = t0.domain.copy()
+    e_plus = split_along_j(t0.space, t0.complement)[0]
+    d[:, 0] = np.cos(theta) * d[:, 0] + np.sin(theta) * e_plus[:, 0]
+    t0.complement = orthonormal_complement(d)
+    return t0
+
+
+EXTENDS_PROBLEMS = {
+    **{f"dense_{n}_{i}": (lambda n=n, i=i: dense_problem(np.random.default_rng(7400 + i), n))
+       for i, n in enumerate((64, 96, 64, 96))},
+    **{f"model_{pairs}_{variant}": (lambda pairs=pairs, variant=variant: build_model(
+        SequenceModelSpec(1.25, variant, pairs)).t0)
+       for pairs in (32, 64, 128) for variant in ("both_constraints", "chi_plus_zero")},
+    "codim_48_of_64": codim_problem,
+    "near_unit_fallback": lambda: rotated_near_unit(3, 0.0, True),
+    "rotated_complement": lambda: rotated_complement_problem(1e-11),
+}
+
+
+def extends_residual(iv):
+    return max(opnorm(t @ iv.t0.domain - iv.t0.action) for t in (iv.t_mu, iv.t_m))
+
+
+@pytest.mark.parametrize("name", EXTENDS_PROBLEMS)
+def test_extends_bound_covers_the_endpoint_residuals(name):
+    # the factor bound on ||T D - T0 D|| covers the n x n residual of both
+    # endpoints; the rotated complement puts ||E* D|| = 1e-11, 100 times the
+    # rounding allowance, into the residual, which only the ||E* D|| terms
+    # of the bound cover.  Only the near-unit 2-norm fallback forms the
+    # endpoints inside krein_interval.
+    iv = krein_interval(EXTENDS_PROBLEMS[name]())
+    fallback = name == "near_unit_fallback"
+    formed = ("t_m" in vars(iv), "t_mu" in vars(iv))
+    assert (iv.excess_bound == RESULT_TOL) == fallback and formed == (fallback, fallback)
+    residual = extends_residual(iv)
+    assert residual <= iv.extends_bound < RESULT_TOL
+    if name == "rotated_complement":
+        assert residual > 1e-12
+
+
+@pytest.mark.parametrize("name", ["dense_96_1", "model_128_both_constraints", "codim_48_of_64"])
+def test_interval_forms_the_endpoints_only_when_read(name):
+    # the case, the defect and the X equation read no n x n endpoint; the
+    # endpoints formed on first read are the inline expressions bit for bit
+    t0 = EXTENDS_PROBLEMS[name]()
+    iv = krein_interval(t0)
+    classify_case(iv)
+    solve_x_equation(iv, seed=3)
+    assert "t_m" not in vars(iv) and "t_mu" not in vars(iv)
+    t_mu, t_m = ref.inline_endpoints(t0)
+    assert iv.t_mu.tobytes() == t_mu.tobytes()
+    assert iv.t_m.tobytes() == t_m.tobytes()
+    assert iv.t_mu is iv.t_mu and iv.t_m is iv.t_m
 
 
 @pytest.mark.parametrize("seed", range(10))

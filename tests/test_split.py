@@ -296,13 +296,14 @@ def test_a_threshold_inside_the_cross_term_is_read_from_the_full_gram(basis):
 def two_solve_completion(t0):
     """`_completion` with Z_- from its own solve of I - A, the route before
     the corners shared one LU."""
-    e, p, b, c_min, _, _, z_norm = _completion(t0)
+    e, p, b, c_min, _, _, anti, z_norm = _completion(t0)
     a = hermitize(t0.domain.conj().T @ t0.action)
     eye, bh = np.eye(t0.domain_dim), b.conj().T
     z_plus, z_minus = np.linalg.solve(eye + a, bh), np.linalg.solve(eye - a, bh)
     residual = max(np.linalg.norm((eye + a) @ z_plus - bh),
                    np.linalg.norm((eye - a) @ z_minus - bh))
-    return e, p, b, c_min, hermitize(np.eye(e.shape[1]) - b @ z_minus), float(residual), z_norm
+    return (e, p, b, c_min, hermitize(np.eye(e.shape[1]) - b @ z_minus), float(residual), anti,
+            z_norm)
 
 
 def diagonal_block_case(basis):
