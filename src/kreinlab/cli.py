@@ -39,6 +39,7 @@ from .quasibasis import (
     sign_pattern,
 )
 from .sequence_model import (
+    DIVERGENCE_THRESHOLD,
     FIT_POINTS,
     MAX_PAIRS,
     SequenceModelSpec,
@@ -179,12 +180,19 @@ def _cmd_classify_model(args: argparse.Namespace) -> int:
     spec = SequenceModelSpec(args.delta, _VARIANTS[args.variant])
     exponent = int(math.floor(math.log2(args.n_limit)))
     diag = xi_preimage_diagnostic(spec, max_exponent=exponent)
+    analytic = classify_analytic(spec)
+    if (diag.verdict == "diverges") != (analytic == "A"):
+        raise ResolutionError(
+            f"delta = {args.delta}: the fitted growth exponent {diag.exponent_estimate:.6g} "
+            f"reads '{diag.verdict}' against DIVERGENCE_THRESHOLD = {DIVERGENCE_THRESHOLD}, "
+            f"but the series diverges iff delta <= 1 (analytic case {analytic}); the trend "
+            f"cannot resolve this delta up to N = {2 ** exponent}")
     pred = defect_prediction(spec)
     csv_path = args.output_dir / "partial_sums.csv"
     _write_csv(csv_path, ["N", "partial_sum"],
                list(zip(diag.dyadic_n, diag.partial_sums)))
     report = {
-        "analytic_case": classify_analytic(spec),
+        "analytic_case": analytic,
         "partial_sums": csv_path.name,
         "trend_verdict": diag.verdict,
         "marginal": diag.marginal,

@@ -21,7 +21,10 @@ iff X solves
 while T is extremal (so D(T0) is dense in its energetic space) iff X is a
 projection, and -1 is outside the spectrum of T (the Cayley transform is
 defined) iff the defect fills D(T0)^perp and X is nonsingular.  These
-verdicts are decided on the m x m X; ||T_mu||, ||T_M|| <= 1
+verdicts are decided on the m x m X.  For the sequence model, whose T0
+carries a seed extension T, the endpoints are read in O(N) as T -/+ E K_+/-
+E* with K_+/- = (E* (I +/- T)^{-1} E)^{-1} (Hager, SIAM Rev. 1989), with the
+block completion as their oracle.  ||T_mu||, ||T_M|| <= 1
 (endpoint_excess_bound), T_mu D = T_M D = T0 D (endpoint_extends_bound) and
 -1 outside the spectrum of T (ExtensionInterval.cayley_bounds) are read from
 the block data whenever their bounds decide them, and from n x n spectra
@@ -70,6 +73,9 @@ ENDPOINT_ROUNDING = 8
 # Calibrated, not proven: the computed 1 + lambda_min(T) stayed within 3 n u
 # of the unwidened bounds (test_cayley_bounds_bracket_the_spectrum).
 CAYLEY_ROUNDING = 16
+# Rounding allowance of the seeded route beyond its N-term sums, in rho = (N +
+# SEED_ROUNDING) u (the m x m factors and forming T +/- E K E*).
+SEED_ROUNDING = 16
 
 
 def _completion(t0: PartialContraction):
@@ -111,11 +117,12 @@ class ExtensionInterval:
     factors of its endpoints; t_m and t_mu are formed on first read."""
 
     t0: PartialContraction
-    # E = D(T0)^perp split along J, B = E* T0 D, the corner C_max, and the
-    # eigenpairs (w, U = E V) of Delta = T_M - T_mu = U diag(w) U*.
+    # E = D(T0)^perp split along J, B = E* T0 D, the corner C_max (both None
+    # on the seeded route), and the eigenpairs (w, U = E V) of Delta = T_M -
+    # T_mu = U diag(w) U*.
     complement: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
-    c_max: np.ndarray = field(repr=False)
+    b: np.ndarray | None = field(repr=False)
+    c_max: np.ndarray | None = field(repr=False)
     delta_vectors: np.ndarray = field(repr=False)
     delta_values: np.ndarray = field(repr=False)
     # Mb (n x m): eigenvectors of Delta = T_M - T_mu spanning the defect, the
@@ -187,19 +194,38 @@ class ExtensionInterval:
         cayley_slack; with k = 0 there is no kernel, mu = inf and the bounds
         are (gamma, inf).  gamma is read as 1 - t0.norm_bound <= 1 - ||T0||.
         """
-        gap = 1.0 - self.t0.norm_bound
-        if self.t0.is_full_domain:
+        gap, codim = 1.0 - self.t0.norm_bound, self.complement.shape[1]
+        if not codim:
             return gap - self.cayley_slack, float("inf")
         w = self.defect_scale ** 2
         top = float(w.max(initial=0.0))
         mu_high = x_low * top
         lower = min(x_low, 0.0) * top       # I + T >= x_low Y Y* when x_low < 0
-        if self.defect_dim < self.t0.space.dim - self.t0.domain_dim:
+        if self.defect_dim < codim:
             mu_high = 0.0                   # H is singular on K
         elif x_low > 0.0 and gap > 0.0:
             mu_low = x_low * float(w.min()) / self.kernel_gram
             lower = mu_low * gap / (gap + x_high * top)
         return float(lower - self.cayley_slack), float(max(mu_high, 0.0) + self.cayley_slack)
+
+
+@dataclass
+class SeededInterval(ExtensionInterval):
+    """The interval of `_seeded_interval` (b and c_max None): T_M = T + E K_-
+    E* and T_mu = T - E K_+ E*, formed on first read from the seed t0.t."""
+
+    k_plus: np.ndarray = field(repr=False)
+    k_minus: np.ndarray = field(repr=False)
+
+    @cached_property
+    def t_m(self) -> np.ndarray:
+        e = self.complement
+        return hermitize(self.t0.t + (e @ self.k_minus) @ e.conj().T)
+
+    @cached_property
+    def t_mu(self) -> np.ndarray:
+        e = self.complement
+        return hermitize(self.t0.t - (e @ self.k_plus) @ e.conj().T)
 
 
 def endpoint_excess_bound(t0: PartialContraction, solve_residual: float,
@@ -259,21 +285,12 @@ def endpoint_extends_bound(t0: PartialContraction, e: np.ndarray, b: np.ndarray,
             + ENDPOINT_ROUNDING * t0.space.dim * np.finfo(float).eps)
 
 
-def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> ExtensionInterval:
-    """Extreme extensions T_mu, T_M by block completion of T0, held as factors.
-
-    T_M has the corner C_max and T_mu the mirrored -J_E C_max J_E, so W =
-    2 diag(C_++, C_--) exactly; T_mu, the defect basis and Delta^{1/2} come
-    from the eigenpairs of its blocks, and tol bounds W's negative ones.
-    Inside an eigenvalue repeated within one block the basis is eigh's
-    choice.  The endpoints extend T0 by endpoint_extends_bound and are
-    contractions by endpoint_excess_bound; only when that exceeds RESULT_TOL
-    (near ||T0|| = 1) are they formed here, for their 2-norms.  Otherwise
-    only the `extend` report and extension_from_x form them.
-    """
-    e, p, b, c_min, c_max, solve_residual, anti, z_norm = _completion(t0)
-    w_plus, v_plus = np.linalg.eigh(2.0 * c_max[:p, :p])
-    w_minus, v_minus = np.linalg.eigh(2.0 * c_max[p:, p:])
+def _defect(e: np.ndarray, p: int, w_blocks: np.ndarray, tol: float):
+    """The ExtensionInterval fields from delta_vectors to signature, from the
+    J blocks of W (tol bounds their negative eigenvalues): Mb keeps U's columns
+    above the defect cut, each with its largest-modulus entry real positive."""
+    w_plus, v_plus = np.linalg.eigh(w_blocks[:p, :p])
+    w_minus, v_minus = np.linalg.eigh(w_blocks[p:, p:])
     w = np.concatenate([w_plus, w_minus])
     if w.min(initial=0.0) < -tol:
         raise InvariantViolation("interval order failed: T_M - T_mu not PSD")
@@ -282,24 +299,64 @@ def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> Extension
     keep = (w > DEFECT_RCOND * top) & (top > DEFECT_FLOOR)
     mb = u[:, keep]
     lead = mb[np.abs(mb).argmax(axis=0), np.arange(mb.shape[1])]
-    mb = mb * (lead.conj() / np.abs(lead))
+    return (u, w, mb * (lead.conj() / np.abs(lead)), np.sqrt(w[keep]),
+            (int(keep[:p].sum()), int(keep[p:].sum())))
 
-    signs = np.concatenate([np.ones(p), -np.ones(len(w) - p)])
-    mirror = float(np.linalg.norm(c_min + signs[:, None] * c_max * signs))
-    excess = endpoint_excess_bound(t0, solve_residual, mirror, w)
-    certified = excess <= RESULT_TOL
-    # The exact kernel E - D Z_+ moves with the solve residual, the mirrored
-    # corner and D's departure from orthonormality (twice ||D* D - I||).
-    cayley_slack = (_solve_term(t0, solve_residual) + mirror + 2.0 * t0.domain_residual
-                    + CAYLEY_ROUNDING * t0.space.dim * np.finfo(float).eps)
-    extends = check_residual("interval endpoint does not extend T0 (bound {residual:.3e})",
-                             np.atleast_2d(endpoint_extends_bound(t0, e, b, c_max, anti, w)),
-                             RESULT_TOL)
-    interval = ExtensionInterval(t0, e, b, c_max, u, w, mb, np.sqrt(w[keep]),
-                                 (int(keep[:p].sum()), int(keep[p:].sum())),
-                                 excess if certified else RESULT_TOL, extends,
-                                 1.0 + z_norm ** 2, cayley_slack)
-    if not certified:
+
+def _seeded_interval(t0, tol: float) -> ExtensionInterval:
+    """The interval of a T0 that carries a seed extension T and its Woodbury
+    factors (`sequence_model.ModelContraction`), with E = t0.constraints:
+    T_mu = T - E K_+ E*, T_M = T + E K_- E* and W = K_+ + K_-, all m x m.
+    The exact endpoints of the stored T and E are contractions that extend
+    T0; with rho = (N + SEED_ROUNDING) u, u = 2^-53, for the sums of N terms,
+    ||T||_2 - 1 <= rho (1 + w) (w = max W), ||T D - T0 D||_2 <= rho (1 + 2 w)
+    and the kernel Gram is within 3 rho relative (README, "The seeded
+    interval"); the Cayley slack is the block route's rounding term."""
+    e = t0.constraints
+    k_plus, k_minus, gram = t0.woodbury()
+    defect = _defect(e, t0.constraints_plus, k_plus + k_minus, tol)
+    top = float(defect[1].max())
+    rho = (t0.spec.n_pairs + SEED_ROUNDING) * np.finfo(float).eps / 2
+    return SeededInterval(t0, e, None, None, *defect, rho * (1.0 + top), rho * (1.0 + 2.0 * top),
+                          gram * (1.0 + 3.0 * rho),
+                          CAYLEY_ROUNDING * len(e) * np.finfo(float).eps * (1.0 + top),
+                          k_plus, k_minus)
+
+
+def krein_interval(t0: PartialContraction, tol: float = STRUCT_TOL) -> ExtensionInterval:
+    """Extreme extensions T_mu, T_M of T0, held as factors.
+
+    A T0 with a seed extension and its Woodbury factors (the sequence model)
+    takes `_seeded_interval`, O(N) with no n x n matrix.  Every other T0 takes
+    the block completion: T_M has the corner C_max and T_mu the mirrored -J_E
+    C_max J_E, so W = 2 diag(C_++, C_--) exactly.  W's eigenpairs give the
+    defect basis and Delta^{1/2}; inside an eigenvalue repeated within one J
+    block the basis is eigh's choice.  The endpoints extend T0 by
+    extends_bound and are contractions by excess_bound; only when that
+    exceeds RESULT_TOL (near ||T0|| = 1) are they formed here, for their
+    2-norms.  Otherwise only the `extend` report and extension_from_x form
+    them.
+    """
+    if hasattr(t0, "woodbury"):
+        interval = _seeded_interval(t0, tol)
+    else:
+        e, p, b, c_min, c_max, solve_residual, anti, z_norm = _completion(t0)
+        defect = _defect(e, p, 2.0 * c_max, tol)
+        w = defect[1]
+        signs = np.concatenate([np.ones(p), -np.ones(len(w) - p)])
+        mirror = float(np.linalg.norm(c_min + signs[:, None] * c_max * signs))
+        # The exact kernel E - D Z_+ moves with the solve residual, the mirrored
+        # corner and D's departure from orthonormality (twice ||D* D - I||).
+        cayley_slack = (_solve_term(t0, solve_residual) + mirror + 2.0 * t0.domain_residual
+                        + CAYLEY_ROUNDING * t0.space.dim * np.finfo(float).eps)
+        interval = ExtensionInterval(t0, e, b, c_max, *defect,
+                                     endpoint_excess_bound(t0, solve_residual, mirror, w),
+                                     endpoint_extends_bound(t0, e, b, c_max, anti, w),
+                                     1.0 + z_norm ** 2, cayley_slack)
+    check_residual("interval endpoint does not extend T0 (bound {residual:.3e})",
+                   np.atleast_2d(interval.extends_bound), RESULT_TOL)
+    if interval.excess_bound > RESULT_TOL:
+        interval.excess_bound = RESULT_TOL
         for endpoint in (interval.t_mu, interval.t_m):
             check_residual("interval endpoint is not a contraction", endpoint, 1.0 + RESULT_TOL)
     return interval

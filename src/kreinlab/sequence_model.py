@@ -16,11 +16,17 @@ T and J are 2 x 2 block diagonal, so Xi^2 = I - T^2 is diag(1 - alpha_n^2)
 on both coordinates of pair n.  `truncated_density_sweep` reads every
 truncated quantity from alpha and the profile in O(N), without building
 the model; the n x n route is its oracle in `kreinlab.oracles`.
+
+`build_model` holds T0 as its data (`ModelContraction`); T is a seed
+extension with a 2 x 2 closed-form resolvent per pair, so `krein_interval`
+reads the interval from m x m Woodbury factors in O(N), and J, T, the domain
+and the action are formed only when read (the block completion's input).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +41,8 @@ VARIANTS = ("both_constraints", "chi_plus_zero")
 # peaks at about 0.4 GB of RSS there).
 MAX_PAIRS = 2 ** 24
 MAX_EXPONENT = MAX_PAIRS.bit_length() - 1
+# Largest model whose 2N x ~2N complex J, T, domain and action are formed (256 MiB each).
+DENSE_PAIRS = 2 ** 11
 
 # Log-log slope of the dyadic partial sums above DIVERGENCE_THRESHOLD reads as
 # divergence; below MARGINAL_WINDOW a divergent verdict is flagged marginal
@@ -57,20 +65,12 @@ class SequenceModelSpec:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.n_pairs < 1:
             raise ValueError("at least one pair is required")
+        if self.n_pairs > MAX_PAIRS:
+            raise ValueError(f"n_pairs = {self.n_pairs} exceeds MAX_PAIRS = {MAX_PAIRS}")
 
 
 def alphas(n_pairs: int) -> np.ndarray:
     return 1.0 - 1.0 / np.arange(1, n_pairs + 1, dtype=float)
-
-
-@dataclass
-class ModelInstance:
-    spec: SequenceModelSpec
-    space: SignatureSpace
-    t: np.ndarray
-    chi_plus: np.ndarray | None          # normalized constraint vectors
-    chi_minus: np.ndarray
-    t0: PartialContraction = field(repr=False)
 
 
 def _profile(delta: float, n_pairs: int) -> np.ndarray:
@@ -79,46 +79,122 @@ def _profile(delta: float, n_pairs: int) -> np.ndarray:
     return coeff / np.sqrt(coeff @ coeff)
 
 
-def _constraint_vectors(spec: SequenceModelSpec):
-    """(coeff, chi_plus, chi_minus): the normalized profile n^{-delta} on the
-    +/- coordinates; chi_plus is None for the chi_plus_zero variant."""
-    coeff = _profile(spec.delta, spec.n_pairs)
-    chi_plus, chi_minus = np.zeros((2, 2 * spec.n_pairs), dtype=complex)
-    chi_plus[0::2] = coeff
-    chi_minus[1::2] = coeff
-    return coeff, chi_plus if spec.variant == "both_constraints" else None, chi_minus
+def _constraints(spec: SequenceModelSpec):
+    """(c, E): the profile, and E = [chi_+, chi_-] (chi_- alone for
+    chi_plus_zero) with c on the +/- coordinates of chi_+/-."""
+    coeff, both = _profile(spec.delta, spec.n_pairs), spec.variant == "both_constraints"
+    e = np.zeros((2 * spec.n_pairs, 2 if both else 1), dtype=complex)
+    if both:
+        e[0::2, 0] = coeff
+    e[1::2, -1] = coeff
+    return coeff, e
+
+
+class ModelContraction(PartialContraction):
+    """T0 of a truncated model held as its data: alpha, J's signs, the profile
+    c and E = [chi_+, chi_-] (chi_- alone), the basis of D(T0)^perp split
+    along J with constraints_plus = m - 1 columns in H_+, and norm_bound =
+    alpha_N = ||T||.  J (space), the seed extension t, domain and action are
+    formed on first read, up to DENSE_PAIRS pairs; norm, near_unit and
+    domain_residual are read from the PartialContraction they form."""
+
+    def __init__(self, spec: SequenceModelSpec):
+        n = spec.n_pairs
+        self.spec, self.dim, self.alpha = spec, 2 * n, alphas(n)
+        self.j_signs = np.tile([1.0, -1.0], n)
+        self.profile, self.constraints = _constraints(spec)
+        self.constraints_plus = self.constraints.shape[1] - 1
+        self.signs = np.repeat([1.0, -1.0], [n - self.constraints_plus, n - 1])
+        self.norm_bound = float(self.alpha[-1])
+
+    def _refuse_dense(self, name: str, cols: int) -> None:
+        if self.spec.n_pairs > DENSE_PAIRS:
+            raise ValueError(f"the model's {name} would be a {self.dim} x {cols} matrix "
+                             f"({16 * self.dim * cols / 2 ** 30:.3g} GiB complex) at "
+                             f"{self.spec.n_pairs} pairs; dense model matrices stop at "
+                             f"DENSE_PAIRS = {DENSE_PAIRS} pairs")
+
+    @cached_property
+    def space(self) -> SignatureSpace:
+        self._refuse_dense("J", self.dim)
+        return SignatureSpace(np.diag(self.j_signs))
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        self._refuse_dense("T", self.dim)
+        plus, minus = np.arange(0, self.dim, 2), np.arange(1, self.dim, 2)
+        t = np.zeros((self.dim, self.dim), dtype=complex)
+        t[minus, plus] = 1j * self.alpha
+        t[plus, minus] = -1j * self.alpha
+        return t
+
+    @cached_property
+    def domain(self) -> np.ndarray:
+        """Each block of E^perp: the last N - 1 columns of H = I - 2 w w*/(w* w),
+        w = c + e_1, which maps e_1 to -c (all of H_+ for chi_plus_zero)."""
+        self._refuse_dense("domain", self.dim - self.constraints_plus - 1)
+        n, p = self.spec.n_pairs, self.constraints_plus
+        w = self.profile + np.eye(1, n)[0]
+        comp = np.eye(n)[:, 1:] - np.outer(w, w[1:]) * (2.0 / (w @ w))
+        domain = np.zeros((self.dim, self.dim - p - 1), dtype=complex)
+        domain[0::2, :n - p] = comp if p else np.eye(n)
+        domain[1::2, n - p:] = comp
+        return domain
+
+    @cached_property
+    def action(self) -> np.ndarray:
+        """T0 D: columns on the +/- coordinates map to -/+, times +/- i alpha
+        (refused with the domain above DENSE_PAIRS)."""
+        d, width = self.domain, self.spec.n_pairs - self.constraints_plus
+        action = np.zeros_like(d)
+        action[1::2, :width] = 1j * self.alpha[:, None] * d[0::2, :width]
+        action[0::2, width:] = -1j * self.alpha[:, None] * d[1::2, width:]
+        return action
+
+    @cached_property
+    def _formed(self) -> PartialContraction:
+        return PartialContraction(self.space, self.domain, self.action)
+
+    norm = property(lambda self: self._formed.norm)
+    near_unit = property(lambda self: self._formed.near_unit)
+    domain_residual = property(lambda self: self._formed.domain_residual)
+
+    def woodbury(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(K_+, K_-, g): K_+/- = (E* (I +/- T)^{-1} E)^{-1} and g the largest
+        eigenvalue of K_+ E* (I + T)^{-2} E K_+, the Gram of the kernel basis
+        (I + T)^{-1} E K_+ of I + T_mu, from the positive sums s_+/-^k = sum
+        c^2 / (1 +/- alpha)^k with no difference of sums: E* (I + T)^{-k} E
+        is diag(s_+^k, s_-^k) in the coordinates (chi_+ +/- i chi_-)/sqrt 2,
+        and (s_+^k + s_-^k)/2 on chi_- alone (README, "The seeded interval")."""
+        a, c_sq = self.alpha, self.profile ** 2
+        lo, hi = c_sq / (1.0 + a), c_sq / (1.0 - a)
+        s_lo, s_hi, q_lo, q_hi = lo.sum(), hi.sum(), (lo / (1.0 + a)).sum(), (hi / (1.0 - a)).sum()
+        if not self.constraints_plus:
+            k = np.array([[2.0 / (s_lo + s_hi)]])
+            return k, k, float(2.0 * (q_lo + q_hi) / (s_lo + s_hi) ** 2)
+        r, d = (1.0 / s_lo + 1.0 / s_hi) / 2.0, (1.0 / s_lo - 1.0 / s_hi) / 2.0
+        k_plus = np.array([[r, -1j * d], [1j * d, r]])
+        return k_plus, k_plus.conj(), float(max(q_lo / s_lo ** 2, q_hi / s_hi ** 2))
+
+
+@dataclass
+class ModelInstance:
+    """The model of spec: T0, its J (space) and T, and the normalized
+    constraint vectors (chi_plus None for chi_plus_zero)."""
+
+    spec: SequenceModelSpec
+    t0: ModelContraction = field(repr=False)
+    space = property(lambda self: self.t0.space)
+    t = property(lambda self: self.t0.t)
+    chi_plus = property(lambda self: self.t0.constraints[:, 0] if self.t0.constraints_plus
+                        else None)
+    chi_minus = property(lambda self: self.t0.constraints[:, -1])
 
 
 def build_model(spec: SequenceModelSpec) -> ModelInstance:
-    """Truncated model instance with the constrained angular domain, filled
-    from the 2 x 2 blocks: a domain column on the +/- coordinates has its T0
-    image on the -/+ coordinates, scaled by +/- i alpha."""
-    n = spec.n_pairs
-    dim = 2 * n
-    plus, minus = np.arange(0, dim, 2), np.arange(1, dim, 2)
-    j = np.diag(np.tile([1.0, -1.0], n))
-    t = np.zeros((dim, dim), dtype=complex)
-    a = alphas(n)
-    t[minus, plus] = 1j * a              # T gamma^+ = i alpha gamma^-
-    t[plus, minus] = -1j * a             # T gamma^- = -i alpha gamma^+
-    space = SignatureSpace(j)
-
-    coeff, chi_plus, chi_minus = _constraint_vectors(spec)
-    # H = I - 2 w w* / (w* w) with w = c + e_1 maps e_1 to -c (c_1 > 0), so
-    # its last n - 1 columns are an orthonormal basis of c^perp.
-    w = coeff.copy()
-    w[0] += 1.0
-    comp = np.eye(n)[:, 1:] - np.outer(w, w[1:]) * (2.0 / (w @ w))
-    blocks = [np.eye(n) if chi is None else comp for chi in (chi_plus, chi_minus)]
-    width = blocks[0].shape[1]
-    domain = np.zeros((dim, width + blocks[1].shape[1]), dtype=complex)
-    action = np.zeros_like(domain)
-    domain[plus, :width] = blocks[0]
-    action[minus, :width] = 1j * a[:, None] * blocks[0]
-    domain[minus, width:] = blocks[1]
-    action[plus, width:] = -1j * a[:, None] * blocks[1]
-    t0 = PartialContraction(space, domain, action)
-    return ModelInstance(spec, space, t, chi_plus, chi_minus, t0)
+    """Truncated model instance with the constrained angular domain, held as
+    its data (`ModelContraction`); its matrices are formed on first read."""
+    return ModelInstance(spec, ModelContraction(spec))
 
 
 def classify_analytic(spec: SequenceModelSpec) -> str:
@@ -181,12 +257,10 @@ def defect_prediction(spec: SequenceModelSpec) -> DefectPrediction:
     if case == "A":
         return DefectPrediction("A", 0, (0, 0), None,
                                 "defect space trivial: the extension is unique in the limit")
-    _, chi_plus, chi_minus = _constraint_vectors(spec)
+    basis = _constraints(spec)[1]
     if spec.variant == "both_constraints":
-        basis = np.column_stack([chi_plus, chi_minus])
         return DefectPrediction("B", 2, (1, 1), basis,
                                 "span{chi_+, chi_-} with balanced signature")
-    basis = chi_minus.reshape(-1, 1)
     return DefectPrediction("C", 1, (0, 1), basis,
                             "span{chi_-}: negative-definite defect")
 

@@ -93,6 +93,8 @@ ROUNDTRIP_TOL = 1e-10
 GRAM_NORM_ROUNDING = 8
 # Relative gap between the structured and dense sweeps (preimage norm, sup).
 SWEEP_REL_TOL = 1e-9
+# The model's seeded interval against the block completion on its matrices.
+MODEL_ROUTE_TOL = 1e-12
 # The worked 2x2 instance against its hand-computed matrices, and its
 # elementary solution X = 1/2, which is built exactly.
 WORKED_TOL = 1e-10
@@ -296,7 +298,7 @@ def _check_endpoints_vs_completion(rng) -> str:
     worst_bound = 0.0
     worst_extends = 0.0
     problems = [random_partial_contraction(rng, random_signature_space(rng)) for _ in range(8)]
-    # The 32-pair model gives W one eigenvalue on both signs.
+    # The 32-pair model (seeded route) gives W one eigenvalue on both signs.
     problems.append(build_model(SequenceModelSpec(0.9, "both_constraints", 32)).t0)
     for t0 in problems:
         interval = krein_interval(t0)
@@ -542,6 +544,25 @@ def _check_model_truncation_cases(rng) -> str:
     return "finite truncations: both -> B, chi_plus_zero -> C, full domain -> A"
 
 
+def _check_model_route(rng) -> str:
+    # The block completion on the formed matrices is the independent route to
+    # the interval that krein_interval reads from the model's Woodbury factors.
+    worst = 0.0
+    for spec in (SequenceModelSpec(d, v, 16) for d in (0.9, 1.25) for v in ("both_constraints",
+                                                                         "chi_plus_zero")):
+        t0 = build_model(spec).t0
+        got = krein_interval(t0)
+        want = krein_interval(PartialContraction(t0.space, t0.domain, t0.action))
+        if (classify_case(got), got.signature) != (classify_case(want), want.signature):
+            raise AssertionError(f"{spec}: case or signature differs from the block completion")
+        worst = max(worst, *(float(np.abs(getattr(got, k) - getattr(want, k)).max())
+                             for k in ("t_mu", "t_m", "delta_values", "defect_basis")))
+    if worst > MODEL_ROUTE_TOL:
+        raise AssertionError(f"seeded and block-completion intervals differ by {worst:.3e}")
+    return (f"seeded model interval = block completion on the formed matrices (16 pairs; "
+            f"endpoints, W and defect basis entrywise, case) within {worst:.2e}")
+
+
 def _check_model_series(rng) -> str:
     worst = 0.0
     for delta in (0.8, 1.25):
@@ -778,6 +799,7 @@ _CHECKS = {
     "model.classification_table": _check_model_table,
     "model.divergence_verdicts": _check_model_divergence,
     "model.finite_truncation_cases": _check_model_truncation_cases,
+    "model.seeded_interval": _check_model_route,
     "model.series_identity": _check_model_series,
     "quasibasis.anharmonic": _check_quasibasis_anharmonic,
     "quasibasis.c_routes": _check_quasibasis_c_routes,

@@ -11,7 +11,9 @@ imported rather than restated.  The exception is the per-call Gram, the
 biorthogonal product and the two H f bodies: they are the routes that a
 quasi-basis family's measured `j_gram` and `hf` replaced, kept to show that
 the stored data are the same numbers; likewise the inline assembly of both
-Krein-interval endpoints, which their first-read properties replaced.
+Krein-interval endpoints, which their first-read properties replaced.  The
+sequence model's interval width is also summed in mpmath, from the exact
+profile rather than the stored one.
 """
 
 import importlib.util
@@ -19,11 +21,13 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 from numpy.polynomial import hermite as npherm
 from scipy.linalg import eigh_tridiagonal
 
 from kreinlab._linalg import RANK_RCOND, STRUCT_TOL, hermitize
+from kreinlab.angular import PartialContraction
 from kreinlab.extensions import _completion
 from kreinlab.gmetric import KERNEL_RCOND
 from kreinlab.quasibasis import _hermite_table, parity_apply
@@ -78,6 +82,30 @@ def inline_endpoints(t0):
     w = np.concatenate([w_plus, w_minus])
     u = np.hstack([e[:, :p] @ v_plus, e[:, p:] @ v_minus])
     return hermitize(t_m - (u * w) @ u.conj().T), t_m
+
+
+def formed_contraction(t0):
+    """The dense PartialContraction of a model's formed matrices, so that
+    krein_interval takes the block completion on model data."""
+    return PartialContraction(t0.space, t0.domain, t0.action)
+
+
+def mp_model_width(spec, dps: int = 50) -> np.ndarray:
+    """The model interval's W eigenvalues (`delta_values`) at `dps` digits
+    from the exact alpha_n = 1 - 1/n and c_n = n^-delta / ||n^-delta||:
+    1 / sum c^2/(1 + alpha) + 1 / sum c^2/(1 - alpha) on both J blocks, or
+    2 / sum c^2/(1 - alpha^2) on chi_- alone (chi_plus_zero)."""
+    with mpmath.workdps(dps):
+        n = [mpmath.mpf(k) for k in range(1, spec.n_pairs + 1)]
+        weight = [k ** (-2 * mpmath.mpf(spec.delta)) for k in n]
+        scale = mpmath.fsum(weight)
+        alpha = [1 - 1 / k for k in n]
+        if spec.variant == "chi_plus_zero":
+            return np.array([float(2 * scale / mpmath.fsum(
+                w / (1 - a * a) for w, a in zip(weight, alpha)))])
+        width = sum(scale / mpmath.fsum(w / (1 + sign * a) for w, a in zip(weight, alpha))
+                    for sign in (1, -1))
+        return np.array([float(width)] * 2)
 
 
 def is_contraction(t: np.ndarray, slack: float = FEAS_SLACK) -> bool:

@@ -22,7 +22,8 @@ import pytest
 
 import kreinlab.verify
 from kreinlab.cli import main
-from kreinlab.sequence_model import SequenceModelSpec, build_model
+from kreinlab.sequence_model import (DIVERGENCE_THRESHOLD, SequenceModelSpec, build_model,
+                                     xi_preimage_diagnostic)
 from kreinlab.serialize import dumps_report, matrix_from_obj, matrix_to_obj
 from kreinlab.verify import thread_cap
 
@@ -478,10 +479,33 @@ def test_exit_code_2_classify_model_large_n(tmp_path, capsys, limit):
 
 
 def test_classify_model_smallest_n_accepted(tmp_path):
+    # delta = 1.5: its trend resolves the convergence at N = 512
     out = tmp_path / "o"
-    assert run_cli(["classify-model", "--delta", "1.25", "--variant", "both",
+    assert run_cli(["classify-model", "--delta", "1.5", "--variant", "both",
                     "--N", "512", "--output-dir", out]) == 0
     assert load(out / "classify_model_report.json")["partial_sums"] == "partial_sums.csv"
+
+
+@pytest.mark.parametrize("delta, limit, verdict", [("1.02", "65536", "diverges"),
+                                                   ("1.05", "65536", "diverges"),
+                                                   ("1.25", "512", "diverges")])
+def test_classify_model_refuses_a_trend_against_the_analytic_class(tmp_path, capsys, delta,
+                                                                   limit, verdict):
+    # the fitted exponent clears DIVERGENCE_THRESHOLD although the series
+    # converges (delta > 1): exit 4 naming delta, the exponent and the
+    # threshold, and no report
+    out = tmp_path / "o"
+    rc = run_cli(["classify-model", "--delta", delta, "--variant", "both", "--N", limit,
+                  "--output-dir", out])
+    assert rc == 4
+    err = capsys.readouterr().err
+    diag = xi_preimage_diagnostic(SequenceModelSpec(float(delta)),
+                                  max_exponent=int(limit).bit_length() - 1)
+    assert diag.verdict == verdict
+    for token in (f"delta = {delta}", f"{diag.exponent_estimate:.6g}",
+                  f"DIVERGENCE_THRESHOLD = {DIVERGENCE_THRESHOLD}", "analytic case B"):
+        assert token in err
+    assert list(out.iterdir()) == []
 
 
 def test_exit_code_3_invariant_violation(tmp_path, capsys):

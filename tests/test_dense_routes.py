@@ -151,8 +151,9 @@ def test_one_product_t_m_matches_the_block_assembly(t0):
 
 @pytest.mark.parametrize("pairs", (64, 128))
 def test_model_construction_takes_no_square_qr_or_svd(monkeypatch, pairs):
-    # build_model and krein_interval orthonormalize only n x m blocks: no
-    # complete QR of the domain and no SVD for ||T0|| or the profile.
+    # build_model and krein_interval take no QR and no SVD at all: the
+    # model holds E = [chi_+, chi_-], so no complement of the domain is
+    # orthonormalized, and ||T0|| is read as alpha_N.
     counted = []
     for name in ("qr", "svd"):
         def count(a, *args, _name=name, _real=getattr(np.linalg._linalg, name), **kwargs):
@@ -162,9 +163,8 @@ def test_model_construction_takes_no_square_qr_or_svd(monkeypatch, pairs):
         monkeypatch.setattr(np.linalg, name, count)
     inst = build_model(SequenceModelSpec(1.25, "both_constraints", pairs))
     iv = krein_interval(inst.t0)
-    n, m = 2 * pairs, 2
-    assert counted == [("qr", (n, m), None)] * 2
-    assert iv.defect_dim == m
+    assert counted == []
+    assert iv.defect_dim == 2
 
 
 def test_benchmark_pools_take_no_complement_fallback():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from kreinlab._linalg import (RESULT_TOL, hermitize, orthonormal_columns, orthon
                               random_unitary)
 from kreinlab.cli import main
 from kreinlab.errors import InvariantViolation
+from kreinlab.extensions import SeededInterval, _completion
 from kreinlab.oracles import (cayley_inverse, rank_extremality, sqrt_projection_endpoints,
                               xi_operator)
 from kreinlab.sequence_model import SequenceModelSpec, build_model
@@ -253,7 +255,11 @@ def rotated_complement_problem(theta):
 EXTENDS_PROBLEMS = {
     **{f"dense_{n}_{i}": (lambda n=n, i=i: dense_problem(np.random.default_rng(7400 + i), n))
        for i, n in enumerate((64, 96, 64, 96))},
-    **{f"model_{pairs}_{variant}": (lambda pairs=pairs, variant=variant: build_model(
+    # the block completion on the models' formed matrices, and their seeded route
+    **{f"model_{pairs}_{variant}": (lambda pairs=pairs, variant=variant: ref.formed_contraction(
+        build_model(SequenceModelSpec(1.25, variant, pairs)).t0))
+       for pairs in (32, 64, 128) for variant in ("both_constraints", "chi_plus_zero")},
+    **{f"seeded_{pairs}_{variant}": (lambda pairs=pairs, variant=variant: build_model(
         SequenceModelSpec(1.25, variant, pairs)).t0)
        for pairs in (32, 64, 128) for variant in ("both_constraints", "chi_plus_zero")},
     "codim_48_of_64": codim_problem,
@@ -543,6 +549,70 @@ def test_model_defect_basis_follows_the_j_split(variant, delta):
     assert iv_moved.signature == iv.signature
     x = random_x(rng, iv.defect_dim)
     assert opnorm(extension_from_x(iv_moved, x).t - extension_from_x(iv, x).t) <= 1e-12
+
+
+MODEL_DELTAS = (0.75, 1.0, 1.25, 1.5)
+MODEL_VARIANTS = ("both_constraints", "chi_plus_zero")
+
+
+@pytest.mark.parametrize("variant", MODEL_VARIANTS)
+@pytest.mark.parametrize("delta", MODEL_DELTAS)
+@pytest.mark.parametrize("pairs", (32, 64, 128, 256))
+def test_seeded_model_interval_matches_the_block_completion(pairs, delta, variant):
+    # the Woodbury route against the block completion on the model's formed
+    # matrices: case, signature, W, the defect basis after the phase rule
+    # and both endpoints
+    t0 = build_model(SequenceModelSpec(delta, variant, pairs)).t0
+    got, want = krein_interval(t0), krein_interval(ref.formed_contraction(t0))
+    assert isinstance(got, SeededInterval) and not isinstance(want, SeededInterval)
+    assert (classify_case(got), got.signature) == (classify_case(want), want.signature)
+    for name in ("delta_values", "defect_basis", "t_mu", "t_m"):
+        assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("variant", MODEL_VARIANTS)
+@pytest.mark.parametrize("delta", MODEL_DELTAS)
+@pytest.mark.parametrize("pairs", (32, 64, 128))
+def test_seeded_certificates_cover_the_formed_matrices(pairs, delta, variant):
+    # each certificate of the seeded route against the n x n quantity it
+    # bounds: ||T||_2 - 1 and ||T D - T0 D||_2 of both endpoints, ||I + Z_+*
+    # Z_+|| of the block completion on the formed matrices, and 1 + lambda_min(T)
+    # for four X against cayley_bounds
+    t0 = build_model(SequenceModelSpec(delta, variant, pairs)).t0
+    iv = krein_interval(t0)
+    assert t0.norm_bound == 1.0 - 1.0 / pairs
+    assert endpoint_excess(iv) <= iv.excess_bound
+    assert extends_residual(iv) <= iv.extends_bound
+    dense = ref.formed_contraction(t0)
+    _, _, b, *_ = _completion(dense)
+    a = hermitize(dense.domain.conj().T @ dense.action)
+    z = np.linalg.solve(np.eye(len(a)) + a, b.conj().T)
+    assert np.linalg.eigvalsh(hermitize(np.eye(z.shape[1]) + z.conj().T @ z))[-1] \
+        <= iv.kernel_gram
+    m = iv.defect_dim
+    for x in (np.zeros((m, m)), 0.5 * np.eye(m), np.eye(m),
+              random_x(np.random.default_rng(pairs), m)):
+        choice = extension_from_x(iv, x)
+        low, high = choice.cayley_bounds
+        assert low <= 1.0 + np.linalg.eigvalsh(choice.t)[0] <= high
+
+
+@pytest.mark.parametrize("variant", MODEL_VARIANTS)
+def test_model_interval_at_2_16_pairs_forms_no_dense_matrix(variant):
+    # a dense 2^17 x 2^17 model would take 256 GiB: the interval and its case
+    # are read from m x m data, and nothing n x n is formed or cached
+    tracemalloc.start()
+    try:
+        inst = build_model(SequenceModelSpec(1.0, variant, 2 ** 16))
+        iv = krein_interval(inst.t0)
+        case = classify_case(iv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (case, iv.defect_dim) == (("B", 2) if variant == "both_constraints" else ("C", 1))
+    for obj in (inst, inst.t0, iv):
+        assert not {"t", "space", "domain", "action", "t_m", "t_mu"} & set(vars(obj))
+    assert peak < 64 * 2 ** 20
 
 
 def test_solve_x_equation_takes_no_factorization(monkeypatch):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import oracles as ref
+from kreinlab.extensions import krein_interval
 from kreinlab.oracles import dense_density_sweep
 from kreinlab.sequence_model import (
+    DENSE_PAIRS,
     MAX_PAIRS,
     VARIANTS,
     SequenceModelSpec,
@@ -30,6 +32,21 @@ def test_spec_validation():
         SequenceModelSpec(1.0, variant="no_such_variant")
     with pytest.raises(ValueError):
         SequenceModelSpec(1.0, n_pairs=0)
+    with pytest.raises(ValueError, match=f"n_pairs = {MAX_PAIRS + 1} exceeds MAX_PAIRS"):
+        SequenceModelSpec(1.0, n_pairs=MAX_PAIRS + 1)
+
+
+@pytest.mark.parametrize("name", ("space", "t", "domain", "action", "complement", "norm"))
+def test_dense_model_matrices_refuse_above_the_cap(name):
+    # every n x n matrix of the model, and what is read from one, is refused
+    # before it is allocated, with its size named
+    t0 = build_model(SequenceModelSpec(1.0, "both_constraints", DENSE_PAIRS + 1)).t0
+    rows = 2 * DENSE_PAIRS + 2
+    cols = rows if name in ("space", "t", "norm") else rows - 2
+    with pytest.raises(ValueError, match=rf"would be a {rows} x {cols} matrix \(0.25 GiB "
+                                         rf"complex\) at {DENSE_PAIRS + 1} pairs; .* "
+                                         rf"DENSE_PAIRS = {DENSE_PAIRS} pairs"):
+        getattr(t0, name)
 
 
 def test_single_pair_is_zero():
@@ -72,6 +89,16 @@ def test_constraint_vector_profile():
     assert ratio == pytest.approx(0.5)
     assert np.linalg.norm(inst.chi_plus) == pytest.approx(1.0)
     assert np.abs(inst.chi_plus[1::2]).max() == 0.0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("delta", (0.75, 1.0, 1.25, 1.5))
+def test_model_width_matches_the_mpmath_sums(delta, variant):
+    # the seeded interval's W against 50-digit sums of the exact profile
+    for pairs in (8, 64, 1024, 2 ** 14):
+        spec = SequenceModelSpec(delta, variant, pairs)
+        np.testing.assert_allclose(krein_interval(build_model(spec).t0).delta_values,
+                                   ref.mp_model_width(spec), rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("n", (2, 7, 50))

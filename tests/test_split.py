@@ -183,7 +183,7 @@ def test_readme_and_pool_domains_take_the_adapted_route(monkeypatch):
                                "T0_action": matrix_to_obj([[0.0], [0.5]])})
     models = [build_model(SequenceModelSpec(**spec)).t0
               for spec in ref.perfbench_gen().model_pool(20261017)]
-    problems = [readme, *pool_problems(), *models]
+    problems = [readme, *pool_problems(), *map(ref.formed_contraction, models)]
     assert len(problems) == 1 + 12 + 24
     assert calls == [] and grams == [2] * len(problems)
     for t0 in problems:
