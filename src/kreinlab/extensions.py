@@ -286,20 +286,22 @@ def endpoint_extends_bound(t0: PartialContraction, e: np.ndarray, b: np.ndarray,
 
 
 def _defect(e: np.ndarray, p: int, w_blocks: np.ndarray, tol: float):
-    """The ExtensionInterval fields from delta_vectors to signature, from the
-    J blocks of W (tol bounds their negative eigenvalues): Mb keeps U's columns
-    above the defect cut, each with its largest-modulus entry real positive."""
+    """The ExtensionInterval fields from delta_vectors to signature, from the J blocks
+    of W (tol bounds their negative eigenvalues): U = E V (E if no block exceeds 1 x 1),
+    Mb U's columns above the defect cut, largest-modulus entries real positive (U if so)."""
     w_plus, v_plus = np.linalg.eigh(w_blocks[:p, :p])
     w_minus, v_minus = np.linalg.eigh(w_blocks[p:, p:])
     w = np.concatenate([w_plus, w_minus])
     if w.min(initial=0.0) < -tol:
         raise InvariantViolation("interval order failed: T_M - T_mu not PSD")
-    u = np.hstack([e[:, :p] @ v_plus, e[:, p:] @ v_minus])   # eigenvectors of Delta
+    unit = max(p, len(w) - p) <= 1
+    u = e if unit else np.hstack([e[:, :p] @ v_plus, e[:, p:] @ v_minus])
     top = w.max(initial=0.0)
     keep = (w > DEFECT_RCOND * top) & (top > DEFECT_FLOOR)
-    mb = u[:, keep]
-    lead = mb[np.abs(mb).argmax(axis=0), np.arange(mb.shape[1])]
-    return (u, w, mb * (lead.conj() / np.abs(lead)), np.sqrt(w[keep]),
+    lead = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])][keep]
+    mb = u if unit and keep.all() and (lead == np.abs(lead)).all() else (
+        u[:, keep] * (lead.conj() / np.abs(lead)))
+    return (u, w, mb, np.sqrt(w[keep]),
             (int(keep[:p].sum()), int(keep[p:].sum())))
 
 

@@ -16,6 +16,7 @@ when they straddle the threshold.
 Sequence-model sweep: the n x n truncation (Xi from the eigenpairs of T,
 the preimage by least squares, `density_test` and `uniqueness_sup`), where
 `sequence_model.truncated_density_sweep` reads the block structure.
+Series partial sums: one cumsum, where `xi_preimage_diagnostic` sums by Euler-Maclaurin.
 Anharmonic levels: bisection of the whole half-line problem on the grid's
 step, where `quasibasis.halfline_levels` bisects a 2**COARSENING times
 coarser copy and refines the prolonged eigenvectors; bisection on the halved
@@ -240,6 +241,12 @@ def dense_density_sweep(spec, exponents) -> list[TruncationSample]:
         sup = uniqueness_sup(inst.t0, chi)
         out.append(TruncationSample(n, norm_sq_matrix, norm_sq_series, dense, sup))
     return out
+
+
+def cumsum_partial_sums(delta: float, max_exponent: int) -> np.ndarray:
+    """S_N, N = 2, 4, ..., 2^max_exponent, by one cumsum: within (N + 2) u S_N."""
+    csum = np.cumsum(series_terms(delta, 2 ** max_exponent))
+    return csum[2 ** np.arange(1, max_exponent + 1) - 1]
 
 
 def grid_step_bisection(beta: float, grid, parity: str, count: int):

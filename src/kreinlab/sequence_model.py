@@ -37,8 +37,7 @@ from .spaces import SignatureSpace
 VARIANTS = ("both_constraints", "chi_plus_zero")
 
 # Largest truncation of the O(N) routes: the sweep takes exponents up to
-# MAX_EXPONENT, and classify-model --N is at most MAX_PAIRS (the diagnostic
-# peaks at about 0.4 GB of RSS there).
+# MAX_EXPONENT, and classify-model --N is at most MAX_PAIRS.
 MAX_PAIRS = 2 ** 24
 MAX_EXPONENT = MAX_PAIRS.bit_length() - 1
 # Largest model whose 2N x ~2N complex J, T, domain and action are formed (256 MiB each).
@@ -50,6 +49,10 @@ DENSE_PAIRS = 2 ** 11
 DIVERGENCE_THRESHOLD = 0.05
 MARGINAL_WINDOW = 0.15
 FIT_POINTS = 8
+# S_N: a cumsum up to HEAD, then Euler-Maclaurin on EXPANSION_TERMS power sums.
+HEAD, EXPANSION_TERMS = 2 ** 8, 7
+BERNOULLI = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600])   # B_2/2! .. B_8/8!
+EM_ROUNDING = 48            # with 14 ln N, the tail's rounding in u times its parts' sizes
 
 
 @dataclass(frozen=True)
@@ -217,10 +220,18 @@ class DivergenceReport:
     exponent_estimate: float
     verdict: str                         # "diverges" | "converges"
     marginal: bool
+    sum_bounds: np.ndarray               # a-priori bound on each partial sum's error
 
 
 def xi_preimage_diagnostic(spec: SequenceModelSpec, max_exponent: int = 16) -> DivergenceReport:
-    """Dyadic partial sums of the reachability series with a trend verdict.
+    """Dyadic partial sums S_N, N = 2, 4, ..., 2^max_exponent, of the reachability
+    series sum n^p / (2n - 1), p = 2 - 2 delta, with error bounds and a trend verdict.
+
+    Up to H = HEAD, S_N is a cumsum of the terms, within (N + 2) u S_N.  Beyond, it adds
+    sum_{k<K} 2^-(k+1) sum_{H<n<=N} n^s, s = p - k - 1, K = EXPANSION_TERMS, each by
+    Euler-Maclaurin with three Bernoulli terms, within the truncation 2^-(K+1) (2H + 2)/
+    (2H + 1) H^(p-K)/(K - p), the remainder 2 |B_8|/8! |(s)_7| H^(s-7) per power sum and
+    rounding (H + 2) u S_H + (EM_ROUNDING + 14 ln N) u times the parts' sizes (README).
 
     The verdict is the fitted log-log growth exponent of S_N over the last
     FIT_POINTS dyadic truncations: above DIVERGENCE_THRESHOLD the series is
@@ -230,16 +241,32 @@ def xi_preimage_diagnostic(spec: SequenceModelSpec, max_exponent: int = 16) -> D
     """
     if max_exponent < FIT_POINTS + 1:
         raise ValueError(f"need at least {FIT_POINTS + 1} dyadic points")
-    terms = series_terms(spec.delta, 2 ** max_exponent)
-    csum = np.cumsum(terms)
+    u, H, K = np.finfo(float).eps / 2, HEAD, EXPANSION_TERMS
+    head = np.cumsum(series_terms(spec.delta, H))
     dyadic = 2 ** np.arange(1, max_exponent + 1)
-    sums = csum[dyadic - 1]
-    tail_n = dyadic[-FIT_POINTS:].astype(float)
-    tail_s = sums[-FIT_POINTS:]
-    slope = np.polyfit(np.log(tail_n), np.log(tail_s), 1)[0]
+    short, n = dyadic[dyadic <= H], dyadic[dyadic > H].astype(float)
+    p, k, log_ratio = 2.0 - 2.0 * spec.delta, np.arange(K)[:, None], np.log(n / H)
+    s, r, weight = p - k - 1.0, p - k, 0.5 ** (k + 1.0)         # rows: k < K
+    falling = np.cumprod(s - np.arange(7.0), axis=1)            # (s)_1 .. (s)_7
+    # weights of x^s / 2, B_2/2! (s)_1 x^(s-1), B_4/4! (s)_3 x^(s-3), B_6/6! (s)_5 x^(s-5)
+    coef = (weight * np.hstack([np.full_like(s, 0.5), falling[:, 0:5:2] * BERNOULLI[:3]])).ravel()
+    power = (s - np.array([0.0, 1.0, 3.0, 5.0])).ravel()
+    npow, hpow = n ** power[:, None], H ** power
+    # integrals H^r expm1(r log(N/H)) / r, r = s + 1, and log(N/H) at r = 0 (delta = 1)
+    integral = (weight * H ** r / np.where(r == 0, 1.0, r)).ravel() @ np.expm1(r * log_ratio) + (
+        0.5 * log_ratio if p == 0 else 0.0)
+    tail = integral + coef @ npow - coef @ hpow
+    size = integral + np.abs(coef) @ (npow + hpow[:, None])
+    trunc = 0.5 ** (K + 1) * (2 * H + 2) / (2 * H + 1) * H ** (p - K) / (K - p)
+    remainder = -2.0 * BERNOULLI[3] * (weight * H ** (s - 7.0)).ravel() @ np.abs(falling[:, 6])
+    bound = ((H + 2) * u * head[-1] + trunc + remainder
+             + (EM_ROUNDING + (K + 7) * np.log(n)) * u * size)
+    sums = np.concatenate([head[short - 1], head[-1] + tail])
+    slope = np.polyfit(np.log(dyadic[-FIT_POINTS:]), np.log(sums[-FIT_POINTS:]), 1)[0]
     verdict = "diverges" if slope > DIVERGENCE_THRESHOLD else "converges"
     marginal = verdict == "diverges" and slope < MARGINAL_WINDOW
-    return DivergenceReport(dyadic, sums, float(slope), verdict, marginal)
+    return DivergenceReport(dyadic, sums, float(slope), verdict, marginal,
+                            np.concatenate([(short + 2) * u * head[short - 1], bound]))
 
 
 @dataclass(frozen=True)

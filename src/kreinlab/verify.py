@@ -581,17 +581,21 @@ def _check_model_series(rng) -> str:
 
 
 def _check_model_divergence(rng) -> str:
-    rep_div = xi_preimage_diagnostic(SequenceModelSpec(0.8, "both_constraints"), max_exponent=14)
-    rep_marg = xi_preimage_diagnostic(SequenceModelSpec(1.0, "both_constraints"), max_exponent=14)
-    rep_conv = xi_preimage_diagnostic(SequenceModelSpec(1.25, "both_constraints"), max_exponent=14)
-    if rep_div.verdict != "diverges" or rep_div.marginal:
-        raise AssertionError("delta = 0.8 must diverge cleanly")
-    if rep_marg.verdict != "diverges" or not rep_marg.marginal:
-        raise AssertionError("delta = 1.0 must be marginal-divergent")
-    if rep_conv.verdict != "converges":
-        raise AssertionError("delta = 1.25 must converge")
+    deltas, want = (0.8, 1.0, 1.25), (("diverges", False), ("diverges", True), ("converges", False))
+    rep_div, rep_marg, rep_conv = reps = [xi_preimage_diagnostic(
+        SequenceModelSpec(d, "both_constraints"), max_exponent=14) for d in deltas]
+    for delta, rep, (verdict, marginal) in zip(deltas, reps, want):
+        if (rep.verdict, rep.marginal) != (verdict, marginal):
+            raise AssertionError(f"delta = {delta} must read {verdict}, marginal {marginal}")
+    # the cumsum oracle is within (N + 2) u S_N, the sums within sum_bounds
+    worst = max(float(np.max(np.abs(rep.partial_sums - want) / (
+        (rep.dyadic_n + 2) * np.finfo(float).eps / 2 * want + rep.sum_bounds)))
+        for rep, want in zip(reps, (oracles.cumsum_partial_sums(d, 14) for d in deltas)))
+    if worst > 1.0:
+        raise AssertionError(f"partial sums differ from the cumsum by {worst:.3e} of the bound")
     return (f"growth exponents {rep_div.exponent_estimate:.3f} / "
-            f"{rep_marg.exponent_estimate:.3f} (marginal) / {rep_conv.exponent_estimate:.3f}")
+            f"{rep_marg.exponent_estimate:.3f} (marginal) / {rep_conv.exponent_estimate:.3f}; "
+            f"sums within {worst:.2e} of the bound on their distance to the cumsum")
 
 
 def _check_t_half(rng) -> str:

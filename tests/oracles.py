@@ -13,9 +13,11 @@ quasi-basis family's measured `j_gram` and `hf` replaced, kept to show that
 the stored data are the same numbers; likewise the inline assembly of both
 Krein-interval endpoints, which their first-read properties replaced.  The
 sequence model's interval width is also summed in mpmath, from the exact
-profile rather than the stored one.
+profile rather than the stored one, and so are the dyadic partial sums of
+its reachability series.
 """
 
+import functools
 import importlib.util
 import json
 import math
@@ -106,6 +108,30 @@ def mp_model_width(spec, dps: int = 50) -> np.ndarray:
         width = sum(scale / mpmath.fsum(w / (1 + sign * a) for w, a in zip(weight, alpha))
                     for sign in (1, -1))
         return np.array([float(width)] * 2)
+
+
+@functools.lru_cache(maxsize=None)
+def mp_partial_sums(delta: float, max_exponent: int, dps: int = 40) -> np.ndarray:
+    """S_N = sum_{n <= N} n^(2 - 2 delta) / (2n - 1) at N = 2, 4, ...,
+    2^max_exponent at `dps` digits: an exact `mpmath.fsum` of the terms up to
+    2^12, and `mpmath.sumem` over each dyadic block beyond."""
+    with mpmath.workdps(dps):
+        p = 2 - 2 * mpmath.mpf(delta)
+
+        def term(x):
+            return x ** p / (2 * x - 1)
+
+        total, sums = mpmath.mpf(0), []
+        for e in range(1, max_exponent + 1):
+            lo, hi = 2 ** (e - 1) + (e > 1), 2 ** e
+            if hi <= 2 ** 12:
+                total += mpmath.fsum(term(mpmath.mpf(k)) for k in range(lo, hi + 1))
+            else:
+                total += mpmath.sumem(term, [lo, hi])
+            sums.append(float(total))
+    sums = np.array(sums)
+    sums.flags.writeable = False            # cached: every caller gets this array
+    return sums
 
 
 def is_contraction(t: np.ndarray, slack: float = FEAS_SLACK) -> bool:

@@ -22,7 +22,8 @@ import pytest
 
 import kreinlab.verify
 from kreinlab.cli import main
-from kreinlab.sequence_model import (DIVERGENCE_THRESHOLD, SequenceModelSpec, build_model,
+from kreinlab.oracles import cumsum_partial_sums
+from kreinlab.sequence_model import (DIVERGENCE_THRESHOLD, HEAD, SequenceModelSpec, build_model,
                                      xi_preimage_diagnostic)
 from kreinlab.serialize import dumps_report, matrix_from_obj, matrix_to_obj
 from kreinlab.verify import thread_cap
@@ -174,6 +175,23 @@ def test_classify_model_divergent_variant(tmp_path):
     assert abs(report["growth_exponent"] - 0.4) < 0.12
     lines = (out / "partial_sums.csv").read_text().splitlines()
     assert lines[-1].startswith("4096,")
+
+
+@pytest.mark.parametrize("variant", ("both", "chi-plus-zero"))
+@pytest.mark.parametrize("delta", ("0.8", "1.0", "1.25", "1.5"))
+def test_classify_model_csv_matches_the_cumsum_oracle(tmp_path, delta, variant):
+    # rows up to N = HEAD are the cumsum's; the Euler-Maclaurin rows beyond
+    # stay within 2e-14 of it at the default --N
+    out = tmp_path / "out"
+    assert run_cli(["classify-model", "--delta", delta, "--variant", variant,
+                    "--output-dir", out]) == 0
+    rows = np.array([[float(cell) for cell in line.split(",")]
+                     for line in (out / "partial_sums.csv").read_text().splitlines()[1:]])
+    want = cumsum_partial_sums(float(delta), 16)
+    assert np.array_equal(rows[:, 0], 2.0 ** np.arange(1, 17))
+    short = rows[:, 0] <= HEAD
+    assert np.array_equal(rows[short, 1], want[short])
+    assert np.all(np.abs(rows[:, 1] - want) <= 2e-14 * want)
 
 
 # -------------------------------------------------------------- quasi-basis

@@ -612,7 +612,10 @@ def test_model_interval_at_2_16_pairs_forms_no_dense_matrix(variant):
     assert (case, iv.defect_dim) == (("B", 2) if variant == "both_constraints" else ("C", 1))
     for obj in (inst, inst.t0, iv):
         assert not {"t", "space", "domain", "action", "t_m", "t_mu"} & set(vars(obj))
-    assert peak < 64 * 2 ** 20
+    # U and Mb are E itself (the J blocks of W are 1 x 1); traced peaks 11.0 / 7.5 MB
+    assert iv.delta_vectors is inst.t0.constraints
+    assert np.shares_memory(iv.defect_basis, inst.t0.constraints)
+    assert peak < 16 * 2 ** 20
 
 
 def test_solve_x_equation_takes_no_factorization(monkeypatch):

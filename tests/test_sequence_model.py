@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles as ref
+from kreinlab import sequence_model
 from kreinlab.extensions import krein_interval
 from kreinlab.oracles import dense_density_sweep
 from kreinlab.sequence_model import (
@@ -160,6 +163,40 @@ def test_convergence_ratio():
 def test_diagnostic_needs_enough_points():
     with pytest.raises(ValueError):
         xi_preimage_diagnostic(SequenceModelSpec(1.0), max_exponent=5)
+
+
+MP_DELTAS = (0.55, 0.75, 0.98, 1.0, 1.02, 1.05, 1.25, 1.5)
+
+
+@pytest.mark.parametrize("delta", MP_DELTAS)
+def test_partial_sums_match_the_mpmath_sums(delta):
+    # Euler-Maclaurin beyond HEAD against 40-digit sums up to 2^24: within
+    # 4e-15 relative and within the stated a-priori bound on every row
+    rep = xi_preimage_diagnostic(SequenceModelSpec(delta), max_exponent=24)
+    want = ref.mp_partial_sums(delta, 24)
+    err = np.abs(rep.partial_sums - want)
+    assert np.all(err <= 4e-15 * want)
+    assert np.all(err <= rep.sum_bounds)
+
+
+@pytest.mark.parametrize("delta", MP_DELTAS)
+def test_partial_sums_keep_their_bound_on_a_short_head(monkeypatch, delta):
+    # at HEAD = 16 the expansion truncation, the B_6 term and the remainder
+    # are far above rounding, so each must be summed and bounded as stated
+    monkeypatch.setattr(sequence_model, "HEAD", 16)
+    rep = xi_preimage_diagnostic(SequenceModelSpec(delta), max_exponent=24)
+    assert np.all(np.abs(rep.partial_sums - ref.mp_partial_sums(delta, 24)) <= rep.sum_bounds)
+
+
+def test_diagnostic_forms_no_length_n_array():
+    tracemalloc.start()
+    try:
+        rep = xi_preimage_diagnostic(SequenceModelSpec(1.0), max_exponent=24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.dyadic_n[-1] == 2 ** 24
+    assert peak < 2 ** 20
 
 
 def test_series_terms_closed_form():
